@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .tournament import (  # noqa: F401
     ArcFlip,
     Tournament,
+    count_diamonds,
     count_diamonds_naive,
     diamond_delta_on_flip,
     is_diamond,

@@ -103,7 +103,7 @@ def cmd_count(args):
     code = OK
     naive = spectral_count = None
     if args.method in ("naive", "both"):
-        naive = tournament.count_diamonds_naive(t)
+        naive = tournament.count_diamonds(t)
         results["naive"] = naive
     if args.method in ("spectral", "both"):
         spectral_count = spectral.count_diamonds_spectral(t)
@@ -112,9 +112,9 @@ def cmd_count(args):
     if args.method == "both" and naive != spectral_count:
         status = "violated"
         code = VIOLATED
-    bound = spectral.diamond_upper_bound(t.n)
-    results["bound"] = _rat(bound)
-    results["attained"] = bound.denominator == 1 and delta == bound
+    bound = spectral.diamond_upper_bound(t.n) if t.n >= 4 else None
+    results["bound"] = _rat(bound) if bound is not None else None
+    results["attained"] = bound is not None and bound.denominator == 1 and delta == bound
     _emit(_report("count", {"in": args.input}, results, status), args.report)
     return code
 
@@ -232,6 +232,10 @@ def cmd_extend(args):
 
 
 def cmd_search(args):
+    if args.threads < 1:
+        raise CliError(f"--threads must be at least 1, got {args.threads}")
+    if args.mode == "local" and args.restarts < 1:
+        raise CliError(f"--restarts must be at least 1, got {args.restarts}")
     try:
         if args.mode == "exhaustive":
             res = search.exhaustive_max_diamonds(args.n, threads=args.threads,

@@ -59,9 +59,10 @@ def delete_vertices(t: Tournament, drop) -> Tournament:
     keep = [v for v in range(t.n) if v not in drop]
     rows = []
     for v in keep:
+        row = t.rows[v]
         r = 0
         for new_j, old_j in enumerate(keep):
-            if t.dom(v, old_j):
+            if (row >> old_j) & 1:
                 r |= 1 << new_j
         rows.append(r)
     return Tournament(len(keep), tuple(rows))

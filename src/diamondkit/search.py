@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .spectral import diamond_upper_bound
-from .tournament import Tournament, count_diamonds_naive, diamond_delta_on_flip, \
+from .tournament import Tournament, count_diamonds, diamond_delta_on_flip, \
     flip_arc, random_tournament, ArcFlip
 
 _CHUNK = 1 << 18
@@ -202,7 +202,7 @@ def local_search_max_diamonds(
     def run_restart(r):
         rng = random.Random(f"{seed}/{r}")
         t = random_tournament(n, rng.getrandbits(63))
-        cur = count_diamonds_naive(t)
+        cur = count_diamonds(t)
         best, best_enc = cur, encode(t)
         temp = t0
         for _ in range(steps):

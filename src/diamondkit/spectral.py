@@ -3,7 +3,8 @@
 Everything here is integer-exact: characteristic polynomials come from the
 Faddeev-LeVerrier recurrence over Python ints, determinants from fraction-free
 Bareiss elimination, and the sigma_2/sigma_4 fast path from traces of S^2 and
-S^4.  No floating point anywhere.
+S^4.  The one floating-point step is _square, whose float64 product is exact
+and is cast back to int64 before use.
 """
 
 from __future__ import annotations
@@ -62,12 +63,20 @@ class CharPoly:
 
 def seidel_from_tournament(t: Tournament) -> SeidelMatrix:
     """S = A - A^T: +1 where i dominates j, -1 where j dominates i."""
-    rows = []
-    for i in range(t.n):
-        rows.append(tuple(
-            0 if i == j else (1 if t.dom(i, j) else -1) for j in range(t.n)
-        ))
-    return SeidelMatrix(t.n, tuple(rows))
+    a = t.adjacency()
+    return SeidelMatrix(t.n, tuple(map(tuple, (a - a.T).tolist())))
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """S @ S for an int64 Seidel matrix, multiplied in float64 BLAS.
+
+    Exact: entries of S are in {-1, 0, 1}, so every product is exact and
+    every partial sum of a dot product is an integer of magnitude at most
+    n <= 512 < 2^53, whatever order BLAS sums in.  The int64 cast of the
+    result is therefore lossless.
+    """
+    f = a.astype(np.float64)
+    return (f @ f).astype(np.int64)
 
 
 def char_poly(s: SeidelMatrix) -> CharPoly:
@@ -138,13 +147,13 @@ def sigma_from_traces(s: SeidelMatrix):
 
     Odd power sums of a skew-symmetric matrix vanish, which collapses the
     identities to sigma_2 = -tr(S^2)/2 and
-    sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4.  Exact in int64 for n <= 512.
+    sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4.  Exact in int64 for n <= 512: S^2
+    comes exactly from _square, and tr(S^4) <= n^2 (n-1)^2 < 2^63.
     """
-    a = s.to_numpy()
-    a2 = a @ a
+    a2 = _square(s.to_numpy())
     t2 = int(np.trace(a2))
     # S^2 is symmetric, so tr(S^4) is the sum of squared entries of S^2
-    t4 = int((a2.astype(np.int64) ** 2).sum())
+    t4 = int((a2 ** 2).sum())
     sigma2, r2 = divmod(-t2, 2)
     sigma4, r4 = divmod(t2 * t2 // 2 - t4, 4)
     if r2 or r4:
@@ -179,9 +188,8 @@ def count_diamonds_spectral(t: Tournament) -> int:
 
 def is_skew_conference(s: SeidelMatrix) -> bool:
     """True iff S^2 = -(n-1) I exactly."""
-    a = s.to_numpy()
     expected = -(s.n - 1) * np.eye(s.n, dtype=np.int64)
-    return bool(np.array_equal(a @ a, expected))
+    return bool(np.array_equal(_square(s.to_numpy()), expected))
 
 
 def _even_extremal_sigma(n):

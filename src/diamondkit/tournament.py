@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -36,18 +37,20 @@ class Tournament:
     rows: tuple  # rows[i] bitmask of vertices dominated by i
 
     def dom(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
+        # int(j): a numpy shift count would coerce the row to int64
+        return bool((self.rows[i] >> int(j)) & 1)
 
     def out_degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for j in range(self.n):
-                if (row >> j) & 1:
-                    a[i, j] = 1
-        return a
+        """0/1 int64 matrix with a[i, j] = 1 iff i dominates j."""
+        n = self.n
+        width = (n + 7) // 8
+        full = (1 << n) - 1
+        buf = b"".join((r & full).to_bytes(width, "little") for r in self.rows)
+        bits = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
+        return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -81,17 +84,16 @@ def validate(t: Tournament):
     The report is a tuple (i, j, reason); pairs are scanned in row-major
     order with i <= j, so the first violation is deterministic.
     """
-    for i in range(t.n):
-        if t.dom(i, i):
+    a = t.adjacency()
+    bad = np.triu(a + a.T != 1, 1)
+    for i, row in enumerate(t.rows):
+        if (row >> i) & 1:
             return (i, i, "diagonal entry set")
-        if t.rows[i] >> t.n:
+        if row >> t.n:
             return (i, i, "bit set beyond vertex range")
-        for j in range(i + 1, t.n):
-            ij, ji = t.dom(i, j), t.dom(j, i)
-            if ij and ji:
-                return (i, j, "both orientations present")
-            if not ij and not ji:
-                return (i, j, "missing orientation")
+        if bad[i].any():
+            j = int(bad[i].argmax())
+            return (i, j, "both orientations present" if a[i, j] else "missing orientation")
     return None
 
 
@@ -127,8 +129,38 @@ def _comb4(n):
     return np.array(list(combinations(range(n), 4)), dtype=np.int64)
 
 
+def count_diamonds(t: Tournament) -> int:
+    """Exact diamond count from the 3-cycles of every vertex neighbourhood.
+
+    A diamond is a 3-cycle inside N+(v) or inside N-(v) for exactly one apex
+    v, and a sub-tournament on m vertices with scores s_w has
+    C(m,3) - sum_w C(s_w,2) 3-cycles (Kendall-Babington Smith).  Each score
+    is one popcount, so this is O(n^2) popcounts of n-bit rows and
+    allocates no arrays.
+    """
+    full = (1 << t.n) - 1
+    total = 0
+    for v, out in enumerate(t.rows):
+        inn = full ^ out ^ (1 << v)
+        m = out.bit_count()
+        total += comb(m, 3) + comb(t.n - 1 - m, 3)
+        for w, row in enumerate(t.rows):
+            if (out >> w) & 1:
+                s = (row & out).bit_count()
+            elif (inn >> w) & 1:
+                s = (row & inn).bit_count()
+            else:
+                continue
+            total -= s * (s - 1) // 2
+    return total
+
+
 def count_diamonds_naive(t: Tournament) -> int:
-    """Exact diamond count by scanning all C(n,4) vertex subsets."""
+    """Exact diamond count by scanning all C(n,4) vertex subsets.
+
+    Test oracle for count_diamonds: it holds a C(n,4) x 4 index array, so
+    memory grows as n^4 and it runs out of memory above n of about 200.
+    """
     if t.n < 4:
         return 0
     a = t.adjacency()
@@ -223,9 +255,10 @@ def parse_trn(text: str) -> Tournament:
 
 
 def format_trn(t: Tournament) -> str:
+    # character j of a line is bit j of the row: the row's binary string reversed
+    full = (1 << t.n) - 1
     out = [str(t.n)]
-    for i in range(t.n):
-        out.append("".join("1" if t.dom(i, j) else "0" for j in range(t.n)))
+    out.extend(format(r & full, f"0{t.n}b")[::-1] for r in t.rows)
     return "\n".join(out) + "\n"
 
 

@@ -78,6 +78,22 @@ class TestCount:
         code, _ = run(capsys, "count", "--in", "/nonexistent.trn")
         assert code == INPUT_ERROR
 
+    def test_three_vertices_no_bound(self, tmp_path, capsys):
+        path = tmp_path / "c3.trn"
+        path.write_text("3\n010\n001\n100\n")
+        code, report = run(capsys, "count", "--in", str(path))
+        assert code == OK
+        assert report["results"]["naive"] == report["results"]["spectral"] == 0
+        assert report["results"]["bound"] is None
+        assert report["results"]["attained"] is False
+
+    def test_both_at_max_n(self, tmp_path, capsys):
+        path = tmp_path / "t.trn"
+        save_trn(random_tournament(512, 7), path)
+        code, report = run(capsys, "count", "--in", str(path), "--method", "both")
+        assert code == OK
+        assert report["results"]["naive"] == report["results"]["spectral"] > 0
+
 
 class TestVerify:
     def test_design_pass(self, tmp_path, capsys):
@@ -198,6 +214,22 @@ class TestSearchCommand:
         report = json.loads(report_path.read_text())
         assert report["results"]["max_diamonds"] == 1
         assert report["versions"]["diamondkit"]
+
+
+class TestSearchArguments:
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "local", "--n", "8", "--restarts", "0"),
+        ("--mode", "local", "--n", "8", "--restarts", "-1"),
+        ("--mode", "exhaustive", "--n", "5", "--threads", "0"),
+        ("--mode", "local", "--n", "8", "--threads", "-2"),
+    ])
+    def test_rejected_exit_2(self, capsys, argv):
+        code = main(["search", *argv])
+        captured = capsys.readouterr()
+        assert code == INPUT_ERROR
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from diamondkit.spectral import (
     NOT_EXTREMAL,
     ODD_EXTREMAL,
     SeidelMatrix,
+    _square,
     bareiss_det,
     char_poly,
     count_diamonds_spectral,
@@ -24,6 +26,7 @@ from diamondkit.spectral import (
     sum_principal_minors,
 )
 from diamondkit.tournament import (
+    count_diamonds,
     count_diamonds_naive,
     from_arcs,
     random_tournament,
@@ -166,6 +169,28 @@ class TestSpectralCount:
         for seed in range(10):
             t = random_tournament(n, seed)
             assert count_diamonds_spectral(t) == count_diamonds_naive(t)
+
+
+    @pytest.mark.parametrize("n", [64, 128, 257, 512])
+    def test_neighbourhood_count_agrees(self, n):
+        t = random_tournament(n, seed=n)
+        assert count_diamonds(t) == count_diamonds_spectral(t)
+
+    def test_star_paley_499_closed_form(self):
+        t = star_paley(499)
+        n = t.n
+        expected = n * n * (n - 1) * (n - 2) // 96
+        assert count_diamonds_spectral(t) == count_diamonds(t) == expected
+
+
+class TestSquare:
+    @pytest.mark.parametrize("n", [3, 64, 512])
+    def test_matches_int64_product(self, n):
+        for seed in range(3):
+            a = seidel_from_tournament(random_tournament(n, seed)).to_numpy()
+            a2 = _square(a)
+            assert a2.dtype == np.int64
+            assert np.array_equal(a2, a @ a)
 
 
 class TestSkewConference:

@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondkit.tournament import (
     ArcFlip,
     Tournament,
+    count_diamonds,
     count_diamonds_naive,
     diamond_delta_on_flip,
     flip_arc,
@@ -20,6 +24,22 @@ from diamondkit.tournament import (
 )
 from diamondkit.search import decode, encode
 from diamondkit.spectral import bareiss_det, seidel_from_tournament
+
+
+def _validate_reference(t):
+    """validate() as a per-pair scan in row-major order."""
+    for i in range(t.n):
+        if t.dom(i, i):
+            return (i, i, "diagonal entry set")
+        if t.rows[i] >> t.n:
+            return (i, i, "bit set beyond vertex range")
+        for j in range(i + 1, t.n):
+            ij, ji = t.dom(i, j), t.dom(j, i)
+            if ij and ji:
+                return (i, j, "both orientations present")
+            if not ij and not ji:
+                return (i, j, "missing orientation")
+    return None
 
 
 def three_cycle():
@@ -99,6 +119,50 @@ class TestCountDiamonds:
         for seed in range(10):
             t = random_tournament(8, seed)
             assert count_diamonds_naive(t) == count_diamonds_naive(reverse(t))
+
+
+
+@st.composite
+def tournaments(draw, min_n=3, max_n=40):
+    n = draw(st.integers(min_n, max_n))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))
+    return decode(n, sum(1 << b for b, bit in enumerate(bits) if bit))
+
+
+class TestNeighbourhoodCount:
+    @given(tournaments())
+    @settings(max_examples=60, deadline=None)
+    def test_naive_oracle(self, t):
+        assert count_diamonds(t) == count_diamonds_naive(t)
+
+    @given(tournaments())
+    @settings(max_examples=30, deadline=None)
+    def test_reversal_symmetry(self, t):
+        assert count_diamonds(reverse(t)) == count_diamonds(t)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 40, 512])
+    def test_transitive_has_none(self, n):
+        assert count_diamonds(transitive(n)) == 0
+
+    def test_star_over_cycle(self):
+        assert count_diamonds(diamond4()) == 1
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("n", [3, 8, 9, 70])
+    def test_matches_dom(self, n):
+        t = random_tournament(n, seed=n)
+        a = t.adjacency()
+        assert a.dtype == np.int64
+        assert a.tolist() == [[int(t.dom(i, j)) for j in range(n)] for i in range(n)]
+
+    def test_dom_numpy_index(self):
+        # a numpy shift count once coerced the row to int64 and overflowed
+        t = random_tournament(70, seed=1)
+        for i, j in ((0, 69), (69, 0), (5, 64)):
+            assert t.dom(np.int64(i), np.int64(j)) == t.dom(i, j)
+            assert t.dom(i, np.int64(j)) == t.dom(i, j)
 
 
 class TestFlipDelta:
@@ -235,6 +299,20 @@ class TestTrnFormat:
             parse_trn("3\n010\n001\n")
         with pytest.raises(TrnFormatError):
             parse_trn("x\n")
+
+    def test_matches_per_pair_reference(self):
+        # rows perturbed by up to 3 bit flips, some beyond column n
+        rng = random.Random(0)
+        for trial in range(300):
+            n = rng.randint(3, 12)
+            rows = list(random_tournament(n, trial).rows)
+            for _ in range(rng.randint(0, 3)):
+                rows[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)
+            t = Tournament(n, tuple(rows))
+            assert validate(t) == _validate_reference(t)
+            lines = [str(n)] + ["".join("1" if t.dom(i, j) else "0" for j in range(n))
+                                for i in range(n)]
+            assert format_trn(t) == "\n".join(lines) + "\n"
 
     def test_encode_decode_round_trip(self):
         for seed in range(5):
