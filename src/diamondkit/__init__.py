@@ -39,10 +39,12 @@ from .hypergraph import (  # noqa: F401
     design_block_counts,
     delete_vertices_count,
     edge_count_bound,
+    is_3_design,
     is_ff4_design,
     min_sum_squares,
     triple_profile,
     verify_ff4,
+    verify_ff4_naive,
 )
 from .search import (  # noqa: F401
     SearchResult,

@@ -74,6 +74,10 @@ def cmd_construct(args):
         q = args.p ** args.k
     else:
         raise CliError("give either --q or both --p and --k")
+    n = q + 1 if args.kind == "star-paley" else q
+    if n > tournament.MAX_N:
+        raise CliError(f"{args.kind} of q={q} has {n} vertices, above the limit "
+                       f"of {tournament.MAX_N}")
     try:
         t = constructions.star_paley(q) if args.kind == "star-paley" \
             else constructions.paley_tournament(q)
@@ -134,21 +138,26 @@ def _verify_tournament_checks(t, checks, results):
 
 
 def _verify_hypergraph_checks(h, checks, results):
+    if "ff4" in checks and h.n < 5:
+        raise CliError(f"ff4 check needs n >= 5, got n={h.n}")
+    if "design" in checks and h.n % 4 != 0:
+        raise CliError(f"design check needs n divisible by 4, got n={h.n}")
     failed = False
-    bound, status = hypergraph.edge_count_bound(h.n)
     results["m"] = h.m
-    results["bound"] = {**_rat(bound), "status": status}
-    results["margin"] = _rat(bound - h.m)
+    results["bound"] = results["margin"] = None
+    if h.n >= 5:
+        bound, status = hypergraph.edge_count_bound(h.n)
+        results["bound"] = {**_rat(bound), "status": status}
+        results["margin"] = _rat(bound - h.m)
+    # one FF4 test serves both checks (it is vacuous below n=5)
+    bad = hypergraph.verify_ff4(h) if h.n >= 5 else None
     if "ff4" in checks:
-        bad = hypergraph.verify_ff4(h)
         results["ff4"] = bad is None
         if bad is not None:
             results["ff4_counterexample"] = {"five_set": list(bad[0]), "count": bad[1]}
             failed = True
     if "design" in checks:
-        if h.n % 4 != 0:
-            raise CliError(f"design check needs n divisible by 4, got n={h.n}")
-        ok = hypergraph.is_ff4_design(h)
+        ok = bad is None and hypergraph.is_3_design(h, h.n // 4)
         results["design"] = ok
         results["design_lambda"] = h.n // 4 if ok else None
         failed |= not ok

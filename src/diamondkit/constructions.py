@@ -4,13 +4,11 @@ skew-conference matrix."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from . import gf
 from .spectral import (
     ODD_EXTREMAL,
     SeidelMatrix,
+    _square,
     is_skew_conference,
     matches_extremal_charpoly,
 )
@@ -18,7 +16,8 @@ from .tournament import Tournament
 
 
 class ExtensionFailed(RuntimeError):
-    """The primitive kernel vector was not +-1 valued (reportable anomaly)."""
+    """The kernel column was not +-1 valued, or the bordered matrix is not
+    skew-conference (reportable anomaly)."""
 
 
 def paley_tournament(q: int) -> Tournament:
@@ -68,60 +67,25 @@ def delete_vertices(t: Tournament, drop) -> Tournament:
     return Tournament(len(keep), tuple(rows))
 
 
-def _kernel_vector(entries, n):
-    """Primitive integer kernel vector of a rank n-1 integer matrix.
-
-    Exact rational Gaussian elimination, denominators cleared, divided by the
-    gcd; sign fixed so the first nonzero entry is positive.
-    """
-    m = [[Fraction(x) for x in row] for row in entries]
-    pivot_col_of_row = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivot_col_of_row.append(c)
-        r += 1
-    if r != n - 1:
-        raise ExtensionFailed(f"kernel dimension {n - r}, expected 1")
-    free = next(c for c in range(n) if c not in pivot_col_of_row)
-    v = [Fraction(0)] * n
-    v[free] = Fraction(1)
-    for row, c in enumerate(pivot_col_of_row):
-        v[c] = -m[row][free]
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    u = [int(x * denom) for x in v]
-    g = 0
-    for x in u:
-        g = gcd(g, x)
-    u = [x // g for x in u]
-    first = next(x for x in u if x)
-    if first < 0:
-        u = [-x for x in u]
-    return u
-
-
 def extend_to_conference(s: SeidelMatrix) -> SeidelMatrix:
     """Border an odd-extremal Seidel matrix with its +-1 kernel vector.
 
     Returns the order n+1 matrix [[S, u], [-u^T, 0]], verified to be a
     skew-conference matrix.
+
+    For odd-extremal S the eigenvalues of S^2 are -n (n-1 times) and 0
+    (once), so S^2 + nI is n times the projector onto ker S.  Its diagonal
+    is 1 (every (S^2)_ii = -(n-1)), so the primitive kernel vector u is +-1
+    valued and S^2 + nI = u u^T.  Column 0 of S^2 + nI is u_0 u: the kernel
+    vector with first entry +1.  S^2 is exact (see spectral._square).  The
+    final skew-conference check also certifies S u = 0.
     """
     if s.n % 4 != 3 or matches_extremal_charpoly(s) != ODD_EXTREMAL:
         raise ValueError("matrix is not odd-extremal; extension does not apply")
-    u = _kernel_vector(s.entries, s.n)
+    u = _square(s.to_numpy())[:, 0].tolist()
+    u[0] += s.n
     if any(x not in (-1, 1) for x in u):
-        raise ExtensionFailed(f"primitive kernel vector not +-1 valued: {u}")
+        raise ExtensionFailed(f"kernel column of S^2 + nI not +-1 valued: {u}")
     rows = [(*s.entries[i], u[i]) for i in range(s.n)]
     rows.append((*(-x for x in u), 0))
     ext = SeidelMatrix(s.n + 1, tuple(rows))

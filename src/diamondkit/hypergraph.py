@@ -11,23 +11,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .tournament import Tournament, is_diamond
+from .tournament import MAX_N, Tournament
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
 
 
 class HypFormatError(ValueError):
-    """Raised on malformed .hyp input."""
+    """Raised on malformed .hyp input; carries the 1-based line when known."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
+        self.line = line
 
 
 @dataclass(frozen=True)
 class Hypergraph4:
     n: int
-    edges: frozenset  # frozenset of sorted 4-tuples
+    edges: frozenset  # frozenset of sorted 4-tuples of ints
 
     def __post_init__(self):
         for e in self.edges:
@@ -35,27 +40,127 @@ class Hypergraph4:
                 raise ValueError(f"bad edge {e!r}")
             if e[0] < 0 or e[3] >= self.n:
                 raise ValueError(f"edge {e!r} out of range for n={self.n}")
+        # Python ints: a numpy index would make the link shifts wrap at 64 bits
+        object.__setattr__(self, "edges", frozenset(tuple(map(int, e)) for e in self.edges))
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def links(self) -> dict:
+        """Link bitset of every triple that lies in an edge.
+
+        Maps the triple {a,b,c}, keyed by its bitmask 2^a + 2^b + 2^c, to
+        the bitmask of the vertices v with {a,b,c,v} an edge; its popcount
+        is the number of edges through the triple.  Built on first use in
+        O(m) big-int operations and cached on the instance (the fields,
+        equality and hash do not change).
+        """
+        links = {}
+        get = links.get
+        for a, b, c, d in self.edges:
+            ba, bb, bc, bd = 1 << a, 1 << b, 1 << c, 1 << d
+            mask = ba | bb | bc | bd
+            t = mask ^ ba
+            links[t] = get(t, 0) | ba
+            t = mask ^ bb
+            links[t] = get(t, 0) | bb
+            t = mask ^ bc
+            links[t] = get(t, 0) | bc
+            t = mask ^ bd
+            links[t] = get(t, 0) | bd
+        return links
+
+
+def _unchecked(n, edges) -> Hypergraph4:
+    """Hypergraph4 on edges already known to be sorted 4-tuples in range(n).
+
+    For callers that validate (parse_hyp) or build (baber) each edge
+    themselves, so no edge is checked twice.
+    """
+    h = object.__new__(Hypergraph4)
+    h.__dict__.update(n=n, edges=edges)
+    return h
 
 
 def hypergraph(n, edges) -> Hypergraph4:
     return Hypergraph4(n, frozenset(tuple(sorted(e)) for e in edges))
 
 
+def _bits(x):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def baber(t: Tournament) -> Hypergraph4:
-    """Hypergraph whose hyperedges are exactly the diamond 4-sets of t."""
-    edges = [q for q in combinations(range(t.n), 4) if is_diamond(t, q)]
-    return Hypergraph4(t.n, frozenset(edges))
+    """Hypergraph whose hyperedges are exactly the diamond 4-sets of t.
+
+    A diamond is a 3-cycle inside N+(v) or inside N-(v) for exactly one apex
+    v (the decomposition of tournament.count_diamonds).  For each v and each
+    of the two neighbourhoods, the 3-cycles a -> b -> c -> a whose least
+    vertex is a are read off the row bitsets, so every diamond comes out
+    exactly once: O(n^3) bitset steps plus O(1) per edge, no 4-subset scan.
+    """
+    rows = t.rows
+    full = (1 << t.n) - 1
+    edges = []
+    for v, out in enumerate(rows):
+        for nb in (out, full ^ out ^ (1 << v)):
+            for a in _bits(nb):
+                above = nb & -(2 << a)  # vertices of nb greater than a
+                ra = rows[a]
+                for b in _bits(above & ra):
+                    for c in _bits(above & rows[b] & ~ra):
+                        edges.append(tuple(sorted((v, a, b, c))))
+    return _unchecked(t.n, frozenset(edges))
 
 
 def verify_ff4(h: Hypergraph4):
-    """None if every 5-subset spans 0 or 2 edges, else (first bad 5-set, count).
+    """None if every 5-subset spans 0 or 2 edges, else (least bad 5-set, count).
 
-    5-subsets are scanned in lexicographic order, so the returned
-    counterexample is the least one.
+    Edge-centric: a 5-set e + {v} through an edge e spans
+    1 + #{x in e : v in L[e - x]} edges, L being h.links.  Each L[e - x]
+    also holds x itself, so the law holds iff for every edge the four links
+    are pairwise disjoint and cover all n vertices: one OR and four
+    popcounts per edge, O(m) big-int operations in all.
+
+    Every bad 5-set contains an edge, and that edge fails the test.  Through
+    a failing edge e the least bad 5-set is e + {v} for the least bad v, so
+    the least of these over the failing edges is the lexicographically least
+    bad 5-set, the one verify_ff4_naive reports.
+    """
+    n = h.n
+    if n < 5:
+        raise ValueError("property defined for n >= 5")
+    links = h.links
+    full = (1 << n) - 1
+    best = None
+    for a, b, c, d in h.edges:
+        ba, bb, bc, bd = 1 << a, 1 << b, 1 << c, 1 << d
+        mask = ba | bb | bc | bd
+        la, lb, lc, ld = links[mask ^ ba], links[mask ^ bb], links[mask ^ bc], links[mask ^ bd]
+        cover = la | lb | lc | ld
+        if cover == full and \
+                la.bit_count() + lb.bit_count() + lc.bit_count() + ld.bit_count() == n:
+            continue
+        twice = (la & lb) | (la & lc) | (la & ld) | (lb & lc) | (lb & ld) | (lc & ld)
+        bad = full & ~(cover & ~twice)  # covered by no link or by two or more
+        v = (bad & -bad).bit_length() - 1
+        count = 1 + sum((link >> v) & 1 for link in (la, lb, lc, ld))
+        five = tuple(sorted((a, b, c, d, v)))
+        if best is None or five < best[0]:
+            best = (five, count)
+    return best
+
+
+def verify_ff4_naive(h: Hypergraph4):
+    """verify_ff4 by scanning all C(n,5) 5-subsets in lexicographic order.
+
+    Test oracle for verify_ff4: O(n^5) Python loop, no production caller.
     """
     if h.n < 5:
         raise ValueError("property defined for n >= 5")
@@ -75,6 +180,17 @@ def triple_profile(h: Hypergraph4) -> dict:
     return counts
 
 
+def is_3_design(h: Hypergraph4, lam: int) -> bool:
+    """True iff every 3-subset of vertices lies in exactly lam edges.
+
+    Read off the link popcounts: with lam >= 1 every one of the C(n,3)
+    triples must have a link, with lam = 0 none may.
+    """
+    links = h.links
+    return len(links) == (comb(h.n, 3) if lam else 0) and \
+        all(x.bit_count() == lam for x in links.values())
+
+
 def is_ff4_design(h: Hypergraph4) -> bool:
     """FF4 plus every triple in exactly n/4 edges (requires n = 0 mod 4)."""
     if h.n % 4 != 0:
@@ -82,8 +198,7 @@ def is_ff4_design(h: Hypergraph4) -> bool:
     # the 5-vertex condition is vacuous at n=4 (single-block design case)
     if h.n >= 5 and verify_ff4(h) is not None:
         return False
-    lam = h.n // 4
-    return all(c == lam for c in triple_profile(h).values())
+    return is_3_design(h, h.n // 4)
 
 
 def edge_count_bound(n: int):
@@ -162,41 +277,58 @@ def is_min_sum_squares_witness(parts, s: int, p: int) -> bool:
 
 
 def parse_hyp(text: str) -> Hypergraph4:
-    """Parse the .hyp format: 'n m' then m lines of 4 increasing indices."""
-    lines = [ln for ln in text.splitlines()]
+    """Parse the .hyp format: 'n m' then m lines of 4 increasing indices below n.
+
+    n is capped at tournament.MAX_N, the order of the largest tournament
+    whose Baber hypergraph the toolkit builds.
+
+    Every edge is validated here, once; errors name the 1-based line.
+    """
+    lines = text.splitlines()
     if not lines:
-        raise HypFormatError("empty input")
+        raise HypFormatError("line 1: empty input", line=1)
     head = lines[0].split()
     if len(head) != 2:
-        raise HypFormatError(f"header must be 'n m', got {lines[0]!r}")
+        raise HypFormatError(f"line 1: header must be 'n m', got {lines[0]!r}", line=1)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise HypFormatError(f"bad header {lines[0]!r}") from None
+        raise HypFormatError(f"line 1: bad header {lines[0]!r}", line=1) from None
+    if not 0 <= n <= MAX_N or m < 0:
+        raise HypFormatError(f"line 1: need 0 <= n <= {MAX_N} and m >= 0, got n={n}, m={m}",
+                             line=1)
     if len(lines) < m + 1:
-        raise HypFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
+        raise HypFormatError(f"line {len(lines)}: expected {m} edge lines, got {len(lines) - 1}",
+                             line=len(lines))
     edges = []
-    for i in range(m):
-        parts = lines[i + 1].split()
+    for lineno, raw in enumerate(lines[1:m + 1], start=2):
+        parts = raw.split()
         if len(parts) != 4:
-            raise HypFormatError(f"edge line {i + 1} must have 4 indices")
+            raise HypFormatError(f"line {lineno}: an edge needs 4 indices, got {len(parts)}",
+                                 line=lineno)
         try:
-            e = tuple(int(x) for x in parts)
+            a, b, c, d = map(int, parts)
         except ValueError:
-            raise HypFormatError(f"bad index on edge line {i + 1}") from None
-        if list(e) != sorted(set(e)):
-            raise HypFormatError(f"edge line {i + 1} must be strictly increasing")
-        edges.append(e)
-    if len(set(edges)) != m:
-        raise HypFormatError("duplicate edges")
-    return Hypergraph4(n, frozenset(edges))
+            raise HypFormatError(f"line {lineno}: bad index in {raw!r}", line=lineno) from None
+        if not 0 <= a < b < c < d < n:
+            if a < b < c < d:
+                raise HypFormatError(
+                    f"line {lineno}: edge {(a, b, c, d)} out of range for n={n}", line=lineno)
+            raise HypFormatError(f"line {lineno}: edge indices must be strictly increasing",
+                                 line=lineno)
+        edges.append((a, b, c, d))
+    edge_set = frozenset(edges)
+    if len(edge_set) != m:
+        seen = set()
+        for lineno, e in enumerate(edges, start=2):
+            if e in seen:
+                raise HypFormatError(f"line {lineno}: duplicate edge {e}", line=lineno)
+            seen.add(e)
+    return _unchecked(n, edge_set)
 
 
 def format_hyp(h: Hypergraph4) -> str:
-    out = [f"{h.n} {h.m}"]
-    for e in sorted(h.edges):
-        out.append(" ".join(map(str, e)))
-    return "\n".join(out) + "\n"
+    return "\n".join([f"{h.n} {h.m}", *("%d %d %d %d" % e for e in sorted(h.edges))]) + "\n"
 
 
 def load_hyp(path) -> Hypergraph4:

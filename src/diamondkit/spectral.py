@@ -1,10 +1,11 @@
 """Seidel matrices and exact spectral identities.
 
-Everything here is integer-exact: characteristic polynomials come from the
-Faddeev-LeVerrier recurrence over Python ints, determinants from fraction-free
-Bareiss elimination, and the sigma_2/sigma_4 fast path from traces of S^2 and
-S^4.  The one floating-point step is _square, whose float64 product is exact
-and is cast back to int64 before use.
+Everything here is integer-exact.  The production checks use matrix
+identities: sigma_2/sigma_4 from traces of S^2 and S^4, the skew-conference
+and extremal tests from S^2 and S^3.  The float64 products (_square, and the
+S^3 of matches_extremal_charpoly) are exact and are cast back to int64
+before use.  The Faddeev-LeVerrier char_poly over Python ints and the
+fraction-free Bareiss minors are test oracles with no production caller.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def char_poly(s: SeidelMatrix) -> CharPoly:
     """Exact characteristic polynomial via the Faddeev-LeVerrier recurrence.
 
     Each division by the step index is exact over the integers; a failed
-    exact division would indicate an arithmetic bug and raises.
+    exact division would indicate an arithmetic bug and raises.  Test oracle
+    for matches_extremal_charpoly: O(n^4) on Python ints, no production
+    caller.
     """
     n = s.n
     a = [list(row) for row in s.entries]
@@ -119,7 +122,10 @@ def _mat_mul(a, b):
 
 
 def bareiss_det(matrix) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+    """Exact determinant of an integer matrix by fraction-free elimination.
+
+    Test oracle (via sum_principal_minors); no production caller.
+    """
     m = [list(map(int, row)) for row in matrix]
     n = len(m)
     if n == 0:
@@ -164,6 +170,7 @@ def sigma_from_traces(s: SeidelMatrix):
 def sum_principal_minors(s: SeidelMatrix, k: int) -> int:
     """Sum of all C(n,k) principal k x k minors, each by Bareiss.
 
+    Test oracle for sigma_from_traces and char_poly, no production caller.
     Oracle-scale only: refuses n > 14.
     """
     if s.n > _MINOR_ORACLE_MAX_N:
@@ -192,36 +199,34 @@ def is_skew_conference(s: SeidelMatrix) -> bool:
     return bool(np.array_equal(_square(s.to_numpy()), expected))
 
 
-def _even_extremal_sigma(n):
-    """Coefficients sigma_1..sigma_n of (x^2 + (n-1))^(n/2)."""
-    sigma = [0] * n
-    for i in range(1, n // 2 + 1):
-        sigma[2 * i - 1] = comb(n // 2, i) * (n - 1) ** i
-    return tuple(sigma)
-
-
-def _odd_extremal_sigma(n):
-    """Coefficients sigma_1..sigma_n of x (x^2 + n)^((n-1)/2)."""
-    sigma = [0] * n
-    for i in range(1, (n - 1) // 2 + 1):
-        sigma[2 * i - 1] = comb((n - 1) // 2, i) * n ** i
-    return tuple(sigma)
-
-
 def matches_extremal_charpoly(s: SeidelMatrix) -> str:
-    """Classify S by exact coefficient equality with the extremal forms.
+    """Classify S as extremal or not by exact matrix identities.
 
     Returns "even-extremal" (n = 0 mod 4, P = (x^2+(n-1))^(n/2)),
     "odd-extremal" (n = 3 mod 4, P = x (x^2+n)^((n-1)/2)) or "no".
+
+    S is real skew-symmetric, hence normal, so a polynomial identity
+    f(S) = 0 holds iff f vanishes on every eigenvalue.  For n = 0 mod 4, P
+    is the extremal form iff S^2 = -(n-1) I, which is is_skew_conference.
+    For n = 3 mod 4, S^3 = -n S
+    iff every eigenvalue lies in {0, +-i sqrt(n)}; a tournament has
+    tr S^2 = -n(n-1), so exactly n-1 eigenvalues are nonzero and 0 is simple,
+    which makes P = x (x^2+n)^((n-1)/2).
+
+    S^3 = S^2 S is one float64 BLAS product and is exact: S^2 is exact (see
+    _square) with entries of magnitude at most n-1, so every partial sum is
+    an integer of magnitude at most n(n-1) < n^2 (262144 at n = 512, and
+    below 2^53 for any n < 2^26), and the int64 cast is lossless.  O(n^3);
+    char_poly is kept as the test oracle.
     """
     n = s.n
     if n % 4 == 0:
-        if char_poly(s).sigma == _even_extremal_sigma(n):
-            return EVEN_EXTREMAL
-    elif n % 4 == 3:
-        if char_poly(s).sigma == _odd_extremal_sigma(n):
-            return ODD_EXTREMAL
-    return NOT_EXTREMAL
+        return EVEN_EXTREMAL if is_skew_conference(s) else NOT_EXTREMAL
+    if n % 4 != 3:
+        return NOT_EXTREMAL
+    a = s.to_numpy()
+    a3 = (_square(a).astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
+    return ODD_EXTREMAL if np.array_equal(a3, -n * a) else NOT_EXTREMAL
 
 
 def diamond_upper_bound(n: int) -> Fraction:

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from diamondkit import hypergraph
 from diamondkit.cli import INPUT_ERROR, OK, VIOLATED, main
-from diamondkit.constructions import star_paley
+from diamondkit.constructions import paley_tournament, star_paley
 from diamondkit.hypergraph import baber, format_hyp, load_hyp, save_hyp
+from diamondkit.spectral import seidel_from_tournament
 from diamondkit.tournament import format_trn, load_trn, save_trn, random_tournament
 
 
@@ -238,3 +241,95 @@ class TestUsage:
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == INPUT_ERROR
+
+
+def one_line_error(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    return captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestHypInputErrors:
+    @pytest.mark.parametrize("text", [
+        "5 1\n0 1 2 5\n",
+        "5 1\n-1 0 1 2\n",
+        "5 -1\n",
+        "-5 0\n",
+        "5 2\n0 1 2 3\n0 1 2 3\n",
+    ])
+    def test_bad_hyp_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "h.hyp"
+        path.write_text(text)
+        code = main(["verify", "--in", str(path), "--checks", "ff4"])
+        assert code == INPUT_ERROR
+        assert one_line_error(capsys)
+
+    def test_ff4_below_5_vertices_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "h.hyp"
+        save_hyp(baber(star_paley(3)), path)
+        for checks in ("ff4", "ff4,design"):
+            assert main(["verify", "--in", str(path), "--checks", checks]) == INPUT_ERROR
+            assert one_line_error(capsys)
+
+    def test_design_at_4_vertices(self, tmp_path, capsys):
+        # Baber of T*(3) is the single-block 3-(4,4,1) design
+        path = tmp_path / "h.hyp"
+        save_hyp(baber(star_paley(3)), path)
+        code, report = run(capsys, "verify", "--in", str(path), "--checks", "design")
+        assert code == OK
+        results = report["results"]
+        assert results["bound"] is None and results["margin"] is None
+        assert results["design"] is True and results["design_lambda"] == 1
+
+    def test_ff4_and_design_run_one_ff4_test(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = hypergraph.verify_ff4
+        monkeypatch.setattr(hypergraph, "verify_ff4", lambda h: calls.append(h) or real(h))
+        path = tmp_path / "h.hyp"
+        save_hyp(baber(star_paley(11)), path)
+        code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4,design")
+        assert code == OK and len(calls) == 1
+        assert report["results"]["ff4"] is True and report["results"]["design_lambda"] == 3
+
+    def test_design_fails_when_ff4_fails(self, tmp_path, capsys):
+        h = baber(star_paley(7))
+        path = tmp_path / "h.hyp"
+        path.write_text(format_hyp(type(h)(h.n, h.edges - {min(h.edges)})))
+        code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4,design")
+        assert code == VIOLATED
+        assert report["results"]["design"] is False
+        assert report["results"]["design_lambda"] is None
+        assert report["results"]["ff4_counterexample"]["count"] == 1
+
+
+class TestConstructLimit:
+    @pytest.mark.parametrize("kind,q", [("paley", 1019), ("star-paley", 523),
+                                        ("star-paley", 512)])
+    def test_order_above_max_n_exit_2(self, tmp_path, capsys, kind, q):
+        out = tmp_path / "t.trn"
+        code = main(["construct", kind, "--q", str(q), "--out", str(out)])
+        assert code == INPUT_ERROR
+        assert one_line_error(capsys)
+        assert not out.exists()
+
+    def test_star_paley_503_at_the_limit(self, tmp_path, capsys):
+        out = tmp_path / "t.trn"
+        code, report = run(capsys, "construct", "star-paley", "--q", "503",
+                           "--out", str(out))
+        assert code == OK and report["results"]["n"] == 504
+        code, report = run(capsys, "count", "--in", str(out), "--method", "spectral")
+        assert code == OK
+
+
+class TestExtendKernelColumn:
+    @pytest.mark.parametrize("q", [7, 43])
+    def test_kernel_column(self, tmp_path, capsys, q):
+        trn = tmp_path / "p.trn"
+        t = paley_tournament(q)
+        save_trn(t, trn)
+        code, report = run(capsys, "extend", "--in", str(trn))
+        assert code == OK
+        u = report["results"]["kernel_column"]
+        assert len(u) == q and u[0] == 1 and set(u) <= {-1, 1}
+        s = seidel_from_tournament(t).to_numpy()
+        assert not (s @ np.array(u, dtype=np.int64)).any()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from diamondkit.constructions import (
@@ -149,4 +150,27 @@ class TestExtendToConference:
         s = seidel_from_tournament(base)
         ext = extend_to_conference(s)
         assert ext.n == q + 1
+        assert is_skew_conference(ext)
+
+
+class TestExtendKernelColumn:
+    @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 31, 43, 47])
+    def test_paley(self, q):
+        s = seidel_from_tournament(paley_tournament(q))
+        ext = extend_to_conference(s)
+        u = [row[-1] for row in ext.entries[:-1]]
+        assert set(u) <= {-1, 1} and u[0] == 1
+        assert not (s.to_numpy() @ np.array(u, dtype=np.int64)).any()
+        assert ext.n == q + 1 and is_skew_conference(ext)
+        # the border is [[S, u], [-u^T, 0]] around the unchanged S
+        assert all(row[:-1] == s.entries[i] for i, row in enumerate(ext.entries[:-1]))
+        assert ext.entries[-1] == (*(-x for x in u), 0)
+
+    @pytest.mark.parametrize("q", [11, 19])
+    def test_deleted_non_star_vertex(self, q):
+        # deleting an ordinary vertex of T*(q) also leaves an odd-extremal matrix
+        s = seidel_from_tournament(delete_vertices(star_paley(q), {0}))
+        ext = extend_to_conference(s)
+        u = np.array([row[-1] for row in ext.entries[:-1]], dtype=np.int64)
+        assert u[0] == 1 and not (s.to_numpy() @ u).any()
         assert is_skew_conference(ext)

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,14 +18,23 @@ from diamondkit.hypergraph import (
     edge_count_bound,
     format_hyp,
     hypergraph,
+    is_3_design,
     is_ff4_design,
     is_min_sum_squares_witness,
     min_sum_squares,
     parse_hyp,
     triple_profile,
     verify_ff4,
+    verify_ff4_naive,
 )
-from diamondkit.tournament import count_diamonds_naive, from_arcs, random_tournament
+from diamondkit.tournament import (
+    MAX_N,
+    count_diamonds,
+    count_diamonds_naive,
+    from_arcs,
+    is_diamond,
+    random_tournament,
+)
 
 
 def transitive(n):
@@ -264,3 +275,153 @@ class TestHypFormat:
     def test_rejects_bad_header(self):
         with pytest.raises(HypFormatError):
             parse_hyp("5\n")
+
+
+def _random_hypergraph(n, seed, density):
+    rng = random.Random(seed)
+    return hypergraph(n, [q for q in combinations(range(n), 4) if rng.random() < density])
+
+
+def _perturbed_baber(t, seed, flips):
+    """Baber hypergraph of t with `flips` random 4-sets toggled in or out."""
+    rng = random.Random(seed)
+    edges = set(baber(t).edges)
+    for _ in range(flips):
+        edges ^= {tuple(sorted(rng.sample(range(t.n), 4)))}
+    return hypergraph(t.n, edges)
+
+
+class TestLinkFF4Oracle:
+    """verify_ff4 (link bitsets) against the C(n,5) scan of verify_ff4_naive."""
+
+    @given(st.integers(5, 12), st.integers(0, 10**6), st.sampled_from([0.02, 0.1, 0.3, 0.6]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_hypergraphs(self, n, seed, density):
+        h = _random_hypergraph(n, seed, density)
+        assert verify_ff4(h) == verify_ff4_naive(h)
+
+    @given(st.integers(5, 12), st.integers(0, 10**6), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_perturbed_baber(self, n, seed, flips):
+        h = _perturbed_baber(random_tournament(n, seed), seed, flips)
+        assert verify_ff4(h) == verify_ff4_naive(h)
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_perturbed_designs(self, q):
+        for seed in range(10):
+            h = _perturbed_baber(star_paley(q), seed, 1 + seed % 3)
+            assert verify_ff4(h) == verify_ff4_naive(h)
+
+    def test_numpy_indices_at_n70(self):
+        # link shifts must not wrap at 64 bits when edges hold numpy ints:
+        # T*(7)'s design on vertices 62..69; vertex 0 plus any of its edges
+        # spans exactly 1 edge, and (0, least edge) is the least bad 5-set
+        shifted = sorted(tuple(v + 62 for v in e) for e in baber(star_paley(7)).edges)
+        h_np = hypergraph(70, [tuple(np.array(e, dtype=np.int64)) for e in shifted])
+        h_int = hypergraph(70, shifted)
+        assert h_np == h_int
+        assert all(type(x) is int for e in h_np.edges for x in e)
+        assert verify_ff4(h_np) == verify_ff4(h_int) == ((0, *shifted[0]), 1)
+
+
+class TestLinks:
+    @given(st.integers(4, 10), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_popcounts_are_triple_profile(self, n, seed):
+        h = _random_hypergraph(n, seed, 0.3)
+        profile = triple_profile(h)
+        links = h.links
+        assert len(links) == sum(1 for c in profile.values() if c)
+        for (a, b, c), count in profile.items():
+            mask = (1 << a) | (1 << b) | (1 << c)
+            assert links.get(mask, 0).bit_count() == count
+
+    def test_cached_and_invisible_to_equality(self):
+        h = baber(star_paley(7))
+        assert h.links is h.links
+        assert h == hypergraph(8, h.edges) and hash(h) == hash(hypergraph(8, h.edges))
+
+
+def _design_by_definition(h):
+    ff4 = h.n < 5 or verify_ff4_naive(h) is None
+    return ff4 and all(c == h.n // 4 for c in triple_profile(h).values())
+
+
+class TestDesignOracle:
+    """is_ff4_design (link popcounts) against the triple_profile definition."""
+
+    @given(st.sampled_from([3, 7, 11]), st.integers(0, 10**6), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_star_paley(self, q, seed, flips):
+        h = _perturbed_baber(star_paley(q), seed, flips)
+        assert is_ff4_design(h) == _design_by_definition(h)
+
+    @given(st.sampled_from([4, 8, 12]), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_random_baber(self, n, seed):
+        h = baber(random_tournament(n, seed))
+        assert is_ff4_design(h) == _design_by_definition(h)
+
+    def test_empty_and_complete(self):
+        for n in (4, 8):
+            empty = hypergraph(n, [])
+            complete = hypergraph(n, combinations(range(n), 4))
+            assert is_ff4_design(empty) == _design_by_definition(empty) is False
+            assert is_ff4_design(complete) == _design_by_definition(complete)
+
+    def test_3_design_lambda_zero(self):
+        assert is_3_design(hypergraph(8, []), 0)
+        assert not is_3_design(hypergraph(8, [(0, 1, 2, 3)]), 0)
+        assert is_3_design(baber(star_paley(7)), 2)
+        assert not is_3_design(baber(star_paley(7)), 1)
+
+
+class TestBaberEnumeration:
+    """baber (neighbourhood 3-cycles) against the C(n,4) is_diamond filter."""
+
+    @given(st.integers(4, 24), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_filter(self, n, seed):
+        t = random_tournament(n, seed)
+        expected = frozenset(q for q in combinations(range(n), 4) if is_diamond(t, q))
+        assert baber(t).edges == expected
+
+    def test_star_paley_23_matches_filter(self):
+        t = star_paley(23)
+        expected = frozenset(q for q in combinations(range(24), 4) if is_diamond(t, q))
+        assert baber(t).edges == expected and len(expected) == 3036
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edge_count_at_n64(self, seed):
+        t = random_tournament(64, seed)
+        assert baber(t).m == count_diamonds(t)
+
+
+class TestHypFormatErrors:
+    @pytest.mark.parametrize("text,line", [
+        ("5 1\n0 1 2 5\n", 2),
+        ("5 2\n0 1 2 3\n1 2 3 9\n", 3),
+        ("5 1\n-1 0 1 2\n", 2),
+        ("-5 0\n", 1),
+        ("5 -1\n", 1),
+        (f"{MAX_N + 1} 0\n", 1),
+        ("5 2\n0 1 2 3\n0 1 2\n", 3),
+        ("5 3\n0 1 2 3\n0 1 2 4\n0 1 2 3\n", 4),
+    ])
+    def test_rejected_with_line(self, text, line):
+        with pytest.raises(HypFormatError) as info:
+            parse_hyp(text)
+        assert info.value.line == line
+        assert str(info.value).startswith(f"line {line}:")
+
+    def test_edges_at_the_range_limit(self):
+        h = parse_hyp("5 1\n0 1 2 4\n")
+        assert h.edges == frozenset({(0, 1, 2, 4)})
+        assert parse_hyp("0 0\n") == hypergraph(0, [])
+
+    def test_format_matches_reference_and_round_trips(self):
+        h = baber(star_paley(43))
+        reference = "\n".join([f"{h.n} {h.m}", *(" ".join(map(str, e)) for e in sorted(h.edges))])
+        text = format_hyp(h)
+        assert text == reference + "\n"
+        assert parse_hyp(text) == h

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondkit.constructions import paley_tournament, star_paley
-from diamondkit.search import decode
+from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
+from diamondkit.search import decode, encodings_with_delta
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,
@@ -28,6 +28,7 @@ from diamondkit.spectral import (
 from diamondkit.tournament import (
     count_diamonds,
     count_diamonds_naive,
+    flip_arc,
     from_arcs,
     random_tournament,
     reverse,
@@ -281,3 +282,68 @@ class TestMaclaurinConsequence:
             m = s.n // 2
             equal = Fraction(sigma4) == Fraction(m - 1, 2 * m) * sigma2 ** 2
             assert equal == (matches_extremal_charpoly(s) != NOT_EXTREMAL)
+
+
+def _charpoly_class(s):
+    """Classification by exact equality of char_poly with the extremal forms."""
+    n = s.n
+    sigma = list(char_poly(s).sigma)
+    if n % 4 == 0:
+        # (x^2 + (n-1))^(n/2)
+        form = [0] * n
+        for i in range(1, n // 2 + 1):
+            form[2 * i - 1] = comb(n // 2, i) * (n - 1) ** i
+        return EVEN_EXTREMAL if sigma == form else NOT_EXTREMAL
+    if n % 4 == 3:
+        # x (x^2 + n)^((n-1)/2)
+        form = [0] * n
+        for i in range(1, (n - 1) // 2 + 1):
+            form[2 * i - 1] = comb((n - 1) // 2, i) * n ** i
+        return ODD_EXTREMAL if sigma == form else NOT_EXTREMAL
+    return NOT_EXTREMAL
+
+
+class TestExtremalIdentitiesOracle:
+    """matches_extremal_charpoly (S^2 / S^3 identities) against char_poly."""
+
+    def _agree(self, t):
+        s = seidel_from_tournament(t)
+        verdict = matches_extremal_charpoly(s)
+        assert verdict == _charpoly_class(s)
+        return verdict
+
+    @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31])
+    def test_paley_and_star_paley(self, q):
+        assert self._agree(paley_tournament(q)) == ODD_EXTREMAL
+        assert self._agree(reverse(paley_tournament(q))) == ODD_EXTREMAL
+        assert self._agree(star_paley(q)) == EVEN_EXTREMAL
+
+    @pytest.mark.parametrize("q", [7, 11, 19, 23])
+    def test_deleted_vertices(self, q):
+        t = star_paley(q)
+        for drop in ({q}, {0}, {1, q}, {0, 1, 2}, {0, 1, 2, q}):
+            self._agree(delete_vertices(t, drop))
+
+    @pytest.mark.parametrize("q", [7, 11, 19])
+    def test_one_flip_off_extremal(self, q):
+        for t in (paley_tournament(q), star_paley(q)):
+            i = 0
+            j = (t.rows[0] & -t.rows[0]).bit_length() - 1
+            assert self._agree(flip_arc(t, i, j)) == NOT_EXTREMAL
+
+    @given(st.integers(0, 2**30), st.integers(3, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_random(self, seed, n):
+        self._agree(random_tournament(n, seed))
+
+    def test_every_14_diamond_encoding_at_n7(self):
+        hits = encodings_with_delta(7, 14)
+        assert len(hits) > 0
+        for e in hits:
+            assert self._agree(decode(7, int(e))) == ODD_EXTREMAL
+
+    def test_exhaustive_n4(self):
+        # all 64 labelled 4-tournaments: extremal exactly on the 16 diamonds
+        for e in range(1 << 6):
+            t = decode(4, e)
+            assert (self._agree(t) == EVEN_EXTREMAL) == (count_diamonds(t) == 1)
