@@ -241,10 +241,7 @@ def cmd_extend(args):
 
 
 def cmd_search(args):
-    if args.threads < 1:
-        raise CliError(f"--threads must be at least 1, got {args.threads}")
-    if args.mode == "local" and args.restarts < 1:
-        raise CliError(f"--restarts must be at least 1, got {args.restarts}")
+    # the search functions check every limit before they start work
     try:
         if args.mode == "exhaustive":
             res = search.exhaustive_max_diamonds(args.n, threads=args.threads,

@@ -3,9 +3,12 @@
 Encodings: upper-triangle arc bits in row-major pair order, pair b = the b-th
 pair (i,j) with i < j; bit value 1 means the lower index dominates.  The
 canonical witness of a search is the least encoding integer attaining the
-maximum.  Exhaustive scans are vectorized per 4-subset through 64-entry
-lookup tables and partitioned into fixed-size chunks, so results are
-bit-identical for any thread count.
+maximum.  The exhaustive scan runs over blocks of encodings that share their
+high bits: per 4-subset, a cached code of the low pair bits indexes a 64-entry
+diamond lookup table completed by the block's high bits, and blocks are
+reduced in order, so results are bit-identical for any thread count.
+Annealing keeps S and S^2 of the current tournament and scores each arc flip
+in O(n).
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .spectral import diamond_upper_bound
-from .tournament import Tournament, count_diamonds, diamond_delta_on_flip, \
-    flip_arc, random_tournament, ArcFlip
+from .spectral import _square, diamond_upper_bound
+from .tournament import MAX_N, Tournament, count_diamonds, random_tournament
 
-_CHUNK = 1 << 18
+_LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
+_GROUP = 2  # mixed 4-subsets per table gather: 64^2 table entries per block
+_ARANGE64 = np.arange(64, dtype=np.uint8)
 _EXHAUSTIVE_MAX_N = 8
 _LONG_RUN_N = 8  # 2^28 encodings; gated behind long_run=True
 
@@ -93,7 +97,11 @@ def _subset_tables(n):
 
 
 def _deltas(n, encodings):
-    """Diamond counts for a uint32/uint64 array of encodings."""
+    """Diamond counts for a uint32/uint64 array of encodings.
+
+    Test oracle for _block_counts: one shift/mask pass per pair bit of every
+    4-subset over the whole array; no production caller.
+    """
     total = np.zeros(len(encodings), dtype=np.uint16)
     for pair_bits, lut in _subset_tables(n):
         idx = np.zeros(len(encodings), dtype=np.uint8)
@@ -103,36 +111,109 @@ def _deltas(n, encodings):
     return total
 
 
-def _chunk_ranges(total):
-    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+@lru_cache(maxsize=16)
+def _block_tables(n):
+    """Low-bit subset codes for the block scan of all n-vertex encodings.
+
+    An encoding is split into its low = min(_LOW_BITS, C(n,2)) bits, which
+    run over one block, and its high bits, fixed per block.  A 4-subset's
+    6-bit LUT index is the OR of a low code, from its pair bits in the low
+    part x, and a high code, from the (local bit, high bit) pairs of its
+    hpos.  Returns (low, base, mixed, high): base[x] sums the LUT over the
+    subsets with all six pair bits low (uint8, 2^low entries); high holds
+    the hpos of the subsets with all six bits high; mixed holds, per group
+    of _GROUP subsets with bits on both sides, the hpos of each and a
+    uint16 array whose bits 6g..6g+5 at x are the low code of subset g.
+    """
+    low = min(_LOW_BITS, n * (n - 1) // 2)
+    x = np.arange(1 << low, dtype=np.uint32)
+    base = np.zeros(1 << low, dtype=np.uint8)
+    mixed, high = [], []
+    joint, group = None, []
+    for pair_bits, lut in _subset_tables(n):
+        code = np.zeros(1 << low, dtype=np.uint8)
+        hpos = []
+        for t, pb in enumerate(pair_bits.tolist()):
+            if pb < low:
+                code |= ((x >> pb) & 1).astype(np.uint8) << t
+            else:
+                hpos.append((t, pb - low))
+        if not hpos:
+            base += lut[code]
+        elif len(hpos) == len(pair_bits):
+            high.append(tuple(hpos))
+        else:
+            if not group:
+                joint = np.zeros(1 << low, dtype=np.uint16)
+            joint |= code.astype(np.uint16) << (6 * len(group))
+            group.append(tuple(hpos))
+            if len(group) == _GROUP:
+                mixed.append((joint, tuple(group)))
+                group = []
+    if group:
+        mixed.append((joint, tuple(group)))
+    return low, base, tuple(mixed), tuple(high)
 
 
-def _scan_chunk(n, lo, hi):
-    enc = np.arange(lo, hi, dtype=np.uint32)
-    d = _deltas(n, enc)
-    best = int(d.max())
-    first = lo + int(np.argmax(d == best))
-    return best, first
+def _high_code(h, hpos):
+    code = 0
+    for t, b in hpos:
+        code |= ((h >> b) & 1) << t
+    return code
+
+
+def _block_counts(n, h):
+    """Diamond counts of the encodings (h << low) | x for x = 0 .. 2^low - 1.
+
+    uint8 suffices: a count is at most C(8,4) = 70.
+    """
+    low, base, mixed, high = _block_tables(n)
+    lut = _subset_tables(n)[0][1]
+    tot = base + np.uint8(sum(int(lut[_high_code(h, hpos)]) for hpos in high))
+    tmp = np.empty_like(tot)
+    for joint, group in mixed:
+        # table[c0 + 64 c1 + ...] = sum_g lut[c_g | high code of subset g]
+        table = np.zeros(1, dtype=np.uint8)
+        for hpos in group:
+            table = np.add.outer(lut[_ARANGE64 | _high_code(h, hpos)], table).ravel()
+        np.take(table, joint, out=tmp)
+        tot += tmp
+    return tot
+
+
+def _check_exhaustive_n(n, long_run):
+    if not 4 <= n <= _EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
+    if n >= _LONG_RUN_N and not long_run:
+        raise ValueError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
 
 
 def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) -> SearchResult:
     """Exact maximum diamond count over all 2^C(n,2) arc encodings.
 
-    Deterministic for any thread count: the encoding space is cut into fixed
-    chunks and reduced in chunk order (max diamonds, ties to the least
-    encoding).  n=8 is refused unless long_run=True.
+    Deterministic for any thread count: the encoding space is cut into
+    blocks of 2^_LOW_BITS encodings that share their high bits, and the
+    per-block maxima are reduced in block order (max diamonds, ties to the
+    least encoding).  Raises ValueError unless 4 <= n <= 8 and threads >= 1;
+    n=8 is refused unless long_run=True.
     """
-    if not 4 <= n <= _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
-    if n >= _LONG_RUN_N and not long_run:
-        raise ValueError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
+    _check_exhaustive_n(n, long_run)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     total = 1 << (n * (n - 1) // 2)
-    ranges = _chunk_ranges(total)
+    low = _block_tables(n)[0]  # build the cached tables before any thread starts
+
+    def scan_block(h):
+        d = _block_counts(n, h)
+        x = int(d.argmax())
+        return int(d[x]), (h << low) | x
+
+    blocks = range(total >> low)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _scan_chunk(n, *r), ranges))
+            results = list(pool.map(scan_block, blocks))
     else:
-        results = [_scan_chunk(n, lo, hi) for lo, hi in ranges]
+        results = [scan_block(h) for h in blocks]
     best, witness_enc = results[0]
     for b, w in results[1:]:
         if b > best:
@@ -151,17 +232,17 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
 
 
 def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> np.ndarray:
-    """All encodings whose tournament has exactly the given diamond count."""
-    if not 4 <= n <= _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
-    if n >= _LONG_RUN_N and not long_run:
-        raise ValueError(f"n={n} requires long_run=True")
-    total = 1 << (n * (n - 1) // 2)
-    hits = []
-    for lo, hi in _chunk_ranges(total):
-        enc = np.arange(lo, hi, dtype=np.uint32)
-        d = _deltas(n, enc)
-        hits.append(enc[d == delta])
+    """All encodings whose tournament has exactly the given diamond count.
+
+    A uint32 array in ascending order, from the same block counts as
+    exhaustive_max_diamonds.
+    """
+    _check_exhaustive_n(n, long_run)
+    low = _block_tables(n)[0]
+    hits = [
+        np.flatnonzero(_block_counts(n, h) == delta).astype(np.uint32) | np.uint32(h << low)
+        for h in range((1 << (n * (n - 1) // 2)) >> low)
+    ]
     return np.concatenate(hits)
 
 
@@ -170,13 +251,53 @@ def verify_five_vertex_law():
 
     Returns None on success, else (encoding, delta) of the first violation.
     """
-    enc = np.arange(1 << 10, dtype=np.uint32)
-    d = _deltas(5, enc)
+    d = _block_counts(5, 0)  # C(5,2) = 10 bits: one block holds every encoding
     bad = np.nonzero((d != 0) & (d != 2))[0]
     if len(bad):
         e = int(bad[0])
         return e, int(d[e])
     return None
+
+
+class _SquareState:
+    """Annealing state: the Seidel matrix S and Q = S @ S, both int64.
+
+    The diamond count is (sigma_4 - C(n,4)) / 8 with
+    sigma_4 = ((tr Q)^2 / 2 - ||Q||_F^2) / 4, and tr Q = -n(n-1) is fixed, so
+    reversing an arc changes the count by -d||Q||_F^2 / 32.  Reversing
+    i -> j (S[i, j] = +1) adds -2 S[j] to row i of the symmetric Q and
+    2 S[i] to row j, except at Q[i, i], Q[j, j] and Q[i, j], which keep
+    their values, and the same to columns i and j.  Summing the squares of
+    those rows and columns before and after gives a change of
+    -(Q[j].S[i] - Q[i].S[j] + 4n - 6) / 4: two length-n dot products per
+    proposal, and an O(n) update per accepted flip.  Every entry of Q has
+    magnitude at most n - 1, so all of it is exact in int64.
+    """
+
+    def __init__(self, t: Tournament):
+        a = t.adjacency()
+        self.n = t.n
+        self.s = a - a.T
+        self.q = _square(self.s)
+
+    def dominates(self, i, j) -> bool:
+        return self.s.item(i, j) > 0
+
+    def delta(self, i, j) -> int:
+        """Diamond count change if the arc i -> j is reversed (i dominates j)."""
+        s, q = self.s, self.q
+        return -(int(q[j] @ s[i]) - int(q[i] @ s[j]) + 4 * self.n - 6) // 4
+
+    def flip(self, i, j):
+        """Reverse the arc i -> j (i dominates j)."""
+        s, q = self.s, self.q
+        q[i] -= 2 * s[j]
+        q[j] += 2 * s[i]
+        q[i, i] = q[j, j] = 1 - self.n
+        q[:, i] = q[i]
+        q[:, j] = q[j]
+        s[i, j] = -1
+        s[j, i] = 1
 
 
 def local_search_max_diamonds(
@@ -192,34 +313,49 @@ def local_search_max_diamonds(
 
     Geometric cooling T_k = t0 * cooling^k; a flip is accepted when it does
     not decrease the diamond count or with probability exp(delta / T).
-    Restarts are independent with per-restart derived seeds; the best-of
-    reduction (max diamonds, ties to least encoding) is deterministic for
-    any thread count.
+    Proposals are scored and applied on _SquareState in O(n).  Restarts are
+    independent with per-restart derived seeds; the best-of reduction (max
+    diamonds, ties to least encoding) is deterministic for any thread count.
+    Raises ValueError, before any work, unless 4 <= n <= MAX_N,
+    restarts >= 1, steps >= 0, threads >= 1, t0 is finite and >= 0 and
+    cooling is finite and > 0.
     """
-    if not 3 <= n <= 512:
-        raise ValueError("n out of range")
+    if not 4 <= n <= MAX_N:
+        raise ValueError(f"local search supports 4 <= n <= {MAX_N}, got n={n}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if not (math.isfinite(t0) and t0 >= 0):
+        raise ValueError(f"t0 must be finite and at least 0, got {t0}")
+    if not (math.isfinite(cooling) and cooling > 0):
+        raise ValueError(f"cooling must be finite and above 0, got {cooling}")
 
     def run_restart(r):
         rng = random.Random(f"{seed}/{r}")
         t = random_tournament(n, rng.getrandbits(63))
-        cur = count_diamonds(t)
-        best, best_enc = cur, encode(t)
+        state = _SquareState(t)
+        cur = best = count_diamonds(t)
+        enc = best_enc = encode(t)
         temp = t0
         for _ in range(steps):
             i = rng.randrange(n)
             j = rng.randrange(n - 1)
             if j >= i:
                 j += 1
-            if not t.dom(i, j):
+            if not state.dominates(i, j):
                 i, j = j, i
-            delta = diamond_delta_on_flip(t, ArcFlip(i, j))
+            delta = state.delta(i, j)
             if delta >= 0 or (temp > 0 and rng.random() < math.exp(delta / temp)):
-                t = flip_arc(t, i, j)
+                state.flip(i, j)
                 cur += delta
+                enc ^= 1 << pair_index(n, min(i, j), max(i, j))
                 if cur > best:
-                    best, best_enc = cur, encode(t)
+                    best, best_enc = cur, enc
                 elif cur == best:
-                    best_enc = min(best_enc, encode(t))
+                    best_enc = min(best_enc, enc)
             temp *= cooling
         return best, best_enc
 

@@ -55,6 +55,8 @@ class Tournament:
 
 @dataclass(frozen=True)
 class ArcFlip:
+    """The arc i -> j to reverse; argument of the test oracle diamond_delta_on_flip."""
+
     i: int
     j: int
 
@@ -176,7 +178,11 @@ def count_diamonds_naive(t: Tournament) -> int:
 
 
 def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
-    """Reverse the arc i -> j (precondition: i dominates j)."""
+    """Reverse the arc i -> j (precondition: i dominates j).
+
+    Copies all n rows: a test oracle for the O(n) update of the annealing
+    state in search, with no production caller.
+    """
     if not t.dom(i, j):
         raise ValueError(f"arc ({i},{j}) not present")
     rows = list(t.rows)
@@ -188,7 +194,9 @@ def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
 def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
     """Change in diamond count if arc (i,j) is reversed.
 
-    Only the C(n-2,2) 4-sets containing both endpoints can change.
+    Only the C(n-2,2) 4-sets containing both endpoints can change; they are
+    scanned in Python.  Test oracle for the O(n) S^2 delta of the annealing
+    state in search, with no production caller.
     """
     i, j = flip.i, flip.j
     if not t.dom(i, j):

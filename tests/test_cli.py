@@ -235,6 +235,36 @@ class TestSearchArguments:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+class TestLocalSearchLimits:
+    @pytest.mark.parametrize("argv", [
+        ("--n", "3"),
+        ("--n", "513"),
+        ("--n", "8", "--steps", "-5"),
+        ("--n", "8", "--t0", "nan"),
+        ("--n", "8", "--t0", "-1"),
+        ("--n", "8", "--t0", "inf"),
+        ("--n", "8", "--cooling", "-1"),
+        ("--n", "8", "--cooling", "0"),
+        ("--n", "8", "--cooling", "nan"),
+    ])
+    def test_rejected_exit_2(self, monkeypatch, capsys, argv):
+        def never(*args):
+            raise AssertionError("search started")
+        monkeypatch.setattr("diamondkit.search.random_tournament", never)
+        code = main(["search", "--mode", "local", *argv])
+        captured = capsys.readouterr()
+        assert code == INPUT_ERROR
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_zero_steps_and_zero_temperature_accepted(self, capsys):
+        code, report = run(capsys, "search", "--mode", "local", "--n", "6",
+                           "--restarts", "3", "--steps", "0", "--t0", "0")
+        assert code == OK
+        assert report["results"]["explored"] == 3
+
+
 class TestUsage:
     def test_no_command_exit_2(self, capsys):
         assert main([]) == INPUT_ERROR

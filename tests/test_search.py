@@ -1,8 +1,17 @@
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondkit.hypergraph import edge_count_bound
 from diamondkit.search import (
+    _block_counts,
+    _block_tables,
+    _deltas,
+    _SquareState,
     decode,
     encode,
     encodings_with_delta,
@@ -16,7 +25,15 @@ from diamondkit.spectral import (
     matches_extremal_charpoly,
     seidel_from_tournament,
 )
-from diamondkit.tournament import count_diamonds_naive, random_tournament, validate
+from diamondkit.tournament import (
+    ArcFlip,
+    count_diamonds,
+    count_diamonds_naive,
+    diamond_delta_on_flip,
+    flip_arc,
+    random_tournament,
+    validate,
+)
 
 
 class TestExhaustive:
@@ -136,3 +153,136 @@ class TestLocalSearch:
     def test_witness_delta_consistent(self):
         res = local_search_max_diamonds(7, restarts=3, steps=500, seed=5)
         assert count_diamonds_naive(res.witness) == res.max_diamonds
+
+
+def _reference_anneal(n, restarts, steps, t0, cooling, seed):
+    """The annealer scored by the oracles: a Tournament rebuilt per accepted
+    flip, diamond_delta_on_flip per proposal and encode per accepted tie.
+    Draws the same RNG sequence as local_search_max_diamonds."""
+    results = []
+    for r in range(restarts):
+        rng = random.Random(f"{seed}/{r}")
+        t = random_tournament(n, rng.getrandbits(63))
+        cur = count_diamonds_naive(t)
+        best, best_enc = cur, encode(t)
+        temp = t0
+        for _ in range(steps):
+            i = rng.randrange(n)
+            j = rng.randrange(n - 1)
+            if j >= i:
+                j += 1
+            if not t.dom(i, j):
+                i, j = j, i
+            delta = diamond_delta_on_flip(t, ArcFlip(i, j))
+            if delta >= 0 or (temp > 0 and rng.random() < math.exp(delta / temp)):
+                t = flip_arc(t, i, j)
+                cur += delta
+                if cur > best:
+                    best, best_enc = cur, encode(t)
+                elif cur == best:
+                    best_enc = min(best_enc, encode(t))
+            temp *= cooling
+        results.append((best, best_enc))
+    best, enc = max(results, key=lambda res: (res[0], -res[1]))
+    return best, decode(n, enc), restarts * (steps + 1)
+
+
+class TestAnnealingOracle:
+    @pytest.mark.parametrize("n, restarts, steps, t0, seed", [
+        (4, 3, 200, 2.0, 0),
+        (4, 2, 100, 0.0, 7),
+        (5, 3, 300, 2.0, 1),
+        (5, 2, 200, 5.0, 11),
+        (9, 2, 400, 2.0, 2),
+        (9, 3, 300, 0.5, 23),
+        (12, 2, 400, 2.0, 3),
+        (12, 2, 300, 8.0, 4),
+        (33, 2, 150, 2.0, 5),
+        (33, 1, 150, 20.0, 6),
+    ])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_reference_annealer(self, n, restarts, steps, t0, seed, threads):
+        res = local_search_max_diamonds(n, restarts=restarts, steps=steps, t0=t0,
+                                        cooling=0.995, seed=seed, threads=threads)
+        assert (res.max_diamonds, res.witness, res.explored) == \
+            _reference_anneal(n, restarts, steps, t0, 0.995, seed)
+
+    @given(st.integers(4, 24), st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_delta_on_every_arc(self, n, seed):
+        t = random_tournament(n, seed)
+        state = _SquareState(t)
+        for i in range(n):
+            for j in range(n):
+                if i != j and t.dom(i, j):
+                    assert state.dominates(i, j)
+                    assert state.delta(i, j) == diamond_delta_on_flip(t, ArcFlip(i, j))
+
+    def test_state_after_flips_n128(self):
+        n = 128
+        t = random_tournament(n, 2024)
+        start = count_diamonds(t)
+        state = _SquareState(t)
+        rng = random.Random(5)
+        total = 0
+        for _ in range(500):
+            i, j = rng.sample(range(n), 2)
+            if not state.dominates(i, j):
+                i, j = j, i
+            total += state.delta(i, j)
+            state.flip(i, j)
+            t = flip_arc(t, i, j)
+        a = t.adjacency()
+        s = a - a.T
+        assert np.array_equal(state.s, s)
+        assert np.array_equal(state.q, s @ s)
+        assert count_diamonds(t) == start + total
+
+
+class TestBlockScan:
+    def test_n6_single_block_matches_oracle(self):
+        assert _block_tables(6)[0] == 15
+        enc = np.arange(1 << 15, dtype=np.uint32)
+        assert np.array_equal(_block_counts(6, 0), _deltas(6, enc))
+
+    @pytest.mark.parametrize("n, h", [(7, 0), (7, 63), (8, 0), (8, 5461), (8, 8191)])
+    def test_block_matches_oracle(self, n, h):
+        low = _block_tables(n)[0]
+        assert low == 15
+        enc = (np.uint32(h) << np.uint32(low)) | np.arange(1 << low, dtype=np.uint32)
+        assert np.array_equal(_block_counts(n, h), _deltas(n, enc))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_encodings_with_delta_matches_oracle(self, n):
+        enc = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+        d = _deltas(n, enc)
+        for delta in range(-1, int(d.max()) + 2):
+            got = encodings_with_delta(n, delta)
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, enc[d == delta])
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_n7_witness_encoding(self, threads):
+        res = exhaustive_max_diamonds(7, threads=threads)
+        assert encode(res.witness) == 4692
+        assert int(encodings_with_delta(7, 14).min()) == 4692
+
+
+class TestLocalSearchLimits:
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 3}, {"n": 513}, {"n": 8, "steps": -1}, {"n": 8, "restarts": 0},
+        {"n": 8, "threads": 0}, {"n": 8, "t0": float("nan")}, {"n": 8, "t0": -1.0},
+        {"n": 8, "t0": float("inf")}, {"n": 8, "cooling": 0.0},
+        {"n": 8, "cooling": -1.0}, {"n": 8, "cooling": float("nan")},
+        {"n": 8, "cooling": float("inf")},
+    ])
+    def test_rejected_before_the_run(self, monkeypatch, kwargs):
+        def never(*args):
+            raise AssertionError("search started")
+        monkeypatch.setattr("diamondkit.search.random_tournament", never)
+        with pytest.raises(ValueError):
+            local_search_max_diamonds(**kwargs)
+
+    def test_exhaustive_threads_rejected(self):
+        with pytest.raises(ValueError):
+            exhaustive_max_diamonds(5, threads=0)
