@@ -74,10 +74,6 @@ def cmd_construct(args):
         q = args.p ** args.k
     else:
         raise CliError("give either --q or both --p and --k")
-    n = q + 1 if args.kind == "star-paley" else q
-    if n > tournament.MAX_N:
-        raise CliError(f"{args.kind} of q={q} has {n} vertices, above the limit "
-                       f"of {tournament.MAX_N}")
     try:
         t = constructions.star_paley(q) if args.kind == "star-paley" \
             else constructions.paley_tournament(q)
@@ -234,7 +230,7 @@ def cmd_extend(args):
     results = {
         "n": ext.n,
         "skew_conference": spectral.is_skew_conference(ext),
-        "kernel_column": [row[-1] for row in ext.entries[:-1]],
+        "kernel_column": ext.to_numpy()[:-1, -1].tolist(),
     }
     _emit(_report("extend", {"in": args.input}, results, "ok"), args.report)
     return OK

@@ -4,15 +4,16 @@ skew-conference matrix."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import gf
 from .spectral import (
     ODD_EXTREMAL,
     SeidelMatrix,
-    _square,
     is_skew_conference,
     matches_extremal_charpoly,
 )
-from .tournament import Tournament
+from .tournament import MAX_N, Tournament, from_adjacency
 
 
 class ExtensionFailed(RuntimeError):
@@ -20,28 +21,33 @@ class ExtensionFailed(RuntimeError):
     skew-conference (reportable anomaly)."""
 
 
+def _check_order(kind, q, n):
+    if n > MAX_N:
+        raise ValueError(f"{kind} of q={q} has {n} vertices, above the limit of {MAX_N}")
+
+
 def paley_tournament(q: int) -> Tournament:
     """Paley tournament on GF(q), q = 3 (mod 4): i -> j iff j - i is a square.
 
     Vertices are the field elements in their integer encoding (see gf module).
+    Raises ValueError, before any work, if q exceeds tournament.MAX_N.
     """
+    _check_order("paley", q, q)
     p, k = gf.factor_prime_power(q)
     if q % 4 != 3:
         raise ValueError(f"q={q} is not 3 mod 4; the square relation would not be a tournament")
     table = gf.gf_build(p, k)
-    squares = table.squares()
-    rows = []
-    for i in range(q):
-        r = 0
-        for j in range(q):
-            if j != i and table.sub(j, i) in squares:
-                r |= 1 << j
-        rows.append(r)
-    return Tournament(q, tuple(rows))
+    is_square = np.zeros(q, dtype=bool)
+    is_square[list(table.squares())] = True
+    return from_adjacency(is_square[table.differences()])
 
 
 def star_paley(q: int) -> Tournament:
-    """Paley tournament plus a new vertex (index q) dominating everything."""
+    """Paley tournament plus a new vertex (index q) dominating everything.
+
+    Raises ValueError, before any work, if q + 1 exceeds tournament.MAX_N.
+    """
+    _check_order("star-paley", q, q + 1)
     base = paley_tournament(q)
     rows = list(base.rows)
     rows.append((1 << q) - 1)
@@ -56,15 +62,7 @@ def delete_vertices(t: Tournament, drop) -> Tournament:
     if len(drop) >= t.n - 3:
         raise ValueError(f"cannot drop {len(drop)} of {t.n} vertices (need >= 4 left)")
     keep = [v for v in range(t.n) if v not in drop]
-    rows = []
-    for v in keep:
-        row = t.rows[v]
-        r = 0
-        for new_j, old_j in enumerate(keep):
-            if (row >> old_j) & 1:
-                r |= 1 << new_j
-        rows.append(r)
-    return Tournament(len(keep), tuple(rows))
+    return from_adjacency(t.adjacency()[np.ix_(keep, keep)])
 
 
 def extend_to_conference(s: SeidelMatrix) -> SeidelMatrix:
@@ -77,18 +75,17 @@ def extend_to_conference(s: SeidelMatrix) -> SeidelMatrix:
     (once), so S^2 + nI is n times the projector onto ker S.  Its diagonal
     is 1 (every (S^2)_ii = -(n-1)), so the primitive kernel vector u is +-1
     valued and S^2 + nI = u u^T.  Column 0 of S^2 + nI is u_0 u: the kernel
-    vector with first entry +1.  S^2 is exact (see spectral._square).  The
-    final skew-conference check also certifies S u = 0.
+    vector with first entry +1.  S^2 is the one cached on s (exact, see
+    tournament._square).  The final skew-conference check also certifies
+    S u = 0.
     """
     if s.n % 4 != 3 or matches_extremal_charpoly(s) != ODD_EXTREMAL:
         raise ValueError("matrix is not odd-extremal; extension does not apply")
-    u = _square(s.to_numpy())[:, 0].tolist()
+    u = s.square[:, :1].copy()
     u[0] += s.n
-    if any(x not in (-1, 1) for x in u):
-        raise ExtensionFailed(f"kernel column of S^2 + nI not +-1 valued: {u}")
-    rows = [(*s.entries[i], u[i]) for i in range(s.n)]
-    rows.append((*(-x for x in u), 0))
-    ext = SeidelMatrix(s.n + 1, tuple(rows))
+    if (np.abs(u) != 1).any():
+        raise ExtensionFailed(f"kernel column of S^2 + nI not +-1 valued: {u[:, 0].tolist()}")
+    ext = SeidelMatrix(s.n + 1, np.block([[s.to_numpy(), u], [-u.T, np.zeros((1, 1), np.int64)]]))
     if not is_skew_conference(ext):
         raise ExtensionFailed("bordered matrix is not a skew-conference matrix")
     return ext

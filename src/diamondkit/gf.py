@@ -1,16 +1,18 @@
-"""GF(p^k) arithmetic with exp/log tables for the Paley constructions.
+"""GF(p^k) as far as the Paley constructions need it: a modulus, the set
+of squares and a table of differences.
 
 Field elements are encoded as integers in [0, q): the base-p digits of an
 element are the coefficients of its polynomial representative, digit i being
 the coefficient of x^i.  This fixed encoding doubles as the vertex order of
-the Paley tournaments.
+the Paley tournaments, so the modulus (which fixes the squares when k > 1)
+is chosen deterministically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-MAX_Q = 1 << 16
+import numpy as np
 
 
 def is_prime(m: int) -> bool:
@@ -78,16 +80,14 @@ def _poly_mul_mod(a, b, modulus, p):
 
 
 def _poly_divisible(num, den, p):
-    """True iff den (monic not required) divides num over GF(p)."""
+    """True iff the monic den divides num over GF(p)."""
     num = num[:]
     dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
     for d in range(len(num) - 1, dd - 1, -1):
         c = num[d]
         if c:
-            f = c * inv_lead % p
             for t in range(dd + 1):
-                num[d - dd + t] = (num[d - dd + t] - f * den[t]) % p
+                num[d - dd + t] = (num[d - dd + t] - c * den[t]) % p
     return not any(num)
 
 
@@ -108,117 +108,49 @@ class FieldTable:
     k: int
     q: int
     modulus: tuple  # k+1 coefficients, ascending degree, monic
-    generator: int
-    exp: tuple = field(repr=False)  # exp[i] = generator^i, length q-1
-    log: tuple = field(repr=False)  # log[e] for e in 1..q-1 (log[0] unused)
-
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da = _poly_from_int(a, self.p, self.k)
-        db = _poly_from_int(b, self.p, self.k)
-        return _poly_to_int([(x + y) % self.p for x, y in zip(da, db)], self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        da = _poly_from_int(a, self.p, self.k)
-        db = _poly_from_int(b, self.p, self.k)
-        return _poly_to_int([(x - y) % self.p for x, y in zip(da, db)], self.p)
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
 
     def squares(self) -> frozenset:
-        """Nonzero squares: the even powers of the generator."""
-        return frozenset(self.exp[i] for i in range(0, self.q - 1, 2))
+        """Nonzero squares {x*x : x != 0}."""
+        p, k, modulus = self.p, self.k, list(self.modulus)
+        return frozenset(
+            _poly_to_int(_poly_mul_mod(d, d, modulus, p), p)
+            for d in (_poly_from_int(x, p, k) for x in range(1, self.q))
+        )
 
+    def differences(self) -> np.ndarray:
+        """q x q table whose entry [i, j] is the encoding of j - i.
 
-def _raw_mul(a, b, modulus, p, k):
-    if k == 1:
-        return a * b % p
-    da = _poly_from_int(a, p, k)
-    db = _poly_from_int(b, p, k)
-    return _poly_to_int(_poly_mul_mod(da, db, list(modulus), p), p)
-
-
-def _multiplicative_order_is_full(e, modulus, p, k, q, prime_factors):
-    for r in prime_factors:
-        if _pow_elem(e, (q - 1) // r, modulus, p, k) == 1:
-            return False
-    return True
-
-
-def _pow_elem(e, exponent, modulus, p, k):
-    result = 1
-    base = e
-    while exponent:
-        if exponent & 1:
-            result = _raw_mul(result, base, modulus, p, k)
-        base = _raw_mul(base, base, modulus, p, k)
-        exponent >>= 1
-    return result
-
-
-def _prime_factors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
+        Subtraction is digit-wise mod p, so the table is built one base-p
+        digit at a time, most significant first.  The dtype is the narrowest
+        signed one holding -q (int16 for the orders near tournament.MAX_N):
+        every intermediate value lies in (-q, q).
+        """
+        dtype = np.min_scalar_type(-self.q)
+        x = np.arange(self.q, dtype=dtype)
+        table = np.zeros((self.q, self.q), dtype=dtype)
+        for t in reversed(range(self.k)):
+            digit = x // self.p ** t % self.p
+            table *= self.p
+            table += (digit[None, :] - digit[:, None]) % self.p
+        return table
 
 
 def gf_build(p: int, k: int) -> FieldTable:
     """Deterministic GF(p^k) construction.
 
     The modulus is the first monic irreducible of degree k when candidates
-    are ordered by their coefficient vector read high-degree-first; the
-    generator is the smallest primitive element in the element encoding.
+    are ordered by their coefficient vector read high-degree-first.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if k < 1:
         raise ValueError("k must be >= 1")
     q = p ** k
-    if q > MAX_Q:
-        raise ValueError(f"q={q} exceeds cap {MAX_Q}")
-
-    modulus = None
     for c in range(q):
         # base-p digits of c are the non-leading coefficients, the high-degree
         # coefficient being the most significant digit, so ascending c scans
         # candidates in high-degree-first lexicographic order
         cand = _poly_from_int(c, p, k) + [1]
         if _is_irreducible(cand, p):
-            modulus = tuple(cand)
-            break
-    assert modulus is not None  # x^k + ... always has an irreducible among monics
-
-    factors = _prime_factors(q - 1)
-    generator = None
-    for e in range(1, q):
-        if _multiplicative_order_is_full(e, modulus, p, k, q, factors):
-            generator = e
-            break
-    assert generator is not None
-
-    exp = []
-    cur = 1
-    for _ in range(q - 1):
-        exp.append(cur)
-        cur = _raw_mul(cur, generator, modulus, p, k)
-    if cur != 1 or len(set(exp)) != q - 1:
-        raise ArithmeticError("exp table does not enumerate the nonzero elements")
-    log = [0] * q
-    for i, e in enumerate(exp):
-        log[e] = i
-    return FieldTable(p=p, k=k, q=q, modulus=modulus, generator=generator,
-                      exp=tuple(exp), log=tuple(log))
+            return FieldTable(p=p, k=k, q=q, modulus=tuple(cand))
+    raise AssertionError("every degree has a monic irreducible")

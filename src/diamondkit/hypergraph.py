@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .tournament import MAX_N, Tournament
+from .tournament import MAX_N, Tournament, _read_utf8
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
@@ -332,8 +332,8 @@ def format_hyp(h: Hypergraph4) -> str:
 
 
 def load_hyp(path) -> Hypergraph4:
-    with open(path) as fh:
-        return parse_hyp(fh.read())
+    return parse_hyp(_read_utf8(
+        path, lambda message, line: HypFormatError(f"line {line}: {message}", line=line)))
 
 
 def save_hyp(h: Hypergraph4, path):

@@ -1,14 +1,15 @@
 """Exhaustive and annealing search for diamond-maximal tournaments.
 
-Encodings: upper-triangle arc bits in row-major pair order, pair b = the b-th
-pair (i,j) with i < j; bit value 1 means the lower index dominates.  The
-canonical witness of a search is the least encoding integer attaining the
-maximum.  The exhaustive scan runs over blocks of encodings that share their
-high bits: per 4-subset, a cached code of the low pair bits indexes a 64-entry
-diamond lookup table completed by the block's high bits, and blocks are
-reduced in order, so results are bit-identical for any thread count.
-Annealing keeps S and S^2 of the current tournament and scores each arc flip
-in O(n).
+Encodings are tournament.encode's: upper-triangle arc bits in row-major
+pair order, pair b = the b-th pair (i,j) with i < j; bit value 1 means the
+lower index dominates.  The canonical witness of a search is the least
+encoding integer attaining the maximum.  The exhaustive scan runs over
+blocks of encodings that share their high bits: per 4-subset, a cached code
+of the low pair bits indexes a 64-entry diamond lookup table completed by
+the block's high bits, and the block maxima reduce to the most diamonds,
+ties to the least encoding, so results are bit-identical for any thread
+count.  Annealing keeps S and S^2 of the current tournament and scores
+each arc flip in O(n).
 """
 
 from __future__ import annotations
@@ -22,43 +23,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .spectral import _square, diamond_upper_bound
-from .tournament import MAX_N, Tournament, count_diamonds, random_tournament
+from .spectral import diamond_upper_bound
+from .tournament import (MAX_N, Tournament, count_diamonds, decode, encode, is_diamond,
+                         pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _GROUP = 2  # mixed 4-subsets per table gather: 64^2 table entries per block
 _ARANGE64 = np.arange(64, dtype=np.uint8)
 _EXHAUSTIVE_MAX_N = 8
 _LONG_RUN_N = 8  # 2^28 encodings; gated behind long_run=True
-
-
-def pair_index(n: int, i: int, j: int) -> int:
-    """Row-major index of pair (i,j), i < j, among the C(n,2) pairs."""
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def encode(t: Tournament) -> int:
-    e = 0
-    b = 0
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            if t.dom(i, j):
-                e |= 1 << b
-            b += 1
-    return e
-
-
-def decode(n: int, e: int) -> Tournament:
-    rows = [0] * n
-    b = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (e >> b) & 1:
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-            b += 1
-    return Tournament(n, tuple(rows))
+MAX_THREADS = 64  # a pool is never larger, whatever the caller asks for
 
 
 @dataclass(frozen=True)
@@ -75,25 +49,17 @@ class SearchResult:
 
 @lru_cache(maxsize=16)
 def _subset_tables(n):
-    """Per 4-subset: the 6 global pair bit positions and a 64-entry diamond LUT."""
-    tables = []
-    for quad in combinations(range(n), 4):
-        pair_bits = np.array(
-            [pair_index(n, quad[a], quad[b]) for a, b in combinations(range(4), 2)],
-            dtype=np.uint32,
-        )
-        lut = np.zeros(64, dtype=np.uint8)
-        local_pairs = list(combinations(range(4), 2))
-        for code in range(64):
-            deg = [0, 0, 0, 0]
-            for t, (a, b) in enumerate(local_pairs):
-                if (code >> t) & 1:
-                    deg[a] += 1
-                else:
-                    deg[b] += 1
-            lut[code] = sum(d * d for d in deg) == 12
-        tables.append((pair_bits, lut))
-    return tables
+    """Per 4-subset: the 6 global pair bit positions and the 64-entry diamond LUT.
+
+    The LUT is indexed by a 4-subset's own 6 pair bits, taken in pair_index
+    order, so it is the encoding of a 4-tournament and one LUT serves all.
+    """
+    lut = np.array([is_diamond(decode(4, code), range(4)) for code in range(64)], dtype=np.uint8)
+    local_pairs = list(combinations(range(4), 2))
+    return [
+        (np.array([pair_index(n, quad[a], quad[b]) for a, b in local_pairs], dtype=np.uint32), lut)
+        for quad in combinations(range(n), 4)
+    ]
 
 
 def _deltas(n, encodings):
@@ -181,6 +147,29 @@ def _block_counts(n, h):
     return tot
 
 
+def _check_threads(threads):
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
+
+
+def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
+    """The SearchResult of the best (count, encoding) pair fn returns over
+    items: most diamonds, ties to the least encoding, so the result does not
+    depend on the thread count.  The only place this module starts threads:
+    a pool of `threads` workers when threads > 1 (checked by the caller).
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(fn, items))
+    else:
+        results = [fn(x) for x in items]
+    best, enc = max(results, key=lambda r: (r[0], -r[1]))
+    bound = diamond_upper_bound(n)
+    return SearchResult(n=n, mode=mode, max_diamonds=best, witness=decode(n, enc), bound=bound,
+                        attained=bound.denominator == 1 and best == bound, explored=explored,
+                        params=params)
+
+
 def _check_exhaustive_n(n, long_run):
     if not 4 <= n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
@@ -193,13 +182,12 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
 
     Deterministic for any thread count: the encoding space is cut into
     blocks of 2^_LOW_BITS encodings that share their high bits, and the
-    per-block maxima are reduced in block order (max diamonds, ties to the
-    least encoding).  Raises ValueError unless 4 <= n <= 8 and threads >= 1;
-    n=8 is refused unless long_run=True.
+    per-block maxima are reduced to the most diamonds, ties to the least
+    encoding.  Raises ValueError unless 4 <= n <= 8 and
+    1 <= threads <= MAX_THREADS; n=8 is refused unless long_run=True.
     """
     _check_exhaustive_n(n, long_run)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_threads(threads)
     total = 1 << (n * (n - 1) // 2)
     low = _block_tables(n)[0]  # build the cached tables before any thread starts
 
@@ -208,27 +196,8 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
         x = int(d.argmax())
         return int(d[x]), (h << low) | x
 
-    blocks = range(total >> low)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan_block, blocks))
-    else:
-        results = [scan_block(h) for h in blocks]
-    best, witness_enc = results[0]
-    for b, w in results[1:]:
-        if b > best:
-            best, witness_enc = b, w
-    bound = diamond_upper_bound(n)
-    return SearchResult(
-        n=n,
-        mode="exhaustive",
-        max_diamonds=best,
-        witness=decode(n, witness_enc),
-        bound=bound,
-        attained=bound.denominator == 1 and best == bound,
-        explored=total,
-        params={"threads": threads},
-    )
+    return _best_of(n, "exhaustive", scan_block, range(total >> low), threads,
+                    explored=total, params={"threads": threads})
 
 
 def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> np.ndarray:
@@ -271,14 +240,14 @@ class _SquareState:
     those rows and columns before and after gives a change of
     -(Q[j].S[i] - Q[i].S[j] + 4n - 6) / 4: two length-n dot products per
     proposal, and an O(n) update per accepted flip.  Every entry of Q has
-    magnitude at most n - 1, so all of it is exact in int64.
+    magnitude at most n - 1, so all of it is exact in int64.  Both start as
+    copies of t's cached Seidel view and its square.
     """
 
     def __init__(self, t: Tournament):
-        a = t.adjacency()
         self.n = t.n
-        self.s = a - a.T
-        self.q = _square(self.s)
+        self.s = t.seidel.to_numpy().copy()
+        self.q = t.seidel.square.copy()
 
     def dominates(self, i, j) -> bool:
         return self.s.item(i, j) > 0
@@ -317,8 +286,8 @@ def local_search_max_diamonds(
     independent with per-restart derived seeds; the best-of reduction (max
     diamonds, ties to least encoding) is deterministic for any thread count.
     Raises ValueError, before any work, unless 4 <= n <= MAX_N,
-    restarts >= 1, steps >= 0, threads >= 1, t0 is finite and >= 0 and
-    cooling is finite and > 0.
+    restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, t0 is finite and
+    >= 0 and cooling is finite and > 0.
     """
     if not 4 <= n <= MAX_N:
         raise ValueError(f"local search supports 4 <= n <= {MAX_N}, got n={n}")
@@ -326,8 +295,7 @@ def local_search_max_diamonds(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_threads(threads)
     if not (math.isfinite(t0) and t0 >= 0):
         raise ValueError(f"t0 must be finite and at least 0, got {t0}")
     if not (math.isfinite(cooling) and cooling > 0):
@@ -359,23 +327,8 @@ def local_search_max_diamonds(
             temp *= cooling
         return best, best_enc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_restart, range(restarts)))
-    else:
-        results = [run_restart(r) for r in range(restarts)]
-    best, witness_enc = results[0]
-    for b, w in results[1:]:
-        if b > best or (b == best and w < witness_enc):
-            best, witness_enc = b, w
-    bound = diamond_upper_bound(n)
-    return SearchResult(
-        n=n,
-        mode="local",
-        max_diamonds=best,
-        witness=decode(n, witness_enc),
-        bound=bound,
-        attained=bound.denominator == 1 and best == bound,
+    return _best_of(
+        n, "local", run_restart, range(restarts), threads,
         explored=restarts * (steps + 1),
         params={
             "restarts": restarts,

@@ -2,10 +2,12 @@
 
 Everything here is integer-exact.  The production checks use matrix
 identities: sigma_2/sigma_4 from traces of S^2 and S^4, the skew-conference
-and extremal tests from S^2 and S^3.  The float64 products (_square, and the
-S^3 of matches_extremal_charpoly) are exact and are cast back to int64
-before use.  The Faddeev-LeVerrier char_poly over Python ints and the
-fraction-free Bareiss minors are test oracles with no production caller.
+and extremal tests from S^2 and S^3.  All of them read the one S^2 cached on
+the SeidelMatrix (defined in tournament, next to its cached Tournament.seidel
+view, and exported here).  The float64 products (_square, and the S^3 of
+matches_extremal_charpoly) are exact and are cast back to int64 before use.
+The Faddeev-LeVerrier char_poly over Python ints and the fraction-free
+Bareiss minors are test oracles with no production caller.
 """
 
 from __future__ import annotations
@@ -17,33 +19,13 @@ from math import comb
 
 import numpy as np
 
-from .tournament import Tournament
+from .tournament import SeidelMatrix, Tournament, _square  # noqa: F401
 
 EVEN_EXTREMAL = "even-extremal"
 ODD_EXTREMAL = "odd-extremal"
 NOT_EXTREMAL = "no"
 
 _MINOR_ORACLE_MAX_N = 14
-
-
-@dataclass(frozen=True)
-class SeidelMatrix:
-    n: int
-    entries: tuple  # tuple of n row-tuples, ints
-
-    def __post_init__(self):
-        m = self.entries
-        if len(m) != self.n or any(len(r) != self.n for r in m):
-            raise ValueError("entry matrix is not n x n")
-        for i in range(self.n):
-            if m[i][i] != 0:
-                raise ValueError(f"nonzero diagonal at {i}")
-            for j in range(i + 1, self.n):
-                if m[i][j] not in (-1, 1) or m[j][i] != -m[i][j]:
-                    raise ValueError(f"bad skew pair at ({i},{j})")
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -63,21 +45,8 @@ class CharPoly:
 
 
 def seidel_from_tournament(t: Tournament) -> SeidelMatrix:
-    """S = A - A^T: +1 where i dominates j, -1 where j dominates i."""
-    a = t.adjacency()
-    return SeidelMatrix(t.n, tuple(map(tuple, (a - a.T).tolist())))
-
-
-def _square(a: np.ndarray) -> np.ndarray:
-    """S @ S for an int64 Seidel matrix, multiplied in float64 BLAS.
-
-    Exact: entries of S are in {-1, 0, 1}, so every product is exact and
-    every partial sum of a dot product is an integer of magnitude at most
-    n <= 512 < 2^53, whatever order BLAS sums in.  The int64 cast of the
-    result is therefore lossless.
-    """
-    f = a.astype(np.float64)
-    return (f @ f).astype(np.int64)
+    """S = A - A^T: the Seidel view cached on t (see Tournament.seidel)."""
+    return t.seidel
 
 
 def char_poly(s: SeidelMatrix) -> CharPoly:
@@ -89,7 +58,7 @@ def char_poly(s: SeidelMatrix) -> CharPoly:
     caller.
     """
     n = s.n
-    a = [list(row) for row in s.entries]
+    a = s.to_numpy().tolist()
     m = [row[:] for row in a]  # M_1 = S
     sigma = []
     c = -sum(m[i][i] for i in range(n))
@@ -156,7 +125,7 @@ def sigma_from_traces(s: SeidelMatrix):
     sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4.  Exact in int64 for n <= 512: S^2
     comes exactly from _square, and tr(S^4) <= n^2 (n-1)^2 < 2^63.
     """
-    a2 = _square(s.to_numpy())
+    a2 = s.square
     t2 = int(np.trace(a2))
     # S^2 is symmetric, so tr(S^4) is the sum of squared entries of S^2
     t4 = int((a2 ** 2).sum())
@@ -177,9 +146,10 @@ def sum_principal_minors(s: SeidelMatrix, k: int) -> int:
         raise ValueError(f"oracle limited to n <= {_MINOR_ORACLE_MAX_N}")
     if not 0 <= k <= s.n:
         raise ValueError(f"k={k} out of range")
+    m = s.to_numpy().tolist()
     total = 0
     for idx in combinations(range(s.n), k):
-        sub = [[s.entries[i][j] for j in idx] for i in idx]
+        sub = [[m[i][j] for j in idx] for i in idx]
         total += bareiss_det(sub)
     return total
 
@@ -196,7 +166,7 @@ def count_diamonds_spectral(t: Tournament) -> int:
 def is_skew_conference(s: SeidelMatrix) -> bool:
     """True iff S^2 = -(n-1) I exactly."""
     expected = -(s.n - 1) * np.eye(s.n, dtype=np.int64)
-    return bool(np.array_equal(_square(s.to_numpy()), expected))
+    return bool(np.array_equal(s.square, expected))
 
 
 def matches_extremal_charpoly(s: SeidelMatrix) -> str:
@@ -225,7 +195,7 @@ def matches_extremal_charpoly(s: SeidelMatrix) -> str:
     if n % 4 != 3:
         return NOT_EXTREMAL
     a = s.to_numpy()
-    a3 = (_square(a).astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
+    a3 = (s.square.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
     return ODD_EXTREMAL if np.array_equal(a3, -n * a) else NOT_EXTREMAL
 
 

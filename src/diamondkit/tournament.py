@@ -1,14 +1,17 @@
-"""Tournaments as row bitsets: diamond detection, counting and arc flips.
+"""Tournaments as row bitsets: diamond detection, counting, arc flips, the
+Seidel view and the search bit encoding.
 
 A tournament on n vertices (3 <= n <= 512) stores one bitmask per vertex;
 bit j of row i is set iff i dominates j.  Vertices are dense 0-based ints.
+The numpy adjacency matrix and the Seidel matrix are views built from the
+rows; the Seidel view and its square are cached on the tournament.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -29,6 +32,58 @@ class TrnFormatError(ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """S @ S for an int64 Seidel matrix, multiplied in float64 BLAS.
+
+    Exact: entries of S are in {-1, 0, 1}, so every product is exact and
+    every partial sum of a dot product is an integer of magnitude at most
+    n <= 512 < 2^53, whatever order BLAS sums in.  The int64 cast of the
+    result is therefore lossless.
+    """
+    f = a.astype(np.float64)
+    return (f @ f).astype(np.int64)
+
+
+class SeidelMatrix:
+    """Read-only int64 skew matrix with zero diagonal and +-1 off it.
+
+    entries is anything numpy reads as an n x n integer matrix.  S^2 is
+    computed on first use and cached (square), so every check that needs
+    it shares one product.
+    """
+
+    def __init__(self, n: int, entries):
+        try:
+            a = np.asarray(entries)
+        except ValueError:
+            raise ValueError("entry matrix is not n x n") from None
+        if a.shape != (n, n):
+            raise ValueError("entry matrix is not n x n")
+        # first bad entry in row-major order over the upper triangle and the
+        # diagonal, a diagonal entry before the pairs of its row
+        bad = np.triu((np.abs(a) != 1) | (a + a.T != 0), 1)
+        bad[np.diag_indices(n)] = np.diagonal(a) != 0
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n)
+            raise ValueError(f"nonzero diagonal at {i}" if i == j
+                             else f"bad skew pair at ({i},{j})")
+        a = a.astype(np.int64)  # a copy: the caller's array stays writable
+        a.flags.writeable = False
+        self.n = n
+        self._a = a
+
+    def to_numpy(self) -> np.ndarray:
+        """The matrix itself, read-only; copy it to modify it."""
+        return self._a
+
+    @cached_property
+    def square(self) -> np.ndarray:
+        """S @ S, exact in int64 (see _square), read-only."""
+        q = _square(self._a)
+        q.flags.writeable = False
+        return q
 
 
 @dataclass(frozen=True)
@@ -52,6 +107,16 @@ class Tournament:
         bits = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
         return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
 
+    @cached_property
+    def seidel(self) -> SeidelMatrix:
+        """S = A - A^T: +1 where i dominates j, -1 where j dominates i.
+
+        Built on first use and cached on the instance (the fields, equality
+        and hash do not change).
+        """
+        a = self.adjacency()
+        return SeidelMatrix(self.n, a - a.T)
+
 
 @dataclass(frozen=True)
 class ArcFlip:
@@ -61,16 +126,11 @@ class ArcFlip:
     j: int
 
 
-def from_dominance(n, dom) -> Tournament:
-    """Build a tournament from a callable dom(i, j) -> bool (no validation)."""
-    rows = []
-    for i in range(n):
-        r = 0
-        for j in range(n):
-            if i != j and dom(i, j):
-                r |= 1 << j
-        rows.append(r)
-    return Tournament(n, tuple(rows))
+def from_adjacency(a) -> Tournament:
+    """Inverse of Tournament.adjacency: row i of the n x n 0/1 (or boolean)
+    matrix a becomes the bitmask of row i (no validation)."""
+    packed = np.packbits(np.asarray(a, dtype=bool), axis=1, bitorder="little")
+    return Tournament(len(packed), tuple(int.from_bytes(r.tobytes(), "little") for r in packed))
 
 
 def from_arcs(n, arcs) -> Tournament:
@@ -210,6 +270,29 @@ def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
     return delta
 
 
+def pair_index(n: int, i: int, j: int) -> int:
+    """Row-major index of pair (i,j), i < j, among the C(n,2) pairs."""
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+
+def encode(t: Tournament) -> int:
+    """Upper-triangle arc bits in row-major pair order (see pair_index); bit
+    value 1 means the lower index dominates."""
+    bits = t.adjacency()[np.triu_indices(t.n, 1)].astype(bool)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def decode(n: int, e: int) -> Tournament:
+    """Inverse of encode, for 0 <= e < 2^C(n,2)."""
+    m = n * (n - 1) // 2
+    raw = np.frombuffer(int(e).to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    upper = np.triu_indices(n, 1)
+    a = np.zeros((n, n), dtype=bool)
+    a[upper] = np.unpackbits(raw, count=m, bitorder="little")
+    a.T[upper] = ~a[upper]
+    return from_adjacency(a)
+
+
 def random_tournament(n: int, seed: int) -> Tournament:
     """Uniformly random tournament, one fair bit per unordered pair.
 
@@ -247,13 +330,12 @@ def parse_trn(text: str) -> Tournament:
         line = lines[i + 1].strip()
         if len(line) != n:
             raise TrnFormatError(f"row {i} has length {len(line)}, expected {n}", line=i + 2)
-        r = 0
-        for j, ch in enumerate(line):
-            if ch not in "01":
-                raise TrnFormatError(f"bad character {ch!r}", line=i + 2, column=j + 1)
-            if ch == "1":
-                r |= 1 << j
-        rows.append(r)
+        # the count also keeps out the signs, spaces and underscores int() accepts
+        if line.count("0") + line.count("1") != n:
+            j, ch = next((j, ch) for j, ch in enumerate(line) if ch not in "01")
+            raise TrnFormatError(f"bad character {ch!r}", line=i + 2, column=j + 1)
+        # character j is bit j: the reversed line is the row in binary
+        rows.append(int(line[::-1], 2))
     t = Tournament(n, tuple(rows))
     bad = validate(t)
     if bad is not None:
@@ -270,9 +352,20 @@ def format_trn(t: Tournament) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_utf8(path, error):
+    """The text of a UTF-8 file; raises error(message, line) at the first
+    byte that does not decode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
+
+
 def load_trn(path) -> Tournament:
-    with open(path) as fh:
-        return parse_trn(fh.read())
+    return parse_trn(_read_utf8(path, TrnFormatError))
 
 
 def save_trn(t: Tournament, path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from diamondkit import hypergraph
+from diamondkit import hypergraph, tournament
 from diamondkit.cli import INPUT_ERROR, OK, VIOLATED, main
 from diamondkit.constructions import paley_tournament, star_paley
 from diamondkit.hypergraph import baber, format_hyp, load_hyp, save_hyp
@@ -363,3 +363,69 @@ class TestExtendKernelColumn:
         assert len(u) == q and u[0] == 1 and set(u) <= {-1, 1}
         s = seidel_from_tournament(t).to_numpy()
         assert not (s @ np.array(u, dtype=np.int64)).any()
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a format error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("count",), ("baber",), ("verify", "--checks", "conference,extremal-charpoly"),
+        ("delete", "--vertices", "0"), ("extend",),
+    ])
+    def test_trn_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "t.trn"
+        path.write_bytes(format_trn(paley_tournament(7)).encode().replace(b"0", b"\xff", 1))
+        code = main([argv[0], "--in", str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == INPUT_ERROR
+        assert err == f"error: {path}: byte 0xff is not UTF-8 text (line 2)\n"
+
+    @pytest.mark.parametrize("checks", ["ff4", "design", "ff4,design"])
+    def test_hyp_exit_2(self, tmp_path, capsys, checks):
+        path = tmp_path / "h.hyp"
+        path.write_bytes(b"8 1\n0 1 2 3\n\xc3(\n")
+        code = main(["verify", "--in", str(path), "--checks", checks])
+        err = capsys.readouterr().err
+        assert code == INPUT_ERROR
+        assert err == f"error: {path}: line 3: byte 0xc3 is not UTF-8 text\n"
+
+
+class TestThreadLimit:
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "exhaustive", "--n", "8", "--long-run", "--threads", "65"),
+        ("--mode", "local", "--n", "8", "--threads", "100000"),
+    ])
+    def test_above_max_threads_exit_2(self, monkeypatch, capsys, argv):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool constructed")
+        monkeypatch.setattr("diamondkit.search.ThreadPoolExecutor", no_pool)
+        assert main(["search", *argv]) == INPUT_ERROR
+        assert one_line_error(capsys)
+
+
+class TestOneSquaringPerMatrix:
+    """Each command squares a Seidel matrix at most once: every check reads
+    the S^2 cached on the matrix.  extend squares S and the bordered matrix."""
+
+    def test_squarings(self, tmp_path, capsys, monkeypatch):
+        orders = []
+        square = tournament._square
+
+        def counted(a):
+            orders.append(len(a))
+            return square(a)
+        monkeypatch.setattr(tournament, "_square", counted)
+        star, paley = str(tmp_path / "s.trn"), str(tmp_path / "p.trn")
+        checks = "conference,extremal-charpoly"
+        for argv, want_code, want_orders in [
+            (("construct", "star-paley", "--q", "11", "--out", star), OK, [12]),
+            (("count", "--in", star), OK, [12]),
+            (("verify", "--in", star, "--checks", checks), OK, [12]),
+            (("delete", "--in", star, "--vertices", "11", "--out", paley), OK, [11]),
+            # T(11) is odd-extremal but not skew-conference
+            (("verify", "--in", paley, "--checks", checks), VIOLATED, [11]),
+            (("extend", "--in", paley), OK, [11, 12]),
+        ]:
+            orders.clear()
+            code, _ = run(capsys, *argv)
+            assert (argv[0], code, orders) == (argv[0], want_code, want_orders)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from diamondkit.spectral import (
     seidel_from_tournament,
 )
 from diamondkit.tournament import (
+    MAX_N,
     count_diamonds_naive,
+    format_trn,
     from_arcs,
     is_diamond,
     validate,
@@ -125,7 +129,7 @@ class TestExtendToConference:
         assert ext.n == 4
         assert is_skew_conference(ext)
         # kernel of the cyclic orientation is spanned by the all-ones vector
-        assert tuple(row[-1] for row in ext.entries[:-1]) == (1, 1, 1)
+        assert ext.to_numpy()[:-1, -1].tolist() == [1, 1, 1]
 
     def test_rejects_non_extremal(self):
         transitive7 = from_arcs(
@@ -158,19 +162,117 @@ class TestExtendKernelColumn:
     def test_paley(self, q):
         s = seidel_from_tournament(paley_tournament(q))
         ext = extend_to_conference(s)
-        u = [row[-1] for row in ext.entries[:-1]]
-        assert set(u) <= {-1, 1} and u[0] == 1
-        assert not (s.to_numpy() @ np.array(u, dtype=np.int64)).any()
+        e = ext.to_numpy()
+        u = e[:-1, -1]
+        assert set(u.tolist()) <= {-1, 1} and u[0] == 1
+        assert not (s.to_numpy() @ u).any()
         assert ext.n == q + 1 and is_skew_conference(ext)
         # the border is [[S, u], [-u^T, 0]] around the unchanged S
-        assert all(row[:-1] == s.entries[i] for i, row in enumerate(ext.entries[:-1]))
-        assert ext.entries[-1] == (*(-x for x in u), 0)
+        assert np.array_equal(e[:-1, :-1], s.to_numpy())
+        assert e[-1].tolist() == [*(-u).tolist(), 0]
 
     @pytest.mark.parametrize("q", [11, 19])
     def test_deleted_non_star_vertex(self, q):
         # deleting an ordinary vertex of T*(q) also leaves an odd-extremal matrix
         s = seidel_from_tournament(delete_vertices(star_paley(q), {0}))
         ext = extend_to_conference(s)
-        u = np.array([row[-1] for row in ext.entries[:-1]], dtype=np.int64)
+        u = ext.to_numpy()[:-1, -1]
         assert u[0] == 1 and not (s.to_numpy() @ u).any()
         assert is_skew_conference(ext)
+
+
+# sha256 of format_trn(paley_tournament(q)) for every prime power q = 3 (mod 4)
+# below 512, frozen from the construction that built GF(q) with a primitive
+# element and exp/log tables and compared j - i to the even powers
+PALEY_SHA256 = {
+    3: "5e7bb5e1eabee00c787c2c441ffde4a2ee0f02bcadd3ffa48c3502455e2d344a",
+    7: "c4c5a75e33d70abcdda96b79760884f3106e9a6a9c68c9caeab438c27cae3ce2",
+    11: "b9f76268ad69bd9a61a970ae8729f90a6781d43523b03057a93dbae82c41e5d8",
+    19: "90314155c21c354257c6409c119492805c8461f2609176b9cc4dc2530b662152",
+    23: "b57763debf7bbea16a81603160a6d64c10aa69c5fc681792534a5b7221fc4622",
+    27: "0c7c367d179ce2a26a9a62574960053473f59dd14ae9c096029a42afbbc1fa72",
+    31: "5e7095dc754074531bce056d4fca01c7795548e2c30b01799df64ff14372cd19",
+    43: "701e3fc88536d21cad02e7bed5a4616bcc5e4a1b0434ebaab7cd9558977e5a7d",
+    47: "7c5e49719affac9f9d8e3d1876567579607747003d1f1b9b560dba52e7c1d4fb",
+    59: "8394e1cc1ce13b9aa269f7d3ee89cdebe4fe39771b87a84f6196d3d352063733",
+    67: "2d6a3dc65340be576cb49f42b99d2d2807f383223f61606392c3506208412d63",
+    71: "537470fef9687b0c67479a246cd78ab1041fc5c0eb61f0437833f5832d6f6e10",
+    79: "69e6de4590e9d1f5b98af247b8c680c98de7a434623aecf2b0b3ebc8570c5736",
+    83: "e5504ceac7fa0d3cd150880b9a8f19b17e2d3aaccdc577280a22a84f782c0e1c",
+    103: "c79537d57374fda09935cc22d1fef233ecc5ff614c977a6a8d136b0662ca5135",
+    107: "9e29afea6aa1da49df00198ca40ac13c3c36bf2fbabe39d00feb71c05d93d429",
+    127: "861d536973404251c52b6e707604ad47945cdcfbe06dc5c2764b479ccadef918",
+    131: "fa0d83811fff8bebfa292e2fcb4537f1baa48303a23934d36c3a9d1cae1ac315",
+    139: "aad488b6969d7b5efe5ad4e709da7770cef5b7f6efd531ace497a231ca2df9ea",
+    151: "713fb031e06589492a7cc41151ffa4015a122efe6c24ede7c3ff4c3c3873f05e",
+    163: "057a9f89a5ec93302dbcbd4d517fa25377a0590419af8a09aecf90e8260c989f",
+    167: "f00d34513413a3995668469e6de8d5ab4337f0147ad89339154cde18e4ce5007",
+    179: "e46782cb0bb3b6f219dae30154924db3e521450aa1bfda5a7348ffba8b022183",
+    191: "e9f0743f66d3e6c1238d6eebacc3202755b4891428d5dc65bf75fd49d2692d75",
+    199: "cd5ba7a8ca0bcc7794fb2ad0adff898ccfd6b34d5f9388f2fce9abd8a5dacc7d",
+    211: "ead5a8351b64c8881de9886a85a6f25fa98ca2fca6949050d2a3276fbb559fcf",
+    223: "ef916a23cf304edb3aed0e08d4ec67d54027ce49c031e1c7b35ba266aaa8d491",
+    227: "603a83f1dc60c3fc8784930374bf03f9a0fb6c2efb1c8677eded06cde10ed5f2",
+    239: "8c3b2056c2efd98a73bd6e62dce19167ad3b7f891ceb839c29a71fdb1c0cad33",
+    243: "656161a0a5bb77fed657590ccd79dbdc22a7f6cf5fc1fcee7acb8603fbe1cee1",
+    251: "cad16a638d50984d6ef7b9b0531e33c207dfa2fe4f974c541bbd706589855387",
+    263: "061b9f79c07d050c5827c28edb710557e7edff8e55db94a9da66d81736600005",
+    271: "ceeccb0ea1798e02640079b3f4f189683d82bb95437d0311a0f72609267c3397",
+    283: "6f4bec2aae3012118afde86566d3d704ac8ac094040f4f4c13ff56dae10ce604",
+    307: "9cb7636d2096ac119abd18ccd1ad8af9ab65bb8b2fe3e6f8740703aecee84182",
+    311: "9a0cc50da25484429e8ae7e332cf44001c3f0c8e4f8260b3c969a42c88081961",
+    331: "013768a98eb57e6686dbe05b70d3b2ac40b58548204b67a872f35e2bc7337cf1",
+    343: "6eeccac2b62d981d2421bcf21fcdede7a0c0e4da179c5755b4d6959faa423168",
+    347: "1620dceb2aa88eb212d22ebefe753482a443061b2899b4c6938910b1fd79ac69",
+    359: "2d79b88b2f4db5d3126f7ed233d7020b6f14e759b653fa93607a3d7c367321e2",
+    367: "f56b07ccbd61079dad3d0ab935c61586a42906911d52751fa153690092978870",
+    379: "6619d79da0ff7a7ab63cc7e5edf07865914fb4cebe67a06a093cf00a343ce127",
+    383: "6a7ee94a5c4637930d4801c80bd22901c83d36f98339dc37855a700fb32e6892",
+    419: "d4aeb45e6c782573d8e8cec2b5f3e88cd7d4c44622d58b583c90f1751eb37f17",
+    431: "d1fa9602dafbc09dbff489fef286f0c2be72412e6a7bfb0195d9970b75f7b95f",
+    439: "677931e16efaa197b118379bb753d080fdf2b14bccf65879e7b2bdb1ca398449",
+    443: "8660c34ab3abd3193a1ea824e4ab7f2e22f03dafd46602dc1a4442bc717d02de",
+    463: "f1451d40e0e3e169a1d06652acaf8b516a18885bd1e8aca6e4f9f4d1a2bfed3f",
+    467: "6dc9e01e3dfd493c68b19ee34754d706ce88d3725bb0d1828ec764795cc73e1c",
+    479: "5afe48676e7028f940306c3f55c211315fa0ba8a589d21926a74893162cacc93",
+    487: "8a343e2b85573e3db930a5b49ecd994932a304b460b74bfaed84f3d51f856f9f",
+    491: "06d049ab545853c0dc6a1b453b5fb880f22594a1beb2465104c540f347e00ef5",
+    499: "739a2f19b74993e86e670667ad07a424f552d4975604bcbfe8defcea9c5af632",
+    503: "e33ddb287df3c2d1c48522d9f1f138809f082131f9b007833b288d34b6c7438a",
+}
+
+
+class TestPaleyGolden:
+    def test_every_order_is_frozen(self):
+        from diamondkit.gf import factor_prime_power
+
+        def prime_power(q):
+            try:
+                factor_prime_power(q)
+            except ValueError:
+                return False
+            return True
+        assert sorted(PALEY_SHA256) == [q for q in range(3, MAX_N) if q % 4 == 3 and prime_power(q)]
+
+    @pytest.mark.parametrize("q", sorted(PALEY_SHA256))
+    def test_trn_bytes(self, q):
+        text = format_trn(paley_tournament(q))
+        assert hashlib.sha256(text.encode()).hexdigest() == PALEY_SHA256[q]
+
+
+class TestOrderLimit:
+    @pytest.mark.parametrize("build,q", [
+        (paley_tournament, 1019), (paley_tournament, 65519), (paley_tournament, 10 ** 30 + 3),
+        (star_paley, 512), (star_paley, 523), (star_paley, 65519),
+    ])
+    def test_rejected_before_any_work(self, monkeypatch, build, q):
+        def never(*args):
+            raise AssertionError("field built")
+        monkeypatch.setattr("diamondkit.gf.factor_prime_power", never)
+        monkeypatch.setattr("diamondkit.gf.gf_build", never)
+        with pytest.raises(ValueError, match="above the limit of 512"):
+            build(q)
+
+    def test_largest_orders_accepted(self):
+        assert paley_tournament(503).n == 503
+        assert star_paley(503).n == 504

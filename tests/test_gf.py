@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from diamondkit.gf import FieldTable, factor_prime_power, gf_build, is_prime
+from diamondkit.gf import (_poly_from_int, _poly_mul_mod, _poly_to_int, factor_prime_power,
+                           gf_build, is_prime)
 
 
 def test_prime_field_gf3():
@@ -13,8 +15,7 @@ def test_prime_field_gf3():
 def test_gf27_tables():
     ft = gf_build(3, 3)
     assert ft.q == 27
-    assert len(ft.exp) == 26
-    assert len(set(ft.exp)) == 26
+    assert len(ft.squares()) == 13
     # modulus x^3 + 2x + 1 is the first irreducible in high-degree-first order
     assert ft.modulus == (1, 2, 0, 1)
     # no roots in GF(3) => irreducible for a cubic
@@ -25,7 +26,8 @@ def test_gf27_tables():
 def test_gf4_valid_even_if_not_paley_usable():
     ft = gf_build(2, 2)
     assert ft.q == 4
-    assert len(ft.exp) == 3
+    # squaring is a bijection in characteristic 2
+    assert ft.squares() == frozenset({1, 2, 3})
 
 
 def test_rejects_bad_parameters():
@@ -33,28 +35,53 @@ def test_rejects_bad_parameters():
         gf_build(4, 1)
     with pytest.raises(ValueError):
         gf_build(3, 0)
-    with pytest.raises(ValueError):
-        gf_build(2, 17)  # q > 2^16
 
 
 def test_determinism():
     assert gf_build(7, 2) == gf_build(7, 2)
 
 
+def _add(ft, a, b):
+    p, k = ft.p, ft.k
+    return _poly_to_int([(x + y) % p for x, y in zip(_poly_from_int(a, p, k),
+                                                     _poly_from_int(b, p, k))], p)
+
+
+def _mul(ft, a, b):
+    p, k = ft.p, ft.k
+    return _poly_to_int(_poly_mul_mod(_poly_from_int(a, p, k), _poly_from_int(b, p, k),
+                                      list(ft.modulus), p), p)
+
+
 def test_field_axioms_spot_check():
     ft = gf_build(3, 2)
+    sub = ft.differences()
     for a in range(9):
-        assert ft.add(a, 0) == a
-        assert ft.sub(a, a) == 0
-        assert ft.mul(a, 1) == a
+        assert sub[a, a] == 0
+        assert sub[0, a] == a
+        assert _mul(ft, a, 1) == a
         for b in range(9):
-            assert ft.mul(a, b) == ft.mul(b, a)
-            assert ft.sub(ft.add(a, b), b) == a
+            assert _add(ft, int(sub[b, a]), b) == a  # (a - b) + b = a
+            assert _mul(ft, a, b) == _mul(ft, b, a)
     # distributivity on a sample
     for a in (2, 5, 7):
         for b in (1, 4, 8):
             for c in (3, 6):
-                assert ft.mul(a, ft.add(b, c)) == ft.add(ft.mul(a, b), ft.mul(a, c))
+                assert _mul(ft, a, _add(ft, b, c)) == _add(ft, _mul(ft, a, b), _mul(ft, a, c))
+    # every nonzero element has an inverse, so the modulus is irreducible
+    for a in range(1, 9):
+        assert any(_mul(ft, a, b) == 1 for b in range(1, 9))
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 1), (3, 5), (5, 2), (7, 3), (23, 1)])
+def test_differences_match_digit_subtraction(p, k):
+    ft = gf_build(p, k)
+    sub = ft.differences()
+    ref = [[_poly_to_int([(y - x) % p for x, y in zip(_poly_from_int(i, p, k),
+                                                      _poly_from_int(j, p, k))], p)
+            for j in range(ft.q)] for i in range(ft.q)]
+    assert sub.tolist() == ref
+    assert sub.dtype == np.min_scalar_type(-ft.q)
 
 
 def test_squares_split_for_q_3_mod_4():
@@ -63,9 +90,9 @@ def test_squares_split_for_q_3_mod_4():
         sq = ft.squares()
         assert len(sq) == (ft.q - 1) // 2
         # q = 3 mod 4: exactly one of x, -x is a square for every nonzero x
+        neg = ft.differences()[:, 0]  # neg[x] = 0 - x
         for x in range(1, ft.q):
-            neg = ft.sub(0, x)
-            assert (x in sq) != (neg in sq)
+            assert (x in sq) != (int(neg[x]) in sq)
 
 
 def test_factor_prime_power():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diamondkit.hypergraph import edge_count_bound
 from diamondkit.search import (
+    MAX_THREADS,
     _block_counts,
     _block_tables,
     _deltas,
@@ -108,11 +109,10 @@ class TestFiveVertexLaw:
     def test_transitive_encodings_have_zero(self):
         from itertools import permutations
 
-        from diamondkit.tournament import from_dominance
+        from diamondkit.tournament import from_arcs
         zeros = set(int(e) for e in encodings_with_delta(5, 0))
         for order in permutations(range(5)):
-            rank = {v: i for i, v in enumerate(order)}
-            t = from_dominance(5, lambda i, j: rank[i] < rank[j])
+            t = from_arcs(5, [(order[a], order[b]) for a in range(5) for b in range(a + 1, 5)])
             assert encode(t) in zeros
 
     def test_encodings_containing_fixed_diamond_have_two(self):
@@ -286,3 +286,44 @@ class TestLocalSearchLimits:
     def test_exhaustive_threads_rejected(self):
         with pytest.raises(ValueError):
             exhaustive_max_diamonds(5, threads=0)
+
+
+class TestThreadLimit:
+    """threads above MAX_THREADS are refused before any pool exists; the pool
+    is replaced by fakes, so no test here starts a thread."""
+
+    @pytest.mark.parametrize("search", [
+        lambda threads: exhaustive_max_diamonds(8, threads=threads, long_run=True),
+        lambda threads: local_search_max_diamonds(8, restarts=2, steps=10, threads=threads),
+    ])
+    @pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10 ** 6])
+    def test_rejected_before_any_pool(self, monkeypatch, search, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool constructed")
+        monkeypatch.setattr("diamondkit.search.ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="threads"):
+            search(threads)
+
+    def test_max_threads_accepted(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("diamondkit.search.ThreadPoolExecutor", InlinePool)
+        wide, one = exhaustive_max_diamonds(6, threads=MAX_THREADS), exhaustive_max_diamonds(6)
+        assert (wide.max_diamonds, wide.witness) == (one.max_diamonds, one.witness)
+        res = local_search_max_diamonds(8, restarts=2, steps=50, seed=3, threads=MAX_THREADS)
+        one = local_search_max_diamonds(8, restarts=2, steps=50, seed=3)
+        assert (res.max_diamonds, res.witness) == (one.max_diamonds, one.witness)
+        assert sizes == [MAX_THREADS, MAX_THREADS]

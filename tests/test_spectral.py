@@ -49,15 +49,14 @@ def diamond4():
 
 def test_seidel_from_three_cycle():
     s = seidel_from_tournament(three_cycle())
-    assert s.entries == ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
+    assert s.to_numpy().tolist() == [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 
 
 def test_seidel_reversal_negates():
     t = random_tournament(8, seed=0)
     s = seidel_from_tournament(t)
     sr = seidel_from_tournament(reverse(t))
-    assert all(sr.entries[i][j] == -s.entries[i][j]
-               for i in range(8) for j in range(8))
+    assert np.array_equal(sr.to_numpy(), -s.to_numpy())
 
 
 def test_seidel_invariants_enforced():
@@ -67,6 +66,53 @@ def test_seidel_invariants_enforced():
         SeidelMatrix(2, ((1, 1), (-1, 0)))
     with pytest.raises(ValueError):
         SeidelMatrix(2, ((0, 1), (1, 0)))
+
+
+def _seidel_error_reference(n, m):
+    """SeidelMatrix's checks as a per-entry scan of a list of rows."""
+    if len(m) != n or any(len(r) != n for r in m):
+        return "entry matrix is not n x n"
+    for i in range(n):
+        if m[i][i] != 0:
+            return f"nonzero diagonal at {i}"
+        for j in range(i + 1, n):
+            if m[i][j] not in (-1, 1) or m[j][i] != -m[i][j]:
+                return f"bad skew pair at ({i},{j})"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_seidel_rejects_like_per_entry_reference(data):
+    n = data.draw(st.integers(1, 8))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = data.draw(st.sampled_from((-1, 1)))
+            m[j][i] = -m[i][j]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        m[i][j] = data.draw(st.integers(-2, 2))
+    if data.draw(st.integers(0, 9)) == 0:
+        m[data.draw(st.integers(0, n - 1))].pop()
+    expected = _seidel_error_reference(n, m)
+    if expected is None:
+        s = SeidelMatrix(n, tuple(map(tuple, m)))
+        assert s.to_numpy().tolist() == m and s.to_numpy().dtype == np.int64
+    else:
+        with pytest.raises(ValueError) as exc:
+            SeidelMatrix(n, tuple(map(tuple, m)))
+        assert str(exc.value) == expected
+
+
+def test_seidel_view_is_read_only_and_cached():
+    t = random_tournament(9, seed=4)
+    s = seidel_from_tournament(t)
+    assert s is t.seidel and s.square is s.square
+    for a in (s.to_numpy(), s.square):
+        with pytest.raises(ValueError):
+            a[0, 0] = 5
+    assert np.array_equal(s.square, s.to_numpy() @ s.to_numpy())
 
 
 class TestCharPoly:
@@ -91,8 +137,7 @@ class TestCharPoly:
         s = seidel_from_tournament(t)
         cp = char_poly(s)
         for x in range(-3, 4):
-            m = [[(x if i == j else 0) - s.entries[i][j] for j in range(6)]
-                 for i in range(6)]
+            m = (x * np.eye(6, dtype=np.int64) - s.to_numpy()).tolist()
             value = sum(c * x ** (6 - k) for k, c in enumerate(cp.coefficients()))
             assert bareiss_det(m) == value
 

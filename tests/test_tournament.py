@@ -11,18 +11,20 @@ from diamondkit.tournament import (
     Tournament,
     count_diamonds,
     count_diamonds_naive,
+    decode,
     diamond_delta_on_flip,
+    encode,
     flip_arc,
     format_trn,
     from_arcs,
     is_diamond,
+    pair_index,
     parse_trn,
     random_tournament,
     reverse,
     validate,
     TrnFormatError,
 )
-from diamondkit.search import decode, encode
 from diamondkit.spectral import bareiss_det, seidel_from_tournament
 
 
@@ -85,7 +87,7 @@ class TestIsDiamond:
         assert not is_diamond(t, (0, 1, 2, 3))
         # its induced Seidel determinant is 1, not 9
         s = seidel_from_tournament(t)
-        assert bareiss_det(s.entries) == 1
+        assert bareiss_det(s.to_numpy().tolist()) == 1
 
     def test_invalid_subset(self):
         with pytest.raises(ValueError):
@@ -95,7 +97,7 @@ class TestIsDiamond:
         # the 4x4 Seidel determinant is 9 for a diamond and 1 otherwise
         for e in range(64):
             t = decode(4, e)
-            det = bareiss_det(seidel_from_tournament(t).entries)
+            det = bareiss_det(seidel_from_tournament(t).to_numpy().tolist())
             assert det in (1, 9)
             assert is_diamond(t, (0, 1, 2, 3)) == (det == 9)
 
@@ -103,7 +105,7 @@ class TestIsDiamond:
         t = random_tournament(9, seed=7)
         s = seidel_from_tournament(t)
         for quad in itertools.combinations(range(9), 4):
-            sub = [[s.entries[i][j] for j in quad] for i in quad]
+            sub = s.to_numpy()[np.ix_(quad, quad)].tolist()
             assert is_diamond(t, quad) == (bareiss_det(sub) == 9)
 
 
@@ -258,8 +260,6 @@ class TestRandomTournament:
 class TestFiveVertexLaw:
     def _subtournament_deltas(self, n):
         """delta of every 5-subset over all 2^C(n,2) encodings, vectorized."""
-        from diamondkit.search import pair_index
-
         lut5 = np.array([count_diamonds_naive(decode(5, e)) for e in range(1 << 10)],
                         dtype=np.uint8)
         total = 1 << (n * (n - 1) // 2)
@@ -279,7 +279,56 @@ class TestFiveVertexLaw:
             assert np.isin(deltas, (0, 2)).all()
 
 
+def _parse_trn_reference(text):
+    """parse_trn with the per-character row loop it had before int(row, 2)."""
+    lines = text.splitlines()
+    if not lines:
+        raise TrnFormatError("empty input", line=1)
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise TrnFormatError(f"bad vertex count {lines[0]!r}", line=1) from None
+    if not 3 <= n <= 512:
+        raise TrnFormatError(f"n={n} out of range [3, 512]", line=1)
+    if len(lines) < n + 1:
+        raise TrnFormatError(f"expected {n} matrix rows, got {len(lines) - 1}", line=len(lines))
+    rows = []
+    for i in range(n):
+        line = lines[i + 1].strip()
+        if len(line) != n:
+            raise TrnFormatError(f"row {i} has length {len(line)}, expected {n}", line=i + 2)
+        r = 0
+        for j, ch in enumerate(line):
+            if ch not in "01":
+                raise TrnFormatError(f"bad character {ch!r}", line=i + 2, column=j + 1)
+            if ch == "1":
+                r |= 1 << j
+        rows.append(r)
+    t = Tournament(n, tuple(rows))
+    bad = validate(t)
+    if bad is not None:
+        i, j, reason = bad
+        raise TrnFormatError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
+    return t
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except TrnFormatError as exc:
+        return str(exc), exc.line, exc.column
+
+
 class TestTrnFormat:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(3, 12), st.integers(0, 10 ** 6), st.data())
+    def test_matches_per_character_reference(self, n, seed, data):
+        text = format_trn(random_tournament(n, seed))
+        pos = data.draw(st.integers(0, len(text) - 1))
+        ch = data.draw(st.one_of(st.sampled_from("01 \t\n\r_+-2\u0661\u00a0"), st.characters()))
+        corrupted = text[:pos] + ch + text[pos + 1:]
+        assert _outcome(parse_trn, corrupted) == _outcome(_parse_trn_reference, corrupted)
+
     def test_round_trip(self):
         t = random_tournament(11, seed=42)
         assert parse_trn(format_trn(t)) == t
