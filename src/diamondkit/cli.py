@@ -24,23 +24,13 @@ def _rat(x) -> dict:
     return {"num": f.numerator, "den": f.denominator, "decimal": float(f)}
 
 
-def _emit(report, path=None):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _report(command, inputs, results, status):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "status": status,
-        "versions": {"diamondkit": __version__},
-    }
+def _bound(h, ff4):
+    """edge_count_bound of h as reported; a conjectural bound that an FF4
+    hypergraph (ff4 true) exceeds is refuted."""
+    bound, status = hypergraph.edge_count_bound(h.n)
+    if status == hypergraph.CONJECTURAL and ff4 and h.m > bound:
+        status = hypergraph.REFUTED
+    return bound, {**_rat(bound), "status": status}
 
 
 def _load_trn(path):
@@ -67,11 +57,24 @@ class CliError(Exception):
     """Input or usage error, mapped to exit code 2."""
 
 
+def _prime_power(kind, p, k):
+    """p ** k, refused before it is built when p < 2, k < 1 or the order
+    would exceed tournament.MAX_N."""
+    if p < 2 or k < 1:
+        raise CliError(f"need --p >= 2 and --k >= 1, got p={p}, k={k}")
+    # p ** k >= 2 ** k > MAX_N once k reaches the bit length of MAX_N
+    if p > tournament.MAX_N or k >= tournament.MAX_N.bit_length():
+        raise CliError(f"{kind} of q={p}^{k} is above the limit of {tournament.MAX_N} vertices")
+    return p ** k
+
+
+# Every cmd_* returns (inputs, results, status); main writes the report.
+
 def cmd_construct(args):
     if args.q is not None:
         q = args.q
     elif args.p is not None and args.k is not None:
-        q = args.p ** args.k
+        q = _prime_power(args.kind, args.p, args.k)
     else:
         raise CliError("give either --q or both --p and --k")
     try:
@@ -92,15 +95,12 @@ def cmd_construct(args):
         "skew_conference": spectral.is_skew_conference(s),
         "out": args.out,
     }
-    _emit(_report("construct", {"kind": args.kind, "q": q}, results, "ok"), args.report)
-    return OK
+    return {"kind": args.kind, "q": q}, results, "ok"
 
 
 def cmd_count(args):
     t = _load_trn(args.input)
     results = {"n": t.n, "method": args.method}
-    status = "ok"
-    code = OK
     naive = spectral_count = None
     if args.method in ("naive", "both"):
         naive = tournament.count_diamonds(t)
@@ -109,18 +109,16 @@ def cmd_count(args):
         spectral_count = spectral.count_diamonds_spectral(t)
         results["spectral"] = spectral_count
     delta = naive if naive is not None else spectral_count
-    if args.method == "both" and naive != spectral_count:
-        status = "violated"
-        code = VIOLATED
     bound = spectral.diamond_upper_bound(t.n) if t.n >= 4 else None
     results["bound"] = _rat(bound) if bound is not None else None
     results["attained"] = bound is not None and bound.denominator == 1 and delta == bound
-    _emit(_report("count", {"in": args.input}, results, status), args.report)
-    return code
+    disagree = args.method == "both" and naive != spectral_count
+    return {"in": args.input}, results, "violated" if disagree else "ok"
 
 
-def _verify_tournament_checks(t, checks, results):
-    s = spectral.seidel_from_tournament(t)
+def _verify_tournament(path, checks):
+    s = spectral.seidel_from_tournament(_load_trn(path))
+    results = {}
     failed = False
     if "conference" in checks:
         ok = spectral.is_skew_conference(s)
@@ -130,23 +128,22 @@ def _verify_tournament_checks(t, checks, results):
         verdict = spectral.matches_extremal_charpoly(s)
         results["extremal_charpoly"] = verdict
         failed |= verdict == spectral.NOT_EXTREMAL
-    return failed
+    return results, failed
 
 
-def _verify_hypergraph_checks(h, checks, results):
+def _verify_hypergraph(path, checks):
+    h = _load_hyp(path)
     if "ff4" in checks and h.n < 5:
         raise CliError(f"ff4 check needs n >= 5, got n={h.n}")
     if "design" in checks and h.n % 4 != 0:
         raise CliError(f"design check needs n divisible by 4, got n={h.n}")
-    failed = False
-    results["m"] = h.m
-    results["bound"] = results["margin"] = None
-    if h.n >= 5:
-        bound, status = hypergraph.edge_count_bound(h.n)
-        results["bound"] = {**_rat(bound), "status": status}
-        results["margin"] = _rat(bound - h.m)
-    # one FF4 test serves both checks (it is vacuous below n=5)
+    # one FF4 test serves both checks and the bound (it is vacuous below n=5)
     bad = hypergraph.verify_ff4(h) if h.n >= 5 else None
+    results = {"m": h.m, "bound": None, "margin": None}
+    if h.n >= 5:
+        bound, results["bound"] = _bound(h, bad is None)
+        results["margin"] = _rat(bound - h.m)
+    failed = False
     if "ff4" in checks:
         results["ff4"] = bad is None
         if bad is not None:
@@ -157,30 +154,26 @@ def _verify_hypergraph_checks(h, checks, results):
         results["design"] = ok
         results["design_lambda"] = h.n // 4 if ok else None
         failed |= not ok
-    return failed
+    return results, failed
+
+
+# the checks pick the reader: tournament checks read a .trn, hypergraph
+# checks a .hyp, whatever the file is called
+_VERIFIERS = {"conference": _verify_tournament, "extremal-charpoly": _verify_tournament,
+              "ff4": _verify_hypergraph, "design": _verify_hypergraph}
 
 
 def cmd_verify(args):
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    t_checks = {"conference", "extremal-charpoly"}
-    h_checks = {"ff4", "design"}
-    unknown = set(checks) - t_checks - h_checks
+    unknown = set(checks) - set(_VERIFIERS)
     if unknown:
         raise CliError(f"unknown checks: {sorted(unknown)}")
-    results = {}
-    if args.input.endswith(".hyp") or set(checks) <= h_checks and not args.input.endswith(".trn"):
-        h = _load_hyp(args.input)
-        if set(checks) - h_checks:
-            raise CliError("tournament checks requested on a hypergraph input")
-        failed = _verify_hypergraph_checks(h, checks, results)
-    else:
-        t = _load_trn(args.input)
-        if set(checks) - t_checks:
-            raise CliError("hypergraph checks requested on a tournament input")
-        failed = _verify_tournament_checks(t, checks, results)
-    status = "violated" if failed else "ok"
-    _emit(_report("verify", {"in": args.input, "checks": checks}, results, status), args.report)
-    return VIOLATED if failed else OK
+    verifiers = {_VERIFIERS[c] for c in checks}
+    if len(verifiers) != 1:
+        raise CliError("--checks takes tournament checks (conference, extremal-charpoly) or "
+                       f"hypergraph checks (ff4, design), one kind only, got {checks}")
+    results, failed = verifiers.pop()(args.input, checks)
+    return {"in": args.input, "checks": checks}, results, "violated" if failed else "ok"
 
 
 def cmd_baber(args):
@@ -188,12 +181,11 @@ def cmd_baber(args):
     h = hypergraph.baber(t)
     if args.out:
         hypergraph.save_hyp(h, args.out)
-    bound, status = hypergraph.edge_count_bound(h.n) if h.n >= 5 else (None, None)
     results = {"n": h.n, "m": h.m, "out": args.out}
-    if bound is not None:
-        results["bound"] = {**_rat(bound), "status": status}
-    _emit(_report("baber", {"in": args.input}, results, "ok"), args.report)
-    return OK
+    if h.n >= 5:
+        # the diamond hypergraph of a tournament is always FF4
+        results["bound"] = _bound(h, True)[1]
+    return {"in": args.input}, results, "ok"
 
 
 def cmd_delete(args):
@@ -212,8 +204,7 @@ def cmd_delete(args):
         "bound": _rat(spectral.diamond_upper_bound(sub.n)),
         "out": args.out,
     }
-    _emit(_report("delete", {"in": args.input, "vertices": drop}, results, "ok"), args.report)
-    return OK
+    return {"in": args.input, "vertices": drop}, results, "ok"
 
 
 def cmd_extend(args):
@@ -224,16 +215,13 @@ def cmd_extend(args):
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except constructions.ExtensionFailed as exc:
-        _emit(_report("extend", {"in": args.input},
-                      {"error": str(exc)}, "violated"), args.report)
-        return VIOLATED
+        return {"in": args.input}, {"error": str(exc)}, "violated"
     results = {
         "n": ext.n,
         "skew_conference": spectral.is_skew_conference(ext),
         "kernel_column": ext.to_numpy()[:-1, -1].tolist(),
     }
-    _emit(_report("extend", {"in": args.input}, results, "ok"), args.report)
-    return OK
+    return {"in": args.input}, results, "ok"
 
 
 def cmd_search(args):
@@ -261,8 +249,7 @@ def cmd_search(args):
         "witness_trn": tournament.format_trn(res.witness),
         "out": args.out,
     }
-    _emit(_report("search", {"n": args.n, "mode": args.mode}, results, "ok"), args.report)
-    return OK
+    return {"n": args.n, "mode": args.mode}, results, "ok"
 
 
 def build_parser():
@@ -276,38 +263,33 @@ def build_parser():
     c.add_argument("--p", type=int)
     c.add_argument("--k", type=int)
     c.add_argument("--out")
-    c.add_argument("--report")
     c.set_defaults(func=cmd_construct)
 
     c = sub.add_parser("count", help="count diamonds in a .trn file")
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--method", choices=["naive", "spectral", "both"], default="both")
-    c.add_argument("--report")
     c.set_defaults(func=cmd_count)
 
     c = sub.add_parser("verify", help="check FF4/design or conference/extremal properties")
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--checks", required=True,
-                   help="comma list: ff4,design (for .hyp) or conference,extremal-charpoly (for .trn)")
-    c.add_argument("--report")
+                   help="comma list: ff4,design (read as .hyp) or "
+                        "conference,extremal-charpoly (read as .trn)")
     c.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("baber", help="diamond hypergraph of a tournament")
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--out")
-    c.add_argument("--report")
     c.set_defaults(func=cmd_baber)
 
     c = sub.add_parser("delete", help="delete vertices from a tournament")
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--vertices", required=True, help="comma list of vertex indices")
     c.add_argument("--out")
-    c.add_argument("--report")
     c.set_defaults(func=cmd_delete)
 
     c = sub.add_parser("extend", help="extend an odd-extremal Seidel matrix to a conference matrix")
     c.add_argument("--in", dest="input", required=True)
-    c.add_argument("--report")
     c.set_defaults(func=cmd_extend)
 
     c = sub.add_parser("search", help="search for diamond-maximal tournaments")
@@ -321,8 +303,11 @@ def build_parser():
     c.add_argument("--cooling", type=float, default=0.999)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
-    c.add_argument("--report")
     c.set_defaults(func=cmd_search)
+
+    # added last, so usage and help list it after each command's own options
+    for c in sub.choices.values():
+        c.add_argument("--report")
     return p
 
 
@@ -334,13 +319,19 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors and 0 on --help
         return INPUT_ERROR if exc.code not in (0, None) else OK
     try:
-        return args.func(args)
-    except CliError as exc:
+        inputs, results, status = args.func(args)
+        text = json.dumps({"command": args.command, "inputs": inputs, "results": results,
+                           "status": status, "versions": {"diamondkit": __version__}},
+                          indent=2, sort_keys=True)
+        if args.report:
+            with open(args.report, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    return VIOLATED if status == "violated" else OK
 
 
 if __name__ == "__main__":

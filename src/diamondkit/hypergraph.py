@@ -19,6 +19,9 @@ from .tournament import MAX_N, Tournament, _read_utf8
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
+# a conjectural bound that an FF4 hypergraph exceeds, as the n = 1 (mod 4)
+# formula is at n = 17 (702 > 700 edges)
+REFUTED = "refuted"
 
 
 class HypFormatError(ValueError):
@@ -32,16 +35,7 @@ class HypFormatError(ValueError):
 @dataclass(frozen=True)
 class Hypergraph4:
     n: int
-    edges: frozenset  # frozenset of sorted 4-tuples of ints
-
-    def __post_init__(self):
-        for e in self.edges:
-            if len(e) != 4 or len(set(e)) != 4 or tuple(sorted(e)) != e:
-                raise ValueError(f"bad edge {e!r}")
-            if e[0] < 0 or e[3] >= self.n:
-                raise ValueError(f"edge {e!r} out of range for n={self.n}")
-        # Python ints: a numpy index would make the link shifts wrap at 64 bits
-        object.__setattr__(self, "edges", frozenset(tuple(map(int, e)) for e in self.edges))
+    edges: frozenset  # frozenset of increasing 4-tuples of Python ints below n
 
     @property
     def m(self) -> int:
@@ -73,19 +67,23 @@ class Hypergraph4:
         return links
 
 
-def _unchecked(n, edges) -> Hypergraph4:
-    """Hypergraph4 on edges already known to be sorted 4-tuples in range(n).
-
-    For callers that validate (parse_hyp) or build (baber) each edge
-    themselves, so no edge is checked twice.
-    """
-    h = object.__new__(Hypergraph4)
-    h.__dict__.update(n=n, edges=edges)
-    return h
-
-
 def hypergraph(n, edges) -> Hypergraph4:
-    return Hypergraph4(n, frozenset(tuple(sorted(e)) for e in edges))
+    """Hypergraph4 on n vertices from any iterable of 4-sets of indices.
+
+    The one checked constructor: raises ValueError on an edge that is not 4
+    distinct indices in range(n).  parse_hyp and baber, which validate or
+    build every edge themselves, call Hypergraph4 directly.
+    """
+    checked = set()
+    for e in edges:
+        e = tuple(sorted(e))
+        if len(e) != 4 or len(set(e)) != 4:
+            raise ValueError(f"bad edge {e!r}")
+        if e[0] < 0 or e[3] >= n:
+            raise ValueError(f"edge {e!r} out of range for n={n}")
+        # Python ints: a numpy index would make the link shifts wrap at 64 bits
+        checked.add(tuple(map(int, e)))
+    return Hypergraph4(n, frozenset(checked))
 
 
 def _bits(x):
@@ -116,7 +114,7 @@ def baber(t: Tournament) -> Hypergraph4:
                 for b in _bits(above & ra):
                     for c in _bits(above & rows[b] & ~ra):
                         edges.append(tuple(sorted((v, a, b, c))))
-    return _unchecked(t.n, frozenset(edges))
+    return Hypergraph4(t.n, frozenset(edges))
 
 
 def verify_ff4(h: Hypergraph4):
@@ -205,7 +203,8 @@ def edge_count_bound(n: int):
     """(bound, status) for the maximum FF4 edge count in residue class n mod 4.
 
     The n = 0 and n = 3 bounds are proven; n = 1 and n = 2 are conjectural
-    and must never be asserted, only reported.
+    and must never be asserted, only reported.  The n = 1 formula is false:
+    at n = 17 an FF4 hypergraph has 702 edges against 700 (see REFUTED).
     """
     if n < 5:
         raise ValueError("bound defined for n >= 5")
@@ -324,7 +323,7 @@ def parse_hyp(text: str) -> Hypergraph4:
             if e in seen:
                 raise HypFormatError(f"line {lineno}: duplicate edge {e}", line=lineno)
             seen.add(e)
-    return _unchecked(n, edge_set)
+    return Hypergraph4(n, edge_set)
 
 
 def format_hyp(h: Hypergraph4) -> str:

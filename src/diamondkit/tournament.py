@@ -144,10 +144,15 @@ def validate(t: Tournament):
     """Return None if all tournament invariants hold, else the first bad pair.
 
     The report is a tuple (i, j, reason); pairs are scanned in row-major
-    order with i <= j, so the first violation is deterministic.
+    order with i <= j, so the first violation is deterministic.  Whole-array
+    tests pass a valid tournament; only a failing one is scanned row by row.
     """
     a = t.adjacency()
-    bad = np.triu(a + a.T != 1, 1)
+    # a == a.T holds exactly on the zero diagonal of a valid tournament
+    if not (np.diagonal(a).any() or np.count_nonzero(a == a.T) != t.n
+            or max(t.rows, default=0) >> t.n or min(t.rows, default=0) < 0):
+        return None
+    bad = np.triu(a == a.T, 1)
     for i, row in enumerate(t.rows):
         if (row >> i) & 1:
             return (i, i, "diagonal entry set")

@@ -1,14 +1,40 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diamondkit import hypergraph, tournament
+from diamondkit import constructions, hypergraph, tournament
 from diamondkit.cli import INPUT_ERROR, OK, VIOLATED, main
 from diamondkit.constructions import paley_tournament, star_paley
-from diamondkit.hypergraph import baber, format_hyp, load_hyp, save_hyp
-from diamondkit.spectral import seidel_from_tournament
-from diamondkit.tournament import format_trn, load_trn, save_trn, random_tournament
+from diamondkit.hypergraph import (
+    CONJECTURAL,
+    REFUTED,
+    baber,
+    edge_count_bound,
+    format_hyp,
+    load_hyp,
+    save_hyp,
+    verify_ff4,
+)
+from diamondkit.spectral import count_diamonds_spectral, seidel_from_tournament
+from diamondkit.tournament import (
+    Tournament,
+    count_diamonds,
+    count_diamonds_naive,
+    format_trn,
+    load_trn,
+    random_tournament,
+    save_trn,
+    validate,
+)
 
 
 def run(capsys, *argv):
@@ -429,3 +455,232 @@ class TestOneSquaringPerMatrix:
             orders.clear()
             code, _ = run(capsys, *argv)
             assert (argv[0], code, orders) == (argv[0], want_code, want_orders)
+
+
+class TestConstructPrimePower:
+    """--p/--k are checked before p ** k is built."""
+
+    @pytest.mark.parametrize("p,k", [("3", "10000"), ("3", "10"), ("2", "10"), ("513", "1"),
+                                     ("10" * 20, "3")])
+    def test_order_above_max_n_exit_2(self, monkeypatch, capsys, p, k):
+        def never(q):
+            raise AssertionError("construction started")
+        monkeypatch.setattr(constructions, "paley_tournament", never)
+        assert main(["construct", "paley", "--p", p, "--k", k]) == INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: paley of q={p}^{k} is above the limit of 512 vertices\n"
+
+    def test_order_above_max_n_after_the_power(self, capsys):
+        # 3^7 = 2187 is small enough to build; the library names the order
+        assert main(["construct", "star-paley", "--p", "3", "--k", "7"]) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: star-paley of q=2187 has 2188 vertices, above the limit of 512\n"
+
+    @pytest.mark.parametrize("p,k", [("3", "-2"), ("3", "0"), ("1", "5"), ("0", "3"),
+                                     ("-3", "3")])
+    def test_p_below_2_or_k_below_1_exit_2(self, capsys, p, k):
+        assert main(["construct", "paley", f"--p={p}", f"--k={k}"]) == INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need --p >= 2 and --k >= 1, got p={p}, k={k}\n"
+
+    def test_p_k_report_matches_q(self, capsys):
+        assert main(["construct", "paley", "--p", "3", "--k", "3"]) == OK
+        by_p_k = capsys.readouterr().out
+        assert main(["construct", "paley", "--q", "27"]) == OK
+        assert by_p_k == capsys.readouterr().out
+
+
+class TestVerifyReaderFromChecks:
+    """verify reads .hyp for ff4/design and .trn for conference/extremal-charpoly,
+    whatever the file is called."""
+
+    def test_hyp_saved_as_trn(self, tmp_path, capsys):
+        path = tmp_path / "x.trn"
+        save_hyp(baber(star_paley(7)), path)
+        code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4,design")
+        assert code == OK
+        assert report["results"]["ff4"] is True and report["results"]["design_lambda"] == 2
+
+    def test_trn_saved_as_hyp(self, tmp_path, capsys):
+        path = tmp_path / "x.hyp"
+        save_trn(star_paley(7), path)
+        code, report = run(capsys, "verify", "--in", str(path),
+                           "--checks", "conference,extremal-charpoly")
+        assert code == OK
+        assert report["results"]["conference"] is True
+        assert report["results"]["extremal_charpoly"] == "even-extremal"
+
+    @pytest.mark.parametrize("checks", ["ff4,conference", "extremal-charpoly,design",
+                                        "", ",", " , "])
+    def test_mixed_or_empty_checks_exit_2_before_reading(self, tmp_path, capsys, checks):
+        path = tmp_path / "missing.hyp"
+        assert main(["verify", "--in", str(path), "--checks", checks]) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: --checks takes tournament checks") and err.count("\n") == 1
+
+
+# An annealing witness at n = 17 (bit j of row i set iff i -> j) with 702
+# diamonds, above the 700 of the n = 1 (mod 4) formula
+ROWS_17 = (70798, 92668, 46264, 98336, 1513, 114049, 55469, 29448, 123981, 45439, 43722,
+           99229, 52506, 71769, 11837, 24723, 54996)
+
+
+class TestRefutedBound:
+    def test_n17_witness(self):
+        t = Tournament(17, ROWS_17)
+        assert validate(t) is None
+        assert count_diamonds(t) == count_diamonds_spectral(t) == count_diamonds_naive(t) == 702
+        assert verify_ff4(baber(t)) is None
+        assert edge_count_bound(17) == (700, CONJECTURAL)
+
+    def test_baber_verify_chain_reports_refuted(self, tmp_path, capsys):
+        trn, hyp = tmp_path / "w17.trn", tmp_path / "w17.hyp"
+        save_trn(Tournament(17, ROWS_17), trn)
+        code, report = run(capsys, "baber", "--in", str(trn), "--out", str(hyp))
+        assert code == OK and report["results"]["m"] == 702
+        assert report["results"]["bound"]["status"] == REFUTED
+        code, report = run(capsys, "verify", "--in", str(hyp), "--checks", "ff4")
+        assert code == OK and report["status"] == "ok"
+        results = report["results"]
+        assert results["ff4"] is True and results["bound"]["status"] == REFUTED
+        assert results["margin"] == {"num": -2, "den": 1, "decimal": -2.0}
+
+    def test_non_ff4_above_the_bound_stays_conjectural(self, tmp_path, capsys):
+        # all 5 quadruples of 5 vertices: above the bound 2, but not FF4
+        path = tmp_path / "k5.hyp"
+        save_hyp(hypergraph.hypergraph(5, combinations(range(5), 4)), path)
+        code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4")
+        assert code == VIOLATED
+        assert report["results"]["bound"]["status"] == CONJECTURAL
+        assert report["results"]["margin"]["num"] == -3
+
+
+@lru_cache(maxsize=None)
+def _fuzz_files():
+    """Valid, violating, malformed and misnamed inputs, by file name."""
+    star = format_trn(star_paley(7)).encode()
+    design = baber(star_paley(7))
+    hyp = format_hyp(design).encode()
+    return {
+        "s7.trn": star,
+        "p7.trn": format_trn(paley_tournament(7)).encode(),
+        "r6.trn": format_trn(random_tournament(6, 1)).encode(),
+        "s7.hyp": hyp,
+        "broken.hyp": format_hyp(type(design)(8, design.edges - {min(design.edges)})).encode(),
+        "hyp-as.trn": hyp,
+        "trn-as.hyp": star,
+        "s7.txt": star,
+        "h7.txt": hyp,
+        "not-utf8.trn": star.replace(b"0", b"\xff", 1),
+        "not-utf8.hyp": hyp + b"\xc3(\n",
+        "short.trn": b"4\n0110\n",
+        "range.hyp": b"5 1\n0 1 2 5\n",
+        "empty.trn": b"",
+    }
+
+
+_NAMES = sorted(_fuzz_files()) + ["mutant.trn", "mutant.hyp", "mutant.txt", "missing.trn"]
+_TRN_NAMES = ["p7.trn", "s7.trn", "r6.trn", "trn-as.hyp", "s7.txt"]
+_HYP_NAMES = ["s7.hyp", "broken.hyp", "hyp-as.trn", "h7.txt"]
+
+
+# each st.one_of below draws valid values or any values, so that commands
+# succeed and fail in about equal measure
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _argvs(draw):
+    # values as --flag=value: argparse would take a bare "-1e+16" for an option
+    cmd = draw(st.sampled_from(["construct", "count", "verify", "baber", "delete", "extend",
+                                "search"]))
+    argv = [cmd]
+    if cmd == "construct":
+        argv.append(draw(st.sampled_from(["paley", "star-paley"])))
+        form = draw(st.sampled_from(["q", "p,k", "neither"]))
+        if form == "q":
+            q = st.one_of(st.sampled_from([3, 7, 11, 19, 27, 43]),
+                          st.integers(-3, 60) | st.sampled_from([503, 512, 1019, 10 ** 30]))
+            argv.append(f"--q={draw(q)}")
+        elif form == "p,k":
+            p = st.one_of(st.sampled_from([3, 7, 11]), st.integers(-2, 12) | st.just(10 ** 20))
+            k = st.one_of(st.integers(1, 2),
+                          st.integers(-2, 4) | st.sampled_from([9, 10, 10 ** 4]))
+            argv += [f"--p={draw(p)}", f"--k={draw(k)}"]
+    elif cmd == "search":
+        mode = draw(st.sampled_from(["exhaustive", "local"]))
+        n = st.one_of(st.integers(4, 7), st.integers(2, 7))
+        threads = st.one_of(st.integers(1, 2), st.integers(-1, 2))
+        argv += [f"--mode={mode}", f"--n={draw(n)}", f"--threads={draw(threads)}"]
+        if mode == "local":
+            restarts = st.one_of(st.integers(1, 3), st.integers(-1, 3))
+            t0 = st.one_of(st.sampled_from([0.0, 0.5, 2.0]), _FLOATS)
+            cooling = st.one_of(st.sampled_from([0.5, 0.999, 1.0]), _FLOATS)
+            argv += [f"--restarts={draw(restarts)}", f"--steps={draw(st.integers(-1, 200))}",
+                     f"--t0={draw(t0)}", f"--cooling={draw(cooling)}",
+                     f"--seed={draw(st.integers(-5, 5))}"]
+    else:
+        tournament_checks = st.lists(st.sampled_from(["conference", "extremal-charpoly"]),
+                                     min_size=1, max_size=2)
+        hypergraph_checks = st.lists(st.sampled_from(["ff4", "design"]), min_size=1, max_size=2)
+        any_checks = st.lists(st.sampled_from(["conference", "extremal-charpoly", "ff4",
+                                               "design", "bogus", " "]), max_size=3)
+        checks = draw(tournament_checks | hypergraph_checks | any_checks)
+        hyp_input = cmd == "verify" and bool(checks) and set(checks) <= {"ff4", "design"}
+        names = _HYP_NAMES if hyp_input else _TRN_NAMES
+        argv += ["--in", draw(st.one_of(st.sampled_from(names), st.sampled_from(_NAMES)))]
+        if cmd == "count":
+            argv.append(f"--method={draw(st.sampled_from(['naive', 'spectral', 'both']))}")
+        elif cmd == "verify":
+            argv.append(f"--checks={','.join(checks)}")
+        elif cmd == "delete":
+            junk = st.integers(-2, 9).map(str) | st.sampled_from(["", "x", " 1"])
+            vertices = st.one_of(st.lists(st.integers(0, 6).map(str), min_size=1, max_size=3),
+                                 st.lists(junk, max_size=4))
+            argv.append(f"--vertices={','.join(draw(vertices))}")
+    if cmd in ("construct", "baber", "delete", "search") and draw(st.booleans()):
+        argv += ["--out", "out.trn"]
+    if draw(st.booleans()):
+        argv += ["--report", "report.json"]
+    return argv
+
+
+class TestExitContract:
+    """Any argv that parses exits 0, 1 or 2: 1 exactly when the report says
+    violated, 2 with nothing on stdout and one error: line on stderr."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argvs(), st.sampled_from(sorted(_fuzz_files())), st.integers(0, 200),
+           st.binary(min_size=1, max_size=2))
+    def test_main(self, argv, base, pos, patch):
+        files = dict(_fuzz_files())
+        data = files[base]
+        pos %= len(data) + 1
+        mutant = data[:pos] + patch + data[pos + 1:]
+        for name in ("mutant.trn", "mutant.hyp", "mutant.txt"):
+            files[name] = mutant
+        with tempfile.TemporaryDirectory() as work:
+            for name, content in files.items():
+                with open(os.path.join(work, name), "wb") as fh:
+                    fh.write(content)
+            argv = [os.path.join(work, a) if a in _NAMES or a in ("out.trn", "report.json")
+                    else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            report_path = os.path.join(work, "report.json")
+            text = out.getvalue()
+            if code != INPUT_ERROR and "--report" in argv:
+                assert text == ""
+                with open(report_path) as fh:
+                    text = fh.read()
+        assert code in (OK, VIOLATED, INPUT_ERROR)
+        if code == INPUT_ERROR:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert err.getvalue() == ""
+            assert (code == VIOLATED) == (json.loads(text)["status"] == "violated")

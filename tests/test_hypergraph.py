@@ -323,6 +323,17 @@ class TestLinkFF4Oracle:
         assert all(type(x) is int for e in h_np.edges for x in e)
         assert verify_ff4(h_np) == verify_ff4(h_int) == ((0, *shifted[0]), 1)
 
+    @pytest.mark.parametrize("edge,message", [
+        ((0, 1, 1, 2), "bad edge (0, 1, 1, 2)"),
+        ((3, 1, 2, 5), "edge (1, 2, 3, 5) out of range for n=5"),
+        ((0, -1, 2, 3), "edge (-1, 0, 2, 3) out of range for n=5"),
+        ((0, 1, 2), "bad edge (0, 1, 2)"),
+    ])
+    def test_constructor_rejects_bad_edges(self, edge, message):
+        with pytest.raises(ValueError) as exc:
+            hypergraph(5, [(0, 1, 2, 3), edge])
+        assert str(exc.value) == message
+
 
 class TestLinks:
     @given(st.integers(4, 10), st.integers(0, 10**6))

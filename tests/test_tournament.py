@@ -74,6 +74,14 @@ class TestValidate:
         bad = validate(Tournament(3, (0b010, 0b100, 0)))
         assert bad is not None
 
+    def test_negative_row_reported(self):
+        # row 1 - 2^8 has the bits of row 1 below n, so the adjacency view
+        # is a valid tournament; the infinite run of high bits is not
+        rows = list(three_cycle().rows)
+        rows[1] -= 1 << 8
+        t = Tournament(3, tuple(rows))
+        assert validate(t) == _validate_reference(t) == (1, 1, "bit set beyond vertex range")
+
 
 class TestIsDiamond:
     def test_dominating_vertex_over_cycle(self):
