@@ -15,13 +15,11 @@ from .tournament import (  # noqa: F401
 )
 from .spectral import (  # noqa: F401
     CharPoly,
-    SeidelMatrix,
     char_poly,
     count_diamonds_spectral,
     diamond_upper_bound,
     is_skew_conference,
     matches_extremal_charpoly,
-    seidel_from_tournament,
     sigma4_upper_bound,
     sigma_from_traces,
     sum_principal_minors,

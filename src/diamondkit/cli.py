@@ -2,7 +2,7 @@
 deletion, extension and search, all emitting JSON reports.
 
 Exit codes: 0 all checks pass, 1 a checked property is violated (or methods
-disagree), 2 input or usage error.
+disagree), 2 input or usage error, reported as one error: line on stderr.
 """
 
 from __future__ import annotations
@@ -57,6 +57,14 @@ class CliError(Exception):
     """Input or usage error, mapped to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as CliError, so main reports them like any other
+    input error; add_subparsers makes every subparser one too."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _prime_power(kind, p, k):
     """p ** k, refused before it is built when p < 2, k < 1 or the order
     would exceed tournament.MAX_N."""
@@ -84,7 +92,6 @@ def cmd_construct(args):
         raise CliError(str(exc)) from exc
     if args.out:
         tournament.save_trn(t, args.out)
-    s = spectral.seidel_from_tournament(t)
     delta = spectral.count_diamonds_spectral(t)
     results = {
         "kind": args.kind,
@@ -92,7 +99,7 @@ def cmd_construct(args):
         "n": t.n,
         "diamonds": delta,
         "bound": _rat(spectral.diamond_upper_bound(t.n)) if t.n >= 4 else None,
-        "skew_conference": spectral.is_skew_conference(s),
+        "skew_conference": spectral.is_skew_conference(t),
         "out": args.out,
     }
     return {"kind": args.kind, "q": q}, results, "ok"
@@ -111,21 +118,21 @@ def cmd_count(args):
     delta = naive if naive is not None else spectral_count
     bound = spectral.diamond_upper_bound(t.n) if t.n >= 4 else None
     results["bound"] = _rat(bound) if bound is not None else None
-    results["attained"] = bound is not None and bound.denominator == 1 and delta == bound
+    results["attained"] = delta == bound
     disagree = args.method == "both" and naive != spectral_count
     return {"in": args.input}, results, "violated" if disagree else "ok"
 
 
 def _verify_tournament(path, checks):
-    s = spectral.seidel_from_tournament(_load_trn(path))
+    t = _load_trn(path)
     results = {}
     failed = False
     if "conference" in checks:
-        ok = spectral.is_skew_conference(s)
+        ok = spectral.is_skew_conference(t)
         results["conference"] = ok
         failed |= not ok
     if "extremal-charpoly" in checks:
-        verdict = spectral.matches_extremal_charpoly(s)
+        verdict = spectral.matches_extremal_charpoly(t)
         results["extremal_charpoly"] = verdict
         failed |= verdict == spectral.NOT_EXTREMAL
     return results, failed
@@ -209,9 +216,8 @@ def cmd_delete(args):
 
 def cmd_extend(args):
     t = _load_trn(args.input)
-    s = spectral.seidel_from_tournament(t)
     try:
-        ext = constructions.extend_to_conference(s)
+        ext = constructions.extend_to_conference(t)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except constructions.ExtensionFailed as exc:
@@ -219,7 +225,7 @@ def cmd_extend(args):
     results = {
         "n": ext.n,
         "skew_conference": spectral.is_skew_conference(ext),
-        "kernel_column": ext.to_numpy()[:-1, -1].tolist(),
+        "kernel_column": ext.seidel[:-1, -1].tolist(),
     }
     return {"in": args.input}, results, "ok"
 
@@ -253,7 +259,7 @@ def cmd_search(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="diamondkit")
+    p = _Parser(prog="diamondkit")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -312,13 +318,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors and 0 on --help
-        return INPUT_ERROR if exc.code not in (0, None) else OK
-    try:
+        args = build_parser().parse_args(argv)
         inputs, results, status = args.func(args)
         text = json.dumps({"command": args.command, "inputs": inputs, "results": results,
                            "status": status, "versions": {"diamondkit": __version__}},
@@ -328,6 +329,9 @@ def main(argv=None) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
+    except SystemExit:
+        # only --help and --version exit: usage errors raise CliError
+        return OK
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -1,18 +1,13 @@
 """Paley tournaments, the dominating-vertex augmentation, vertex deletion and
-the constructive extension of an odd-order extremal Seidel matrix to a
-skew-conference matrix."""
+the constructive extension of an odd-extremal tournament to one whose Seidel
+matrix is skew-conference."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import gf
-from .spectral import (
-    ODD_EXTREMAL,
-    SeidelMatrix,
-    is_skew_conference,
-    matches_extremal_charpoly,
-)
+from .spectral import ODD_EXTREMAL, is_skew_conference, matches_extremal_charpoly
 from .tournament import MAX_N, Tournament, from_adjacency
 
 
@@ -65,27 +60,31 @@ def delete_vertices(t: Tournament, drop) -> Tournament:
     return from_adjacency(t.adjacency()[np.ix_(keep, keep)])
 
 
-def extend_to_conference(s: SeidelMatrix) -> SeidelMatrix:
-    """Border an odd-extremal Seidel matrix with its +-1 kernel vector.
+def extend_to_conference(t: Tournament) -> Tournament:
+    """Border an odd-extremal tournament with the +-1 kernel vector of its S.
 
-    Returns the order n+1 matrix [[S, u], [-u^T, 0]], verified to be a
-    skew-conference matrix.
+    Returns the order n+1 tournament with Seidel matrix [[S, u], [-u^T, 0]],
+    verified to be a skew-conference matrix: the new vertex n loses to i
+    exactly when u_i = +1.
 
     For odd-extremal S the eigenvalues of S^2 are -n (n-1 times) and 0
     (once), so S^2 + nI is n times the projector onto ker S.  Its diagonal
     is 1 (every (S^2)_ii = -(n-1)), so the primitive kernel vector u is +-1
     valued and S^2 + nI = u u^T.  Column 0 of S^2 + nI is u_0 u: the kernel
-    vector with first entry +1.  S^2 is the one cached on s (exact, see
-    tournament._square).  The final skew-conference check also certifies
+    vector with first entry +1.  S^2 is the one cached on t (see
+    Tournament.square).  The final skew-conference check also certifies
     S u = 0.
     """
-    if s.n % 4 != 3 or matches_extremal_charpoly(s) != ODD_EXTREMAL:
+    n = t.n
+    if n % 4 != 3 or matches_extremal_charpoly(t) != ODD_EXTREMAL:
         raise ValueError("matrix is not odd-extremal; extension does not apply")
-    u = s.square[:, :1].copy()
-    u[0] += s.n
-    if (np.abs(u) != 1).any():
-        raise ExtensionFailed(f"kernel column of S^2 + nI not +-1 valued: {u[:, 0].tolist()}")
-    ext = SeidelMatrix(s.n + 1, np.block([[s.to_numpy(), u], [-u.T, np.zeros((1, 1), np.int64)]]))
+    u = t.square[:, 0].tolist()
+    u[0] += n
+    if any(x not in (-1, 1) for x in u):
+        raise ExtensionFailed(f"kernel column of S^2 + nI not +-1 valued: {u}")
+    rows = [r | (1 << n) if x == 1 else r for r, x in zip(t.rows, u)]
+    rows.append(sum(1 << i for i, x in enumerate(u) if x == -1))
+    ext = Tournament(n + 1, tuple(rows))
     if not is_skew_conference(ext):
         raise ExtensionFailed("bordered matrix is not a skew-conference matrix")
     return ext

@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
+from .spectral import diamond_upper_bound
 from .tournament import MAX_N, Tournament, _read_utf8
 
 PROVEN = "proven"
@@ -205,14 +206,14 @@ def edge_count_bound(n: int):
     The n = 0 and n = 3 bounds are proven; n = 1 and n = 2 are conjectural
     and must never be asserted, only reported.  The n = 1 formula is false:
     at n = 17 an FF4 hypergraph has 702 edges against 700 (see REFUTED).
+    The proven bounds are the diamond bounds, the edge counts of Baber
+    hypergraphs of extremal tournaments.
     """
     if n < 5:
         raise ValueError("bound defined for n >= 5")
     r = n % 4
-    if r == 0:
-        return Fraction(n * n * (n - 1) * (n - 2), 96), PROVEN
-    if r == 3:
-        return Fraction(n * (n - 1) * (n - 3) * (n + 1), 96), PROVEN
+    if r in (0, 3):
+        return diamond_upper_bound(n), PROVEN
     if r == 2:
         return Fraction(n * (n - 3) * (n + 2) * (n - 2), 96), CONJECTURAL
     return Fraction((n - 1) * (n - 2) * (n - 3) * (n + 3), 96), CONJECTURAL

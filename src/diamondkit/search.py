@@ -166,7 +166,7 @@ def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
     best, enc = max(results, key=lambda r: (r[0], -r[1]))
     bound = diamond_upper_bound(n)
     return SearchResult(n=n, mode=mode, max_diamonds=best, witness=decode(n, enc), bound=bound,
-                        attained=bound.denominator == 1 and best == bound, explored=explored,
+                        attained=best == bound, explored=explored,
                         params=params)
 
 
@@ -246,8 +246,8 @@ class _SquareState:
 
     def __init__(self, t: Tournament):
         self.n = t.n
-        self.s = t.seidel.to_numpy().copy()
-        self.q = t.seidel.square.copy()
+        self.s = t.seidel.copy()
+        self.q = t.square.copy()
 
     def dominates(self, i, j) -> bool:
         return self.s.item(i, j) > 0

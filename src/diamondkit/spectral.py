@@ -1,13 +1,13 @@
-"""Seidel matrices and exact spectral identities.
+"""Exact spectral identities of the Seidel matrix S = A - A^T of a tournament.
 
-Everything here is integer-exact.  The production checks use matrix
-identities: sigma_2/sigma_4 from traces of S^2 and S^4, the skew-conference
-and extremal tests from S^2 and S^3.  All of them read the one S^2 cached on
-the SeidelMatrix (defined in tournament, next to its cached Tournament.seidel
-view, and exported here).  The float64 products (_square, and the S^3 of
-matches_extremal_charpoly) are exact and are cast back to int64 before use.
-The Faddeev-LeVerrier char_poly over Python ints and the fraction-free
-Bareiss minors are test oracles with no production caller.
+Everything here is integer-exact and takes a Tournament.  The production
+checks use matrix identities: sigma_2/sigma_4 from traces of S^2 and S^4,
+the skew-conference and extremal tests from S^2 and S^3.  All of them read
+the S and S^2 cached on the tournament (Tournament.seidel and .square).
+S^2 and the S^3 of matches_extremal_charpoly are float64 products that are
+exact (see tournament._exact_matmul).  The Faddeev-LeVerrier char_poly over
+Python ints and the fraction-free Bareiss minors are test oracles with no
+production caller.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .tournament import SeidelMatrix, Tournament, _square  # noqa: F401
+from .tournament import Tournament, _exact_matmul
 
 EVEN_EXTREMAL = "even-extremal"
 ODD_EXTREMAL = "odd-extremal"
@@ -44,12 +44,7 @@ class CharPoly:
         return [1, *self.sigma]
 
 
-def seidel_from_tournament(t: Tournament) -> SeidelMatrix:
-    """S = A - A^T: the Seidel view cached on t (see Tournament.seidel)."""
-    return t.seidel
-
-
-def char_poly(s: SeidelMatrix) -> CharPoly:
+def char_poly(t: Tournament) -> CharPoly:
     """Exact characteristic polynomial via the Faddeev-LeVerrier recurrence.
 
     Each division by the step index is exact over the integers; a failed
@@ -57,8 +52,8 @@ def char_poly(s: SeidelMatrix) -> CharPoly:
     for matches_extremal_charpoly: O(n^4) on Python ints, no production
     caller.
     """
-    n = s.n
-    a = s.to_numpy().tolist()
+    n = t.n
+    a = t.seidel.tolist()
     m = [row[:] for row in a]  # M_1 = S
     sigma = []
     c = -sum(m[i][i] for i in range(n))
@@ -117,15 +112,15 @@ def bareiss_det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def sigma_from_traces(s: SeidelMatrix):
+def sigma_from_traces(t: Tournament):
     """(sigma_2, sigma_4) from tr(S^2) and tr(S^4) via Newton's identities.
 
     Odd power sums of a skew-symmetric matrix vanish, which collapses the
     identities to sigma_2 = -tr(S^2)/2 and
     sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4.  Exact in int64 for n <= 512: S^2
-    comes exactly from _square, and tr(S^4) <= n^2 (n-1)^2 < 2^63.
+    is exact (see Tournament.square), and tr(S^4) <= n^2 (n-1)^2 < 2^63.
     """
-    a2 = s.square
+    a2 = t.square
     t2 = int(np.trace(a2))
     # S^2 is symmetric, so tr(S^4) is the sum of squared entries of S^2
     t4 = int((a2 ** 2).sum())
@@ -136,19 +131,19 @@ def sigma_from_traces(s: SeidelMatrix):
     return sigma2, sigma4
 
 
-def sum_principal_minors(s: SeidelMatrix, k: int) -> int:
+def sum_principal_minors(t: Tournament, k: int) -> int:
     """Sum of all C(n,k) principal k x k minors, each by Bareiss.
 
     Test oracle for sigma_from_traces and char_poly, no production caller.
     Oracle-scale only: refuses n > 14.
     """
-    if s.n > _MINOR_ORACLE_MAX_N:
+    if t.n > _MINOR_ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {_MINOR_ORACLE_MAX_N}")
-    if not 0 <= k <= s.n:
+    if not 0 <= k <= t.n:
         raise ValueError(f"k={k} out of range")
-    m = s.to_numpy().tolist()
+    m = t.seidel.tolist()
     total = 0
-    for idx in combinations(range(s.n), k):
+    for idx in combinations(range(t.n), k):
         sub = [[m[i][j] for j in idx] for i in idx]
         total += bareiss_det(sub)
     return total
@@ -156,21 +151,22 @@ def sum_principal_minors(s: SeidelMatrix, k: int) -> int:
 
 def count_diamonds_spectral(t: Tournament) -> int:
     """Diamond count as (sigma_4 - C(n,4)) / 8 from the trace fast path."""
-    _, sigma4 = sigma_from_traces(seidel_from_tournament(t))
+    _, sigma4 = sigma_from_traces(t)
     q, r = divmod(sigma4 - comb(t.n, 4), 8)
     if r:
         raise ArithmeticError(f"sigma_4 - C(n,4) = {sigma4 - comb(t.n, 4)} not divisible by 8")
     return q
 
 
-def is_skew_conference(s: SeidelMatrix) -> bool:
+def is_skew_conference(t: Tournament) -> bool:
     """True iff S^2 = -(n-1) I exactly."""
-    expected = -(s.n - 1) * np.eye(s.n, dtype=np.int64)
-    return bool(np.array_equal(s.square, expected))
+    expected = -(t.n - 1) * np.eye(t.n, dtype=np.int64)
+    return bool(np.array_equal(t.square, expected))
 
 
-def matches_extremal_charpoly(s: SeidelMatrix) -> str:
-    """Classify S as extremal or not by exact matrix identities.
+def matches_extremal_charpoly(t: Tournament) -> str:
+    """Classify the Seidel matrix S of t as extremal or not by exact matrix
+    identities.
 
     Returns "even-extremal" (n = 0 mod 4, P = (x^2+(n-1))^(n/2)),
     "odd-extremal" (n = 3 mod 4, P = x (x^2+n)^((n-1)/2)) or "no".
@@ -183,20 +179,16 @@ def matches_extremal_charpoly(s: SeidelMatrix) -> str:
     tr S^2 = -n(n-1), so exactly n-1 eigenvalues are nonzero and 0 is simple,
     which makes P = x (x^2+n)^((n-1)/2).
 
-    S^3 = S^2 S is one float64 BLAS product and is exact: S^2 is exact (see
-    _square) with entries of magnitude at most n-1, so every partial sum is
-    an integer of magnitude at most n(n-1) < n^2 (262144 at n = 512, and
-    below 2^53 for any n < 2^26), and the int64 cast is lossless.  O(n^3);
-    char_poly is kept as the test oracle.
+    S^3 = S^2 S is one exact product (see _exact_matmul).  O(n^3); char_poly
+    is kept as the test oracle.
     """
-    n = s.n
+    n = t.n
     if n % 4 == 0:
-        return EVEN_EXTREMAL if is_skew_conference(s) else NOT_EXTREMAL
+        return EVEN_EXTREMAL if is_skew_conference(t) else NOT_EXTREMAL
     if n % 4 != 3:
         return NOT_EXTREMAL
-    a = s.to_numpy()
-    a3 = (s.square.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
-    return ODD_EXTREMAL if np.array_equal(a3, -n * a) else NOT_EXTREMAL
+    s = t.seidel
+    return ODD_EXTREMAL if np.array_equal(_exact_matmul(t.square, s), -n * s) else NOT_EXTREMAL
 
 
 def diamond_upper_bound(n: int) -> Fraction:

@@ -3,8 +3,9 @@ Seidel view and the search bit encoding.
 
 A tournament on n vertices (3 <= n <= 512) stores one bitmask per vertex;
 bit j of row i is set iff i dominates j.  Vertices are dense 0-based ints.
-The numpy adjacency matrix and the Seidel matrix are views built from the
-rows; the Seidel view and its square are cached on the tournament.
+The numpy adjacency matrix and the Seidel matrix S = A - A^T are views
+built from the rows; S and S^2 are cached on the tournament, so every
+spectral check reads one S^2.
 """
 
 from __future__ import annotations
@@ -34,56 +35,16 @@ class TrnFormatError(ValueError):
         self.column = column
 
 
-def _square(a: np.ndarray) -> np.ndarray:
-    """S @ S for an int64 Seidel matrix, multiplied in float64 BLAS.
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for int64 matrices, multiplied in float64 BLAS.
 
-    Exact: entries of S are in {-1, 0, 1}, so every product is exact and
-    every partial sum of a dot product is an integer of magnitude at most
-    n <= 512 < 2^53, whatever order BLAS sums in.  The int64 cast of the
-    result is therefore lossless.
+    Exact when every product and every partial sum of a dot product is an
+    integer below 2^53 in magnitude, whatever order BLAS sums in.  For the
+    Seidel matrix S (entries in {-1, 0, 1}) the partial sums of S @ S are
+    at most n, and those of S^2 @ S at most n(n-1) (262144 at n = 512), so
+    the int64 cast of the result is lossless.
     """
-    f = a.astype(np.float64)
-    return (f @ f).astype(np.int64)
-
-
-class SeidelMatrix:
-    """Read-only int64 skew matrix with zero diagonal and +-1 off it.
-
-    entries is anything numpy reads as an n x n integer matrix.  S^2 is
-    computed on first use and cached (square), so every check that needs
-    it shares one product.
-    """
-
-    def __init__(self, n: int, entries):
-        try:
-            a = np.asarray(entries)
-        except ValueError:
-            raise ValueError("entry matrix is not n x n") from None
-        if a.shape != (n, n):
-            raise ValueError("entry matrix is not n x n")
-        # first bad entry in row-major order over the upper triangle and the
-        # diagonal, a diagonal entry before the pairs of its row
-        bad = np.triu((np.abs(a) != 1) | (a + a.T != 0), 1)
-        bad[np.diag_indices(n)] = np.diagonal(a) != 0
-        if bad.any():
-            i, j = divmod(int(bad.argmax()), n)
-            raise ValueError(f"nonzero diagonal at {i}" if i == j
-                             else f"bad skew pair at ({i},{j})")
-        a = a.astype(np.int64)  # a copy: the caller's array stays writable
-        a.flags.writeable = False
-        self.n = n
-        self._a = a
-
-    def to_numpy(self) -> np.ndarray:
-        """The matrix itself, read-only; copy it to modify it."""
-        return self._a
-
-    @cached_property
-    def square(self) -> np.ndarray:
-        """S @ S, exact in int64 (see _square), read-only."""
-        q = _square(self._a)
-        q.flags.writeable = False
-        return q
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -108,14 +69,29 @@ class Tournament:
         return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
 
     @cached_property
-    def seidel(self) -> SeidelMatrix:
-        """S = A - A^T: +1 where i dominates j, -1 where j dominates i.
+    def seidel(self) -> np.ndarray:
+        """S = A - A^T, read-only int64: +1 where i dominates j, -1 where j
+        dominates i.
 
-        Built on first use and cached on the instance (the fields, equality
-        and hash do not change).
+        Raises ValueError unless validate(self) is None.  Built on first use
+        and cached on the instance (the fields, equality and hash do not
+        change).
         """
+        bad = validate(self)
+        if bad is not None:
+            i, j, reason = bad
+            raise ValueError(f"not a tournament at ({i},{j}): {reason}")
         a = self.adjacency()
-        return SeidelMatrix(self.n, a - a.T)
+        s = a - a.T
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def square(self) -> np.ndarray:
+        """S @ S, exact in int64 (see _exact_matmul), read-only and cached."""
+        q = _exact_matmul(self.seidel, self.seidel)
+        q.flags.writeable = False
+        return q
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from diamondkit.spectral import (
     count_diamonds_spectral,
     is_skew_conference,
     matches_extremal_charpoly,
-    seidel_from_tournament,
     sigma4_upper_bound,
     sigma_from_traces,
     sum_principal_minors,
@@ -67,7 +66,7 @@ def test_criterion_1_paley_equality_cases():
     for q in PALEY_ORDERS:
         t = star_paley(q)
         n = q + 1
-        assert is_skew_conference(seidel_from_tournament(t))
+        assert is_skew_conference(t)
         formula = n * n * (n - 1) * (n - 2) // 96
         assert formula == STAR_DELTAS[q]
         assert count_diamonds_naive(t) == STAR_DELTAS[q]
@@ -79,15 +78,14 @@ def test_criterion_2_odd_equality_cases():
         t = paley_tournament(q)
         n = q
         assert count_diamonds_naive(t) == n * (n - 1) * (n - 3) * (n + 1) // 96
-        s = seidel_from_tournament(t)
-        assert matches_extremal_charpoly(s) == ODD_EXTREMAL
+        assert matches_extremal_charpoly(t) == ODD_EXTREMAL
         # explicit coefficient check, not just the classification
         m = (n - 1) // 2
         expected = [0] * (n + 1)
         expected[0] = 1
         for i in range(1, m + 1):
             expected[2 * i] = comb(m, i) * n**i
-        assert char_poly(s).coefficients() == expected
+        assert char_poly(t).coefficients() == expected
 
 
 @criterion(3, "exhaustive optima at n=4,5,7 with extremal witnesses, thread-invariant")
@@ -104,8 +102,8 @@ def test_criterion_3_exhaustive_optima():
     assert r7.max_diamonds == 14 and r7.attained
     assert r7.explored == 1 << 21
     for e in encodings_with_delta(7, 14):
-        s = seidel_from_tournament(decode(7, int(e)))
-        assert matches_extremal_charpoly(s) == ODD_EXTREMAL
+        t = decode(7, int(e))
+        assert matches_extremal_charpoly(t) == ODD_EXTREMAL
 
     r7p = exhaustive_max_diamonds(7, threads=4)
     assert (r7.max_diamonds, r7.witness, r7.explored) == \
@@ -117,8 +115,7 @@ def test_criterion_4_principal_minor_identity():
     for n in range(5, 13):
         for seed in range(100):
             t = random_tournament(n, seed)
-            s = seidel_from_tournament(t)
-            assert sum_principal_minors(s, 4) == \
+            assert sum_principal_minors(t, 4) == \
                 8 * count_diamonds_naive(t) + comb(n, 4)
 
 
@@ -139,15 +136,14 @@ def test_criterion_6_sigma_invariants():
     for seed in range(20):
         instances.append((random_tournament(10, seed), None))
     for t, expect_extremal in instances:
-        s = seidel_from_tournament(t)
-        sigma2, sigma4 = sigma_from_traces(s)
-        assert sigma2 == s.n * (s.n - 1) // 2
-        bound = sigma4_upper_bound(s.n) if s.n >= 4 else None
+        sigma2, sigma4 = sigma_from_traces(t)
+        assert sigma2 == t.n * (t.n - 1) // 2
+        bound = sigma4_upper_bound(t.n) if t.n >= 4 else None
         if bound is None:
             continue
         assert Fraction(sigma4) <= bound
         tight = Fraction(sigma4) == bound
-        assert tight == (matches_extremal_charpoly(s) != NOT_EXTREMAL)
+        assert tight == (matches_extremal_charpoly(t) != NOT_EXTREMAL)
         if expect_extremal:
             assert tight
 
@@ -182,10 +178,10 @@ def test_criterion_8_deletion_ladder():
 
 @criterion(9, "constructive extension of Paley T(7) to an order-8 conference matrix")
 def test_criterion_9_constructive_extension():
-    s = seidel_from_tournament(paley_tournament(7))
-    ext = extend_to_conference(s)
+    t = paley_tournament(7)
+    ext = extend_to_conference(t)
     assert ext.n == 8
-    a = ext.to_numpy()
+    a = ext.seidel
     assert ((a @ a.T) == 7 * __import__("numpy").eye(8, dtype=int)).all()
 
 

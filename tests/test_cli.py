@@ -24,7 +24,7 @@ from diamondkit.hypergraph import (
     save_hyp,
     verify_ff4,
 )
-from diamondkit.spectral import count_diamonds_spectral, seidel_from_tournament
+from diamondkit.spectral import count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
     count_diamonds,
@@ -298,6 +298,24 @@ class TestUsage:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == INPUT_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        # argparse takes -1e+16 for an option, so --cooling has no value
+        ("search", "--mode", "local", "--n", "8", "--cooling", "-1e+16"),
+        ("count",),
+        ("count", "--in", "t.trn", "--bogus"),
+        (),
+        ("frobnicate",),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        assert main(list(argv)) == INPUT_ERROR
+        assert one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("search", "--help")])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(list(argv)) == OK
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
 
 def one_line_error(capsys):
     captured = capsys.readouterr()
@@ -387,8 +405,7 @@ class TestExtendKernelColumn:
         assert code == OK
         u = report["results"]["kernel_column"]
         assert len(u) == q and u[0] == 1 and set(u) <= {-1, 1}
-        s = seidel_from_tournament(t).to_numpy()
-        assert not (s @ np.array(u, dtype=np.int64)).any()
+        assert not (t.seidel @ np.array(u, dtype=np.int64)).any()
 
 
 class TestNonUtf8Input:
@@ -431,16 +448,18 @@ class TestThreadLimit:
 
 class TestOneSquaringPerMatrix:
     """Each command squares a Seidel matrix at most once: every check reads
-    the S^2 cached on the matrix.  extend squares S and the bordered matrix."""
+    the S^2 cached on the tournament.  extend squares S and the bordered
+    matrix."""
 
     def test_squarings(self, tmp_path, capsys, monkeypatch):
         orders = []
-        square = tournament._square
+        matmul = tournament._exact_matmul
 
-        def counted(a):
-            orders.append(len(a))
-            return square(a)
-        monkeypatch.setattr(tournament, "_square", counted)
+        def counted(a, b):
+            if a is b:  # S @ S; the S^3 of the odd-extremal test is S^2 @ S
+                orders.append(len(a))
+            return matmul(a, b)
+        monkeypatch.setattr(tournament, "_exact_matmul", counted)
         star, paley = str(tmp_path / "s.trn"), str(tmp_path / "p.trn")
         checks = "conference,extremal-charpoly"
         for argv, want_code, want_orders in [
@@ -584,6 +603,7 @@ def _fuzz_files():
 _NAMES = sorted(_fuzz_files()) + ["mutant.trn", "mutant.hyp", "mutant.txt", "missing.trn"]
 _TRN_NAMES = ["p7.trn", "s7.trn", "r6.trn", "trn-as.hyp", "s7.txt"]
 _HYP_NAMES = ["s7.hyp", "broken.hyp", "hyp-as.trn", "h7.txt"]
+_PATHS = {*_NAMES, "out.trn", "report.json"}
 
 
 # each st.one_of below draws valid values or any values, so that commands
@@ -593,7 +613,11 @@ _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
 @st.composite
 def _argvs(draw):
-    # values as --flag=value: argparse would take a bare "-1e+16" for an option
+    def opt(name, value):
+        # --flag value or --flag=value: in the first form argparse takes a
+        # value such as "-1e+16" for an option, a usage error
+        return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", str(value)]
+
     cmd = draw(st.sampled_from(["construct", "count", "verify", "baber", "delete", "extend",
                                 "search"]))
     argv = [cmd]
@@ -603,24 +627,24 @@ def _argvs(draw):
         if form == "q":
             q = st.one_of(st.sampled_from([3, 7, 11, 19, 27, 43]),
                           st.integers(-3, 60) | st.sampled_from([503, 512, 1019, 10 ** 30]))
-            argv.append(f"--q={draw(q)}")
+            argv += opt("q", draw(q))
         elif form == "p,k":
             p = st.one_of(st.sampled_from([3, 7, 11]), st.integers(-2, 12) | st.just(10 ** 20))
             k = st.one_of(st.integers(1, 2),
                           st.integers(-2, 4) | st.sampled_from([9, 10, 10 ** 4]))
-            argv += [f"--p={draw(p)}", f"--k={draw(k)}"]
+            argv += opt("p", draw(p)) + opt("k", draw(k))
     elif cmd == "search":
         mode = draw(st.sampled_from(["exhaustive", "local"]))
         n = st.one_of(st.integers(4, 7), st.integers(2, 7))
         threads = st.one_of(st.integers(1, 2), st.integers(-1, 2))
-        argv += [f"--mode={mode}", f"--n={draw(n)}", f"--threads={draw(threads)}"]
+        argv += opt("mode", mode) + opt("n", draw(n)) + opt("threads", draw(threads))
         if mode == "local":
             restarts = st.one_of(st.integers(1, 3), st.integers(-1, 3))
             t0 = st.one_of(st.sampled_from([0.0, 0.5, 2.0]), _FLOATS)
             cooling = st.one_of(st.sampled_from([0.5, 0.999, 1.0]), _FLOATS)
-            argv += [f"--restarts={draw(restarts)}", f"--steps={draw(st.integers(-1, 200))}",
-                     f"--t0={draw(t0)}", f"--cooling={draw(cooling)}",
-                     f"--seed={draw(st.integers(-5, 5))}"]
+            argv += (opt("restarts", draw(restarts)) + opt("steps", draw(st.integers(-1, 200)))
+                     + opt("t0", draw(t0)) + opt("cooling", draw(cooling))
+                     + opt("seed", draw(st.integers(-5, 5))))
     else:
         tournament_checks = st.lists(st.sampled_from(["conference", "extremal-charpoly"]),
                                      min_size=1, max_size=2)
@@ -630,20 +654,20 @@ def _argvs(draw):
         checks = draw(tournament_checks | hypergraph_checks | any_checks)
         hyp_input = cmd == "verify" and bool(checks) and set(checks) <= {"ff4", "design"}
         names = _HYP_NAMES if hyp_input else _TRN_NAMES
-        argv += ["--in", draw(st.one_of(st.sampled_from(names), st.sampled_from(_NAMES)))]
+        argv += opt("in", draw(st.one_of(st.sampled_from(names), st.sampled_from(_NAMES))))
         if cmd == "count":
-            argv.append(f"--method={draw(st.sampled_from(['naive', 'spectral', 'both']))}")
+            argv += opt("method", draw(st.sampled_from(["naive", "spectral", "both"])))
         elif cmd == "verify":
-            argv.append(f"--checks={','.join(checks)}")
+            argv += opt("checks", ",".join(checks))
         elif cmd == "delete":
             junk = st.integers(-2, 9).map(str) | st.sampled_from(["", "x", " 1"])
             vertices = st.one_of(st.lists(st.integers(0, 6).map(str), min_size=1, max_size=3),
                                  st.lists(junk, max_size=4))
-            argv.append(f"--vertices={','.join(draw(vertices))}")
+            argv += opt("vertices", ",".join(draw(vertices)))
     if cmd in ("construct", "baber", "delete", "search") and draw(st.booleans()):
-        argv += ["--out", "out.trn"]
+        argv += opt("out", "out.trn")
     if draw(st.booleans()):
-        argv += ["--report", "report.json"]
+        argv += opt("report", "report.json")
     return argv
 
 
@@ -665,14 +689,17 @@ class TestExitContract:
             for name, content in files.items():
                 with open(os.path.join(work, name), "wb") as fh:
                     fh.write(content)
-            argv = [os.path.join(work, a) if a in _NAMES or a in ("out.trn", "report.json")
-                    else a for a in argv]
+            def in_work(a):
+                # a file name, alone or after "--flag=", moves into the work directory
+                head, eq, name = a.rpartition("=")
+                return head + eq + os.path.join(work, name) if name in _PATHS else a
+            argv = [in_work(a) for a in argv]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             report_path = os.path.join(work, "report.json")
             text = out.getvalue()
-            if code != INPUT_ERROR and "--report" in argv:
+            if code != INPUT_ERROR and any(a.endswith(report_path) for a in argv):
                 assert text == ""
                 with open(report_path) as fh:
                     text = fh.read()

@@ -10,13 +10,16 @@ from diamondkit.constructions import (
     paley_tournament,
     star_paley,
 )
+from diamondkit.hypergraph import baber, is_ff4_design
 from diamondkit.spectral import (
+    EVEN_EXTREMAL,
+    count_diamonds_spectral,
     is_skew_conference,
     matches_extremal_charpoly,
-    seidel_from_tournament,
 )
 from diamondkit.tournament import (
     MAX_N,
+    count_diamonds,
     count_diamonds_naive,
     format_trn,
     from_arcs,
@@ -58,7 +61,7 @@ def test_star_paley_3_is_the_diamond():
 
 def test_star_paley_7_conference():
     t = star_paley(7)
-    assert is_skew_conference(seidel_from_tournament(t))
+    assert is_skew_conference(t)
     # restriction to the first 7 vertices is the Paley tournament
     assert delete_vertices(t, {7}) == paley_tournament(7)
 
@@ -73,7 +76,7 @@ def test_star_paley_11_delta():
 def test_star_paley_attains_even_bound(q):
     t = star_paley(q)
     n = q + 1
-    assert is_skew_conference(seidel_from_tournament(t))
+    assert is_skew_conference(t)
     assert count_diamonds_naive(t) == n * n * (n - 1) * (n - 2) // 96
 
 
@@ -118,31 +121,29 @@ class TestDeleteVertices:
 
 class TestExtendToConference:
     def test_paley_7(self):
-        s = seidel_from_tournament(paley_tournament(7))
-        ext = extend_to_conference(s)
+        t = paley_tournament(7)
+        ext = extend_to_conference(t)
         assert ext.n == 8
         assert is_skew_conference(ext)
 
     def test_three_cycle(self):
-        s = seidel_from_tournament(paley_tournament(3))
-        ext = extend_to_conference(s)
+        t = paley_tournament(3)
+        ext = extend_to_conference(t)
         assert ext.n == 4
         assert is_skew_conference(ext)
         # kernel of the cyclic orientation is spanned by the all-ones vector
-        assert ext.to_numpy()[:-1, -1].tolist() == [1, 1, 1]
+        assert ext.seidel[:-1, -1].tolist() == [1, 1, 1]
 
     def test_rejects_non_extremal(self):
-        transitive7 = from_arcs(
-            7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
-        s = seidel_from_tournament(transitive7)
-        assert matches_extremal_charpoly(s) == "no"
+        t = from_arcs(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
+        assert matches_extremal_charpoly(t) == "no"
         with pytest.raises(ValueError):
-            extend_to_conference(s)
+            extend_to_conference(t)
 
     def test_rejects_even_order(self):
-        s = seidel_from_tournament(star_paley(7))
+        t = star_paley(7)
         with pytest.raises(ValueError):
-            extend_to_conference(s)
+            extend_to_conference(t)
 
     @pytest.mark.parametrize("q", [3, 7, 11, 19])
     def test_round_trip_from_deleted_star(self, q):
@@ -150,9 +151,8 @@ class TestExtendToConference:
         # matrix of order q+1 (not necessarily the same one entrywise);
         # q=3 uses the Paley tournament directly since deletion requires
         # at least 4 surviving vertices
-        base = paley_tournament(q) if q == 3 else delete_vertices(star_paley(q), {q})
-        s = seidel_from_tournament(base)
-        ext = extend_to_conference(s)
+        t = paley_tournament(q) if q == 3 else delete_vertices(star_paley(q), {q})
+        ext = extend_to_conference(t)
         assert ext.n == q + 1
         assert is_skew_conference(ext)
 
@@ -160,24 +160,35 @@ class TestExtendToConference:
 class TestExtendKernelColumn:
     @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 31, 43, 47])
     def test_paley(self, q):
-        s = seidel_from_tournament(paley_tournament(q))
-        ext = extend_to_conference(s)
-        e = ext.to_numpy()
+        t = paley_tournament(q)
+        ext = extend_to_conference(t)
+        e = ext.seidel
         u = e[:-1, -1]
         assert set(u.tolist()) <= {-1, 1} and u[0] == 1
-        assert not (s.to_numpy() @ u).any()
+        assert not (t.seidel @ u).any()
         assert ext.n == q + 1 and is_skew_conference(ext)
         # the border is [[S, u], [-u^T, 0]] around the unchanged S
-        assert np.array_equal(e[:-1, :-1], s.to_numpy())
+        assert np.array_equal(e[:-1, :-1], t.seidel)
         assert e[-1].tolist() == [*(-u).tolist(), 0]
+
+    @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31, 43])
+    def test_output_is_a_usable_tournament(self, q):
+        # the extension is an extremal tournament: both counts, the
+        # classifier and the Baber design all accept it
+        ext = extend_to_conference(paley_tournament(q))
+        assert validate(ext) is None
+        n = q + 1
+        assert count_diamonds(ext) == count_diamonds_spectral(ext) == n * n * q * (q - 1) // 96
+        assert matches_extremal_charpoly(ext) == EVEN_EXTREMAL
+        assert is_ff4_design(baber(ext))
 
     @pytest.mark.parametrize("q", [11, 19])
     def test_deleted_non_star_vertex(self, q):
         # deleting an ordinary vertex of T*(q) also leaves an odd-extremal matrix
-        s = seidel_from_tournament(delete_vertices(star_paley(q), {0}))
-        ext = extend_to_conference(s)
-        u = ext.to_numpy()[:-1, -1]
-        assert u[0] == 1 and not (s.to_numpy() @ u).any()
+        t = delete_vertices(star_paley(q), {0})
+        ext = extend_to_conference(t)
+        u = ext.seidel[:-1, -1]
+        assert u[0] == 1 and not (t.seidel @ u).any()
         assert is_skew_conference(ext)
 
 

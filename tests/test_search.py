@@ -24,7 +24,6 @@ from diamondkit.spectral import (
     NOT_EXTREMAL,
     diamond_upper_bound,
     matches_extremal_charpoly,
-    seidel_from_tournament,
 )
 from diamondkit.tournament import (
     ArcFlip,
@@ -48,7 +47,7 @@ class TestExhaustive:
     def test_n4_every_witness_is_conference(self):
         for e in encodings_with_delta(4, 1):
             from diamondkit.spectral import is_skew_conference
-            assert is_skew_conference(seidel_from_tournament(decode(4, int(e))))
+            assert is_skew_conference(decode(4, int(e)))
 
     def test_n5(self):
         res = exhaustive_max_diamonds(5)
@@ -90,8 +89,7 @@ class TestExhaustive:
         for n in (4, 7):
             res = exhaustive_max_diamonds(n)
             assert res.attained
-            s = seidel_from_tournament(res.witness)
-            assert matches_extremal_charpoly(s) != NOT_EXTREMAL
+            assert matches_extremal_charpoly(res.witness) != NOT_EXTREMAL
 
     def test_range_checks(self):
         with pytest.raises(ValueError):

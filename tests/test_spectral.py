@@ -12,20 +12,18 @@ from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,
     ODD_EXTREMAL,
-    SeidelMatrix,
-    _square,
     bareiss_det,
     char_poly,
     count_diamonds_spectral,
     diamond_upper_bound,
     is_skew_conference,
     matches_extremal_charpoly,
-    seidel_from_tournament,
     sigma4_upper_bound,
     sigma_from_traces,
     sum_principal_minors,
 )
 from diamondkit.tournament import (
+    _exact_matmul,
     count_diamonds,
     count_diamonds_naive,
     flip_arc,
@@ -48,104 +46,55 @@ def diamond4():
 
 
 def test_seidel_from_three_cycle():
-    s = seidel_from_tournament(three_cycle())
-    assert s.to_numpy().tolist() == [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+    t = three_cycle()
+    assert t.seidel.tolist() == [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 
 
 def test_seidel_reversal_negates():
     t = random_tournament(8, seed=0)
-    s = seidel_from_tournament(t)
-    sr = seidel_from_tournament(reverse(t))
-    assert np.array_equal(sr.to_numpy(), -s.to_numpy())
-
-
-def test_seidel_invariants_enforced():
-    with pytest.raises(ValueError):
-        SeidelMatrix(2, ((0, 2), (-2, 0)))
-    with pytest.raises(ValueError):
-        SeidelMatrix(2, ((1, 1), (-1, 0)))
-    with pytest.raises(ValueError):
-        SeidelMatrix(2, ((0, 1), (1, 0)))
-
-
-def _seidel_error_reference(n, m):
-    """SeidelMatrix's checks as a per-entry scan of a list of rows."""
-    if len(m) != n or any(len(r) != n for r in m):
-        return "entry matrix is not n x n"
-    for i in range(n):
-        if m[i][i] != 0:
-            return f"nonzero diagonal at {i}"
-        for j in range(i + 1, n):
-            if m[i][j] not in (-1, 1) or m[j][i] != -m[i][j]:
-                return f"bad skew pair at ({i},{j})"
-    return None
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_seidel_rejects_like_per_entry_reference(data):
-    n = data.draw(st.integers(1, 8))
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = data.draw(st.sampled_from((-1, 1)))
-            m[j][i] = -m[i][j]
-    for _ in range(data.draw(st.integers(0, 3))):
-        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        m[i][j] = data.draw(st.integers(-2, 2))
-    if data.draw(st.integers(0, 9)) == 0:
-        m[data.draw(st.integers(0, n - 1))].pop()
-    expected = _seidel_error_reference(n, m)
-    if expected is None:
-        s = SeidelMatrix(n, tuple(map(tuple, m)))
-        assert s.to_numpy().tolist() == m and s.to_numpy().dtype == np.int64
-    else:
-        with pytest.raises(ValueError) as exc:
-            SeidelMatrix(n, tuple(map(tuple, m)))
-        assert str(exc.value) == expected
+    assert np.array_equal(reverse(t).seidel, -t.seidel)
 
 
 def test_seidel_view_is_read_only_and_cached():
     t = random_tournament(9, seed=4)
-    s = seidel_from_tournament(t)
-    assert s is t.seidel and s.square is s.square
-    for a in (s.to_numpy(), s.square):
+    assert t.seidel is t.seidel and t.square is t.square
+    assert t.seidel.dtype == t.square.dtype == np.int64
+    for a in (t.seidel, t.square):
         with pytest.raises(ValueError):
             a[0, 0] = 5
-    assert np.array_equal(s.square, s.to_numpy() @ s.to_numpy())
+    assert np.array_equal(t.square, t.seidel @ t.seidel)
 
 
 class TestCharPoly:
     def test_diamond(self):
-        cp = char_poly(seidel_from_tournament(diamond4()))
+        cp = char_poly(diamond4())
         # (x^2 + 3)^2
         assert cp.coefficients() == [1, 0, 6, 0, 9]
 
     def test_star_paley_7(self):
-        cp = char_poly(seidel_from_tournament(star_paley(7)))
+        cp = char_poly(star_paley(7))
         # (x^2 + 7)^4
         assert cp.coefficients() == [1, 0, 28, 0, 294, 0, 1372, 0, 2401]
 
     def test_paley_7(self):
-        cp = char_poly(seidel_from_tournament(paley_tournament(7)))
+        cp = char_poly(paley_tournament(7))
         # x (x^2 + 7)^3
         assert cp.coefficients() == [1, 0, 21, 0, 147, 0, 343, 0]
 
     def test_matches_bareiss_interpolation_oracle(self):
         # evaluate det(xI - S) at integer points via Bareiss and compare
         t = random_tournament(6, seed=9)
-        s = seidel_from_tournament(t)
-        cp = char_poly(s)
+        cp = char_poly(t)
         for x in range(-3, 4):
-            m = (x * np.eye(6, dtype=np.int64) - s.to_numpy()).tolist()
+            m = (x * np.eye(6, dtype=np.int64) - t.seidel).tolist()
             value = sum(c * x ** (6 - k) for k, c in enumerate(cp.coefficients()))
             assert bareiss_det(m) == value
 
     @pytest.mark.parametrize("seed", range(8))
     def test_structural_invariants(self, seed):
         n = 7 + seed
-        s = seidel_from_tournament(random_tournament(n, seed))
-        cp = char_poly(s)
+        t = random_tournament(n, seed)
+        cp = char_poly(t)
         assert all(cp.coefficient(k) == 0 for k in range(1, n + 1, 2))
         assert cp.coefficient(2) == n * (n - 1) // 2
         assert (cp.coefficient(n) == 0) == (n % 2 == 1)
@@ -153,50 +102,49 @@ class TestCharPoly:
 
 class TestSigmaFromTraces:
     def test_star_paley_7_traces(self):
-        s = seidel_from_tournament(star_paley(7))
-        sigma2, sigma4 = sigma_from_traces(s)
+        t = star_paley(7)
+        sigma2, sigma4 = sigma_from_traces(t)
         assert (sigma2, sigma4) == (28, 294)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_char_poly_oracle(self, seed):
-        s = seidel_from_tournament(random_tournament(12, seed))
-        cp = char_poly(s)
-        assert sigma_from_traces(s) == (cp.coefficient(2), cp.coefficient(4))
+        t = random_tournament(12, seed)
+        cp = char_poly(t)
+        assert sigma_from_traces(t) == (cp.coefficient(2), cp.coefficient(4))
 
     @given(st.integers(0, 2**30), st.integers(5, 16))
     @settings(max_examples=25, deadline=None)
     def test_sigma2_forced_by_entries(self, seed, n):
-        s = seidel_from_tournament(random_tournament(n, seed))
-        sigma2, _ = sigma_from_traces(s)
+        t = random_tournament(n, seed)
+        sigma2, _ = sigma_from_traces(t)
         assert sigma2 == n * (n - 1) // 2
 
 
 class TestPrincipalMinors:
     def test_order_2_sum(self):
-        s = seidel_from_tournament(random_tournament(9, seed=2))
-        assert sum_principal_minors(s, 2) == 9 * 8 // 2
+        t = random_tournament(9, seed=2)
+        assert sum_principal_minors(t, 2) == 9 * 8 // 2
 
     def test_diamond_order_4(self):
-        assert sum_principal_minors(seidel_from_tournament(diamond4()), 4) == 9
+        assert sum_principal_minors(diamond4(), 4) == 9
 
     def test_matches_char_poly(self):
         # sigma_k = (-1)^k * (sum of k x k principal minors)
-        s = seidel_from_tournament(random_tournament(10, seed=4))
-        cp = char_poly(s)
+        t = random_tournament(10, seed=4)
+        cp = char_poly(t)
         for k in range(1, 6):
-            assert cp.coefficient(k) == (-1) ** k * sum_principal_minors(s, k)
+            assert cp.coefficient(k) == (-1) ** k * sum_principal_minors(t, k)
 
     def test_refuses_large_n(self):
-        s = seidel_from_tournament(random_tournament(15, seed=0))
+        t = random_tournament(15, seed=0)
         with pytest.raises(ValueError):
-            sum_principal_minors(s, 4)
+            sum_principal_minors(t, 4)
 
     def test_diamond_identity(self):
         # sum of 4x4 principal minors = 8 * delta + C(n,4)
         for n in (6, 8, 10):
             t = random_tournament(n, seed=n)
-            s = seidel_from_tournament(t)
-            assert sum_principal_minors(s, 4) == \
+            assert sum_principal_minors(t, 4) == \
                 8 * count_diamonds_naive(t) + comb(n, 4)
 
 
@@ -233,51 +181,47 @@ class TestSquare:
     @pytest.mark.parametrize("n", [3, 64, 512])
     def test_matches_int64_product(self, n):
         for seed in range(3):
-            a = seidel_from_tournament(random_tournament(n, seed)).to_numpy()
-            a2 = _square(a)
+            a = random_tournament(n, seed).seidel
+            a2 = _exact_matmul(a, a)
             assert a2.dtype == np.int64
             assert np.array_equal(a2, a @ a)
 
 
 class TestSkewConference:
     def test_order_2(self):
-        assert is_skew_conference(SeidelMatrix(2, ((0, 1), (-1, 0))))
+        assert is_skew_conference(from_arcs(2, [(0, 1)]))
 
     def test_star_paley_7(self):
-        assert is_skew_conference(seidel_from_tournament(star_paley(7)))
+        assert is_skew_conference(star_paley(7))
 
     def test_transitive_4_is_not(self):
-        assert not is_skew_conference(seidel_from_tournament(transitive(4)))
+        assert not is_skew_conference(transitive(4))
 
     def test_order_divisibility(self):
         # every skew-conference order here is 2 or divisible by 4
         for q in (3, 7, 11):
-            s = seidel_from_tournament(star_paley(q))
-            assert is_skew_conference(s)
-            assert s.n == 2 or s.n % 4 == 0
+            t = star_paley(q)
+            assert is_skew_conference(t)
+            assert t.n == 2 or t.n % 4 == 0
 
 
 class TestExtremalClassification:
     def test_star_paley_7(self):
-        assert matches_extremal_charpoly(
-            seidel_from_tournament(star_paley(7))) == EVEN_EXTREMAL
+        assert matches_extremal_charpoly(star_paley(7)) == EVEN_EXTREMAL
 
     def test_paley_7(self):
-        assert matches_extremal_charpoly(
-            seidel_from_tournament(paley_tournament(7))) == ODD_EXTREMAL
+        assert matches_extremal_charpoly(paley_tournament(7)) == ODD_EXTREMAL
 
     def test_transitive_4(self):
-        assert matches_extremal_charpoly(
-            seidel_from_tournament(transitive(4))) == NOT_EXTREMAL
+        assert matches_extremal_charpoly(transitive(4)) == NOT_EXTREMAL
 
     def test_even_extremal_iff_conference(self):
         # both directions at n = 0 mod 4
         cases = [star_paley(3), star_paley(7), transitive(4), transitive(8),
                  random_tournament(8, 1), random_tournament(12, 5)]
         for t in cases:
-            s = seidel_from_tournament(t)
-            assert (matches_extremal_charpoly(s) == EVEN_EXTREMAL) == \
-                is_skew_conference(s)
+            assert (matches_extremal_charpoly(t) == EVEN_EXTREMAL) == \
+                is_skew_conference(t)
 
 
 class TestBounds:
@@ -315,24 +259,23 @@ class TestMaclaurinConsequence:
     @pytest.mark.parametrize("seed", range(10))
     def test_sigma4_against_sigma2(self, seed):
         n = 6 + seed
-        s = seidel_from_tournament(random_tournament(n, seed))
-        sigma2, sigma4 = sigma_from_traces(s)
+        t = random_tournament(n, seed)
+        sigma2, sigma4 = sigma_from_traces(t)
         m = n // 2
         assert Fraction(sigma4) <= Fraction(m - 1, 2 * m) * sigma2 ** 2
 
     def test_equality_iff_extremal(self):
         for t in (star_paley(7), paley_tournament(7), random_tournament(8, 3)):
-            s = seidel_from_tournament(t)
-            sigma2, sigma4 = sigma_from_traces(s)
-            m = s.n // 2
+            sigma2, sigma4 = sigma_from_traces(t)
+            m = t.n // 2
             equal = Fraction(sigma4) == Fraction(m - 1, 2 * m) * sigma2 ** 2
-            assert equal == (matches_extremal_charpoly(s) != NOT_EXTREMAL)
+            assert equal == (matches_extremal_charpoly(t) != NOT_EXTREMAL)
 
 
-def _charpoly_class(s):
+def _charpoly_class(t):
     """Classification by exact equality of char_poly with the extremal forms."""
-    n = s.n
-    sigma = list(char_poly(s).sigma)
+    n = t.n
+    sigma = list(char_poly(t).sigma)
     if n % 4 == 0:
         # (x^2 + (n-1))^(n/2)
         form = [0] * n
@@ -352,9 +295,8 @@ class TestExtremalIdentitiesOracle:
     """matches_extremal_charpoly (S^2 / S^3 identities) against char_poly."""
 
     def _agree(self, t):
-        s = seidel_from_tournament(t)
-        verdict = matches_extremal_charpoly(s)
-        assert verdict == _charpoly_class(s)
+        verdict = matches_extremal_charpoly(t)
+        assert verdict == _charpoly_class(t)
         return verdict
 
     @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31])

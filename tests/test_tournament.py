@@ -25,7 +25,7 @@ from diamondkit.tournament import (
     validate,
     TrnFormatError,
 )
-from diamondkit.spectral import bareiss_det, seidel_from_tournament
+from diamondkit.spectral import bareiss_det
 
 
 def _validate_reference(t):
@@ -82,6 +82,21 @@ class TestValidate:
         t = Tournament(3, tuple(rows))
         assert validate(t) == _validate_reference(t) == (1, 1, "bit set beyond vertex range")
 
+    @pytest.mark.parametrize("rows", [
+        (0b010, 0b101, 0b010),
+        (0b001 | 0b010, 0b100, 0b010),
+        (0b010, 0b100, 0),
+        (0b010, 0b100 - (1 << 8), 0b001),
+    ])
+    def test_seidel_refuses_invalid(self, rows):
+        # the Seidel view and its square exist only for a valid tournament
+        t = Tournament(3, rows)
+        i, j, reason = validate(t)
+        for view in ("seidel", "square"):
+            with pytest.raises(ValueError) as exc:
+                getattr(t, view)
+            assert str(exc.value) == f"not a tournament at ({i},{j}): {reason}"
+
 
 class TestIsDiamond:
     def test_dominating_vertex_over_cycle(self):
@@ -94,8 +109,7 @@ class TestIsDiamond:
         t = from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
         assert not is_diamond(t, (0, 1, 2, 3))
         # its induced Seidel determinant is 1, not 9
-        s = seidel_from_tournament(t)
-        assert bareiss_det(s.to_numpy().tolist()) == 1
+        assert bareiss_det(t.seidel.tolist()) == 1
 
     def test_invalid_subset(self):
         with pytest.raises(ValueError):
@@ -105,15 +119,14 @@ class TestIsDiamond:
         # the 4x4 Seidel determinant is 9 for a diamond and 1 otherwise
         for e in range(64):
             t = decode(4, e)
-            det = bareiss_det(seidel_from_tournament(t).to_numpy().tolist())
+            det = bareiss_det(t.seidel.tolist())
             assert det in (1, 9)
             assert is_diamond(t, (0, 1, 2, 3)) == (det == 9)
 
     def test_agrees_with_determinant_oracle_random(self):
         t = random_tournament(9, seed=7)
-        s = seidel_from_tournament(t)
         for quad in itertools.combinations(range(9), 4):
-            sub = s.to_numpy()[np.ix_(quad, quad)].tolist()
+            sub = t.seidel[np.ix_(quad, quad)].tolist()
             assert is_diamond(t, quad) == (bareiss_det(sub) == 9)
 
 
