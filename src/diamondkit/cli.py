@@ -2,7 +2,8 @@
 deletion, extension and search, all emitting JSON reports.
 
 Exit codes: 0 all checks pass, 1 a checked property is violated (or methods
-disagree), 2 input or usage error, reported as one error: line on stderr.
+disagree), 2 input or usage error (an InputError or OSError), reported as
+one error: line on stderr.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, constructions, hypergraph, search, spectral, tournament
+from .tournament import InputError
 
 OK = 0
 VIOLATED = 1
@@ -33,46 +35,32 @@ def _bound(h, ff4):
     return bound, {**_rat(bound), "status": status}
 
 
-def _load_trn(path):
+def _load(read, path):
+    """read(path), with the path named in any error it raises."""
     try:
-        return tournament.load_trn(path)
+        return read(path)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except tournament.TrnFormatError as exc:
-        loc = f" (line {exc.line}" + (f", column {exc.column})" if exc.column else ")") \
-            if exc.line else ""
-        raise CliError(f"{path}: {exc}{loc}") from exc
-
-
-def _load_hyp(path):
-    try:
-        return hypergraph.load_hyp(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except hypergraph.HypFormatError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-class CliError(Exception):
-    """Input or usage error, mapped to exit code 2."""
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as CliError, so main reports them like any other
-    input error; add_subparsers makes every subparser one too."""
+    """Raises usage errors as InputError, so main reports them like any
+    other input error; add_subparsers makes every subparser one too."""
 
     def error(self, message):
-        raise CliError(message)
+        raise InputError(message)
 
 
 def _prime_power(kind, p, k):
     """p ** k, refused before it is built when p < 2, k < 1 or the order
     would exceed tournament.MAX_N."""
     if p < 2 or k < 1:
-        raise CliError(f"need --p >= 2 and --k >= 1, got p={p}, k={k}")
+        raise InputError(f"need --p >= 2 and --k >= 1, got p={p}, k={k}")
     # p ** k >= 2 ** k > MAX_N once k reaches the bit length of MAX_N
     if p > tournament.MAX_N or k >= tournament.MAX_N.bit_length():
-        raise CliError(f"{kind} of q={p}^{k} is above the limit of {tournament.MAX_N} vertices")
+        raise InputError(f"{kind} of q={p}^{k} is above the limit of {tournament.MAX_N} vertices")
     return p ** k
 
 
@@ -84,12 +72,9 @@ def cmd_construct(args):
     elif args.p is not None and args.k is not None:
         q = _prime_power(args.kind, args.p, args.k)
     else:
-        raise CliError("give either --q or both --p and --k")
-    try:
-        t = constructions.star_paley(q) if args.kind == "star-paley" \
-            else constructions.paley_tournament(q)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise InputError("give either --q or both --p and --k")
+    t = constructions.star_paley(q) if args.kind == "star-paley" \
+        else constructions.paley_tournament(q)
     if args.out:
         tournament.save_trn(t, args.out)
     delta = spectral.count_diamonds_spectral(t)
@@ -106,7 +91,7 @@ def cmd_construct(args):
 
 
 def cmd_count(args):
-    t = _load_trn(args.input)
+    t = _load(tournament.load_trn, args.input)
     results = {"n": t.n, "method": args.method}
     naive = spectral_count = None
     if args.method in ("naive", "both"):
@@ -124,7 +109,7 @@ def cmd_count(args):
 
 
 def _verify_tournament(path, checks):
-    t = _load_trn(path)
+    t = _load(tournament.load_trn, path)
     results = {}
     failed = False
     if "conference" in checks:
@@ -139,11 +124,11 @@ def _verify_tournament(path, checks):
 
 
 def _verify_hypergraph(path, checks):
-    h = _load_hyp(path)
+    h = _load(hypergraph.load_hyp, path)
     if "ff4" in checks and h.n < 5:
-        raise CliError(f"ff4 check needs n >= 5, got n={h.n}")
+        raise InputError(f"ff4 check needs n >= 5, got n={h.n}")
     if "design" in checks and h.n % 4 != 0:
-        raise CliError(f"design check needs n divisible by 4, got n={h.n}")
+        raise InputError(f"design check needs n divisible by 4, got n={h.n}")
     # one FF4 test serves both checks and the bound (it is vacuous below n=5)
     bad = hypergraph.verify_ff4(h) if h.n >= 5 else None
     results = {"m": h.m, "bound": None, "margin": None}
@@ -174,17 +159,17 @@ def cmd_verify(args):
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = set(checks) - set(_VERIFIERS)
     if unknown:
-        raise CliError(f"unknown checks: {sorted(unknown)}")
+        raise InputError(f"unknown checks: {sorted(unknown)}")
     verifiers = {_VERIFIERS[c] for c in checks}
     if len(verifiers) != 1:
-        raise CliError("--checks takes tournament checks (conference, extremal-charpoly) or "
+        raise InputError("--checks takes tournament checks (conference, extremal-charpoly) or "
                        f"hypergraph checks (ff4, design), one kind only, got {checks}")
     results, failed = verifiers.pop()(args.input, checks)
     return {"in": args.input, "checks": checks}, results, "violated" if failed else "ok"
 
 
 def cmd_baber(args):
-    t = _load_trn(args.input)
+    t = _load(tournament.load_trn, args.input)
     h = hypergraph.baber(t)
     if args.out:
         hypergraph.save_hyp(h, args.out)
@@ -196,12 +181,12 @@ def cmd_baber(args):
 
 
 def cmd_delete(args):
-    t = _load_trn(args.input)
+    t = _load(tournament.load_trn, args.input)
     try:
         drop = [int(v) for v in args.vertices.split(",")]
-        sub = constructions.delete_vertices(t, drop)
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
+    sub = constructions.delete_vertices(t, drop)
     if args.out:
         tournament.save_trn(sub, args.out)
     results = {
@@ -215,11 +200,9 @@ def cmd_delete(args):
 
 
 def cmd_extend(args):
-    t = _load_trn(args.input)
+    t = _load(tournament.load_trn, args.input)
     try:
         ext = constructions.extend_to_conference(t)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     except constructions.ExtensionFailed as exc:
         return {"in": args.input}, {"error": str(exc)}, "violated"
     results = {
@@ -232,16 +215,13 @@ def cmd_extend(args):
 
 def cmd_search(args):
     # the search functions check every limit before they start work
-    try:
-        if args.mode == "exhaustive":
-            res = search.exhaustive_max_diamonds(args.n, threads=args.threads,
-                                                 long_run=args.long_run)
-        else:
-            res = search.local_search_max_diamonds(
-                args.n, restarts=args.restarts, steps=args.steps, t0=args.t0,
-                cooling=args.cooling, seed=args.seed, threads=args.threads)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.mode == "exhaustive":
+        res = search.exhaustive_max_diamonds(args.n, threads=args.threads,
+                                             long_run=args.long_run)
+    else:
+        res = search.local_search_max_diamonds(
+            args.n, restarts=args.restarts, steps=args.steps, t0=args.t0,
+            cooling=args.cooling, seed=args.seed, threads=args.threads)
     if args.out:
         tournament.save_trn(res.witness, args.out)
     results = {
@@ -330,9 +310,9 @@ def main(argv=None) -> int:
         else:
             print(text)
     except SystemExit:
-        # only --help and --version exit: usage errors raise CliError
+        # only --help and --version exit: usage errors raise InputError
         return OK
-    except (CliError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     return VIOLATED if status == "violated" else OK

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import gf
 from .spectral import ODD_EXTREMAL, is_skew_conference, matches_extremal_charpoly
-from .tournament import MAX_N, Tournament, from_adjacency
+from .tournament import MAX_N, InputError, Tournament, from_adjacency
 
 
 class ExtensionFailed(RuntimeError):
@@ -18,19 +18,19 @@ class ExtensionFailed(RuntimeError):
 
 def _check_order(kind, q, n):
     if n > MAX_N:
-        raise ValueError(f"{kind} of q={q} has {n} vertices, above the limit of {MAX_N}")
+        raise InputError(f"{kind} of q={q} has {n} vertices, above the limit of {MAX_N}")
 
 
 def paley_tournament(q: int) -> Tournament:
     """Paley tournament on GF(q), q = 3 (mod 4): i -> j iff j - i is a square.
 
     Vertices are the field elements in their integer encoding (see gf module).
-    Raises ValueError, before any work, if q exceeds tournament.MAX_N.
+    Raises InputError, before any work, if q exceeds tournament.MAX_N.
     """
     _check_order("paley", q, q)
     p, k = gf.factor_prime_power(q)
     if q % 4 != 3:
-        raise ValueError(f"q={q} is not 3 mod 4; the square relation would not be a tournament")
+        raise InputError(f"q={q} is not 3 mod 4; the square relation would not be a tournament")
     table = gf.gf_build(p, k)
     is_square = np.zeros(q, dtype=bool)
     is_square[list(table.squares())] = True
@@ -40,7 +40,7 @@ def paley_tournament(q: int) -> Tournament:
 def star_paley(q: int) -> Tournament:
     """Paley tournament plus a new vertex (index q) dominating everything.
 
-    Raises ValueError, before any work, if q + 1 exceeds tournament.MAX_N.
+    Raises InputError, before any work, if q + 1 exceeds tournament.MAX_N.
     """
     _check_order("star-paley", q, q + 1)
     base = paley_tournament(q)
@@ -53,11 +53,11 @@ def delete_vertices(t: Tournament, drop) -> Tournament:
     """Induced sub-tournament on the kept vertices, relabeled densely."""
     drop = set(drop)
     if any(not (0 <= v < t.n) for v in drop):
-        raise ValueError("vertex out of range")
+        raise InputError("vertex out of range")
     if len(drop) >= t.n - 3:
-        raise ValueError(f"cannot drop {len(drop)} of {t.n} vertices (need >= 4 left)")
+        raise InputError(f"cannot drop {len(drop)} of {t.n} vertices (need >= 4 left)")
     keep = [v for v in range(t.n) if v not in drop]
-    return from_adjacency(t.adjacency()[np.ix_(keep, keep)])
+    return from_adjacency(t.adjacency[np.ix_(keep, keep)])
 
 
 def extend_to_conference(t: Tournament) -> Tournament:
@@ -77,7 +77,7 @@ def extend_to_conference(t: Tournament) -> Tournament:
     """
     n = t.n
     if n % 4 != 3 or matches_extremal_charpoly(t) != ODD_EXTREMAL:
-        raise ValueError("matrix is not odd-extremal; extension does not apply")
+        raise InputError("matrix is not odd-extremal; extension does not apply")
     u = t.square[:, 0].tolist()
     u[0] += n
     if any(x not in (-1, 1) for x in u):

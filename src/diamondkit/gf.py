@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tournament import InputError
+
 
 def is_prime(m: int) -> bool:
     if m < 2:
@@ -29,7 +31,7 @@ def is_prime(m: int) -> bool:
 def factor_prime_power(q: int):
     """Return (p, k) with q = p^k, or raise if q is not a prime power."""
     if q < 2:
-        raise ValueError(f"{q} is not a prime power")
+        raise InputError(f"{q} is not a prime power")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -39,7 +41,7 @@ def factor_prime_power(q: int):
                 m //= p
                 k += 1
             if m != 1:
-                raise ValueError(f"{q} is not a prime power")
+                raise InputError(f"{q} is not a prime power")
             return p, k
         p += 1
     return q, 1  # q itself is prime
@@ -79,25 +81,14 @@ def _poly_mul_mod(a, b, modulus, p):
     return prod
 
 
-def _poly_divisible(num, den, p):
-    """True iff the monic den divides num over GF(p)."""
-    num = num[:]
-    dd = len(den) - 1
-    for d in range(len(num) - 1, dd - 1, -1):
-        c = num[d]
-        if c:
-            for t in range(dd + 1):
-                num[d - dd + t] = (num[d - dd + t] - c * den[t]) % p
-    return not any(num)
-
-
 def _is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Trial division by every monic polynomial of degree 1..deg/2: poly * 1
+    reduced by den is the remainder of poly by den."""
     k = len(poly) - 1
     for d in range(1, k // 2 + 1):
         for c in range(p ** d):
             den = _poly_from_int(c, p, d) + [1]
-            if _poly_divisible(poly, den, p):
+            if not any(_poly_mul_mod(poly, [1], den, p)):
                 return False
     return k >= 1
 
@@ -142,9 +133,9 @@ def gf_build(p: int, k: int) -> FieldTable:
     are ordered by their coefficient vector read high-degree-first.
     """
     if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+        raise InputError(f"p={p} is not prime")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     q = p ** k
     for c in range(q):
         # base-p digits of c are the non-leading coefficients, the high-degree

@@ -16,21 +16,13 @@ from itertools import combinations
 from math import comb
 
 from .spectral import diamond_upper_bound
-from .tournament import MAX_N, Tournament, _read_utf8
+from .tournament import MAX_N, InputError, Tournament, _read_utf8
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
 # a conjectural bound that an FF4 hypergraph exceeds, as the n = 1 (mod 4)
 # formula is at n = 17 (702 > 700 edges)
 REFUTED = "refuted"
-
-
-class HypFormatError(ValueError):
-    """Raised on malformed .hyp input; carries the 1-based line when known."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,7 @@ class Hypergraph4:
 def hypergraph(n, edges) -> Hypergraph4:
     """Hypergraph4 on n vertices from any iterable of 4-sets of indices.
 
-    The one checked constructor: raises ValueError on an edge that is not 4
+    The one checked constructor: raises InputError on an edge that is not 4
     distinct indices in range(n).  parse_hyp and baber, which validate or
     build every edge themselves, call Hypergraph4 directly.
     """
@@ -79,9 +71,9 @@ def hypergraph(n, edges) -> Hypergraph4:
     for e in edges:
         e = tuple(sorted(e))
         if len(e) != 4 or len(set(e)) != 4:
-            raise ValueError(f"bad edge {e!r}")
+            raise InputError(f"bad edge {e!r}")
         if e[0] < 0 or e[3] >= n:
-            raise ValueError(f"edge {e!r} out of range for n={n}")
+            raise InputError(f"edge {e!r} out of range for n={n}")
         # Python ints: a numpy index would make the link shifts wrap at 64 bits
         checked.add(tuple(map(int, e)))
     return Hypergraph4(n, frozenset(checked))
@@ -134,7 +126,7 @@ def verify_ff4(h: Hypergraph4):
     """
     n = h.n
     if n < 5:
-        raise ValueError("property defined for n >= 5")
+        raise InputError("property defined for n >= 5")
     links = h.links
     full = (1 << n) - 1
     best = None
@@ -162,7 +154,7 @@ def verify_ff4_naive(h: Hypergraph4):
     Test oracle for verify_ff4: O(n^5) Python loop, no production caller.
     """
     if h.n < 5:
-        raise ValueError("property defined for n >= 5")
+        raise InputError("property defined for n >= 5")
     for five in combinations(range(h.n), 5):
         c = sum(1 for quad in combinations(five, 4) if quad in h.edges)
         if c not in (0, 2):
@@ -193,7 +185,7 @@ def is_3_design(h: Hypergraph4, lam: int) -> bool:
 def is_ff4_design(h: Hypergraph4) -> bool:
     """FF4 plus every triple in exactly n/4 edges (requires n = 0 mod 4)."""
     if h.n % 4 != 0:
-        raise ValueError(f"n={h.n} is not divisible by 4")
+        raise InputError(f"n={h.n} is not divisible by 4")
     # the 5-vertex condition is vacuous at n=4 (single-block design case)
     if h.n >= 5 and verify_ff4(h) is not None:
         return False
@@ -210,7 +202,7 @@ def edge_count_bound(n: int):
     hypergraphs of extremal tournaments.
     """
     if n < 5:
-        raise ValueError("bound defined for n >= 5")
+        raise InputError("bound defined for n >= 5")
     r = n % 4
     if r in (0, 3):
         return diamond_upper_bound(n), PROVEN
@@ -222,9 +214,9 @@ def edge_count_bound(n: int):
 def design_block_counts(n: int, k: int, t: int, lam: int, s: int) -> Fraction:
     """Blocks of a t-(n,k,lam) design through a fixed s-subset: lam*C(n-s,t-s)/C(k-s,t-s)."""
     if not 0 <= s <= t <= k <= n:
-        raise ValueError(f"need 0 <= s <= t <= k <= n, got {(n, k, t, lam, s)}")
+        raise InputError(f"need 0 <= s <= t <= k <= n, got {(n, k, t, lam, s)}")
     if lam < 1:
-        raise ValueError("lambda must be >= 1")
+        raise InputError("lambda must be >= 1")
     return Fraction(lam * comb(n - s, t - s), comb(k - s, t - s))
 
 
@@ -237,9 +229,9 @@ def delete_vertices_count(h: Hypergraph4, drop):
     """
     drop = set(drop)
     if len(drop) > 3:
-        raise ValueError("at most 3 vertices may be dropped")
+        raise InputError("at most 3 vertices may be dropped")
     if any(not (0 <= v < h.n) for v in drop):
-        raise ValueError("vertex out of range")
+        raise InputError("vertex out of range")
     observed = sum(1 for e in h.edges if not drop & set(e))
     predicted = None
     if h.n % 4 == 0 and is_ff4_design(h):
@@ -259,7 +251,7 @@ def min_sum_squares(s: int, p: int):
     attained exactly by parts in {k, k+1}.
     """
     if s < 0 or p < 1:
-        raise ValueError("need s >= 0 and p >= 1")
+        raise InputError("need s >= 0 and p >= 1")
     k, h = divmod(s, p)
     minimum = h * (k + 1) ** 2 + (p - h) * k * k
     witness = (k,) * (p - h) + (k + 1,) * h
@@ -282,47 +274,43 @@ def parse_hyp(text: str) -> Hypergraph4:
     n is capped at tournament.MAX_N, the order of the largest tournament
     whose Baber hypergraph the toolkit builds.
 
-    Every edge is validated here, once; errors name the 1-based line.
+    Every edge is validated here, once; each InputError carries the 1-based
+    line.
     """
     lines = text.splitlines()
     if not lines:
-        raise HypFormatError("line 1: empty input", line=1)
+        raise InputError("empty input", line=1)
     head = lines[0].split()
     if len(head) != 2:
-        raise HypFormatError(f"line 1: header must be 'n m', got {lines[0]!r}", line=1)
+        raise InputError(f"header must be 'n m', got {lines[0]!r}", line=1)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise HypFormatError(f"line 1: bad header {lines[0]!r}", line=1) from None
+        raise InputError(f"bad header {lines[0]!r}", line=1) from None
     if not 0 <= n <= MAX_N or m < 0:
-        raise HypFormatError(f"line 1: need 0 <= n <= {MAX_N} and m >= 0, got n={n}, m={m}",
-                             line=1)
+        raise InputError(f"need 0 <= n <= {MAX_N} and m >= 0, got n={n}, m={m}", line=1)
     if len(lines) < m + 1:
-        raise HypFormatError(f"line {len(lines)}: expected {m} edge lines, got {len(lines) - 1}",
-                             line=len(lines))
+        raise InputError(f"expected {m} edge lines, got {len(lines) - 1}", line=len(lines))
     edges = []
     for lineno, raw in enumerate(lines[1:m + 1], start=2):
         parts = raw.split()
         if len(parts) != 4:
-            raise HypFormatError(f"line {lineno}: an edge needs 4 indices, got {len(parts)}",
-                                 line=lineno)
+            raise InputError(f"an edge needs 4 indices, got {len(parts)}", line=lineno)
         try:
             a, b, c, d = map(int, parts)
         except ValueError:
-            raise HypFormatError(f"line {lineno}: bad index in {raw!r}", line=lineno) from None
+            raise InputError(f"bad index in {raw!r}", line=lineno) from None
         if not 0 <= a < b < c < d < n:
             if a < b < c < d:
-                raise HypFormatError(
-                    f"line {lineno}: edge {(a, b, c, d)} out of range for n={n}", line=lineno)
-            raise HypFormatError(f"line {lineno}: edge indices must be strictly increasing",
-                                 line=lineno)
+                raise InputError(f"edge {(a, b, c, d)} out of range for n={n}", line=lineno)
+            raise InputError("edge indices must be strictly increasing", line=lineno)
         edges.append((a, b, c, d))
     edge_set = frozenset(edges)
     if len(edge_set) != m:
         seen = set()
         for lineno, e in enumerate(edges, start=2):
             if e in seen:
-                raise HypFormatError(f"line {lineno}: duplicate edge {e}", line=lineno)
+                raise InputError(f"duplicate edge {e}", line=lineno)
             seen.add(e)
     return Hypergraph4(n, edge_set)
 
@@ -332,8 +320,7 @@ def format_hyp(h: Hypergraph4) -> str:
 
 
 def load_hyp(path) -> Hypergraph4:
-    return parse_hyp(_read_utf8(
-        path, lambda message, line: HypFormatError(f"line {line}: {message}", line=line)))
+    return parse_hyp(_read_utf8(path))
 
 
 def save_hyp(h: Hypergraph4, path):

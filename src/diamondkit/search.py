@@ -24,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, Tournament, count_diamonds, decode, encode, is_diamond,
-                         pair_index, random_tournament)
+from .tournament import (MAX_N, InputError, Tournament, count_diamonds, decode, encode,
+                         is_diamond, pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _GROUP = 2  # mixed 4-subsets per table gather: 64^2 table entries per block
@@ -49,17 +49,17 @@ class SearchResult:
 
 @lru_cache(maxsize=16)
 def _subset_tables(n):
-    """Per 4-subset: the 6 global pair bit positions and the 64-entry diamond LUT.
+    """(lut, pair_bits): the 64-entry diamond LUT and a (C(n,4), 6) uint32
+    array of the global pair bit positions of every 4-subset.
 
     The LUT is indexed by a 4-subset's own 6 pair bits, taken in pair_index
     order, so it is the encoding of a 4-tournament and one LUT serves all.
     """
     lut = np.array([is_diamond(decode(4, code), range(4)) for code in range(64)], dtype=np.uint8)
     local_pairs = list(combinations(range(4), 2))
-    return [
-        (np.array([pair_index(n, quad[a], quad[b]) for a, b in local_pairs], dtype=np.uint32), lut)
-        for quad in combinations(range(n), 4)
-    ]
+    pair_bits = np.array([[pair_index(n, quad[a], quad[b]) for a, b in local_pairs]
+                          for quad in combinations(range(n), 4)], dtype=np.uint32)
+    return lut, pair_bits
 
 
 def _deltas(n, encodings):
@@ -68,10 +68,11 @@ def _deltas(n, encodings):
     Test oracle for _block_counts: one shift/mask pass per pair bit of every
     4-subset over the whole array; no production caller.
     """
+    lut, pair_bits = _subset_tables(n)
     total = np.zeros(len(encodings), dtype=np.uint16)
-    for pair_bits, lut in _subset_tables(n):
+    for bits in pair_bits:
         idx = np.zeros(len(encodings), dtype=np.uint8)
-        for t, pb in enumerate(pair_bits):
+        for t, pb in enumerate(bits):
             idx |= (((encodings >> pb) & 1) << t).astype(np.uint8)
         total += lut[idx]
     return total
@@ -96,17 +97,18 @@ def _block_tables(n):
     base = np.zeros(1 << low, dtype=np.uint8)
     mixed, high = [], []
     joint, group = None, []
-    for pair_bits, lut in _subset_tables(n):
+    lut, pair_bits = _subset_tables(n)
+    for bits in pair_bits.tolist():
         code = np.zeros(1 << low, dtype=np.uint8)
         hpos = []
-        for t, pb in enumerate(pair_bits.tolist()):
+        for t, pb in enumerate(bits):
             if pb < low:
                 code |= ((x >> pb) & 1).astype(np.uint8) << t
             else:
                 hpos.append((t, pb - low))
         if not hpos:
             base += lut[code]
-        elif len(hpos) == len(pair_bits):
+        elif len(hpos) == len(bits):
             high.append(tuple(hpos))
         else:
             if not group:
@@ -134,7 +136,7 @@ def _block_counts(n, h):
     uint8 suffices: a count is at most C(8,4) = 70.
     """
     low, base, mixed, high = _block_tables(n)
-    lut = _subset_tables(n)[0][1]
+    lut = _subset_tables(n)[0]
     tot = base + np.uint8(sum(int(lut[_high_code(h, hpos)]) for hpos in high))
     tmp = np.empty_like(tot)
     for joint, group in mixed:
@@ -149,7 +151,7 @@ def _block_counts(n, h):
 
 def _check_threads(threads):
     if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
+        raise InputError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
 
 
 def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
@@ -172,9 +174,9 @@ def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
 
 def _check_exhaustive_n(n, long_run):
     if not 4 <= n <= _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
+        raise InputError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
     if n >= _LONG_RUN_N and not long_run:
-        raise ValueError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
+        raise InputError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
 
 
 def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) -> SearchResult:
@@ -183,7 +185,7 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
     Deterministic for any thread count: the encoding space is cut into
     blocks of 2^_LOW_BITS encodings that share their high bits, and the
     per-block maxima are reduced to the most diamonds, ties to the least
-    encoding.  Raises ValueError unless 4 <= n <= 8 and
+    encoding.  Raises InputError unless 4 <= n <= 8 and
     1 <= threads <= MAX_THREADS; n=8 is refused unless long_run=True.
     """
     _check_exhaustive_n(n, long_run)
@@ -285,21 +287,21 @@ def local_search_max_diamonds(
     Proposals are scored and applied on _SquareState in O(n).  Restarts are
     independent with per-restart derived seeds; the best-of reduction (max
     diamonds, ties to least encoding) is deterministic for any thread count.
-    Raises ValueError, before any work, unless 4 <= n <= MAX_N,
+    Raises InputError, before any work, unless 4 <= n <= MAX_N,
     restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, t0 is finite and
     >= 0 and cooling is finite and > 0.
     """
     if not 4 <= n <= MAX_N:
-        raise ValueError(f"local search supports 4 <= n <= {MAX_N}, got n={n}")
+        raise InputError(f"local search supports 4 <= n <= {MAX_N}, got n={n}")
     if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+        raise InputError(f"restarts must be at least 1, got {restarts}")
     if steps < 0:
-        raise ValueError(f"steps must be at least 0, got {steps}")
+        raise InputError(f"steps must be at least 0, got {steps}")
     _check_threads(threads)
     if not (math.isfinite(t0) and t0 >= 0):
-        raise ValueError(f"t0 must be finite and at least 0, got {t0}")
+        raise InputError(f"t0 must be finite and at least 0, got {t0}")
     if not (math.isfinite(cooling) and cooling > 0):
-        raise ValueError(f"cooling must be finite and above 0, got {cooling}")
+        raise InputError(f"cooling must be finite and above 0, got {cooling}")
 
     def run_restart(r):
         rng = random.Random(f"{seed}/{r}")

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .tournament import Tournament, _exact_matmul
+from .tournament import InputError, Tournament, _exact_matmul
 
 EVEN_EXTREMAL = "even-extremal"
 ODD_EXTREMAL = "odd-extremal"
@@ -138,9 +138,9 @@ def sum_principal_minors(t: Tournament, k: int) -> int:
     Oracle-scale only: refuses n > 14.
     """
     if t.n > _MINOR_ORACLE_MAX_N:
-        raise ValueError(f"oracle limited to n <= {_MINOR_ORACLE_MAX_N}")
+        raise InputError(f"oracle limited to n <= {_MINOR_ORACLE_MAX_N}")
     if not 0 <= k <= t.n:
-        raise ValueError(f"k={k} out of range")
+        raise InputError(f"k={k} out of range")
     m = t.seidel.tolist()
     total = 0
     for idx in combinations(range(t.n), k):
@@ -194,16 +194,13 @@ def matches_extremal_charpoly(t: Tournament) -> str:
 def diamond_upper_bound(n: int) -> Fraction:
     """Maximum possible diamond count by parity, as an exact rational."""
     if n < 4:
-        raise ValueError("bound defined for n >= 4")
+        raise InputError("bound defined for n >= 4")
     if n % 2 == 0:
         return Fraction(n * n * (n - 1) * (n - 2), 96)
     return Fraction(n * (n - 1) * (n - 3) * (n + 1), 96)
 
 
 def sigma4_upper_bound(n: int) -> Fraction:
-    """Maximum possible sigma_4 of an order-n Seidel matrix, by parity."""
-    if n < 4:
-        raise ValueError("bound defined for n >= 4")
-    if n % 2 == 0:
-        return Fraction(n * (n - 1) ** 2 * (n - 2), 8)
-    return Fraction(n * n * (n - 1) * (n - 3), 8)
+    """Maximum possible sigma_4 of an order-n Seidel matrix: sigma_4 is
+    8 * diamonds + C(n,4) (see count_diamonds_spectral)."""
+    return 8 * diamond_upper_bound(n) + comb(n, 4)

@@ -3,9 +3,9 @@ Seidel view and the search bit encoding.
 
 A tournament on n vertices (3 <= n <= 512) stores one bitmask per vertex;
 bit j of row i is set iff i dominates j.  Vertices are dense 0-based ints.
-The numpy adjacency matrix and the Seidel matrix S = A - A^T are views
-built from the rows; S and S^2 are cached on the tournament, so every
-spectral check reads one S^2.
+The numpy adjacency matrix A, the Seidel matrix S = A - A^T and S^2 are
+views built from the rows and cached on the tournament, so a command
+unpacks the rows once and every spectral check reads one S^2.
 """
 
 from __future__ import annotations
@@ -26,13 +26,23 @@ MAX_N = 512
 _DIAMOND_SQ = 12
 
 
-class TrnFormatError(ValueError):
-    """Raised on malformed .trn input; carries (line, column) when known."""
+class InputError(ValueError):
+    """Bad outside input: file content, a CLI argument or a library
+    parameter.  Carries the 1-based line and column of a file when known,
+    and str() then ends with " (line L[, column C])".  The CLI maps it, and
+    only it (with OSError), to exit 2.
+    """
 
     def __init__(self, message, line=None, column=None):
         super().__init__(message)
         self.line = line
         self.column = column
+
+    def __str__(self):
+        if self.line is None:
+            return super().__str__()
+        column = f", column {self.column}" if self.column else ""
+        return f"{super().__str__()} (line {self.line}{column})"
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,9 +52,13 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     integer below 2^53 in magnitude, whatever order BLAS sums in.  For the
     Seidel matrix S (entries in {-1, 0, 1}) the partial sums of S @ S are
     at most n, and those of S^2 @ S at most n(n-1) (262144 at n = 512), so
-    the int64 cast of the result is lossless.
+    the int64 cast of the result is lossless.  S @ S converts S once and
+    frees the float64 operand before the cast, so squaring a tournament
+    peaks at four n x n arrays: the cached A and S, then two more.
     """
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    f = a.astype(np.float64)
+    f = f @ (f if b is a else b.astype(np.float64))
+    return f.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -59,29 +73,34 @@ class Tournament:
     def out_degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
+    @cached_property
     def adjacency(self) -> np.ndarray:
-        """0/1 int64 matrix with a[i, j] = 1 iff i dominates j."""
+        """0/1 int64 matrix with a[i, j] = 1 iff i dominates j, read-only
+        and cached like seidel and square."""
         n = self.n
         width = (n + 7) // 8
         full = (1 << n) - 1
         buf = b"".join((r & full).to_bytes(width, "little") for r in self.rows)
         bits = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
-        return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
+        a = np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def seidel(self) -> np.ndarray:
         """S = A - A^T, read-only int64: +1 where i dominates j, -1 where j
         dominates i.
 
-        Raises ValueError unless validate(self) is None.  Built on first use
-        and cached on the instance (the fields, equality and hash do not
-        change).
+        Raises a plain ValueError unless validate(self) is None: no loaded
+        or constructed tournament fails it, so it marks a bug, not an
+        InputError.  Built on first use and cached on the instance (the
+        fields, equality and hash do not change).
         """
         bad = validate(self)
         if bad is not None:
             i, j, reason = bad
             raise ValueError(f"not a tournament at ({i},{j}): {reason}")
-        a = self.adjacency()
+        a = self.adjacency
         s = a - a.T
         s.flags.writeable = False
         return s
@@ -123,7 +142,7 @@ def validate(t: Tournament):
     order with i <= j, so the first violation is deterministic.  Whole-array
     tests pass a valid tournament; only a failing one is scanned row by row.
     """
-    a = t.adjacency()
+    a = t.adjacency
     # a == a.T holds exactly on the zero diagonal of a valid tournament
     if not (np.diagonal(a).any() or np.count_nonzero(a == a.T) != t.n
             or max(t.rows, default=0) >> t.n or min(t.rows, default=0) < 0):
@@ -163,7 +182,7 @@ def is_diamond(t: Tournament, quad) -> bool:
     """
     quad = tuple(quad)
     if len(set(quad)) != 4 or any(not (0 <= v < t.n) for v in quad):
-        raise ValueError(f"need 4 distinct vertices below n={t.n}, got {quad!r}")
+        raise InputError(f"need 4 distinct vertices below n={t.n}, got {quad!r}")
     return _subset_degree_squares(t.rows, *quad) == _DIAMOND_SQ
 
 
@@ -206,7 +225,7 @@ def count_diamonds_naive(t: Tournament) -> int:
     """
     if t.n < 4:
         return 0
-    a = t.adjacency()
+    a = t.adjacency
     c = _comb4(t.n)
     score = np.zeros(len(c), dtype=np.int64)
     for i in range(4):
@@ -225,7 +244,7 @@ def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
     state in search, with no production caller.
     """
     if not t.dom(i, j):
-        raise ValueError(f"arc ({i},{j}) not present")
+        raise InputError(f"arc ({i},{j}) not present")
     rows = list(t.rows)
     rows[i] &= ~(1 << j)
     rows[j] |= 1 << i
@@ -241,7 +260,7 @@ def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
     """
     i, j = flip.i, flip.j
     if not t.dom(i, j):
-        raise ValueError(f"arc ({i},{j}) not present")
+        raise InputError(f"arc ({i},{j}) not present")
     flipped = flip_arc(t, i, j)
     others = [v for v in range(t.n) if v != i and v != j]
     delta = 0
@@ -259,7 +278,7 @@ def pair_index(n: int, i: int, j: int) -> int:
 def encode(t: Tournament) -> int:
     """Upper-triangle arc bits in row-major pair order (see pair_index); bit
     value 1 means the lower index dominates."""
-    bits = t.adjacency()[np.triu_indices(t.n, 1)].astype(bool)
+    bits = t.adjacency[np.triu_indices(t.n, 1)].astype(bool)
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
@@ -281,7 +300,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     consumed pair-by-pair in row-major upper-triangle order.
     """
     if not 3 <= n <= MAX_N:
-        raise ValueError(f"n must be in [3, {MAX_N}], got {n}")
+        raise InputError(f"n must be in [3, {MAX_N}], got {n}")
     rng = random.Random(seed)
     rows = [0] * n
     for i in range(n):
@@ -297,31 +316,31 @@ def parse_trn(text: str) -> Tournament:
     """Parse the .trn format: first line n, then n rows of {0,1} characters."""
     lines = text.splitlines()
     if not lines:
-        raise TrnFormatError("empty input", line=1)
+        raise InputError("empty input", line=1)
     try:
         n = int(lines[0].strip())
     except ValueError:
-        raise TrnFormatError(f"bad vertex count {lines[0]!r}", line=1) from None
+        raise InputError(f"bad vertex count {lines[0]!r}", line=1) from None
     if not 3 <= n <= MAX_N:
-        raise TrnFormatError(f"n={n} out of range [3, {MAX_N}]", line=1)
+        raise InputError(f"n={n} out of range [3, {MAX_N}]", line=1)
     if len(lines) < n + 1:
-        raise TrnFormatError(f"expected {n} matrix rows, got {len(lines) - 1}", line=len(lines))
+        raise InputError(f"expected {n} matrix rows, got {len(lines) - 1}", line=len(lines))
     rows = []
     for i in range(n):
         line = lines[i + 1].strip()
         if len(line) != n:
-            raise TrnFormatError(f"row {i} has length {len(line)}, expected {n}", line=i + 2)
+            raise InputError(f"row {i} has length {len(line)}, expected {n}", line=i + 2)
         # the count also keeps out the signs, spaces and underscores int() accepts
         if line.count("0") + line.count("1") != n:
             j, ch = next((j, ch) for j, ch in enumerate(line) if ch not in "01")
-            raise TrnFormatError(f"bad character {ch!r}", line=i + 2, column=j + 1)
+            raise InputError(f"bad character {ch!r}", line=i + 2, column=j + 1)
         # character j is bit j: the reversed line is the row in binary
         rows.append(int(line[::-1], 2))
     t = Tournament(n, tuple(rows))
     bad = validate(t)
     if bad is not None:
         i, j, reason = bad
-        raise TrnFormatError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
+        raise InputError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
     return t
 
 
@@ -333,20 +352,20 @@ def format_trn(t: Tournament) -> str:
     return "\n".join(out) + "\n"
 
 
-def _read_utf8(path, error):
-    """The text of a UTF-8 file; raises error(message, line) at the first
-    byte that does not decode."""
+def _read_utf8(path):
+    """The text of a UTF-8 file; raises InputError, with the line, at the
+    first byte that does not decode."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
+        raise InputError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
 
 
 def load_trn(path) -> Tournament:
-    return parse_trn(_read_utf8(path, TrnFormatError))
+    return parse_trn(_read_utf8(path))
 
 
 def save_trn(t: Tournament, path):

@@ -430,7 +430,7 @@ class TestNonUtf8Input:
         code = main(["verify", "--in", str(path), "--checks", checks])
         err = capsys.readouterr().err
         assert code == INPUT_ERROR
-        assert err == f"error: {path}: line 3: byte 0xc3 is not UTF-8 text\n"
+        assert err == f"error: {path}: byte 0xc3 is not UTF-8 text (line 3)\n"
 
 
 class TestThreadLimit:
@@ -574,6 +574,71 @@ class TestRefutedBound:
         assert code == VIOLATED
         assert report["results"]["bound"]["status"] == CONJECTURAL
         assert report["results"]["margin"]["num"] == -3
+
+
+class TestErrorText:
+    """Each rejected argv exits 2 with exactly this one stderr line.  {trn}
+    is T*(31), {hyp} its Baber hypergraph and {missing} a path that does
+    not exist."""
+
+    @pytest.mark.parametrize("argv,err", [
+        (("construct", "paley", "--q", "10"), "10 is not a prime power"),
+        (("construct", "paley", "--q", "15"), "15 is not a prime power"),
+        (("construct", "paley", "--q", "13"),
+         "q=13 is not 3 mod 4; the square relation would not be a tournament"),
+        (("construct", "paley", "--p", "3", "--k", "10000"),
+         "paley of q=3^10000 is above the limit of 512 vertices"),
+        (("delete", "--in", "{trn}", "--vertices", "a,b"),
+         "invalid literal for int() with base 10: 'a'"),
+        (("delete", "--in", "{trn}", "--vertices", "99"), "vertex out of range"),
+        (("extend", "--in", "{trn}"), "matrix is not odd-extremal; extension does not apply"),
+        (("search", "--mode", "local", "--n", "3"),
+         "local search supports 4 <= n <= 512, got n=3"),
+        (("search", "--mode", "exhaustive", "--n", "9"),
+         "exhaustive search supports 4 <= n <= 8"),
+        (("search", "--mode", "exhaustive", "--n", "8"),
+         "n=8 requires long_run=True (2^28 encodings)"),
+        (("count", "--in", "{missing}"),
+         "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (("verify", "--in", "{hyp}", "--checks", "conference"),
+         "{hyp}: bad vertex count '32 9920' (line 1)"),
+        (("verify", "--in", "{trn}", "--checks", "ff4"),
+         "{trn}: header must be 'n m', got '32' (line 1)"),
+    ])
+    def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
+        paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),
+                 "missing": str(tmp_path / "missing.trn")}
+        t = star_paley(31)
+        save_trn(t, paths["trn"])
+        save_hyp(baber(t), paths["hyp"])
+        code = main([a.format(**paths) for a in argv])
+        captured = capsys.readouterr()
+        assert code == INPUT_ERROR and captured.out == ""
+        assert captured.err == f"error: {err.format(**paths)}\n"
+
+
+class TestOnlyInputErrorsExit2:
+    def test_plain_value_error_is_a_traceback(self, monkeypatch):
+        # a ValueError that is not an InputError is a bug, not bad input
+        def bug(q):
+            raise ValueError("bug")
+        monkeypatch.setattr(constructions, "paley_tournament", bug)
+        with pytest.raises(ValueError, match="^bug$") as info:
+            main(["construct", "paley", "--q", "7"])
+        assert type(info.value) is ValueError
+
+
+class TestUnpackOnce:
+    def test_verify_unpacks_the_rows_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.trn"
+        save_trn(star_paley(11), path)
+        calls = []
+        unpackbits = np.unpackbits
+        monkeypatch.setattr(np, "unpackbits", lambda *a, **k: calls.append(a) or unpackbits(*a, **k))
+        code, report = run(capsys, "verify", "--in", str(path),
+                           "--checks", "conference,extremal-charpoly")
+        assert code == OK and report["results"]["conference"] is True
+        assert len(calls) == 1
 
 
 @lru_cache(maxsize=None)

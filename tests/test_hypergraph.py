@@ -11,7 +11,6 @@ from diamondkit.constructions import star_paley
 from diamondkit.hypergraph import (
     CONJECTURAL,
     PROVEN,
-    HypFormatError,
     baber,
     delete_vertices_count,
     design_block_counts,
@@ -29,6 +28,7 @@ from diamondkit.hypergraph import (
 )
 from diamondkit.tournament import (
     MAX_N,
+    InputError,
     count_diamonds,
     count_diamonds_naive,
     from_arcs,
@@ -265,15 +265,15 @@ class TestHypFormat:
         assert parse_hyp(format_hyp(h)) == h
 
     def test_rejects_nonincreasing_edge(self):
-        with pytest.raises(HypFormatError):
+        with pytest.raises(InputError):
             parse_hyp("5 1\n0 2 1 3\n")
 
     def test_rejects_duplicates(self):
-        with pytest.raises(HypFormatError):
+        with pytest.raises(InputError):
             parse_hyp("5 2\n0 1 2 3\n0 1 2 3\n")
 
     def test_rejects_bad_header(self):
-        with pytest.raises(HypFormatError):
+        with pytest.raises(InputError):
             parse_hyp("5\n")
 
 
@@ -420,10 +420,10 @@ class TestHypFormatErrors:
         ("5 3\n0 1 2 3\n0 1 2 4\n0 1 2 3\n", 4),
     ])
     def test_rejected_with_line(self, text, line):
-        with pytest.raises(HypFormatError) as info:
+        with pytest.raises(InputError) as info:
             parse_hyp(text)
         assert info.value.line == line
-        assert str(info.value).startswith(f"line {line}:")
+        assert str(info.value).endswith(f" (line {line})")
 
     def test_edges_at_the_range_limit(self):
         h = parse_hyp("5 1\n0 1 2 4\n")

@@ -230,7 +230,7 @@ class TestAnnealingOracle:
             total += state.delta(i, j)
             state.flip(i, j)
             t = flip_arc(t, i, j)
-        a = t.adjacency()
+        a = t.adjacency
         s = a - a.T
         assert np.array_equal(state.s, s)
         assert np.array_equal(state.q, s @ s)

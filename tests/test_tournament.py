@@ -23,7 +23,7 @@ from diamondkit.tournament import (
     random_tournament,
     reverse,
     validate,
-    TrnFormatError,
+    InputError,
 )
 from diamondkit.spectral import bareiss_det
 
@@ -176,7 +176,7 @@ class TestAdjacency:
     @pytest.mark.parametrize("n", [3, 8, 9, 70])
     def test_matches_dom(self, n):
         t = random_tournament(n, seed=n)
-        a = t.adjacency()
+        a = t.adjacency
         assert a.dtype == np.int64
         assert a.tolist() == [[int(t.dom(i, j)) for j in range(n)] for i in range(n)]
 
@@ -304,24 +304,24 @@ def _parse_trn_reference(text):
     """parse_trn with the per-character row loop it had before int(row, 2)."""
     lines = text.splitlines()
     if not lines:
-        raise TrnFormatError("empty input", line=1)
+        raise InputError("empty input", line=1)
     try:
         n = int(lines[0].strip())
     except ValueError:
-        raise TrnFormatError(f"bad vertex count {lines[0]!r}", line=1) from None
+        raise InputError(f"bad vertex count {lines[0]!r}", line=1) from None
     if not 3 <= n <= 512:
-        raise TrnFormatError(f"n={n} out of range [3, 512]", line=1)
+        raise InputError(f"n={n} out of range [3, 512]", line=1)
     if len(lines) < n + 1:
-        raise TrnFormatError(f"expected {n} matrix rows, got {len(lines) - 1}", line=len(lines))
+        raise InputError(f"expected {n} matrix rows, got {len(lines) - 1}", line=len(lines))
     rows = []
     for i in range(n):
         line = lines[i + 1].strip()
         if len(line) != n:
-            raise TrnFormatError(f"row {i} has length {len(line)}, expected {n}", line=i + 2)
+            raise InputError(f"row {i} has length {len(line)}, expected {n}", line=i + 2)
         r = 0
         for j, ch in enumerate(line):
             if ch not in "01":
-                raise TrnFormatError(f"bad character {ch!r}", line=i + 2, column=j + 1)
+                raise InputError(f"bad character {ch!r}", line=i + 2, column=j + 1)
             if ch == "1":
                 r |= 1 << j
         rows.append(r)
@@ -329,14 +329,14 @@ def _parse_trn_reference(text):
     bad = validate(t)
     if bad is not None:
         i, j, reason = bad
-        raise TrnFormatError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
+        raise InputError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
     return t
 
 
 def _outcome(parse, text):
     try:
         return parse(text)
-    except TrnFormatError as exc:
+    except InputError as exc:
         return str(exc), exc.line, exc.column
 
 
@@ -356,18 +356,18 @@ class TestTrnFormat:
 
     def test_diagonal_one_rejected(self):
         text = "3\n110\n001\n010\n"
-        with pytest.raises(TrnFormatError):
+        with pytest.raises(InputError):
             parse_trn(text)
 
     def test_complementarity_enforced(self):
         text = "3\n011\n010\n000\n"
-        with pytest.raises(TrnFormatError):
+        with pytest.raises(InputError):
             parse_trn(text)
 
     def test_bad_counts(self):
-        with pytest.raises(TrnFormatError):
+        with pytest.raises(InputError):
             parse_trn("3\n010\n001\n")
-        with pytest.raises(TrnFormatError):
+        with pytest.raises(InputError):
             parse_trn("x\n")
 
     def test_matches_per_pair_reference(self):
