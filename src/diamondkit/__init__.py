@@ -1,5 +1,9 @@
 """Exact toolkit for diamond-maximal tournaments, skew-conference Seidel
-matrices and FF4-hypergraphs/designs."""
+matrices and FF4-hypergraphs/designs.
+
+The searches are in diamondkit.search, the one module that imports numpy;
+this package does not import it, so `import diamondkit` stays numpy-free.
+"""
 
 __version__ = "0.1.0"
 
@@ -7,7 +11,6 @@ from .tournament import (  # noqa: F401
     ArcFlip,
     Tournament,
     count_diamonds,
-    count_diamonds_naive,
     diamond_delta_on_flip,
     is_diamond,
     random_tournament,
@@ -19,6 +22,7 @@ from .spectral import (  # noqa: F401
     count_diamonds_spectral,
     diamond_upper_bound,
     is_skew_conference,
+    kernel_sign_vector,
     matches_extremal_charpoly,
     sigma4_upper_bound,
     sigma_from_traces,
@@ -43,10 +47,4 @@ from .hypergraph import (  # noqa: F401
     triple_profile,
     verify_ff4,
     verify_ff4_naive,
-)
-from .search import (  # noqa: F401
-    SearchResult,
-    exhaustive_max_diamonds,
-    local_search_max_diamonds,
-    verify_five_vertex_law,
 )

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, constructions, hypergraph, search, spectral, tournament
+from . import __version__, constructions, hypergraph, spectral, tournament
 from .tournament import InputError
 
 OK = 0
@@ -208,12 +208,15 @@ def cmd_extend(args):
     results = {
         "n": ext.n,
         "skew_conference": spectral.is_skew_conference(ext),
-        "kernel_column": ext.seidel[:-1, -1].tolist(),
+        "kernel_column": [row[-1] for row in ext.seidel[:-1]],
     }
     return {"in": args.input}, results, "ok"
 
 
 def cmd_search(args):
+    # the one command that needs numpy: the others start without importing it
+    from . import search
+
     # the search functions check every limit before they start work
     if args.mode == "exhaustive":
         res = search.exhaustive_max_diamonds(args.n, threads=args.threads,

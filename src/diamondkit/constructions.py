@@ -4,16 +4,13 @@ matrix is skew-conference."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import gf
-from .spectral import ODD_EXTREMAL, is_skew_conference, matches_extremal_charpoly
-from .tournament import MAX_N, InputError, Tournament, from_adjacency
+from .spectral import is_skew_conference, kernel_sign_vector
+from .tournament import MAX_N, InputError, Tournament
 
 
 class ExtensionFailed(RuntimeError):
-    """The kernel column was not +-1 valued, or the bordered matrix is not
-    skew-conference (reportable anomaly)."""
+    """The bordered matrix is not skew-conference (reportable anomaly)."""
 
 
 def _check_order(kind, q, n):
@@ -25,16 +22,15 @@ def paley_tournament(q: int) -> Tournament:
     """Paley tournament on GF(q), q = 3 (mod 4): i -> j iff j - i is a square.
 
     Vertices are the field elements in their integer encoding (see gf module).
-    Raises InputError, before any work, if q exceeds tournament.MAX_N.
+    Row i is the set of squares translated by i.  Raises InputError, before
+    any work, if q exceeds tournament.MAX_N.
     """
     _check_order("paley", q, q)
     p, k = gf.factor_prime_power(q)
     if q % 4 != 3:
         raise InputError(f"q={q} is not 3 mod 4; the square relation would not be a tournament")
     table = gf.gf_build(p, k)
-    is_square = np.zeros(q, dtype=bool)
-    is_square[list(table.squares())] = True
-    return from_adjacency(is_square[table.differences()])
+    return Tournament(q, table.translates(sum(1 << x for x in table.squares())))
 
 
 def star_paley(q: int) -> Tournament:
@@ -50,14 +46,27 @@ def star_paley(q: int) -> Tournament:
 
 
 def delete_vertices(t: Tournament, drop) -> Tournament:
-    """Induced sub-tournament on the kept vertices, relabeled densely."""
-    drop = set(drop)
+    """Induced sub-tournament on the kept vertices, relabeled densely.
+
+    Raises InputError on a vertex out of range or named twice, or when fewer
+    than 4 vertices would be left.  Each dropped vertex v is cut out of every
+    kept row by joining its bits below v to its bits above v shifted down.
+    """
+    drop = list(drop)
     if any(not (0 <= v < t.n) for v in drop):
         raise InputError("vertex out of range")
+    seen = set()
+    for v in drop:
+        if v in seen:
+            raise InputError(f"vertex {v} named twice")
+        seen.add(v)
     if len(drop) >= t.n - 3:
         raise InputError(f"cannot drop {len(drop)} of {t.n} vertices (need >= 4 left)")
-    keep = [v for v in range(t.n) if v not in drop]
-    return from_adjacency(t.adjacency[np.ix_(keep, keep)])
+    rows = [r for v, r in enumerate(t.rows) if v not in seen]
+    for v in sorted(seen, reverse=True):
+        low = (1 << v) - 1
+        rows = [(r & low) | ((r >> (v + 1)) << v) for r in rows]
+    return Tournament(len(rows), tuple(rows))
 
 
 def extend_to_conference(t: Tournament) -> Tournament:
@@ -67,21 +76,14 @@ def extend_to_conference(t: Tournament) -> Tournament:
     verified to be a skew-conference matrix: the new vertex n loses to i
     exactly when u_i = +1.
 
-    For odd-extremal S the eigenvalues of S^2 are -n (n-1 times) and 0
-    (once), so S^2 + nI is n times the projector onto ker S.  Its diagonal
-    is 1 (every (S^2)_ii = -(n-1)), so the primitive kernel vector u is +-1
-    valued and S^2 + nI = u u^T.  Column 0 of S^2 + nI is u_0 u: the kernel
-    vector with first entry +1.  S^2 is the one cached on t (see
-    Tournament.square).  The final skew-conference check also certifies
-    S u = 0.
+    u is the kernel vector with S^2 + nI = u u^T and u_0 = +1 (see
+    spectral.kernel_sign_vector), read off the S^2 cached on t.  The final
+    skew-conference check also certifies S u = 0.
     """
     n = t.n
-    if n % 4 != 3 or matches_extremal_charpoly(t) != ODD_EXTREMAL:
+    u = kernel_sign_vector(t) if n % 4 == 3 else None
+    if u is None:
         raise InputError("matrix is not odd-extremal; extension does not apply")
-    u = t.square[:, 0].tolist()
-    u[0] += n
-    if any(x not in (-1, 1) for x in u):
-        raise ExtensionFailed(f"kernel column of S^2 + nI not +-1 valued: {u}")
     rows = [r | (1 << n) if x == 1 else r for r, x in zip(t.rows, u)]
     rows.append(sum(1 << i for i, x in enumerate(u) if x == -1))
     ext = Tournament(n + 1, tuple(rows))

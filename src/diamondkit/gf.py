@@ -1,5 +1,5 @@
 """GF(p^k) as far as the Paley constructions need it: a modulus, the set
-of squares and a table of differences.
+of squares and the translates of a set of elements.
 
 Field elements are encoded as integers in [0, q): the base-p digits of an
 element are the coefficients of its polynomial representative, digit i being
@@ -11,8 +11,6 @@ is chosen deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .tournament import InputError
 
@@ -108,22 +106,30 @@ class FieldTable:
             for d in (_poly_from_int(x, p, k) for x in range(1, self.q))
         )
 
-    def differences(self) -> np.ndarray:
-        """q x q table whose entry [i, j] is the encoding of j - i.
+    def translates(self, mask: int) -> tuple:
+        """The q translates of a set of elements given as a bitmask: entry x
+        is the bitmask of {m + x : m in the set}.
 
-        Subtraction is digit-wise mod p, so the table is built one base-p
-        digit at a time, most significant first.  The dtype is the narrowest
-        signed one holding -q (int16 for the orders near tournament.MAX_N):
-        every intermediate value lies in (-q, q).
+        Addition is digit-wise mod p, so adding c at digit t (weight p^t)
+        rotates every run of p^(t+1) bits, aligned at a multiple of
+        p^(t+1), by c p^t bits.  Entry x is built from entry
+        x - c p^t, c the top digit of x: q rotations, each a few operations
+        on q-bit ints.
         """
-        dtype = np.min_scalar_type(-self.q)
-        x = np.arange(self.q, dtype=dtype)
-        table = np.zeros((self.q, self.q), dtype=dtype)
-        for t in reversed(range(self.k)):
-            digit = x // self.p ** t % self.p
-            table *= self.p
-            table += (digit[None, :] - digit[:, None]) % self.p
-        return table
+        q = self.q
+        out = [mask]
+        block = 1
+        while block < q:
+            span = block * self.p
+            starts = sum(1 << s for s in range(0, q, span))  # bit 0 of every run
+            prev = list(out)
+            for c in range(1, self.p):
+                shift = c * block
+                lo = ((1 << shift) - 1) * starts  # offsets below shift in every run
+                hi = ((1 << span) - 1) * starts ^ lo
+                out.extend(((m << shift) & hi) | ((m >> (span - shift)) & lo) for m in prev)
+            block = span
+        return tuple(out)
 
 
 def gf_build(p: int, k: int) -> FieldTable:

@@ -9,6 +9,7 @@ exactly n/4 hyperedges.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,18 +65,23 @@ def hypergraph(n, edges) -> Hypergraph4:
     """Hypergraph4 on n vertices from any iterable of 4-sets of indices.
 
     The one checked constructor: raises InputError on an edge that is not 4
-    distinct indices in range(n).  parse_hyp and baber, which validate or
-    build every edge themselves, call Hypergraph4 directly.
+    distinct integer indices in range(n).  An index may be a Python int or
+    any integer type operator.index accepts (numpy integers); a float or a
+    string is refused.  parse_hyp and baber, which validate or build every
+    edge themselves, call Hypergraph4 directly.
     """
     checked = set()
     for e in edges:
-        e = tuple(sorted(e))
+        try:
+            # Python ints: a numpy index would make the link shifts wrap at 64 bits
+            e = tuple(sorted(map(operator.index, e)))
+        except TypeError:
+            raise InputError(f"bad edge {e!r}: indices must be integers") from None
         if len(e) != 4 or len(set(e)) != 4:
             raise InputError(f"bad edge {e!r}")
         if e[0] < 0 or e[3] >= n:
             raise InputError(f"edge {e!r} out of range for n={n}")
-        # Python ints: a numpy index would make the link shifts wrap at 64 bits
-        checked.add(tuple(map(int, e)))
+        checked.add(e)
     return Hypergraph4(n, frozenset(checked))
 
 

@@ -2,12 +2,12 @@
 
 Everything here is integer-exact and takes a Tournament.  The production
 checks use matrix identities: sigma_2/sigma_4 from traces of S^2 and S^4,
-the skew-conference and extremal tests from S^2 and S^3.  All of them read
-the S and S^2 cached on the tournament (Tournament.seidel and .square).
-S^2 and the S^3 of matches_extremal_charpoly are float64 products that are
-exact (see tournament._exact_matmul).  The Faddeev-LeVerrier char_poly over
-Python ints and the fraction-free Bareiss minors are test oracles with no
-production caller.
+the skew-conference test from S^2 and the odd-extremal test from the rank
+of S^2 + nI.  All of them read the S^2 cached on the tournament
+(Tournament.square, Python ints from row popcounts), so each is O(n^2)
+once S^2 is built.  The Faddeev-LeVerrier char_poly over Python ints and
+the fraction-free Bareiss minors are test oracles with no production
+caller.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
-import numpy as np
-
-from .tournament import InputError, Tournament, _exact_matmul
+from .tournament import InputError, Tournament
 
 EVEN_EXTREMAL = "even-extremal"
 ODD_EXTREMAL = "odd-extremal"
@@ -53,7 +52,7 @@ def char_poly(t: Tournament) -> CharPoly:
     caller.
     """
     n = t.n
-    a = t.seidel.tolist()
+    a = [list(row) for row in t.seidel]
     m = [row[:] for row in a]  # M_1 = S
     sigma = []
     c = -sum(m[i][i] for i in range(n))
@@ -117,13 +116,12 @@ def sigma_from_traces(t: Tournament):
 
     Odd power sums of a skew-symmetric matrix vanish, which collapses the
     identities to sigma_2 = -tr(S^2)/2 and
-    sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4.  Exact in int64 for n <= 512: S^2
-    is exact (see Tournament.square), and tr(S^4) <= n^2 (n-1)^2 < 2^63.
+    sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4, in Python ints.
     """
     a2 = t.square
-    t2 = int(np.trace(a2))
+    t2 = sum(row[i] for i, row in enumerate(a2))
     # S^2 is symmetric, so tr(S^4) is the sum of squared entries of S^2
-    t4 = int((a2 ** 2).sum())
+    t4 = sum(sum(map(mul, row, row)) for row in a2)
     sigma2, r2 = divmod(-t2, 2)
     sigma4, r4 = divmod(t2 * t2 // 2 - t4, 4)
     if r2 or r4:
@@ -141,7 +139,7 @@ def sum_principal_minors(t: Tournament, k: int) -> int:
         raise InputError(f"oracle limited to n <= {_MINOR_ORACLE_MAX_N}")
     if not 0 <= k <= t.n:
         raise InputError(f"k={k} out of range")
-    m = t.seidel.tolist()
+    m = t.seidel
     total = 0
     for idx in combinations(range(t.n), k):
         sub = [[m[i][j] for j in idx] for i in idx]
@@ -160,8 +158,34 @@ def count_diamonds_spectral(t: Tournament) -> int:
 
 def is_skew_conference(t: Tournament) -> bool:
     """True iff S^2 = -(n-1) I exactly."""
-    expected = -(t.n - 1) * np.eye(t.n, dtype=np.int64)
-    return bool(np.array_equal(t.square, expected))
+    n = t.n
+    return all(row[i] == 1 - n and not any(row[:i]) and not any(row[i + 1:])
+               for i, row in enumerate(t.square))
+
+
+def kernel_sign_vector(t: Tournament):
+    """The +-1 vector u with S^2 + nI = u u^T and u_0 = 1, as a list, or
+    None when there is none.
+
+    Such a u exists iff S^3 = -nS: S is real skew-symmetric, hence normal,
+    and tr S^2 = -n(n-1), so S^3 = -nS iff S^2 has the eigenvalue -n with
+    multiplicity n-1 and 0 once, iff S^2 + nI is n times the projector onto
+    ker S.  Its diagonal is 1, so that is u u^T with u +-1 valued, and
+    S u = 0.  Column 0 of S^2 + nI is u_0 u.  O(n^2) on the cached S^2.
+    """
+    n = t.n
+    sq = t.square
+    u = [row[0] for row in sq]
+    u[0] += n
+    if any(x != 1 and x != -1 for x in u):
+        return None
+    neg = [-x for x in u]
+    for i, row in enumerate(sq):
+        want = list(u if u[i] == 1 else neg)
+        want[i] -= n
+        if list(row) != want:
+            return None
+    return u
 
 
 def matches_extremal_charpoly(t: Tournament) -> str:
@@ -177,18 +201,16 @@ def matches_extremal_charpoly(t: Tournament) -> str:
     For n = 3 mod 4, S^3 = -n S
     iff every eigenvalue lies in {0, +-i sqrt(n)}; a tournament has
     tr S^2 = -n(n-1), so exactly n-1 eigenvalues are nonzero and 0 is simple,
-    which makes P = x (x^2+n)^((n-1)/2).
-
-    S^3 = S^2 S is one exact product (see _exact_matmul).  O(n^3); char_poly
-    is kept as the test oracle.
+    which makes P = x (x^2+n)^((n-1)/2).  S^3 = -nS is decided as
+    S^2 + nI = u u^T (see kernel_sign_vector).  O(n^2) on the cached S^2;
+    char_poly is kept as the test oracle.
     """
     n = t.n
     if n % 4 == 0:
         return EVEN_EXTREMAL if is_skew_conference(t) else NOT_EXTREMAL
     if n % 4 != 3:
         return NOT_EXTREMAL
-    s = t.seidel
-    return ODD_EXTREMAL if np.array_equal(_exact_matmul(t.square, s), -n * s) else NOT_EXTREMAL
+    return ODD_EXTREMAL if kernel_sign_vector(t) is not None else NOT_EXTREMAL
 
 
 def diamond_upper_bound(n: int) -> Fraction:

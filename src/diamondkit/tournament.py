@@ -1,22 +1,21 @@
-"""Tournaments as row bitsets: diamond detection, counting, arc flips, the
-Seidel view and the search bit encoding.
+"""Tournaments as row bitsets: validation, diamond detection, counting, arc
+flips and the Seidel view.
 
 A tournament on n vertices (3 <= n <= 512) stores one bitmask per vertex;
 bit j of row i is set iff i dominates j.  Vertices are dense 0-based ints.
-The numpy adjacency matrix A, the Seidel matrix S = A - A^T and S^2 are
-views built from the rows and cached on the tournament, so a command
-unpacks the rows once and every spectral check reads one S^2.
+The validation verdict, the Seidel matrix S = A - A^T and S^2 are built
+from the rows on first use and cached on the tournament, so a loaded
+tournament is scanned once and every spectral check reads one S^2.  All of
+it is Python-int arithmetic: this module does not import numpy.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import comb
-
-import numpy as np
 
 MAX_N = 512
 
@@ -45,20 +44,22 @@ class InputError(ValueError):
         return f"{super().__str__()} (line {self.line}{column})"
 
 
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for int64 matrices, multiplied in float64 BLAS.
+def _square(n, rows):
+    """S^2 of a valid tournament as a tuple of n int tuples, from popcounts.
 
-    Exact when every product and every partial sum of a dot product is an
-    integer below 2^53 in magnitude, whatever order BLAS sums in.  For the
-    Seidel matrix S (entries in {-1, 0, 1}) the partial sums of S @ S are
-    at most n, and those of S^2 @ S at most n(n-1) (262144 at n = 512), so
-    the int64 cast of the result is lossless.  S @ S converts S once and
-    frees the float64 operand before the cast, so squaring a tournament
-    peaks at four n x n arrays: the cached A and S, then two more.
+    For i != j, (S^2)_ij = sum_k S_ik S_kj = 2(d_i + d_j) - 4 |N+(i) & N+(j)| - n
+    with d the out-degrees, and every diagonal entry is 1 - n.  S^2 is
+    symmetric, so row i copies its first i entries from the rows above:
+    C(n,2) ANDs and popcounts of n-bit ints, O(n^3 / 64) word operations.
     """
-    f = a.astype(np.float64)
-    f = f @ (f if b is a else b.astype(np.float64))
-    return f.astype(np.int64)
+    d2 = [2 * r.bit_count() for r in rows]
+    sq = []
+    for i, ri in enumerate(rows):
+        base = d2[i] - n
+        sq.append((*[row[i] for row in sq], 1 - n,
+                   *[base + dj - 4 * (ri & rj).bit_count()
+                     for rj, dj in zip(rows[i + 1:], d2[i + 1:])]))
+    return tuple(sq)
 
 
 @dataclass(frozen=True)
@@ -74,43 +75,44 @@ class Tournament:
         return self.rows[i].bit_count()
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """0/1 int64 matrix with a[i, j] = 1 iff i dominates j, read-only
-        and cached like seidel and square."""
-        n = self.n
-        width = (n + 7) // 8
-        full = (1 << n) - 1
-        buf = b"".join((r & full).to_bytes(width, "little") for r in self.rows)
-        bits = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
-        a = np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
-        a.flags.writeable = False
-        return a
+    def _defect(self):
+        """validate's verdict, computed on first use and cached (the fields,
+        equality and hash do not change)."""
+        return _first_defect(self.n, self.rows)
 
-    @cached_property
-    def seidel(self) -> np.ndarray:
-        """S = A - A^T, read-only int64: +1 where i dominates j, -1 where j
-        dominates i.
-
-        Raises a plain ValueError unless validate(self) is None: no loaded
+    def _require_valid(self):
+        """Raise a plain ValueError unless validate(self) is None: no loaded
         or constructed tournament fails it, so it marks a bug, not an
-        InputError.  Built on first use and cached on the instance (the
-        fields, equality and hash do not change).
-        """
+        InputError."""
         bad = validate(self)
         if bad is not None:
             i, j, reason = bad
             raise ValueError(f"not a tournament at ({i},{j}): {reason}")
-        a = self.adjacency
-        s = a - a.T
-        s.flags.writeable = False
-        return s
 
     @cached_property
-    def square(self) -> np.ndarray:
-        """S @ S, exact in int64 (see _exact_matmul), read-only and cached."""
-        q = _exact_matmul(self.seidel, self.seidel)
-        q.flags.writeable = False
-        return q
+    def seidel(self) -> tuple:
+        """S = A - A^T as a tuple of n int tuples: +1 where i dominates j, -1
+        where j dominates i, 0 on the diagonal.
+
+        Raises a plain ValueError unless validate(self) is None.  Built on
+        first use and cached on the instance.
+        """
+        self._require_valid()
+        n = self.n
+        sign = {"1": 1, "0": -1}
+        out = []
+        for i, r in enumerate(self.rows):
+            row = [sign[c] for c in format(r, f"0{n}b")[::-1]]
+            row[i] = 0
+            out.append(tuple(row))
+        return tuple(out)
+
+    @cached_property
+    def square(self) -> tuple:
+        """S @ S as a tuple of n int tuples, exact (see _square); raises like
+        seidel, and is cached the same way."""
+        self._require_valid()
+        return _square(self.n, self.rows)
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,6 @@ class ArcFlip:
     j: int
 
 
-def from_adjacency(a) -> Tournament:
-    """Inverse of Tournament.adjacency: row i of the n x n 0/1 (or boolean)
-    matrix a becomes the bitmask of row i (no validation)."""
-    packed = np.packbits(np.asarray(a, dtype=bool), axis=1, bitorder="little")
-    return Tournament(len(packed), tuple(int.from_bytes(r.tobytes(), "little") for r in packed))
-
-
 def from_arcs(n, arcs) -> Tournament:
     rows = [0] * n
     for i, j in arcs:
@@ -135,28 +130,39 @@ def from_arcs(n, arcs) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
+def _first_defect(n, rows):
+    """The first pair at which rows fail to be a tournament, or None.
+
+    Row i is checked for a diagonal bit, then for bits beyond n (a negative
+    row has infinitely many), then for the first j > i where a_ij == a_ji.
+    The columns, the in-neighbourhoods, come from transposing the rows'
+    binary strings: column k of those strings is bit n-1-k of every row.
+    """
+    full = (1 << n) - 1
+    strings = [format(r & full, f"0{n}b") for r in rows]
+    cols = [int("".join(col)[::-1], 2) for col in zip(*strings)]
+    cols.reverse()  # cols[j]: bit i set iff i dominates j
+    for i, (r, c) in enumerate(zip(rows, cols)):
+        if (r >> i) & 1:
+            return (i, i, "diagonal entry set")
+        if r >> n:
+            return (i, i, "bit set beyond vertex range")
+        bad = (full ^ r ^ c) >> (i + 1)  # the j > i with a_ij == a_ji
+        if bad:
+            j = i + (bad & -bad).bit_length()
+            return (i, j, "both orientations present" if (r >> j) & 1 else "missing orientation")
+    return None
+
+
 def validate(t: Tournament):
     """Return None if all tournament invariants hold, else the first bad pair.
 
     The report is a tuple (i, j, reason); pairs are scanned in row-major
-    order with i <= j, so the first violation is deterministic.  Whole-array
-    tests pass a valid tournament; only a failing one is scanned row by row.
+    order with i <= j, so the first violation is deterministic.  O(n^2)
+    character work; the verdict is cached on t, so each tournament is
+    scanned once.
     """
-    a = t.adjacency
-    # a == a.T holds exactly on the zero diagonal of a valid tournament
-    if not (np.diagonal(a).any() or np.count_nonzero(a == a.T) != t.n
-            or max(t.rows, default=0) >> t.n or min(t.rows, default=0) < 0):
-        return None
-    bad = np.triu(a == a.T, 1)
-    for i, row in enumerate(t.rows):
-        if (row >> i) & 1:
-            return (i, i, "diagonal entry set")
-        if row >> t.n:
-            return (i, i, "bit set beyond vertex range")
-        if bad[i].any():
-            j = int(bad[i].argmax())
-            return (i, j, "both orientations present" if a[i, j] else "missing orientation")
-    return None
+    return t._defect
 
 
 def reverse(t: Tournament) -> Tournament:
@@ -186,11 +192,6 @@ def is_diamond(t: Tournament, quad) -> bool:
     return _subset_degree_squares(t.rows, *quad) == _DIAMOND_SQ
 
 
-@lru_cache(maxsize=64)
-def _comb4(n):
-    return np.array(list(combinations(range(n), 4)), dtype=np.int64)
-
-
 def count_diamonds(t: Tournament) -> int:
     """Exact diamond count from the 3-cycles of every vertex neighbourhood.
 
@@ -215,26 +216,6 @@ def count_diamonds(t: Tournament) -> int:
                 continue
             total -= s * (s - 1) // 2
     return total
-
-
-def count_diamonds_naive(t: Tournament) -> int:
-    """Exact diamond count by scanning all C(n,4) vertex subsets.
-
-    Test oracle for count_diamonds: it holds a C(n,4) x 4 index array, so
-    memory grows as n^4 and it runs out of memory above n of about 200.
-    """
-    if t.n < 4:
-        return 0
-    a = t.adjacency
-    c = _comb4(t.n)
-    score = np.zeros(len(c), dtype=np.int64)
-    for i in range(4):
-        deg = np.zeros(len(c), dtype=np.int64)
-        for j in range(4):
-            if j != i:
-                deg += a[c[:, i], c[:, j]]
-        score += deg * deg
-    return int(np.count_nonzero(score == _DIAMOND_SQ))
 
 
 def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
@@ -273,24 +254,6 @@ def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
 def pair_index(n: int, i: int, j: int) -> int:
     """Row-major index of pair (i,j), i < j, among the C(n,2) pairs."""
     return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def encode(t: Tournament) -> int:
-    """Upper-triangle arc bits in row-major pair order (see pair_index); bit
-    value 1 means the lower index dominates."""
-    bits = t.adjacency[np.triu_indices(t.n, 1)].astype(bool)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def decode(n: int, e: int) -> Tournament:
-    """Inverse of encode, for 0 <= e < 2^C(n,2)."""
-    m = n * (n - 1) // 2
-    raw = np.frombuffer(int(e).to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-    upper = np.triu_indices(n, 1)
-    a = np.zeros((n, n), dtype=bool)
-    a[upper] = np.unpackbits(raw, count=m, bitorder="little")
-    a.T[upper] = ~a[upper]
-    return from_adjacency(a)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:

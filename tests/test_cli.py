@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from functools import lru_cache
 from itertools import combinations
@@ -24,11 +26,11 @@ from diamondkit.hypergraph import (
     save_hyp,
     verify_ff4,
 )
+from diamondkit.search import count_diamonds_naive
 from diamondkit.spectral import count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
     count_diamonds,
-    count_diamonds_naive,
     format_trn,
     load_trn,
     random_tournament,
@@ -228,7 +230,6 @@ class TestSearchCommand:
                            "--out", str(out))
         assert code == OK
         w = load_trn(out)
-        from diamondkit.tournament import count_diamonds_naive
         assert count_diamonds_naive(w) == report["results"]["max_diamonds"]
 
     def test_n8_needs_long_run(self, capsys):
@@ -405,7 +406,7 @@ class TestExtendKernelColumn:
         assert code == OK
         u = report["results"]["kernel_column"]
         assert len(u) == q and u[0] == 1 and set(u) <= {-1, 1}
-        assert not (t.seidel @ np.array(u, dtype=np.int64)).any()
+        assert not (np.array(t.seidel) @ np.array(u, dtype=np.int64)).any()
 
 
 class TestNonUtf8Input:
@@ -453,13 +454,12 @@ class TestOneSquaringPerMatrix:
 
     def test_squarings(self, tmp_path, capsys, monkeypatch):
         orders = []
-        matmul = tournament._exact_matmul
+        square = tournament._square
 
-        def counted(a, b):
-            if a is b:  # S @ S; the S^3 of the odd-extremal test is S^2 @ S
-                orders.append(len(a))
-            return matmul(a, b)
-        monkeypatch.setattr(tournament, "_exact_matmul", counted)
+        def counted(n, rows):
+            orders.append(n)
+            return square(n, rows)
+        monkeypatch.setattr(tournament, "_square", counted)
         star, paley = str(tmp_path / "s.trn"), str(tmp_path / "p.trn")
         checks = "conference,extremal-charpoly"
         for argv, want_code, want_orders in [
@@ -604,6 +604,7 @@ class TestErrorText:
          "{hyp}: bad vertex count '32 9920' (line 1)"),
         (("verify", "--in", "{trn}", "--checks", "ff4"),
          "{trn}: header must be 'n m', got '32' (line 1)"),
+        (("delete", "--in", "{trn}", "--vertices", "3,3"), "vertex 3 named twice"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),
@@ -630,15 +631,55 @@ class TestOnlyInputErrorsExit2:
 
 class TestUnpackOnce:
     def test_verify_unpacks_the_rows_once(self, tmp_path, capsys, monkeypatch):
+        # parse_trn validates, and S^2 reads the verdict cached on the tournament
         path = tmp_path / "s.trn"
         save_trn(star_paley(11), path)
         calls = []
-        unpackbits = np.unpackbits
-        monkeypatch.setattr(np, "unpackbits", lambda *a, **k: calls.append(a) or unpackbits(*a, **k))
+        first_defect = tournament._first_defect
+        monkeypatch.setattr(tournament, "_first_defect",
+                            lambda *a: calls.append(a) or first_defect(*a))
         code, report = run(capsys, "verify", "--in", str(path),
                            "--checks", "conference,extremal-charpoly")
         assert code == OK and report["results"]["conference"] is True
         assert len(calls) == 1
+
+
+# Runs the README chain in one interpreter and prints, after the import and
+# after each command, the exit code and whether numpy has been imported
+_NUMPY_PROBE = """
+import json, sys
+import diamondkit.cli
+loaded = [["import diamondkit.cli", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = diamondkit.cli.main(argv + ["--report", "report.json"])
+    loaded.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+class TestNumpyOnlyForSearch:
+    """Only search imports numpy: every other command starts without it."""
+
+    def test_readme_chain(self, tmp_path):
+        chain = [
+            ["construct", "star-paley", "--q", "7", "--out", "tstar7.trn"],
+            ["count", "--in", "tstar7.trn", "--method", "both"],
+            ["verify", "--in", "tstar7.trn", "--checks", "conference,extremal-charpoly"],
+            ["baber", "--in", "tstar7.trn", "--out", "tstar7.hyp"],
+            ["verify", "--in", "tstar7.hyp", "--checks", "ff4,design"],
+            ["delete", "--in", "tstar7.trn", "--vertices", "7", "--out", "paley7.trn"],
+            ["extend", "--in", "paley7.trn"],
+            ["search", "--mode", "exhaustive", "--n", "5"],
+        ]
+        src = os.path.dirname(os.path.dirname(tournament.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(chain)],
+                             cwd=tmp_path, env=env, capture_output=True, text=True,
+                             timeout=120, check=True).stdout
+        loaded = json.loads(out)
+        assert [(cmd, code) for cmd, code, _ in loaded] == \
+            [("import diamondkit.cli", 0)] + [(" ".join(a), OK) for a in chain]
+        assert [numpy for _, _, numpy in loaded] == [False] * len(chain) + [True]
 
 
 @lru_cache(maxsize=None)

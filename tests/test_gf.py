@@ -1,4 +1,5 @@
-import numpy as np
+import random
+
 import pytest
 
 from diamondkit.gf import (_poly_from_int, _poly_mul_mod, _poly_to_int, factor_prime_power,
@@ -47,6 +48,13 @@ def _add(ft, a, b):
                                                      _poly_from_int(b, p, k))], p)
 
 
+def _sub(ft, a, b):
+    """a - b by base-p digit subtraction."""
+    p, k = ft.p, ft.k
+    return _poly_to_int([(x - y) % p for x, y in zip(_poly_from_int(a, p, k),
+                                                     _poly_from_int(b, p, k))], p)
+
+
 def _mul(ft, a, b):
     p, k = ft.p, ft.k
     return _poly_to_int(_poly_mul_mod(_poly_from_int(a, p, k), _poly_from_int(b, p, k),
@@ -55,13 +63,12 @@ def _mul(ft, a, b):
 
 def test_field_axioms_spot_check():
     ft = gf_build(3, 2)
-    sub = ft.differences()
     for a in range(9):
-        assert sub[a, a] == 0
-        assert sub[0, a] == a
+        assert _sub(ft, a, a) == 0
+        assert _sub(ft, a, 0) == a
         assert _mul(ft, a, 1) == a
         for b in range(9):
-            assert _add(ft, int(sub[b, a]), b) == a  # (a - b) + b = a
+            assert _add(ft, _sub(ft, a, b), b) == a  # (a - b) + b = a
             assert _mul(ft, a, b) == _mul(ft, b, a)
     # distributivity on a sample
     for a in (2, 5, 7):
@@ -75,13 +82,16 @@ def test_field_axioms_spot_check():
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 1), (3, 5), (5, 2), (7, 3), (23, 1)])
 def test_differences_match_digit_subtraction(p, k):
+    # bit j of translate i is set iff the difference j - i, by base-p digit
+    # subtraction, lies in the translated set
     ft = gf_build(p, k)
-    sub = ft.differences()
-    ref = [[_poly_to_int([(y - x) % p for x, y in zip(_poly_from_int(i, p, k),
-                                                      _poly_from_int(j, p, k))], p)
-            for j in range(ft.q)] for i in range(ft.q)]
-    assert sub.tolist() == ref
-    assert sub.dtype == np.min_scalar_type(-ft.q)
+    rng = random.Random(p * 100 + k)
+    for elements in (ft.squares(), {0}, {e for e in range(ft.q) if rng.random() < 0.5}):
+        rows = ft.translates(sum(1 << e for e in elements))
+        assert len(rows) == ft.q
+        ref = [sum(1 << j for j in range(ft.q) if _sub(ft, j, i) in elements)
+               for i in range(ft.q)]
+        assert list(rows) == ref
 
 
 def test_squares_split_for_q_3_mod_4():
@@ -90,9 +100,8 @@ def test_squares_split_for_q_3_mod_4():
         sq = ft.squares()
         assert len(sq) == (ft.q - 1) // 2
         # q = 3 mod 4: exactly one of x, -x is a square for every nonzero x
-        neg = ft.differences()[:, 0]  # neg[x] = 0 - x
         for x in range(1, ft.q):
-            assert (x in sq) != (int(neg[x]) in sq)
+            assert (x in sq) != (_sub(ft, 0, x) in sq)
 
 
 def test_factor_prime_power():

@@ -26,11 +26,11 @@ from diamondkit.hypergraph import (
     verify_ff4,
     verify_ff4_naive,
 )
+from diamondkit.search import count_diamonds_naive
 from diamondkit.tournament import (
     MAX_N,
     InputError,
     count_diamonds,
-    count_diamonds_naive,
     from_arcs,
     is_diamond,
     random_tournament,
@@ -328,9 +328,13 @@ class TestLinkFF4Oracle:
         ((3, 1, 2, 5), "edge (1, 2, 3, 5) out of range for n=5"),
         ((0, -1, 2, 3), "edge (-1, 0, 2, 3) out of range for n=5"),
         ((0, 1, 2), "bad edge (0, 1, 2)"),
+        # only integers: a float was truncated, and a string raised TypeError
+        ((0, 1, 2, 3.7), "bad edge (0, 1, 2, 3.7): indices must be integers"),
+        (("0", "1", "2", "3"), "bad edge ('0', '1', '2', '3'): indices must be integers"),
+        ((0, 1, 2, None), "bad edge (0, 1, 2, None): indices must be integers"),
     ])
     def test_constructor_rejects_bad_edges(self, edge, message):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(InputError) as exc:
             hypergraph(5, [(0, 1, 2, 3), edge])
         assert str(exc.value) == message
 

@@ -13,6 +13,8 @@ from diamondkit.search import (
     _block_tables,
     _deltas,
     _SquareState,
+    adjacency,
+    count_diamonds_naive,
     decode,
     encode,
     encodings_with_delta,
@@ -28,7 +30,6 @@ from diamondkit.spectral import (
 from diamondkit.tournament import (
     ArcFlip,
     count_diamonds,
-    count_diamonds_naive,
     diamond_delta_on_flip,
     flip_arc,
     random_tournament,
@@ -230,7 +231,7 @@ class TestAnnealingOracle:
             total += state.delta(i, j)
             state.flip(i, j)
             t = flip_arc(t, i, j)
-        a = t.adjacency
+        a = adjacency(t)
         s = a - a.T
         assert np.array_equal(state.s, s)
         assert np.array_equal(state.q, s @ s)

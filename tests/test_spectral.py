@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
-from diamondkit.search import decode, encodings_with_delta
+from diamondkit.search import count_diamonds_naive, decode, encodings_with_delta
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,
@@ -17,20 +17,31 @@ from diamondkit.spectral import (
     count_diamonds_spectral,
     diamond_upper_bound,
     is_skew_conference,
+    kernel_sign_vector,
     matches_extremal_charpoly,
     sigma4_upper_bound,
     sigma_from_traces,
     sum_principal_minors,
 )
 from diamondkit.tournament import (
-    _exact_matmul,
     count_diamonds,
-    count_diamonds_naive,
     flip_arc,
     from_arcs,
     random_tournament,
     reverse,
 )
+
+
+def _exact_matmul(a, b):
+    """a @ b for int64 matrices, multiplied in float64 BLAS: the S^2 oracle.
+
+    Exact when every product and every partial sum of a dot product is an
+    integer below 2^53 in magnitude, whatever order BLAS sums in.  For the
+    Seidel matrix S (entries in {-1, 0, 1}) the partial sums of S @ S are
+    at most n, and those of S^2 @ S at most n(n-1) (262144 at n = 512), so
+    the int64 cast of the result is lossless.
+    """
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def three_cycle():
@@ -47,22 +58,26 @@ def diamond4():
 
 def test_seidel_from_three_cycle():
     t = three_cycle()
-    assert t.seidel.tolist() == [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+    assert t.seidel == ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
 
 
 def test_seidel_reversal_negates():
     t = random_tournament(8, seed=0)
-    assert np.array_equal(reverse(t).seidel, -t.seidel)
+    assert np.array_equal(np.array(reverse(t).seidel), -np.array(t.seidel))
 
 
 def test_seidel_view_is_read_only_and_cached():
     t = random_tournament(9, seed=4)
     assert t.seidel is t.seidel and t.square is t.square
-    assert t.seidel.dtype == t.square.dtype == np.int64
     for a in (t.seidel, t.square):
-        with pytest.raises(ValueError):
-            a[0, 0] = 5
-    assert np.array_equal(t.square, t.seidel @ t.seidel)
+        # tuples of tuples of Python ints: no entry can be assigned
+        assert type(a) is tuple and len(a) == 9
+        assert all(type(row) is tuple and len(row) == 9 for row in a)
+        assert all(type(x) is int for row in a for x in row)
+        with pytest.raises(TypeError):
+            a[0][0] = 5
+    s = np.array(t.seidel)
+    assert np.array_equal(np.array(t.square), s @ s)
 
 
 class TestCharPoly:
@@ -86,7 +101,7 @@ class TestCharPoly:
         t = random_tournament(6, seed=9)
         cp = char_poly(t)
         for x in range(-3, 4):
-            m = (x * np.eye(6, dtype=np.int64) - t.seidel).tolist()
+            m = (x * np.eye(6, dtype=np.int64) - np.array(t.seidel)).tolist()
             value = sum(c * x ** (6 - k) for k, c in enumerate(cp.coefficients()))
             assert bareiss_det(m) == value
 
@@ -178,13 +193,62 @@ class TestSpectralCount:
 
 
 class TestSquare:
+    """The popcount S^2 of Tournament.square against matrix products."""
+
     @pytest.mark.parametrize("n", [3, 64, 512])
     def test_matches_int64_product(self, n):
         for seed in range(3):
-            a = random_tournament(n, seed).seidel
+            t = random_tournament(n, seed)
+            a = np.array(t.seidel)
             a2 = _exact_matmul(a, a)
             assert a2.dtype == np.int64
             assert np.array_equal(a2, a @ a)
+            assert np.array_equal(np.array(t.square), a2)
+
+    @given(st.integers(3, 64), st.integers(0, 2**30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_blas_oracle(self, n, seed):
+        t = random_tournament(n, seed)
+        a = np.array(t.seidel, dtype=np.int64)
+        assert np.array_equal(np.array(t.square), _exact_matmul(a, a))
+
+    @pytest.mark.parametrize("build", [paley_tournament, star_paley])
+    def test_paley_499(self, build):
+        t = build(499)
+        a = np.array(t.seidel, dtype=np.int64)
+        assert np.array_equal(np.array(t.square), _exact_matmul(a, a))
+
+
+def _s3_identity(t):
+    """S^3 = -nS, by two float64 BLAS products (the oracle of the rank-1 test)."""
+    s = np.array(t.seidel, dtype=np.int64)
+    return bool(np.array_equal(_exact_matmul(_exact_matmul(s, s), s), -t.n * s))
+
+
+class TestKernelSignVector:
+    """S^2 + nI = u u^T (kernel_sign_vector) against the S^3 = -nS identity."""
+
+    def _agree(self, t):
+        u = kernel_sign_vector(t)
+        assert (u is not None) == _s3_identity(t)
+        if u is not None:
+            assert u[0] == 1 and set(u) <= {-1, 1}
+            assert not (np.array(t.seidel) @ np.array(u)).any()
+        return u is not None
+
+    @pytest.mark.parametrize("q", [7, 11, 19, 23, 27, 31, 43, 243])
+    def test_paley(self, q):
+        assert self._agree(paley_tournament(q))
+
+    @pytest.mark.parametrize("q", [7, 11, 19, 23, 27])
+    def test_one_vertex_deletions_of_star_paley(self, q):
+        t = star_paley(q)
+        assert all(self._agree(delete_vertices(t, [v])) for v in range(t.n))
+
+    @given(st.integers(0, 2**30), st.integers(0, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_random_3_mod_4(self, seed, k):
+        self._agree(random_tournament(4 * k + 3, seed))
 
 
 class TestSkewConference:
