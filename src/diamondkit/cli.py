@@ -13,8 +13,10 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, constructions, hypergraph, spectral, tournament
-from .tournament import InputError
+# every command reads or writes a tournament and most square its Seidel
+# matrix; the other modules are imported by the commands that run them
+from . import __version__, spectral, tournament
+from .tournament import InputError, parse_int
 
 OK = 0
 VIOLATED = 1
@@ -29,6 +31,8 @@ def _rat(x) -> dict:
 def _bound(h, ff4):
     """edge_count_bound of h as reported; a conjectural bound that an FF4
     hypergraph (ff4 true) exceeds is refuted."""
+    from . import hypergraph
+
     bound, status = hypergraph.edge_count_bound(h.n)
     if status == hypergraph.CONJECTURAL and ff4 and h.m > bound:
         status = hypergraph.REFUTED
@@ -67,6 +71,8 @@ def _prime_power(kind, p, k):
 # Every cmd_* returns (inputs, results, status); main writes the report.
 
 def cmd_construct(args):
+    from . import constructions
+
     if args.q is not None:
         q = args.q
     elif args.p is not None and args.k is not None:
@@ -124,6 +130,8 @@ def _verify_tournament(path, checks):
 
 
 def _verify_hypergraph(path, checks):
+    from . import hypergraph
+
     h = _load(hypergraph.load_hyp, path)
     if "ff4" in checks and h.n < 5:
         raise InputError(f"ff4 check needs n >= 5, got n={h.n}")
@@ -169,6 +177,8 @@ def cmd_verify(args):
 
 
 def cmd_baber(args):
+    from . import hypergraph
+
     t = _load(tournament.load_trn, args.input)
     h = hypergraph.baber(t)
     if args.out:
@@ -181,11 +191,10 @@ def cmd_baber(args):
 
 
 def cmd_delete(args):
+    from . import constructions
+
     t = _load(tournament.load_trn, args.input)
-    try:
-        drop = [int(v) for v in args.vertices.split(",")]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    drop = [parse_int(v.strip()) for v in args.vertices.split(",")]
     sub = constructions.delete_vertices(t, drop)
     if args.out:
         tournament.save_trn(sub, args.out)
@@ -200,6 +209,8 @@ def cmd_delete(args):
 
 
 def cmd_extend(args):
+    from . import constructions
+
     t = _load(tournament.load_trn, args.input)
     try:
         ext = constructions.extend_to_conference(t)
@@ -208,7 +219,8 @@ def cmd_extend(args):
     results = {
         "n": ext.n,
         "skew_conference": spectral.is_skew_conference(ext),
-        "kernel_column": [row[-1] for row in ext.seidel[:-1]],
+        # column n of the bordered S: +1 where vertex i dominates the new vertex n
+        "kernel_column": [1 if (r >> t.n) & 1 else -1 for r in ext.rows[:-1]],
     }
     return {"in": args.input}, results, "ok"
 

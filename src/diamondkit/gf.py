@@ -10,7 +10,7 @@ is chosen deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .tournament import InputError
 
@@ -91,12 +91,11 @@ def _is_irreducible(poly, p):
     return k >= 1
 
 
-@dataclass(frozen=True)
-class FieldTable:
-    p: int
-    k: int
-    q: int
-    modulus: tuple  # k+1 coefficients, ascending degree, monic
+class FieldTable(namedtuple("FieldTable", "p k q modulus")):
+    """GF(q), q = p^k; modulus holds the k+1 coefficients of the monic
+    modulus, ascending degree."""
+
+    __slots__ = ()
 
     def squares(self) -> frozenset:
         """Nonzero squares {x*x : x != 0}."""

@@ -10,14 +10,14 @@ exactly n/4 hyperedges.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .spectral import diamond_upper_bound
-from .tournament import MAX_N, InputError, Tournament, _read_utf8
+from .tournament import MAX_N, InputError, Tournament, _immutable, _read_utf8, parse_int
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
@@ -26,10 +26,11 @@ CONJECTURAL = "conjectural"
 REFUTED = "refuted"
 
 
-@dataclass(frozen=True)
-class Hypergraph4:
-    n: int
-    edges: frozenset  # frozenset of increasing 4-tuples of Python ints below n
+class Hypergraph4(namedtuple("Hypergraph4", "n edges")):
+    """n vertices; edges is a frozenset of increasing 4-tuples of Python
+    ints below n."""
+
+    __setattr__ = _immutable
 
     @property
     def m(self) -> int:
@@ -280,8 +281,9 @@ def parse_hyp(text: str) -> Hypergraph4:
     n is capped at tournament.MAX_N, the order of the largest tournament
     whose Baber hypergraph the toolkit builds.
 
-    Every edge is validated here, once; each InputError carries the 1-based
-    line.
+    Every number is ASCII digits with an optional leading minus (see
+    tournament.parse_int).  Every edge is validated here, once; each
+    InputError carries the 1-based line.
     """
     lines = text.splitlines()
     if not lines:
@@ -290,20 +292,23 @@ def parse_hyp(text: str) -> Hypergraph4:
     if len(head) != 2:
         raise InputError(f"header must be 'n m', got {lines[0]!r}", line=1)
     try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
+        n, m = parse_int(head[0]), parse_int(head[1])
+    except InputError:
         raise InputError(f"bad header {lines[0]!r}", line=1) from None
     if not 0 <= n <= MAX_N or m < 0:
         raise InputError(f"need 0 <= n <= {MAX_N} and m >= 0, got n={n}, m={m}", line=1)
     if len(lines) < m + 1:
         raise InputError(f"expected {m} edge lines, got {len(lines) - 1}", line=len(lines))
+    # in ASCII text without "+" or "_", int() takes just the tokens parse_int
+    # takes, and is faster
+    index = int if text.isascii() and "+" not in text and "_" not in text else parse_int
     edges = []
     for lineno, raw in enumerate(lines[1:m + 1], start=2):
         parts = raw.split()
         if len(parts) != 4:
             raise InputError(f"an edge needs 4 indices, got {len(parts)}", line=lineno)
         try:
-            a, b, c, d = map(int, parts)
+            a, b, c, d = map(index, parts)
         except ValueError:
             raise InputError(f"bad index in {raw!r}", line=lineno) from None
         if not 0 <= a < b < c < d < n:

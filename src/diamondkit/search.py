@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -98,16 +98,13 @@ def count_diamonds_naive(t: Tournament) -> int:
     return int(np.count_nonzero(score == _DIAMOND_SQ))
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    n: int
-    mode: str
-    max_diamonds: int
-    witness: Tournament
-    bound: object  # Fraction
-    attained: bool
-    explored: int
-    params: dict = field(default_factory=dict)
+class SearchResult(namedtuple("SearchResult", "n mode max_diamonds witness bound attained "
+                                               "explored params")):
+    """A search's answer: the witness Tournament with max_diamonds diamonds,
+    the Fraction bound, whether it is attained, the encodings or proposals
+    explored and the search parameters as a dict."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=16)

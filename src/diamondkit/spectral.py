@@ -12,7 +12,7 @@ caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -27,12 +27,10 @@ NOT_EXTREMAL = "no"
 _MINOR_ORACLE_MAX_N = 14
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(namedtuple("CharPoly", "n sigma")):
     """det(xI - S) = x^n + sigma[0]*x^(n-1) + ... + sigma[n-1]."""
 
-    n: int
-    sigma: tuple
+    __slots__ = ()
 
     def coefficient(self, k: int) -> int:
         """sigma_k, with sigma_0 = 1."""

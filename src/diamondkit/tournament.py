@@ -12,7 +12,7 @@ it is Python-int arithmetic: this module does not import numpy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -62,10 +62,17 @@ def _square(n, rows):
     return tuple(sq)
 
 
-@dataclass(frozen=True)
-class Tournament:
-    n: int
-    rows: tuple  # rows[i] bitmask of vertices dominated by i
+def _immutable(self, name, value):
+    """__setattr__ of the records that keep a __dict__ for their cached
+    properties: every assignment is refused, while cached_property stores
+    its value in the __dict__ directly."""
+    raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+
+class Tournament(namedtuple("Tournament", "n rows")):
+    """n vertices; rows[i] is the bitmask of the vertices dominated by i."""
+
+    __setattr__ = _immutable
 
     def dom(self, i: int, j: int) -> bool:
         # int(j): a numpy shift count would coerce the row to int64
@@ -115,12 +122,10 @@ class Tournament:
         return _square(self.n, self.rows)
 
 
-@dataclass(frozen=True)
-class ArcFlip:
+class ArcFlip(namedtuple("ArcFlip", "i j")):
     """The arc i -> j to reverse; argument of the test oracle diamond_delta_on_flip."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
 
 def from_arcs(n, arcs) -> Tournament:
@@ -275,14 +280,24 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
+def parse_int(token: str) -> int:
+    """int(token) for ASCII digits with an optional leading minus; anything
+    else is an InputError.  int() alone also takes "+6", "1_0" and
+    non-ASCII digits such as "\u0663"."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise InputError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def parse_trn(text: str) -> Tournament:
     """Parse the .trn format: first line n, then n rows of {0,1} characters."""
     lines = text.splitlines()
     if not lines:
         raise InputError("empty input", line=1)
     try:
-        n = int(lines[0].strip())
-    except ValueError:
+        n = parse_int(lines[0].strip())
+    except InputError:
         raise InputError(f"bad vertex count {lines[0]!r}", line=1) from None
     if not 3 <= n <= MAX_N:
         raise InputError(f"n={n} out of range [3, {MAX_N}]", line=1)

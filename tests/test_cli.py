@@ -397,7 +397,7 @@ class TestConstructLimit:
 
 
 class TestExtendKernelColumn:
-    @pytest.mark.parametrize("q", [7, 43])
+    @pytest.mark.parametrize("q", [7, 43, 343])
     def test_kernel_column(self, tmp_path, capsys, q):
         trn = tmp_path / "p.trn"
         t = paley_tournament(q)
@@ -407,6 +407,9 @@ class TestExtendKernelColumn:
         u = report["results"]["kernel_column"]
         assert len(u) == q and u[0] == 1 and set(u) <= {-1, 1}
         assert not (np.array(t.seidel) @ np.array(u, dtype=np.int64)).any()
+        # the last column of the bordered Seidel matrix, read from one bit per row
+        ext = constructions.extend_to_conference(t)
+        assert u == [row[-1] for row in ext.seidel[:-1]]
 
 
 class TestNonUtf8Input:
@@ -579,7 +582,8 @@ class TestRefutedBound:
 class TestErrorText:
     """Each rejected argv exits 2 with exactly this one stderr line.  {trn}
     is T*(31), {hyp} its Baber hypergraph and {missing} a path that does
-    not exist."""
+    not exist.  {plus_trn} and {plus_hyp} hold numbers with a "+" sign,
+    which int() takes but the file formats do not."""
 
     @pytest.mark.parametrize("argv,err", [
         (("construct", "paley", "--q", "10"), "10 is not a prime power"),
@@ -605,13 +609,28 @@ class TestErrorText:
         (("verify", "--in", "{trn}", "--checks", "ff4"),
          "{trn}: header must be 'n m', got '32' (line 1)"),
         (("delete", "--in", "{trn}", "--vertices", "3,3"), "vertex 3 named twice"),
+        (("delete", "--in", "{trn}", "--vertices", "+3"),
+         "invalid literal for int() with base 10: '+3'"),
+        (("delete", "--in", "{trn}", "--vertices", "1,1_0"),
+         "invalid literal for int() with base 10: '1_0'"),
+        (("delete", "--in", "{trn}", "--vertices", "\u0663"),
+         "invalid literal for int() with base 10: '\u0663'"),
+        (("delete", "--in", "{trn}", "--vertices", "-1"), "vertex out of range"),
+        (("count", "--in", "{plus_trn}"), "{plus_trn}: bad vertex count '+3' (line 1)"),
+        (("verify", "--in", "{plus_hyp}", "--checks", "ff4"),
+         "{plus_hyp}: bad index in '0 1 2 +3' (line 2)"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),
-                 "missing": str(tmp_path / "missing.trn")}
+                 "missing": str(tmp_path / "missing.trn"),
+                 "plus_trn": str(tmp_path / "plus.trn"), "plus_hyp": str(tmp_path / "plus.hyp")}
         t = star_paley(31)
         save_trn(t, paths["trn"])
         save_hyp(baber(t), paths["hyp"])
+        with open(paths["plus_trn"], "w") as fh:
+            fh.write("+3\n010\n001\n100\n")
+        with open(paths["plus_hyp"], "w") as fh:
+            fh.write("6 1\n0 1 2 +3\n")
         code = main([a.format(**paths) for a in argv])
         captured = capsys.readouterr()
         assert code == INPUT_ERROR and captured.out == ""
@@ -645,41 +664,55 @@ class TestUnpackOnce:
 
 
 # Runs the README chain in one interpreter and prints, after the import and
-# after each command, the exit code and whether numpy has been imported
+# after each command, the exit code, whether numpy and dataclasses have been
+# imported and the diamondkit modules loaded so far
 _NUMPY_PROBE = """
 import json, sys
+
+def loaded(step, code):
+    return [step, code, "numpy" in sys.modules, "dataclasses" in sys.modules,
+            sorted(m for m in sys.modules if m.partition(".")[0] == "diamondkit")]
+
 import diamondkit.cli
-loaded = [["import diamondkit.cli", 0, "numpy" in sys.modules]]
+steps = [loaded("import diamondkit.cli", 0)]
 for argv in json.loads(sys.argv[1]):
     code = diamondkit.cli.main(argv + ["--report", "report.json"])
-    loaded.append([" ".join(argv), code, "numpy" in sys.modules])
-print(json.dumps(loaded))
+    steps.append(loaded(" ".join(argv), code))
+print(json.dumps(steps))
 """
 
 
 class TestNumpyOnlyForSearch:
-    """Only search imports numpy: every other command starts without it."""
+    """Each command loads only the modules it runs: only search imports
+    numpy, and none imports dataclasses.  count and verify of a .trn run
+    first, so they show that they load no module the import has not."""
 
     def test_readme_chain(self, tmp_path):
+        save_trn(star_paley(7), tmp_path / "tstar7.trn")
+        # each command with the diamondkit modules it adds to those loaded before
         chain = [
-            ["construct", "star-paley", "--q", "7", "--out", "tstar7.trn"],
-            ["count", "--in", "tstar7.trn", "--method", "both"],
-            ["verify", "--in", "tstar7.trn", "--checks", "conference,extremal-charpoly"],
-            ["baber", "--in", "tstar7.trn", "--out", "tstar7.hyp"],
-            ["verify", "--in", "tstar7.hyp", "--checks", "ff4,design"],
-            ["delete", "--in", "tstar7.trn", "--vertices", "7", "--out", "paley7.trn"],
-            ["extend", "--in", "paley7.trn"],
-            ["search", "--mode", "exhaustive", "--n", "5"],
+            (["count", "--in", "tstar7.trn", "--method", "both"], []),
+            (["verify", "--in", "tstar7.trn", "--checks", "conference,extremal-charpoly"], []),
+            (["construct", "star-paley", "--q", "7", "--out", "tstar7.trn"],
+             ["constructions", "gf"]),
+            (["baber", "--in", "tstar7.trn", "--out", "tstar7.hyp"], ["hypergraph"]),
+            (["verify", "--in", "tstar7.hyp", "--checks", "ff4,design"], []),
+            (["delete", "--in", "tstar7.trn", "--vertices", "7", "--out", "paley7.trn"], []),
+            (["extend", "--in", "paley7.trn"], []),
+            (["search", "--mode", "exhaustive", "--n", "5"], ["search"]),
         ]
         src = os.path.dirname(os.path.dirname(tournament.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(chain)],
+        out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
+                              json.dumps([argv for argv, _ in chain])],
                              cwd=tmp_path, env=env, capture_output=True, text=True,
                              timeout=120, check=True).stdout
-        loaded = json.loads(out)
-        assert [(cmd, code) for cmd, code, _ in loaded] == \
-            [("import diamondkit.cli", 0)] + [(" ".join(a), OK) for a in chain]
-        assert [numpy for _, _, numpy in loaded] == [False] * len(chain) + [True]
+        modules = ["diamondkit", "diamondkit.cli", "diamondkit.spectral", "diamondkit.tournament"]
+        want = [["import diamondkit.cli", OK, False, False, sorted(modules)]]
+        for argv, added in chain:
+            modules += [f"diamondkit.{m}" for m in added]
+            want.append([" ".join(argv), OK, argv[0] == "search", False, sorted(modules)])
+        assert json.loads(out) == want
 
 
 @lru_cache(maxsize=None)

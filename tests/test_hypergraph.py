@@ -429,6 +429,31 @@ class TestHypFormatErrors:
         assert info.value.line == line
         assert str(info.value).endswith(f" (line {line})")
 
+    @pytest.mark.parametrize("text,err", [
+        # int() takes every one of these numbers
+        ("1_1 1\n0 1 2 1_0\n", "bad header '1_1 1' (line 1)"),
+        ("+6 1\n+0 1 2 \u0663\n", "bad header '+6 1' (line 1)"),
+        ("6 +1\n0 1 2 3\n", "bad header '6 +1' (line 1)"),
+        ("\u0666 1\n0 1 2 3\n", "bad header '\u0666 1' (line 1)"),
+        ("6 1\n0 1 2 1_0\n", "bad index in '0 1 2 1_0' (line 2)"),
+        ("6 1\n+0 1 2 3\n", "bad index in '+0 1 2 3' (line 2)"),
+        ("6 1\n0 1 2 \u0663\n", "bad index in '0 1 2 \u0663' (line 2)"),
+        ("6 2\n0 1 2 3\n0 1 2 \uff15\n", "bad index in '0 1 2 \uff15' (line 3)"),
+    ])
+    def test_numbers_are_ascii_digits(self, text, err):
+        with pytest.raises(InputError) as info:
+            parse_hyp(text)
+        assert str(info.value) == err
+
+    @pytest.mark.parametrize("tail", ["", "+\n", "_\n", "\u00e9\n"])
+    def test_both_index_readers_agree(self, tail):
+        # the lines after the m edges are not read, but a "+", "_" or
+        # non-ASCII character anywhere in the text selects parse_int per index
+        assert parse_hyp(f"6 1\n0 1 2 5\n{tail}") == hypergraph(6, [(0, 1, 2, 5)])
+        with pytest.raises(InputError) as info:
+            parse_hyp(f"6 1\n-1 0 1 2\n{tail}")
+        assert str(info.value) == "edge (-1, 0, 1, 2) out of range for n=6 (line 2)"
+
     def test_edges_at_the_range_limit(self):
         h = parse_hyp("5 1\n0 1 2 4\n")
         assert h.edges == frozenset({(0, 1, 2, 4)})

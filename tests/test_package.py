@@ -1,0 +1,96 @@
+import importlib
+from fractions import Fraction
+
+import pytest
+
+import diamondkit
+from diamondkit.gf import gf_build
+from diamondkit.hypergraph import Hypergraph4, baber
+from diamondkit.search import SearchResult
+from diamondkit.spectral import CharPoly, char_poly
+from diamondkit.tournament import ArcFlip, Tournament, random_tournament
+
+# the names `diamondkit` exported when its __init__ imported every module
+EXPORTS = {
+    "tournament": ["ArcFlip", "Tournament", "count_diamonds", "diamond_delta_on_flip",
+                   "is_diamond", "random_tournament", "validate"],
+    "spectral": ["CharPoly", "char_poly", "count_diamonds_spectral", "diamond_upper_bound",
+                 "is_skew_conference", "kernel_sign_vector", "matches_extremal_charpoly",
+                 "sigma4_upper_bound", "sigma_from_traces", "sum_principal_minors"],
+    "constructions": ["delete_vertices", "extend_to_conference", "paley_tournament",
+                      "star_paley"],
+    "gf": ["FieldTable", "gf_build"],
+    "hypergraph": ["Hypergraph4", "baber", "design_block_counts", "delete_vertices_count",
+                   "edge_count_bound", "is_3_design", "is_ff4_design", "min_sum_squares",
+                   "triple_profile", "verify_ff4", "verify_ff4_naive"],
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+class TestLazyExports:
+    def test_34_names(self):
+        assert len(NAMES) == 34
+
+    @pytest.mark.parametrize("module,name", NAMES)
+    def test_from_import(self, module, name):
+        namespace = {}
+        exec(f"from diamondkit import {name}", namespace)
+        assert namespace[name] is getattr(importlib.import_module(f"diamondkit.{module}"), name)
+        assert name in dir(diamondkit)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from diamondkit import *", namespace)
+        assert {name for _, name in NAMES} <= set(namespace)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            diamondkit.no_such_name
+        with pytest.raises(ImportError):
+            exec("from diamondkit import no_such_name", {})
+
+
+def _records():
+    t = random_tournament(5, 0)
+    return [
+        (t, "n"),
+        (ArcFlip(0, 1), "i"),
+        (char_poly(t), "sigma"),
+        (gf_build(3, 2), "modulus"),
+        (baber(t), "edges"),
+        (SearchResult(5, "local", 0, t, Fraction(5, 2), False, 0, {}), "witness"),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record,field", _records(),
+                             ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+    def test_assignment_refused(self, record, field):
+        for name in (field, "new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_cached_properties_are_read_only(self):
+        t = random_tournament(6, 1)
+        square = t.square
+        with pytest.raises(AttributeError):
+            t.square = None
+        with pytest.raises(AttributeError):
+            baber(t).links = {}
+        assert t.square is square
+
+    def test_equal_tournaments_are_equal_and_hash_equal(self):
+        a, b = random_tournament(7, 3), random_tournament(7, 3)
+        a.square  # the cache does not take part in == or hash
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != random_tournament(7, 4)
+
+    def test_fields_and_repr(self):
+        assert Tournament._fields == ("n", "rows")
+        assert repr(Tournament(3, (2, 4, 1))) == "Tournament(n=3, rows=(2, 4, 1))"
+        assert repr(ArcFlip(0, 1)) == "ArcFlip(i=0, j=1)"
+        assert CharPoly._fields == ("n", "sigma")
+        assert Hypergraph4._fields == ("n", "edges")
+        assert SearchResult._fields == ("n", "mode", "max_diamonds", "witness", "bound",
+                                        "attained", "explored", "params")
+        assert gf_build(3, 2)._fields == ("p", "k", "q", "modulus")

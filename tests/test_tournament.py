@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -299,14 +300,14 @@ class TestFiveVertexLaw:
 
 
 def _parse_trn_reference(text):
-    """parse_trn with the per-character row loop it had before int(row, 2)."""
+    """parse_trn with the per-character row loop it had before int(row, 2),
+    and a header of ASCII digits with an optional leading minus."""
     lines = text.splitlines()
     if not lines:
         raise InputError("empty input", line=1)
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise InputError(f"bad vertex count {lines[0]!r}", line=1) from None
+    if not re.fullmatch("-?[0-9]+", lines[0].strip()):
+        raise InputError(f"bad vertex count {lines[0]!r}", line=1)
+    n = int(lines[0])
     if not 3 <= n <= 512:
         raise InputError(f"n={n} out of range [3, 512]", line=1)
     if len(lines) < n + 1:
@@ -367,6 +368,18 @@ class TestTrnFormat:
             parse_trn("3\n010\n001\n")
         with pytest.raises(InputError):
             parse_trn("x\n")
+
+    @pytest.mark.parametrize("head", ["+3", "0_3", "\u0663", "3.0", "-", ""])
+    def test_header_takes_ascii_digits_only(self, head):
+        # int() takes the first three as 3
+        with pytest.raises(InputError, match=f"^bad vertex count {re.escape(repr(head))} "
+                                             r"\(line 1\)$"):
+            parse_trn(f"{head}\n010\n001\n100\n")
+
+    def test_header_around_the_limits(self):
+        assert parse_trn(" 3 \n010\n001\n100\n").n == 3
+        with pytest.raises(InputError, match=r"^n=-3 out of range \[3, 512\] \(line 1\)$"):
+            parse_trn("-3\n010\n001\n100\n")
 
     def test_matches_per_pair_reference(self):
         # rows perturbed by up to 3 bit flips, some beyond column n
