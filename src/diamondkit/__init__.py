@@ -4,7 +4,8 @@ matrices and FF4-hypergraphs/designs.
 `import diamondkit` loads no submodule: each name below is imported from
 its module on first use (PEP 562), so a command pays only for the modules
 it runs.  The searches are in diamondkit.search, the one module that
-imports numpy.
+imports numpy; the test oracles (char_poly and the rest) are in
+diamondkit.oracles, which imports search.
 """
 
 from importlib import import_module
@@ -12,18 +13,19 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    **dict.fromkeys(["ArcFlip", "Tournament", "count_diamonds", "diamond_delta_on_flip",
-                     "is_diamond", "random_tournament", "validate"], "tournament"),
-    **dict.fromkeys(["CharPoly", "char_poly", "count_diamonds_spectral", "diamond_upper_bound",
-                     "is_skew_conference", "kernel_sign_vector", "matches_extremal_charpoly",
-                     "sigma4_upper_bound", "sigma_from_traces", "sum_principal_minors"],
-                    "spectral"),
+    **dict.fromkeys(["Tournament", "count_diamonds", "is_diamond", "random_tournament",
+                     "validate"], "tournament"),
+    **dict.fromkeys(["count_diamonds_spectral", "diamond_upper_bound", "is_skew_conference",
+                     "kernel_sign_vector", "matches_extremal_charpoly", "sigma4_upper_bound",
+                     "sigma_from_traces"], "spectral"),
     **dict.fromkeys(["delete_vertices", "extend_to_conference", "paley_tournament",
                      "star_paley"], "constructions"),
     **dict.fromkeys(["FieldTable", "gf_build"], "gf"),
-    **dict.fromkeys(["Hypergraph4", "baber", "design_block_counts", "delete_vertices_count",
-                     "edge_count_bound", "is_3_design", "is_ff4_design", "min_sum_squares",
-                     "triple_profile", "verify_ff4", "verify_ff4_naive"], "hypergraph"),
+    **dict.fromkeys(["Hypergraph4", "baber", "edge_count_bound", "is_3_design", "is_ff4_design",
+                     "verify_ff4"], "hypergraph"),
+    **dict.fromkeys(["ArcFlip", "CharPoly", "char_poly", "delete_vertices_count",
+                     "design_block_counts", "diamond_delta_on_flip", "min_sum_squares",
+                     "sum_principal_minors", "triple_profile", "verify_ff4_naive"], "oracles"),
 }
 __all__ = list(_EXPORTS)
 

@@ -1,6 +1,5 @@
 """FF4-hypergraphs: Baber's diamond hypergraph, the 0-or-2 five-vertex law,
-3-design verification, per-residue edge bounds, block-count formulas,
-vertex-deletion counting and the min-sum-of-squares oracle.
+3-design verification, per-residue edge bounds and the .hyp format.
 
 An FF4-hypergraph is a 4-uniform hypergraph in which every 5 vertices span
 0 or exactly 2 hyperedges; an FF4-design additionally has every triple in
@@ -13,7 +12,6 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
 from .spectral import diamond_upper_bound
@@ -129,7 +127,7 @@ def verify_ff4(h: Hypergraph4):
     Every bad 5-set contains an edge, and that edge fails the test.  Through
     a failing edge e the least bad 5-set is e + {v} for the least bad v, so
     the least of these over the failing edges is the lexicographically least
-    bad 5-set, the one verify_ff4_naive reports.
+    bad 5-set.
     """
     n = h.n
     if n < 5:
@@ -153,29 +151,6 @@ def verify_ff4(h: Hypergraph4):
         if best is None or five < best[0]:
             best = (five, count)
     return best
-
-
-def verify_ff4_naive(h: Hypergraph4):
-    """verify_ff4 by scanning all C(n,5) 5-subsets in lexicographic order.
-
-    Test oracle for verify_ff4: O(n^5) Python loop, no production caller.
-    """
-    if h.n < 5:
-        raise InputError("property defined for n >= 5")
-    for five in combinations(range(h.n), 5):
-        c = sum(1 for quad in combinations(five, 4) if quad in h.edges)
-        if c not in (0, 2):
-            return five, c
-    return None
-
-
-def triple_profile(h: Hypergraph4) -> dict:
-    """Edge count through every 3-subset (zeros included)."""
-    counts = {t: 0 for t in combinations(range(h.n), 3)}
-    for e in h.edges:
-        for t in combinations(e, 3):
-            counts[t] += 1
-    return counts
 
 
 def is_3_design(h: Hypergraph4, lam: int) -> bool:
@@ -216,63 +191,6 @@ def edge_count_bound(n: int):
     if r == 2:
         return Fraction(n * (n - 3) * (n + 2) * (n - 2), 96), CONJECTURAL
     return Fraction((n - 1) * (n - 2) * (n - 3) * (n + 3), 96), CONJECTURAL
-
-
-def design_block_counts(n: int, k: int, t: int, lam: int, s: int) -> Fraction:
-    """Blocks of a t-(n,k,lam) design through a fixed s-subset: lam*C(n-s,t-s)/C(k-s,t-s)."""
-    if not 0 <= s <= t <= k <= n:
-        raise InputError(f"need 0 <= s <= t <= k <= n, got {(n, k, t, lam, s)}")
-    if lam < 1:
-        raise InputError("lambda must be >= 1")
-    return Fraction(lam * comb(n - s, t - s), comb(k - s, t - s))
-
-
-def delete_vertices_count(h: Hypergraph4, drop):
-    """(observed, predicted) edge counts after deleting the given vertices.
-
-    observed counts edges avoiding the dropped set; predicted is the
-    inclusion-exclusion value from the 3-(n,4,n/4) design parameters alone
-    (None unless h is an FF4-design), so the two sides are independent.
-    """
-    drop = set(drop)
-    if len(drop) > 3:
-        raise InputError("at most 3 vertices may be dropped")
-    if any(not (0 <= v < h.n) for v in drop):
-        raise InputError("vertex out of range")
-    observed = sum(1 for e in h.edges if not drop & set(e))
-    predicted = None
-    if h.n % 4 == 0 and is_ff4_design(h):
-        lam = h.n // 4
-        d = len(drop)
-        predicted = sum(
-            (-1) ** j * comb(d, j) * design_block_counts(h.n, 4, 3, lam, j)
-            for j in range(d + 1)
-        )
-    return observed, predicted
-
-
-def min_sum_squares(s: int, p: int):
-    """Minimum of sum(x_i^2) over nondecreasing p-part compositions of s.
-
-    With s = p*k + h (0 <= h < p) the minimum is h*(k+1)^2 + (p-h)*k^2,
-    attained exactly by parts in {k, k+1}.
-    """
-    if s < 0 or p < 1:
-        raise InputError("need s >= 0 and p >= 1")
-    k, h = divmod(s, p)
-    minimum = h * (k + 1) ** 2 + (p - h) * k * k
-    witness = (k,) * (p - h) + (k + 1,) * h
-    return minimum, witness
-
-
-def is_min_sum_squares_witness(parts, s: int, p: int) -> bool:
-    """Equality characterization: p parts summing to s, each in {k, k+1}."""
-    k = s // p
-    return (
-        len(parts) == p
-        and sum(parts) == s
-        and all(x in (k, k + 1) for x in parts)
-    )
 
 
 def parse_hyp(text: str) -> Hypergraph4:

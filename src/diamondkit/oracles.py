@@ -1,0 +1,263 @@
+"""Test oracles: slow, independent references for the production answers.
+
+count_diamonds_naive (the C(n,4) scan), diamond_delta_on_flip,
+char_poly (Faddeev-LeVerrier), sum_principal_minors (Bareiss),
+verify_ff4_naive (the C(n,5) scan), triple_profile and _deltas recompute
+what tournament, spectral, hypergraph and search answer, in O(n^4) or
+O(n^5) work; the rest are the paper's design and sum-of-squares formulas.
+No production module imports this one; it imports search, hence numpy.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import comb
+
+import numpy as np
+
+from .hypergraph import Hypergraph4, is_ff4_design
+from .search import _subset_tables, adjacency
+from .tournament import _DIAMOND_SQ, InputError, Tournament, _subset_degree_squares
+
+_MINOR_ORACLE_MAX_N = 14
+
+
+@lru_cache(maxsize=64)
+def _comb4(n):
+    return np.array(list(combinations(range(n), 4)), dtype=np.int64)
+
+
+def count_diamonds_naive(t: Tournament) -> int:
+    """Exact diamond count by scanning all C(n,4) vertex subsets.
+
+    It holds a C(n,4) x 4 index array, so memory grows as n^4 and it runs
+    out of memory above n of about 200.
+    """
+    if t.n < 4:
+        return 0
+    a = adjacency(t)
+    c = _comb4(t.n)
+    score = np.zeros(len(c), dtype=np.int64)
+    for i in range(4):
+        deg = np.zeros(len(c), dtype=np.int64)
+        for j in range(4):
+            if j != i:
+                deg += a[c[:, i], c[:, j]]
+        score += deg * deg
+    return int(np.count_nonzero(score == _DIAMOND_SQ))
+
+
+class ArcFlip(namedtuple("ArcFlip", "i j")):
+    """The arc i -> j to reverse; argument of diamond_delta_on_flip."""
+
+    __slots__ = ()
+
+
+def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
+    """Reverse the arc i -> j (precondition: i dominates j); copies all n rows."""
+    if not t.dom(i, j):
+        raise InputError(f"arc ({i},{j}) not present")
+    rows = list(t.rows)
+    rows[i] &= ~(1 << j)
+    rows[j] |= 1 << i
+    return Tournament(t.n, tuple(rows))
+
+
+def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
+    """Change in diamond count if arc (i,j) is reversed.
+
+    Only the C(n-2,2) 4-sets containing both endpoints can change; they are
+    scanned in Python.
+    """
+    i, j = flip.i, flip.j
+    if not t.dom(i, j):
+        raise InputError(f"arc ({i},{j}) not present")
+    flipped = flip_arc(t, i, j)
+    others = [v for v in range(t.n) if v != i and v != j]
+    delta = 0
+    for k, l in combinations(others, 2):
+        delta += (_subset_degree_squares(flipped.rows, i, j, k, l) == _DIAMOND_SQ)
+        delta -= (_subset_degree_squares(t.rows, i, j, k, l) == _DIAMOND_SQ)
+    return delta
+
+
+def _deltas(n, encodings):
+    """Diamond counts for a uint32/uint64 array of encodings: one
+    shift/mask pass per pair bit of every 4-subset over the whole array."""
+    lut, pair_bits = _subset_tables(n)
+    total = np.zeros(len(encodings), dtype=np.uint16)
+    for bits in pair_bits:
+        idx = np.zeros(len(encodings), dtype=np.uint8)
+        for t, pb in enumerate(bits):
+            idx |= (((encodings >> pb) & 1) << t).astype(np.uint8)
+        total += lut[idx]
+    return total
+
+
+class CharPoly(namedtuple("CharPoly", "n sigma")):
+    """det(xI - S) = x^n + sigma[0]*x^(n-1) + ... + sigma[n-1]."""
+
+    __slots__ = ()
+
+    def coefficient(self, k: int) -> int:
+        """sigma_k, with sigma_0 = 1."""
+        return 1 if k == 0 else self.sigma[k - 1]
+
+    def coefficients(self) -> list:
+        """[1, sigma_1, ..., sigma_n], highest degree first."""
+        return [1, *self.sigma]
+
+
+def char_poly(t: Tournament) -> CharPoly:
+    """Exact characteristic polynomial via the Faddeev-LeVerrier recurrence.
+
+    Each division by the step index is exact over the integers; a failed
+    exact division would indicate an arithmetic bug and raises.  O(n^4) on
+    Python ints.
+    """
+    n = t.n
+    a = [list(row) for row in t.seidel]
+    m = [row[:] for row in a]  # M_1 = S
+    sigma = []
+    c = -sum(m[i][i] for i in range(n))
+    sigma.append(c)
+    for k in range(2, n + 1):
+        for i in range(n):
+            m[i][i] += c
+        m = _mat_mul(a, m)
+        tr = sum(m[i][i] for i in range(n))
+        if tr % k:
+            raise ArithmeticError(f"inexact division at step {k}")
+        c = -tr // k
+        sigma.append(c)
+    return CharPoly(n, tuple(sigma))
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for k in range(n):
+            aik = ai[k]
+            if aik:
+                bk = b[k]
+                for j in range(n):
+                    oi[j] += aik * bk[j]
+    return out
+
+
+def bareiss_det(matrix) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    m = [list(map(int, row)) for row in matrix]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def sum_principal_minors(t: Tournament, k: int) -> int:
+    """Sum of all C(n,k) principal k x k minors, each by Bareiss; refuses
+    n > 14."""
+    if t.n > _MINOR_ORACLE_MAX_N:
+        raise InputError(f"oracle limited to n <= {_MINOR_ORACLE_MAX_N}")
+    if not 0 <= k <= t.n:
+        raise InputError(f"k={k} out of range")
+    m = t.seidel
+    total = 0
+    for idx in combinations(range(t.n), k):
+        sub = [[m[i][j] for j in idx] for i in idx]
+        total += bareiss_det(sub)
+    return total
+
+
+def verify_ff4_naive(h: Hypergraph4):
+    """verify_ff4 by scanning all C(n,5) 5-subsets in lexicographic order."""
+    if h.n < 5:
+        raise InputError("property defined for n >= 5")
+    for five in combinations(range(h.n), 5):
+        c = sum(1 for quad in combinations(five, 4) if quad in h.edges)
+        if c not in (0, 2):
+            return five, c
+    return None
+
+
+def triple_profile(h: Hypergraph4) -> dict:
+    """Edge count through every 3-subset (zeros included)."""
+    counts = {t: 0 for t in combinations(range(h.n), 3)}
+    for e in h.edges:
+        for t in combinations(e, 3):
+            counts[t] += 1
+    return counts
+
+
+def design_block_counts(n: int, k: int, t: int, lam: int, s: int) -> Fraction:
+    """Blocks of a t-(n,k,lam) design through a fixed s-subset: lam*C(n-s,t-s)/C(k-s,t-s)."""
+    if not 0 <= s <= t <= k <= n:
+        raise InputError(f"need 0 <= s <= t <= k <= n, got {(n, k, t, lam, s)}")
+    if lam < 1:
+        raise InputError("lambda must be >= 1")
+    return Fraction(lam * comb(n - s, t - s), comb(k - s, t - s))
+
+
+def delete_vertices_count(h: Hypergraph4, drop):
+    """(observed, predicted) edge counts after deleting the given vertices.
+
+    observed counts edges avoiding the dropped set; predicted is the
+    inclusion-exclusion value from the 3-(n,4,n/4) design parameters alone
+    (None unless h is an FF4-design), so the two sides are independent.
+    """
+    drop = set(drop)
+    if len(drop) > 3:
+        raise InputError("at most 3 vertices may be dropped")
+    if any(not (0 <= v < h.n) for v in drop):
+        raise InputError("vertex out of range")
+    observed = sum(1 for e in h.edges if not drop & set(e))
+    predicted = None
+    if h.n % 4 == 0 and is_ff4_design(h):
+        lam = h.n // 4
+        d = len(drop)
+        predicted = sum(
+            (-1) ** j * comb(d, j) * design_block_counts(h.n, 4, 3, lam, j)
+            for j in range(d + 1)
+        )
+    return observed, predicted
+
+
+def min_sum_squares(s: int, p: int):
+    """Minimum of sum(x_i^2) over nondecreasing p-part compositions of s.
+
+    With s = p*k + h (0 <= h < p) the minimum is h*(k+1)^2 + (p-h)*k^2,
+    attained exactly by parts in {k, k+1}.
+    """
+    if s < 0 or p < 1:
+        raise InputError("need s >= 0 and p >= 1")
+    k, h = divmod(s, p)
+    minimum = h * (k + 1) ** 2 + (p - h) * k * k
+    witness = (k,) * (p - h) + (k + 1,) * h
+    return minimum, witness
+
+
+def is_min_sum_squares_witness(parts, s: int, p: int) -> bool:
+    """Equality characterization: p parts summing to s, each in {k, k+1}."""
+    k = s // p
+    return len(parts) == p and sum(parts) == s and all(x in (k, k + 1) for x in parts)

@@ -1,7 +1,7 @@
 """Exhaustive and annealing search for diamond-maximal tournaments, and the
 numpy views of a tournament they work on.
 
-This is the one module that imports numpy; the CLI imports it only for
+Only this module and oracles import numpy; the CLI imports it only for
 `search`.  Encodings (see encode) are upper-triangle arc bits in row-major
 pair order, pair b = the b-th pair (i,j) with i < j; bit value 1 means the
 lower index dominates.  The canonical witness of a search is the least
@@ -26,8 +26,8 @@ from itertools import combinations
 import numpy as np
 
 from .spectral import diamond_upper_bound
-from .tournament import (_DIAMOND_SQ, MAX_N, InputError, Tournament, count_diamonds, is_diamond,
-                         pair_index, random_tournament)
+from .tournament import (MAX_N, InputError, Tournament, count_diamonds, is_diamond, pair_index,
+                         random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _GROUP = 2  # mixed 4-subsets per table gather: 64^2 table entries per block
@@ -72,32 +72,6 @@ def decode(n: int, e: int) -> Tournament:
     return from_adjacency(a)
 
 
-@lru_cache(maxsize=64)
-def _comb4(n):
-    return np.array(list(combinations(range(n), 4)), dtype=np.int64)
-
-
-def count_diamonds_naive(t: Tournament) -> int:
-    """Exact diamond count by scanning all C(n,4) vertex subsets.
-
-    Test oracle for tournament.count_diamonds, no production caller: it
-    holds a C(n,4) x 4 index array, so memory grows as n^4 and it runs out
-    of memory above n of about 200.
-    """
-    if t.n < 4:
-        return 0
-    a = adjacency(t)
-    c = _comb4(t.n)
-    score = np.zeros(len(c), dtype=np.int64)
-    for i in range(4):
-        deg = np.zeros(len(c), dtype=np.int64)
-        for j in range(4):
-            if j != i:
-                deg += a[c[:, i], c[:, j]]
-        score += deg * deg
-    return int(np.count_nonzero(score == _DIAMOND_SQ))
-
-
 class SearchResult(namedtuple("SearchResult", "n mode max_diamonds witness bound attained "
                                                "explored params")):
     """A search's answer: the witness Tournament with max_diamonds diamonds,
@@ -120,22 +94,6 @@ def _subset_tables(n):
     pair_bits = np.array([[pair_index(n, quad[a], quad[b]) for a, b in local_pairs]
                           for quad in combinations(range(n), 4)], dtype=np.uint32)
     return lut, pair_bits
-
-
-def _deltas(n, encodings):
-    """Diamond counts for a uint32/uint64 array of encodings.
-
-    Test oracle for _block_counts: one shift/mask pass per pair bit of every
-    4-subset over the whole array; no production caller.
-    """
-    lut, pair_bits = _subset_tables(n)
-    total = np.zeros(len(encodings), dtype=np.uint16)
-    for bits in pair_bits:
-        idx = np.zeros(len(encodings), dtype=np.uint8)
-        for t, pb in enumerate(bits):
-            idx |= (((encodings >> pb) & 1) << t).astype(np.uint8)
-        total += lut[idx]
-    return total
 
 
 @lru_cache(maxsize=16)

@@ -1,20 +1,16 @@
 """Exact spectral identities of the Seidel matrix S = A - A^T of a tournament.
 
-Everything here is integer-exact and takes a Tournament.  The production
-checks use matrix identities: sigma_2/sigma_4 from traces of S^2 and S^4,
-the skew-conference test from S^2 and the odd-extremal test from the rank
-of S^2 + nI.  All of them read the S^2 cached on the tournament
+Everything here is integer-exact and takes a Tournament.  The checks use
+matrix identities: sigma_2/sigma_4 from traces of S^2 and S^4, the
+skew-conference test from S^2 and the odd-extremal test from the rank of
+S^2 + nI.  All of them read the S^2 cached on the tournament
 (Tournament.square, Python ints from row popcounts), so each is O(n^2)
-once S^2 is built.  The Faddeev-LeVerrier char_poly over Python ints and
-the fraction-free Bareiss minors are test oracles with no production
-caller.
+once S^2 is built.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from operator import mul
 
@@ -23,90 +19,6 @@ from .tournament import InputError, Tournament
 EVEN_EXTREMAL = "even-extremal"
 ODD_EXTREMAL = "odd-extremal"
 NOT_EXTREMAL = "no"
-
-_MINOR_ORACLE_MAX_N = 14
-
-
-class CharPoly(namedtuple("CharPoly", "n sigma")):
-    """det(xI - S) = x^n + sigma[0]*x^(n-1) + ... + sigma[n-1]."""
-
-    __slots__ = ()
-
-    def coefficient(self, k: int) -> int:
-        """sigma_k, with sigma_0 = 1."""
-        return 1 if k == 0 else self.sigma[k - 1]
-
-    def coefficients(self) -> list:
-        """[1, sigma_1, ..., sigma_n], highest degree first."""
-        return [1, *self.sigma]
-
-
-def char_poly(t: Tournament) -> CharPoly:
-    """Exact characteristic polynomial via the Faddeev-LeVerrier recurrence.
-
-    Each division by the step index is exact over the integers; a failed
-    exact division would indicate an arithmetic bug and raises.  Test oracle
-    for matches_extremal_charpoly: O(n^4) on Python ints, no production
-    caller.
-    """
-    n = t.n
-    a = [list(row) for row in t.seidel]
-    m = [row[:] for row in a]  # M_1 = S
-    sigma = []
-    c = -sum(m[i][i] for i in range(n))
-    sigma.append(c)
-    for k in range(2, n + 1):
-        for i in range(n):
-            m[i][i] += c
-        m = _mat_mul(a, m)
-        tr = sum(m[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError(f"inexact division at step {k}")
-        c = -tr // k
-        sigma.append(c)
-    return CharPoly(n, tuple(sigma))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += aik * bk[j]
-    return out
-
-
-def bareiss_det(matrix) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
-
-    Test oracle (via sum_principal_minors); no production caller.
-    """
-    m = [list(map(int, row)) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def sigma_from_traces(t: Tournament):
@@ -125,24 +37,6 @@ def sigma_from_traces(t: Tournament):
     if r2 or r4:
         raise ArithmeticError("trace formulas produced non-integers")
     return sigma2, sigma4
-
-
-def sum_principal_minors(t: Tournament, k: int) -> int:
-    """Sum of all C(n,k) principal k x k minors, each by Bareiss.
-
-    Test oracle for sigma_from_traces and char_poly, no production caller.
-    Oracle-scale only: refuses n > 14.
-    """
-    if t.n > _MINOR_ORACLE_MAX_N:
-        raise InputError(f"oracle limited to n <= {_MINOR_ORACLE_MAX_N}")
-    if not 0 <= k <= t.n:
-        raise InputError(f"k={k} out of range")
-    m = t.seidel
-    total = 0
-    for idx in combinations(range(t.n), k):
-        sub = [[m[i][j] for j in idx] for i in idx]
-        total += bareiss_det(sub)
-    return total
 
 
 def count_diamonds_spectral(t: Tournament) -> int:
@@ -200,8 +94,7 @@ def matches_extremal_charpoly(t: Tournament) -> str:
     iff every eigenvalue lies in {0, +-i sqrt(n)}; a tournament has
     tr S^2 = -n(n-1), so exactly n-1 eigenvalues are nonzero and 0 is simple,
     which makes P = x (x^2+n)^((n-1)/2).  S^3 = -nS is decided as
-    S^2 + nI = u u^T (see kernel_sign_vector).  O(n^2) on the cached S^2;
-    char_poly is kept as the test oracle.
+    S^2 + nI = u u^T (see kernel_sign_vector).  O(n^2) on the cached S^2.
     """
     n = t.n
     if n % 4 == 0:

@@ -1,5 +1,5 @@
-"""Tournaments as row bitsets: validation, diamond detection, counting, arc
-flips and the Seidel view.
+"""Tournaments as row bitsets: validation, diamond detection, counting and
+the Seidel view.
 
 A tournament on n vertices (3 <= n <= 512) stores one bitmask per vertex;
 bit j of row i is set iff i dominates j.  Vertices are dense 0-based ints.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
 MAX_N = 512
@@ -122,12 +121,6 @@ class Tournament(namedtuple("Tournament", "n rows")):
         return _square(self.n, self.rows)
 
 
-class ArcFlip(namedtuple("ArcFlip", "i j")):
-    """The arc i -> j to reverse; argument of the test oracle diamond_delta_on_flip."""
-
-    __slots__ = ()
-
-
 def from_arcs(n, arcs) -> Tournament:
     rows = [0] * n
     for i, j in arcs:
@@ -223,39 +216,6 @@ def count_diamonds(t: Tournament) -> int:
     return total
 
 
-def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
-    """Reverse the arc i -> j (precondition: i dominates j).
-
-    Copies all n rows: a test oracle for the O(n) update of the annealing
-    state in search, with no production caller.
-    """
-    if not t.dom(i, j):
-        raise InputError(f"arc ({i},{j}) not present")
-    rows = list(t.rows)
-    rows[i] &= ~(1 << j)
-    rows[j] |= 1 << i
-    return Tournament(t.n, tuple(rows))
-
-
-def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
-    """Change in diamond count if arc (i,j) is reversed.
-
-    Only the C(n-2,2) 4-sets containing both endpoints can change; they are
-    scanned in Python.  Test oracle for the O(n) S^2 delta of the annealing
-    state in search, with no production caller.
-    """
-    i, j = flip.i, flip.j
-    if not t.dom(i, j):
-        raise InputError(f"arc ({i},{j}) not present")
-    flipped = flip_arc(t, i, j)
-    others = [v for v in range(t.n) if v != i and v != j]
-    delta = 0
-    for k, l in combinations(others, 2):
-        delta += (_subset_degree_squares(flipped.rows, i, j, k, l) == _DIAMOND_SQ)
-        delta -= (_subset_degree_squares(t.rows, i, j, k, l) == _DIAMOND_SQ)
-    return delta
-
-
 def pair_index(n: int, i: int, j: int) -> int:
     """Row-major index of pair (i,j), i < j, among the C(n,2) pairs."""
     return i * n - i * (i + 1) // 2 + (j - i - 1)
@@ -282,12 +242,16 @@ def random_tournament(n: int, seed: int) -> Tournament:
 
 def parse_int(token: str) -> int:
     """int(token) for ASCII digits with an optional leading minus; anything
-    else is an InputError.  int() alone also takes "+6", "1_0" and
+    else is an InputError, as is a number longer than int() converts
+    (sys.get_int_max_str_digits).  int() alone also takes "+6", "1_0" and
     non-ASCII digits such as "\u0663"."""
     digits = token[1:] if token[:1] == "-" else token
     if not (digits.isascii() and digits.isdigit()):
         raise InputError(f"invalid literal for int() with base 10: {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"number too long: {len(digits)} digits") from None
 
 
 def parse_trn(text: str) -> Tournament:

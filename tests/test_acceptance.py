@@ -17,29 +17,26 @@ from diamondkit.constructions import (
     paley_tournament,
     star_paley,
 )
-from diamondkit.hypergraph import (
-    baber,
+from diamondkit.hypergraph import baber, edge_count_bound, is_ff4_design, verify_ff4
+from diamondkit.oracles import (
+    char_poly,
+    count_diamonds_naive,
     delete_vertices_count,
-    edge_count_bound,
-    is_ff4_design,
-    min_sum_squares,
     is_min_sum_squares_witness,
+    min_sum_squares,
+    sum_principal_minors,
     triple_profile,
-    verify_ff4,
 )
-from diamondkit.search import (count_diamonds_naive, decode, encodings_with_delta,
-                               exhaustive_max_diamonds)
+from diamondkit.search import decode, encodings_with_delta, exhaustive_max_diamonds
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,
     ODD_EXTREMAL,
-    char_poly,
     count_diamonds_spectral,
     is_skew_conference,
     matches_extremal_charpoly,
     sigma4_upper_bound,
     sigma_from_traces,
-    sum_principal_minors,
 )
 from diamondkit.tournament import random_tournament
 

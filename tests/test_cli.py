@@ -26,7 +26,7 @@ from diamondkit.hypergraph import (
     save_hyp,
     verify_ff4,
 )
-from diamondkit.search import count_diamonds_naive
+from diamondkit.oracles import count_diamonds_naive
 from diamondkit.spectral import count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
@@ -619,6 +619,7 @@ class TestErrorText:
         (("count", "--in", "{plus_trn}"), "{plus_trn}: bad vertex count '+3' (line 1)"),
         (("verify", "--in", "{plus_hyp}", "--checks", "ff4"),
          "{plus_hyp}: bad index in '0 1 2 +3' (line 2)"),
+        (("delete", "--in", "{trn}", "--vertices", "1" * 5000), "number too long: 5000 digits"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),

@@ -11,7 +11,7 @@ from diamondkit.constructions import (
     star_paley,
 )
 from diamondkit.hypergraph import baber, is_ff4_design
-from diamondkit.search import count_diamonds_naive
+from diamondkit.oracles import count_diamonds_naive
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     count_diamonds_spectral,

@@ -12,21 +12,23 @@ from diamondkit.hypergraph import (
     CONJECTURAL,
     PROVEN,
     baber,
-    delete_vertices_count,
-    design_block_counts,
     edge_count_bound,
     format_hyp,
     hypergraph,
     is_3_design,
     is_ff4_design,
+    parse_hyp,
+    verify_ff4,
+)
+from diamondkit.oracles import (
+    count_diamonds_naive,
+    delete_vertices_count,
+    design_block_counts,
     is_min_sum_squares_witness,
     min_sum_squares,
-    parse_hyp,
     triple_profile,
-    verify_ff4,
     verify_ff4_naive,
 )
-from diamondkit.search import count_diamonds_naive
 from diamondkit.tournament import (
     MAX_N,
     InputError,
@@ -439,6 +441,9 @@ class TestHypFormatErrors:
         ("6 1\n+0 1 2 3\n", "bad index in '+0 1 2 3' (line 2)"),
         ("6 1\n0 1 2 \u0663\n", "bad index in '0 1 2 \u0663' (line 2)"),
         ("6 2\n0 1 2 3\n0 1 2 \uff15\n", "bad index in '0 1 2 \uff15' (line 3)"),
+        # more digits than int() converts
+        (f"{'9' * 5000} 1\n0 1 2 3\n", f"bad header '{'9' * 5000} 1' (line 1)"),
+        (f"6 1\n0 1 2 {'9' * 5000}\n", f"bad index in '0 1 2 {'9' * 5000}' (line 2)"),
     ])
     def test_numbers_are_ascii_digits(self, text, err):
         with pytest.raises(InputError) as info:

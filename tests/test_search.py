@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondkit.hypergraph import edge_count_bound
+from diamondkit.oracles import (
+    ArcFlip,
+    _deltas,
+    count_diamonds_naive,
+    diamond_delta_on_flip,
+    flip_arc,
+)
 from diamondkit.search import (
     MAX_THREADS,
     _block_counts,
     _block_tables,
-    _deltas,
     _SquareState,
     adjacency,
-    count_diamonds_naive,
     decode,
     encode,
     encodings_with_delta,
@@ -28,10 +33,7 @@ from diamondkit.spectral import (
     matches_extremal_charpoly,
 )
 from diamondkit.tournament import (
-    ArcFlip,
     count_diamonds,
-    diamond_delta_on_flip,
-    flip_arc,
     random_tournament,
     validate,
 )

@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
-from diamondkit.search import count_diamonds_naive, decode, encodings_with_delta
+from diamondkit.oracles import (
+    bareiss_det,
+    char_poly,
+    count_diamonds_naive,
+    flip_arc,
+    sum_principal_minors,
+)
+from diamondkit.search import decode, encodings_with_delta
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,
     ODD_EXTREMAL,
-    bareiss_det,
-    char_poly,
     count_diamonds_spectral,
     diamond_upper_bound,
     is_skew_conference,
@@ -21,11 +26,9 @@ from diamondkit.spectral import (
     matches_extremal_charpoly,
     sigma4_upper_bound,
     sigma_from_traces,
-    sum_principal_minors,
 )
 from diamondkit.tournament import (
     count_diamonds,
-    flip_arc,
     from_arcs,
     random_tournament,
     reverse,

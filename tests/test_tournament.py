@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondkit.tournament import (
-    ArcFlip,
     Tournament,
     count_diamonds,
-    diamond_delta_on_flip,
-    flip_arc,
     format_trn,
     from_arcs,
     is_diamond,
@@ -23,8 +20,14 @@ from diamondkit.tournament import (
     validate,
     InputError,
 )
-from diamondkit.search import adjacency, count_diamonds_naive, decode, encode
-from diamondkit.spectral import bareiss_det
+from diamondkit.oracles import (
+    ArcFlip,
+    bareiss_det,
+    count_diamonds_naive,
+    diamond_delta_on_flip,
+    flip_arc,
+)
+from diamondkit.search import adjacency, decode, encode
 
 
 def _validate_reference(t):
@@ -369,9 +372,9 @@ class TestTrnFormat:
         with pytest.raises(InputError):
             parse_trn("x\n")
 
-    @pytest.mark.parametrize("head", ["+3", "0_3", "\u0663", "3.0", "-", ""])
+    @pytest.mark.parametrize("head", ["+3", "0_3", "\u0663", "3.0", "-", "", "9" * 5000])
     def test_header_takes_ascii_digits_only(self, head):
-        # int() takes the first three as 3
+        # int() takes the first three as 3, and refuses more than 4300 digits
         with pytest.raises(InputError, match=f"^bad vertex count {re.escape(repr(head))} "
                                              r"\(line 1\)$"):
             parse_trn(f"{head}\n010\n001\n100\n")
