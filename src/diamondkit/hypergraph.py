@@ -15,7 +15,8 @@ from functools import cached_property
 from math import comb
 
 from .spectral import diamond_upper_bound
-from .tournament import MAX_N, InputError, Tournament, _immutable, _read_utf8, parse_int
+from .tournament import (MAX_N, InputError, Tournament, _immutable, _quote, _read_utf8,
+                         _refuse_trailing, parse_int)
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
@@ -194,7 +195,8 @@ def edge_count_bound(n: int):
 
 
 def parse_hyp(text: str) -> Hypergraph4:
-    """Parse the .hyp format: 'n m' then m lines of 4 increasing indices below n.
+    """Parse the .hyp format: 'n m', then m lines of 4 increasing indices below
+    n, then only blank lines.
 
     n is capped at tournament.MAX_N, the order of the largest tournament
     whose Baber hypergraph the toolkit builds.
@@ -208,11 +210,11 @@ def parse_hyp(text: str) -> Hypergraph4:
         raise InputError("empty input", line=1)
     head = lines[0].split()
     if len(head) != 2:
-        raise InputError(f"header must be 'n m', got {lines[0]!r}", line=1)
+        raise InputError(f"header must be 'n m', got {_quote(lines[0])}", line=1)
     try:
         n, m = parse_int(head[0]), parse_int(head[1])
     except InputError:
-        raise InputError(f"bad header {lines[0]!r}", line=1) from None
+        raise InputError(f"bad header {_quote(lines[0])}", line=1) from None
     if not 0 <= n <= MAX_N or m < 0:
         raise InputError(f"need 0 <= n <= {MAX_N} and m >= 0, got n={n}, m={m}", line=1)
     if len(lines) < m + 1:
@@ -228,7 +230,7 @@ def parse_hyp(text: str) -> Hypergraph4:
         try:
             a, b, c, d = map(index, parts)
         except ValueError:
-            raise InputError(f"bad index in {raw!r}", line=lineno) from None
+            raise InputError(f"bad index in {_quote(raw)}", line=lineno) from None
         if not 0 <= a < b < c < d < n:
             if a < b < c < d:
                 raise InputError(f"edge {(a, b, c, d)} out of range for n={n}", line=lineno)
@@ -241,6 +243,7 @@ def parse_hyp(text: str) -> Hypergraph4:
             if e in seen:
                 raise InputError(f"duplicate edge {e}", line=lineno)
             seen.add(e)
+    _refuse_trailing(lines, m + 1, f"the {m} edges")
     return Hypergraph4(n, edge_set)
 
 

@@ -5,7 +5,8 @@ char_poly (Faddeev-LeVerrier), sum_principal_minors (Bareiss),
 verify_ff4_naive (the C(n,5) scan), triple_profile and _deltas recompute
 what tournament, spectral, hypergraph and search answer, in O(n^4) or
 O(n^5) work; the rest are the paper's design and sum-of-squares formulas.
-No production module imports this one; it imports search, hence numpy.
+They read S from seidel, entry by entry.  No production module imports
+this one; it imports search, hence numpy.
 """
 
 from __future__ import annotations
@@ -19,10 +20,16 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph4, is_ff4_design
-from .search import _subset_tables, adjacency
+from .search import _subset_tables
 from .tournament import _DIAMOND_SQ, InputError, Tournament, _subset_degree_squares
 
 _MINOR_ORACLE_MAX_N = 14
+
+
+def seidel(t: Tournament) -> list:
+    """S = A - A^T as n int lists: +1 where i dominates j, -1 where j
+    dominates i, 0 on the diagonal; O(n^2) calls of t.dom."""
+    return [[t.dom(i, j) - t.dom(j, i) for j in range(t.n)] for i in range(t.n)]
 
 
 @lru_cache(maxsize=64)
@@ -38,7 +45,7 @@ def count_diamonds_naive(t: Tournament) -> int:
     """
     if t.n < 4:
         return 0
-    a = adjacency(t)
+    a = (np.array(seidel(t)) > 0).astype(np.int64)
     c = _comb4(t.n)
     score = np.zeros(len(c), dtype=np.int64)
     for i in range(4):
@@ -119,7 +126,7 @@ def char_poly(t: Tournament) -> CharPoly:
     Python ints.
     """
     n = t.n
-    a = [list(row) for row in t.seidel]
+    a = seidel(t)
     m = [row[:] for row in a]  # M_1 = S
     sigma = []
     c = -sum(m[i][i] for i in range(n))
@@ -182,7 +189,7 @@ def sum_principal_minors(t: Tournament, k: int) -> int:
         raise InputError(f"oracle limited to n <= {_MINOR_ORACLE_MAX_N}")
     if not 0 <= k <= t.n:
         raise InputError(f"k={k} out of range")
-    m = t.seidel
+    m = seidel(t)
     total = 0
     for idx in combinations(range(t.n), k):
         sub = [[m[i][j] for j in idx] for i in idx]

@@ -1,10 +1,8 @@
-"""Exhaustive and annealing search for diamond-maximal tournaments, and the
-numpy views of a tournament they work on.
+"""Exhaustive and annealing search for diamond-maximal tournaments.
 
 Only this module and oracles import numpy; the CLI imports it only for
-`search`.  Encodings (see encode) are upper-triangle arc bits in row-major
-pair order, pair b = the b-th pair (i,j) with i < j; bit value 1 means the
-lower index dominates.  The canonical witness of a search is the least
+`search`.  Encodings are tournament.encode's: bit pair_index(n, i, j) is
+the arc between i < j.  The canonical witness of a search is the least
 encoding integer attaining the maximum.  The exhaustive scan runs over
 blocks of encodings that share their high bits: per 4-subset, a cached code
 of the low pair bits indexes a 64-entry diamond lookup table completed by
@@ -26,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, count_diamonds, is_diamond, pair_index,
-                         random_tournament)
+from .tournament import (MAX_N, InputError, Tournament, count_diamonds, decode, encode, is_diamond,
+                         pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _GROUP = 2  # mixed 4-subsets per table gather: 64^2 table entries per block
@@ -35,41 +33,6 @@ _ARANGE64 = np.arange(64, dtype=np.uint8)
 _EXHAUSTIVE_MAX_N = 8
 _LONG_RUN_N = 8  # 2^28 encodings; gated behind long_run=True
 MAX_THREADS = 64  # a pool is never larger, whatever the caller asks for
-
-
-def adjacency(t: Tournament) -> np.ndarray:
-    """0/1 int64 matrix with a[i, j] = 1 iff i dominates j."""
-    n = t.n
-    width = (n + 7) // 8
-    full = (1 << n) - 1
-    buf = b"".join((r & full).to_bytes(width, "little") for r in t.rows)
-    bits = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
-
-
-def from_adjacency(a) -> Tournament:
-    """Inverse of adjacency: row i of the n x n 0/1 (or boolean) matrix a
-    becomes the bitmask of row i (no validation)."""
-    packed = np.packbits(np.asarray(a, dtype=bool), axis=1, bitorder="little")
-    return Tournament(len(packed), tuple(int.from_bytes(r.tobytes(), "little") for r in packed))
-
-
-def encode(t: Tournament) -> int:
-    """Upper-triangle arc bits in row-major pair order (see pair_index); bit
-    value 1 means the lower index dominates."""
-    bits = adjacency(t)[np.triu_indices(t.n, 1)].astype(bool)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def decode(n: int, e: int) -> Tournament:
-    """Inverse of encode, for 0 <= e < 2^C(n,2)."""
-    m = n * (n - 1) // 2
-    raw = np.frombuffer(int(e).to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-    upper = np.triu_indices(n, 1)
-    a = np.zeros((n, n), dtype=bool)
-    a[upper] = np.unpackbits(raw, count=m, bitorder="little")
-    a.T[upper] = ~a[upper]
-    return from_adjacency(a)
 
 
 class SearchResult(namedtuple("SearchResult", "n mode max_diamonds witness bound attained "
@@ -260,14 +223,19 @@ class _SquareState:
     those rows and columns before and after gives a change of
     -(Q[j].S[i] - Q[i].S[j] + 4n - 6) / 4: two length-n dot products per
     proposal, and an O(n) update per accepted flip.  Every entry of Q has
-    magnitude at most n - 1, so all of it is exact in int64.  Both start
-    from t's cached Seidel view and its square.
+    magnitude at most n - 1, so all of it is exact in int64.  Q starts from
+    t's cached square, and S = A - A^T from one unpackbits of the rows: the
+    one place a tournament becomes a matrix.
     """
 
     def __init__(self, t: Tournament):
-        self.n = t.n
-        self.s = np.array(t.seidel, dtype=np.int64)
-        self.q = np.array(t.square, dtype=np.int64)
+        n = self.n = t.n
+        self.q = np.array(t.square, dtype=np.int64)  # raises unless t is valid
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in t.rows),
+                               dtype=np.uint8).reshape(n, width)
+        a = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.int64)
+        self.s = a - a.T
 
     def dominates(self, i, j) -> bool:
         return self.s.item(i, j) > 0

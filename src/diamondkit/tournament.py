@@ -1,12 +1,12 @@
-"""Tournaments as row bitsets: validation, diamond detection, counting and
-the Seidel view.
+"""Tournaments as row bitsets: validation, diamond detection, counting, the
+pair encoding and S^2.
 
 A tournament on n vertices (3 <= n <= 512) stores one bitmask per vertex;
 bit j of row i is set iff i dominates j.  Vertices are dense 0-based ints.
-The validation verdict, the Seidel matrix S = A - A^T and S^2 are built
-from the rows on first use and cached on the tournament, so a loaded
-tournament is scanned once and every spectral check reads one S^2.  All of
-it is Python-int arithmetic: this module does not import numpy.
+The pair encoding is bit operations on the rows.  The validation verdict
+and S^2, for the Seidel matrix S = A - A^T, are built from the rows on
+first use and cached, so a loaded tournament is scanned once and every
+spectral check reads one S^2.  This module does not import numpy.
 """
 
 from __future__ import annotations
@@ -86,38 +86,18 @@ class Tournament(namedtuple("Tournament", "n rows")):
         equality and hash do not change)."""
         return _first_defect(self.n, self.rows)
 
-    def _require_valid(self):
-        """Raise a plain ValueError unless validate(self) is None: no loaded
-        or constructed tournament fails it, so it marks a bug, not an
-        InputError."""
+    @cached_property
+    def square(self) -> tuple:
+        """S @ S as a tuple of n int tuples, exact (see _square).
+
+        Raises a plain ValueError unless validate(self) is None: no loaded or
+        constructed tournament fails it, so it marks a bug, not an
+        InputError.  Built on first use and cached on the instance.
+        """
         bad = validate(self)
         if bad is not None:
             i, j, reason = bad
             raise ValueError(f"not a tournament at ({i},{j}): {reason}")
-
-    @cached_property
-    def seidel(self) -> tuple:
-        """S = A - A^T as a tuple of n int tuples: +1 where i dominates j, -1
-        where j dominates i, 0 on the diagonal.
-
-        Raises a plain ValueError unless validate(self) is None.  Built on
-        first use and cached on the instance.
-        """
-        self._require_valid()
-        n = self.n
-        sign = {"1": 1, "0": -1}
-        out = []
-        for i, r in enumerate(self.rows):
-            row = [sign[c] for c in format(r, f"0{n}b")[::-1]]
-            row[i] = 0
-            out.append(tuple(row))
-        return tuple(out)
-
-    @cached_property
-    def square(self) -> tuple:
-        """S @ S as a tuple of n int tuples, exact (see _square); raises like
-        seidel, and is cached the same way."""
-        self._require_valid()
         return _square(self.n, self.rows)
 
 
@@ -128,19 +108,25 @@ def from_arcs(n, arcs) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
+def _columns(n, rows):
+    """The columns of rows: bit i of column j is bit j of rows[i], i, j < n.
+    Column k of the rows' binary strings is bit n-1-k of every row."""
+    full = (1 << n) - 1
+    strings = [format(r & full, f"0{n}b") for r in rows]
+    cols = [int("".join(col)[::-1], 2) for col in zip(*strings)]
+    cols.reverse()
+    return cols
+
+
 def _first_defect(n, rows):
     """The first pair at which rows fail to be a tournament, or None.
 
     Row i is checked for a diagonal bit, then for bits beyond n (a negative
     row has infinitely many), then for the first j > i where a_ij == a_ji.
-    The columns, the in-neighbourhoods, come from transposing the rows'
-    binary strings: column k of those strings is bit n-1-k of every row.
+    Column j (see _columns) is the in-neighbourhood of j.
     """
     full = (1 << n) - 1
-    strings = [format(r & full, f"0{n}b") for r in rows]
-    cols = [int("".join(col)[::-1], 2) for col in zip(*strings)]
-    cols.reverse()  # cols[j]: bit i set iff i dominates j
-    for i, (r, c) in enumerate(zip(rows, cols)):
+    for i, (r, c) in enumerate(zip(rows, _columns(n, rows))):
         if (r >> i) & 1:
             return (i, i, "diagonal entry set")
         if r >> n:
@@ -221,23 +207,42 @@ def pair_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+def encode(t: Tournament) -> int:
+    """The pair encoding of a valid tournament: bit pair_index(n, i, j) is
+    set iff i dominates j, for i < j.  Row i's bits above the diagonal are
+    one run of the encoding, from pair_index(n, i, i+1) on: one shift each."""
+    return sum((r >> (i + 1)) << pair_index(t.n, i, i + 1) for i, r in enumerate(t.rows))
+
+
+def decode(n: int, e: int) -> Tournament:
+    """Inverse of encode, for 0 <= e < 2^C(n,2).
+
+    Row i's upper part is cut out of e.  Its lower part is the complement
+    of column i of the upper parts (see _columns): for j < i, i dominates j
+    exactly when bit i of row j is clear.
+    """
+    upper = [((e >> pair_index(n, i, i + 1)) & ((1 << (n - 1 - i)) - 1)) << (i + 1)
+             for i in range(n)]
+    return Tournament(n, tuple(u | (~c & ((1 << i) - 1))
+                               for i, (u, c) in enumerate(zip(upper, _columns(n, upper)))))
+
+
 def random_tournament(n: int, seed: int) -> Tournament:
     """Uniformly random tournament, one fair bit per unordered pair.
 
-    Deterministic: bits come from random.Random(seed) (Mersenne Twister),
-    consumed pair-by-pair in row-major upper-triangle order.
+    Deterministic: decode of C(n,2) bits from random.Random(seed) (Mersenne
+    Twister), drawn one getrandbits(1) at a time in pair_index order.
     """
     if not 3 <= n <= MAX_N:
         raise InputError(f"n must be in [3, {MAX_N}], got {n}")
     rng = random.Random(seed)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.getrandbits(1):
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-    return Tournament(n, tuple(rows))
+    bits = "".join(["01"[rng.getrandbits(1)] for _ in range(n * (n - 1) // 2)])
+    return decode(n, int(bits[::-1], 2))
+
+
+def _quote(text: str) -> str:
+    """repr of at most the first 40 characters of text, marked when clipped."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def parse_int(token: str) -> int:
@@ -247,7 +252,7 @@ def parse_int(token: str) -> int:
     non-ASCII digits such as "\u0663"."""
     digits = token[1:] if token[:1] == "-" else token
     if not (digits.isascii() and digits.isdigit()):
-        raise InputError(f"invalid literal for int() with base 10: {token!r}")
+        raise InputError(f"invalid literal for int() with base 10: {_quote(token)}")
     try:
         return int(token)
     except ValueError:
@@ -255,14 +260,14 @@ def parse_int(token: str) -> int:
 
 
 def parse_trn(text: str) -> Tournament:
-    """Parse the .trn format: first line n, then n rows of {0,1} characters."""
+    """Parse the .trn format: line n, then n rows of {0,1} characters, then blank lines."""
     lines = text.splitlines()
     if not lines:
         raise InputError("empty input", line=1)
     try:
         n = parse_int(lines[0].strip())
     except InputError:
-        raise InputError(f"bad vertex count {lines[0]!r}", line=1) from None
+        raise InputError(f"bad vertex count {_quote(lines[0])}", line=1) from None
     if not 3 <= n <= MAX_N:
         raise InputError(f"n={n} out of range [3, {MAX_N}]", line=1)
     if len(lines) < n + 1:
@@ -283,7 +288,15 @@ def parse_trn(text: str) -> Tournament:
     if bad is not None:
         i, j, reason = bad
         raise InputError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
+    _refuse_trailing(lines, n + 1, f"the {n} rows")
     return t
+
+
+def _refuse_trailing(lines, start, declared):
+    """Raise InputError at the first of lines[start:] that is not blank."""
+    for k in range(start, len(lines)):
+        if lines[k].strip():
+            raise InputError(f"text after {declared}: {_quote(lines[k])}", line=k + 1)
 
 
 def format_trn(t: Tournament) -> str:

@@ -24,10 +24,11 @@ from diamondkit.oracles import (
     delete_vertices_count,
     is_min_sum_squares_witness,
     min_sum_squares,
+    seidel,
     sum_principal_minors,
     triple_profile,
 )
-from diamondkit.search import decode, encodings_with_delta, exhaustive_max_diamonds
+from diamondkit.search import encodings_with_delta, exhaustive_max_diamonds
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,
@@ -38,7 +39,7 @@ from diamondkit.spectral import (
     sigma4_upper_bound,
     sigma_from_traces,
 )
-from diamondkit.tournament import random_tournament
+from diamondkit.tournament import decode, random_tournament
 
 PALEY_ORDERS = (3, 7, 11, 19, 23, 27, 31)
 # frozen from n^2 (n-1) (n-2) / 96 with n = q+1, confirmed by the naive count
@@ -179,7 +180,7 @@ def test_criterion_9_constructive_extension():
     t = paley_tournament(7)
     ext = extend_to_conference(t)
     assert ext.n == 8
-    a = __import__("numpy").array(ext.seidel)
+    a = __import__("numpy").array(seidel(ext))
     assert ((a @ a.T) == 7 * __import__("numpy").eye(8, dtype=int)).all()
 
 

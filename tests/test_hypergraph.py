@@ -424,6 +424,9 @@ class TestHypFormatErrors:
         (f"{MAX_N + 1} 0\n", 1),
         ("5 2\n0 1 2 3\n0 1 2\n", 3),
         ("5 3\n0 1 2 3\n0 1 2 4\n0 1 2 3\n", 4),
+        # a line after the m edges that is not blank: without the check, this
+        # FF4 design plus a 29th edge passed verify
+        (format_hyp(baber(star_paley(7))) + "0 1 2 3\n", 30),
     ])
     def test_rejected_with_line(self, text, line):
         with pytest.raises(InputError) as info:
@@ -441,20 +444,29 @@ class TestHypFormatErrors:
         ("6 1\n+0 1 2 3\n", "bad index in '+0 1 2 3' (line 2)"),
         ("6 1\n0 1 2 \u0663\n", "bad index in '0 1 2 \u0663' (line 2)"),
         ("6 2\n0 1 2 3\n0 1 2 \uff15\n", "bad index in '0 1 2 \uff15' (line 3)"),
-        # more digits than int() converts
-        (f"{'9' * 5000} 1\n0 1 2 3\n", f"bad header '{'9' * 5000} 1' (line 1)"),
-        (f"6 1\n0 1 2 {'9' * 5000}\n", f"bad index in '0 1 2 {'9' * 5000}' (line 2)"),
+        # more digits than int() converts: the error quotes the first 40
+        # characters of the line
+        (f"{'9' * 5000} 1\n0 1 2 3\n", f"bad header '{'9' * 40}'... (5002 characters) (line 1)"),
+        (f"6 1\n0 1 2 {'9' * 5000}\n",
+         f"bad index in '0 1 2 {'9' * 34}'... (5006 characters) (line 2)"),
     ])
     def test_numbers_are_ascii_digits(self, text, err):
         with pytest.raises(InputError) as info:
             parse_hyp(text)
         assert str(info.value) == err
+        assert len(err) < 100
 
-    @pytest.mark.parametrize("tail", ["", "+\n", "_\n", "\u00e9\n"])
+    @pytest.mark.parametrize("tail", ["", "+\n", "_\n", "\u00e9\n", "\u00a0\n"])
     def test_both_index_readers_agree(self, tail):
-        # the lines after the m edges are not read, but a "+", "_" or
-        # non-ASCII character anywhere in the text selects parse_int per index
-        assert parse_hyp(f"6 1\n0 1 2 5\n{tail}") == hypergraph(6, [(0, 1, 2, 5)])
+        # a "+", "_" or non-ASCII character anywhere in the text selects
+        # parse_int per index.  After the m edges only blank lines may
+        # follow: the no-break space is one, the other tails are refused
+        if tail.strip():
+            with pytest.raises(InputError) as info:
+                parse_hyp(f"6 1\n0 1 2 5\n{tail}")
+            assert str(info.value) == f"text after the 1 edges: {tail[:-1]!r} (line 3)"
+        else:
+            assert parse_hyp(f"6 1\n0 1 2 5\n{tail}") == hypergraph(6, [(0, 1, 2, 5)])
         with pytest.raises(InputError) as info:
             parse_hyp(f"6 1\n-1 0 1 2\n{tail}")
         assert str(info.value) == "edge (-1, 0, 1, 2) out of range for n=6 (line 2)"

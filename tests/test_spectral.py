@@ -12,9 +12,10 @@ from diamondkit.oracles import (
     char_poly,
     count_diamonds_naive,
     flip_arc,
+    seidel,
     sum_principal_minors,
 )
-from diamondkit.search import decode, encodings_with_delta
+from diamondkit.search import encodings_with_delta
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,
@@ -29,6 +30,7 @@ from diamondkit.spectral import (
 )
 from diamondkit.tournament import (
     count_diamonds,
+    decode,
     from_arcs,
     random_tournament,
     reverse,
@@ -61,25 +63,26 @@ def diamond4():
 
 def test_seidel_from_three_cycle():
     t = three_cycle()
-    assert t.seidel == ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
+    assert seidel(t) == [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 
 
 def test_seidel_reversal_negates():
     t = random_tournament(8, seed=0)
-    assert np.array_equal(np.array(reverse(t).seidel), -np.array(t.seidel))
+    assert np.array_equal(np.array(seidel(reverse(t))), -np.array(seidel(t)))
 
 
 def test_seidel_view_is_read_only_and_cached():
+    # the square of S is the one matrix view a tournament caches
     t = random_tournament(9, seed=4)
-    assert t.seidel is t.seidel and t.square is t.square
-    for a in (t.seidel, t.square):
-        # tuples of tuples of Python ints: no entry can be assigned
-        assert type(a) is tuple and len(a) == 9
-        assert all(type(row) is tuple and len(row) == 9 for row in a)
-        assert all(type(x) is int for row in a for x in row)
-        with pytest.raises(TypeError):
-            a[0][0] = 5
-    s = np.array(t.seidel)
+    a = t.square
+    assert a is t.square
+    # tuples of tuples of Python ints: no entry can be assigned
+    assert type(a) is tuple and len(a) == 9
+    assert all(type(row) is tuple and len(row) == 9 for row in a)
+    assert all(type(x) is int for row in a for x in row)
+    with pytest.raises(TypeError):
+        a[0][0] = 5
+    s = np.array(seidel(t))
     assert np.array_equal(np.array(t.square), s @ s)
 
 
@@ -104,7 +107,7 @@ class TestCharPoly:
         t = random_tournament(6, seed=9)
         cp = char_poly(t)
         for x in range(-3, 4):
-            m = (x * np.eye(6, dtype=np.int64) - np.array(t.seidel)).tolist()
+            m = (x * np.eye(6, dtype=np.int64) - np.array(seidel(t))).tolist()
             value = sum(c * x ** (6 - k) for k, c in enumerate(cp.coefficients()))
             assert bareiss_det(m) == value
 
@@ -202,7 +205,7 @@ class TestSquare:
     def test_matches_int64_product(self, n):
         for seed in range(3):
             t = random_tournament(n, seed)
-            a = np.array(t.seidel)
+            a = np.array(seidel(t))
             a2 = _exact_matmul(a, a)
             assert a2.dtype == np.int64
             assert np.array_equal(a2, a @ a)
@@ -212,19 +215,19 @@ class TestSquare:
     @settings(max_examples=60, deadline=None)
     def test_matches_blas_oracle(self, n, seed):
         t = random_tournament(n, seed)
-        a = np.array(t.seidel, dtype=np.int64)
+        a = np.array(seidel(t), dtype=np.int64)
         assert np.array_equal(np.array(t.square), _exact_matmul(a, a))
 
     @pytest.mark.parametrize("build", [paley_tournament, star_paley])
     def test_paley_499(self, build):
         t = build(499)
-        a = np.array(t.seidel, dtype=np.int64)
+        a = np.array(seidel(t), dtype=np.int64)
         assert np.array_equal(np.array(t.square), _exact_matmul(a, a))
 
 
 def _s3_identity(t):
     """S^3 = -nS, by two float64 BLAS products (the oracle of the rank-1 test)."""
-    s = np.array(t.seidel, dtype=np.int64)
+    s = np.array(seidel(t), dtype=np.int64)
     return bool(np.array_equal(_exact_matmul(_exact_matmul(s, s), s), -t.n * s))
 
 
@@ -236,7 +239,7 @@ class TestKernelSignVector:
         assert (u is not None) == _s3_identity(t)
         if u is not None:
             assert u[0] == 1 and set(u) <= {-1, 1}
-            assert not (np.array(t.seidel) @ np.array(u)).any()
+            assert not (np.array(seidel(t)) @ np.array(u)).any()
         return u is not None
 
     @pytest.mark.parametrize("q", [7, 11, 19, 23, 27, 31, 43, 243])

@@ -1,15 +1,22 @@
+import hashlib
 import itertools
 import random
 import re
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamondkit.constructions import delete_vertices
+from diamondkit.hypergraph import baber
+from diamondkit.spectral import count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
     count_diamonds,
+    decode,
+    encode,
     format_trn,
     from_arcs,
     is_diamond,
@@ -26,8 +33,9 @@ from diamondkit.oracles import (
     count_diamonds_naive,
     diamond_delta_on_flip,
     flip_arc,
+    seidel,
 )
-from diamondkit.search import adjacency, decode, encode
+from diamondkit.search import _SquareState
 
 
 def _validate_reference(t):
@@ -91,13 +99,12 @@ class TestValidate:
         (0b010, 0b100 - (1 << 8), 0b001),
     ])
     def test_seidel_refuses_invalid(self, rows):
-        # the Seidel view and its square exist only for a valid tournament
+        # the square of the Seidel matrix exists only for a valid tournament
         t = Tournament(3, rows)
         i, j, reason = validate(t)
-        for view in ("seidel", "square"):
-            with pytest.raises(ValueError) as exc:
-                getattr(t, view)
-            assert str(exc.value) == f"not a tournament at ({i},{j}): {reason}"
+        with pytest.raises(ValueError) as exc:
+            t.square
+        assert str(exc.value) == f"not a tournament at ({i},{j}): {reason}"
 
 
 class TestIsDiamond:
@@ -111,7 +118,7 @@ class TestIsDiamond:
         t = from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
         assert not is_diamond(t, (0, 1, 2, 3))
         # its induced Seidel determinant is 1, not 9
-        assert bareiss_det(t.seidel) == 1
+        assert bareiss_det(seidel(t)) == 1
 
     def test_invalid_subset(self):
         with pytest.raises(ValueError):
@@ -121,14 +128,14 @@ class TestIsDiamond:
         # the 4x4 Seidel determinant is 9 for a diamond and 1 otherwise
         for e in range(64):
             t = decode(4, e)
-            det = bareiss_det(t.seidel)
+            det = bareiss_det(seidel(t))
             assert det in (1, 9)
             assert is_diamond(t, (0, 1, 2, 3)) == (det == 9)
 
     def test_agrees_with_determinant_oracle_random(self):
         t = random_tournament(9, seed=7)
         for quad in itertools.combinations(range(9), 4):
-            sub = np.array(t.seidel)[np.ix_(quad, quad)].tolist()
+            sub = np.array(seidel(t))[np.ix_(quad, quad)].tolist()
             assert is_diamond(t, quad) == (bareiss_det(sub) == 9)
 
 
@@ -174,13 +181,48 @@ class TestNeighbourhoodCount:
         assert count_diamonds(diamond4()) == 1
 
 
+def _switch(t, x):
+    """Seidel switching by the vertex set x (S -> DSD, D = -1 on x and 1
+    elsewhere): every arc between x and the other vertices is reversed."""
+    inside = sum(1 << v for v in x)
+    outside = ((1 << t.n) - 1) ^ inside
+    return Tournament(t.n, tuple(r ^ (outside if (inside >> i) & 1 else inside)
+                                 for i, r in enumerate(t.rows)))
+
+
+class TestSwitching:
+    """Switching only changes the sign of each 4-set's Pfaffian
+    s12 s34 - s13 s24 + s14 s23, and |Pf| = 3 exactly on diamonds."""
+
+    @given(tournaments(min_n=5, max_n=30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_and_baber_are_invariant(self, t, data):
+        u = _switch(t, data.draw(st.sets(st.integers(0, t.n - 1))))
+        assert validate(u) is None
+        assert count_diamonds(u) == count_diamonds(t)
+        assert count_diamonds_spectral(u) == count_diamonds_spectral(t)
+        assert baber(u).edges == baber(t).edges
+
+    @given(tournaments(min_n=5, max_n=30))
+    @settings(max_examples=60, deadline=None)
+    def test_source_decomposition(self, t):
+        # switching the in-neighbours of 0 makes 0 a source; a 4-set through
+        # the source is a diamond iff its other three vertices are a 3-cycle
+        s = _switch(t, [v for v in range(1, t.n) if t.dom(v, 0)])
+        assert s.out_degree(0) == t.n - 1
+        u = delete_vertices(s, [0])
+        c3 = comb(u.n, 3) - sum(comb(u.out_degree(v), 2) for v in range(u.n))
+        assert count_diamonds(t) == count_diamonds(u) + c3
+
+
 class TestAdjacency:
-    @pytest.mark.parametrize("n", [3, 8, 9, 70])
+    @pytest.mark.parametrize("n", [3, 8, 9, 70, 512])
     def test_matches_dom(self, n):
+        # the annealer's S, unpacked from the rows, against S entry by entry
         t = random_tournament(n, seed=n)
-        a = adjacency(t)
-        assert a.dtype == np.int64
-        assert a.tolist() == [[int(t.dom(i, j)) for j in range(n)] for i in range(n)]
+        s = _SquareState(t).s
+        assert s.dtype == np.int64
+        assert s.tolist() == seidel(t)
 
     def test_dom_numpy_index(self):
         # a numpy shift count once coerced the row to int64 and overflowed
@@ -332,6 +374,9 @@ def _parse_trn_reference(text):
     if bad is not None:
         i, j, reason = bad
         raise InputError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
+    for k in range(n + 1, len(lines)):
+        if lines[k].strip():
+            raise InputError(f"text after the {n} rows: {lines[k]!r}", line=k + 1)
     return t
 
 
@@ -371,13 +416,20 @@ class TestTrnFormat:
             parse_trn("3\n010\n001\n")
         with pytest.raises(InputError):
             parse_trn("x\n")
+        # a line after the n rows that is not blank
+        with pytest.raises(InputError, match=r"^text after the 3 rows: '011' \(line 5\)$"):
+            parse_trn("3\n010\n001\n100\n011\n")
+        assert parse_trn("3\n010\n001\n100\n \n\n") == three_cycle()
 
     @pytest.mark.parametrize("head", ["+3", "0_3", "\u0663", "3.0", "-", "", "9" * 5000])
     def test_header_takes_ascii_digits_only(self, head):
-        # int() takes the first three as 3, and refuses more than 4300 digits
-        with pytest.raises(InputError, match=f"^bad vertex count {re.escape(repr(head))} "
-                                             r"\(line 1\)$"):
+        # int() takes the first three as 3, and refuses more than 4300 digits;
+        # the error quotes at most 40 characters of the header
+        quoted = repr(head) if len(head) <= 40 else f"{head[:40]!r}... ({len(head)} characters)"
+        with pytest.raises(InputError, match=f"^bad vertex count {re.escape(quoted)} "
+                                             r"\(line 1\)$") as info:
             parse_trn(f"{head}\n010\n001\n100\n")
+        assert len(str(info.value)) < 100
 
     def test_header_around_the_limits(self):
         assert parse_trn(" 3 \n010\n001\n100\n").n == 3
@@ -399,6 +451,27 @@ class TestTrnFormat:
             assert format_trn(t) == "\n".join(lines) + "\n"
 
     def test_encode_decode_round_trip(self):
-        for seed in range(5):
-            t = random_tournament(7, seed)
-            assert decode(7, encode(t)) == t
+        # bit b of the encoding is the b-th pair (i, j), i < j, in row-major order
+        for n in (3, 4, 7, 32, 128, 512):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for seed in range(2):
+                t = random_tournament(n, seed)
+                e = encode(t)
+                assert e >> len(pairs) == 0
+                assert all(((e >> b) & 1) == t.dom(i, j) for b, (i, j) in enumerate(pairs))
+                assert decode(n, e) == t
+
+
+# sha256 of format_trn(random_tournament(n, seed)): the order of the drawn
+# bits is part of the output, so a seed must keep naming the same tournament
+RANDOM_SHA256 = {
+    (3, 0): "5e7bb5e1eabee00c787c2c441ffde4a2ee0f02bcadd3ffa48c3502455e2d344a",
+    (40, 7): "023facd3ad492c1c022157adc071c7105b1b88a94aa6f07b3602930c7a1362c7",
+    (512, 1): "cd9b5a504a047f660546152ae5ee609116b4bf1dd58fc40feec8a7d0fccd7ad1",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(RANDOM_SHA256))
+def test_random_tournament_is_pinned(n, seed):
+    text = format_trn(random_tournament(n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_SHA256[n, seed]
