@@ -57,43 +57,26 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _prime_power(kind, p, k):
-    """p ** k, refused before it is built when p < 2, k < 1 or the order
-    would exceed tournament.MAX_N."""
-    if p < 2 or k < 1:
-        raise InputError(f"need --p >= 2 and --k >= 1, got p={p}, k={k}")
-    # p ** k >= 2 ** k > MAX_N once k reaches the bit length of MAX_N
-    if p > tournament.MAX_N or k >= tournament.MAX_N.bit_length():
-        raise InputError(f"{kind} of q={p}^{k} is above the limit of {tournament.MAX_N} vertices")
-    return p ** k
-
-
 # Every cmd_* returns (inputs, results, status); main writes the report.
 
 def cmd_construct(args):
     from . import constructions
 
-    if args.q is not None:
-        q = args.q
-    elif args.p is not None and args.k is not None:
-        q = _prime_power(args.kind, args.p, args.k)
-    else:
-        raise InputError("give either --q or both --p and --k")
-    t = constructions.star_paley(q) if args.kind == "star-paley" \
-        else constructions.paley_tournament(q)
+    t = constructions.star_paley(args.q) if args.kind == "star-paley" \
+        else constructions.paley_tournament(args.q)
     if args.out:
         tournament.save_trn(t, args.out)
     delta = spectral.count_diamonds_spectral(t)
     results = {
         "kind": args.kind,
-        "q": q,
+        "q": args.q,
         "n": t.n,
         "diamonds": delta,
         "bound": _rat(spectral.diamond_upper_bound(t.n)) if t.n >= 4 else None,
         "skew_conference": spectral.is_skew_conference(t),
         "out": args.out,
     }
-    return {"kind": args.kind, "q": q}, results, "ok"
+    return {"kind": args.kind, "q": args.q}, results, "ok"
 
 
 def cmd_count(args):
@@ -260,9 +243,7 @@ def build_parser():
 
     c = sub.add_parser("construct", help="build a Paley or star-Paley tournament")
     c.add_argument("kind", choices=["paley", "star-paley"])
-    c.add_argument("--q", type=int)
-    c.add_argument("--p", type=int)
-    c.add_argument("--k", type=int)
+    c.add_argument("--q", type=int, required=True)
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 

@@ -64,12 +64,15 @@ class Hypergraph4(namedtuple("Hypergraph4", "n edges")):
 def hypergraph(n, edges) -> Hypergraph4:
     """Hypergraph4 on n vertices from any iterable of 4-sets of indices.
 
-    The one checked constructor: raises InputError on an edge that is not 4
-    distinct integer indices in range(n).  An index may be a Python int or
+    The one checked constructor: raises InputError unless
+    0 <= n <= tournament.MAX_N, and on an edge that is not 4 distinct
+    integer indices in range(n).  An index may be a Python int or
     any integer type operator.index accepts (numpy integers); a float or a
     string is refused.  parse_hyp and baber, which validate or build every
     edge themselves, call Hypergraph4 directly.
     """
+    if not 0 <= n <= MAX_N:
+        raise InputError(f"need 0 <= n <= {MAX_N}, got n={n}")
     checked = set()
     for e in edges:
         try:

@@ -5,8 +5,9 @@ char_poly (Faddeev-LeVerrier), sum_principal_minors (Bareiss),
 verify_ff4_naive (the C(n,5) scan), triple_profile and _deltas recompute
 what tournament, spectral, hypergraph and search answer, in O(n^4) or
 O(n^5) work; the rest are the paper's design and sum-of-squares formulas.
-They read S from seidel, entry by entry.  No production module imports
-this one; it imports search, hence numpy.
+They read S from seidel, entry by entry, or the pair bits of an encoding;
+none reuses a production table.  No production module imports this one,
+and it does not import search.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph4, is_ff4_design
-from .search import _subset_tables
 from .tournament import _DIAMOND_SQ, InputError, Tournament, _subset_degree_squares
 
 _MINOR_ORACLE_MAX_N = 14
@@ -92,15 +92,16 @@ def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
 
 
 def _deltas(n, encodings):
-    """Diamond counts for a uint32/uint64 array of encodings: one
-    shift/mask pass per pair bit of every 4-subset over the whole array."""
-    lut, pair_bits = _subset_tables(n)
+    """Diamond counts for a uint32/uint64 array of encodings, by the
+    Pfaffian test over the whole array, one pass per 4-subset: with
+    s = 2 bit - 1 for each pair bit, taken in combinations order, a 4-set
+    a < b < c < d is a diamond iff |s_ab s_cd - s_ac s_bd + s_ad s_bc| = 3."""
+    s = {pair: 2 * ((encodings >> b) & 1).astype(np.int8) - 1
+         for b, pair in enumerate(combinations(range(n), 2))}
     total = np.zeros(len(encodings), dtype=np.uint16)
-    for bits in pair_bits:
-        idx = np.zeros(len(encodings), dtype=np.uint8)
-        for t, pb in enumerate(bits):
-            idx |= (((encodings >> pb) & 1) << t).astype(np.uint8)
-        total += lut[idx]
+    for a, b, c, d in combinations(range(n), 4):
+        pf = s[a, b] * s[c, d] - s[a, c] * s[b, d] + s[a, d] * s[b, c]
+        total += np.abs(pf) == 3
     return total
 
 

@@ -137,20 +137,24 @@ def _check_threads(threads):
 
 def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
     """The SearchResult of the best (count, encoding) pair fn returns over
-    items: most diamonds, ties to the least encoding, so the result does not
-    depend on the thread count.  The only place this module starts threads:
-    a pool of `threads` workers when threads > 1 (checked by the caller).
+    the range items: most diamonds, ties to the least encoding, so the
+    result does not depend on the thread count.  The only place this module
+    starts threads: with threads > 1 (checked by the caller) worker k
+    reduces the slice items[k::threads] as it goes, so the pool holds one
+    task per worker, not one per item.
     """
+    def best(results):
+        return max(results, key=lambda r: (r[0], -r[1]))
+
     if threads > 1:
+        chunks = [items[k::threads] for k in range(min(threads, len(items)))]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, items))
+            count, enc = best(pool.map(lambda chunk: best(map(fn, chunk)), chunks))
     else:
-        results = [fn(x) for x in items]
-    best, enc = max(results, key=lambda r: (r[0], -r[1]))
+        count, enc = best(map(fn, items))
     bound = diamond_upper_bound(n)
-    return SearchResult(n=n, mode=mode, max_diamonds=best, witness=decode(n, enc), bound=bound,
-                        attained=best == bound, explored=explored,
-                        params=params)
+    return SearchResult(n=n, mode=mode, max_diamonds=count, witness=decode(n, enc), bound=bound,
+                        attained=count == bound, explored=explored, params=params)
 
 
 def _check_exhaustive_n(n, long_run):

@@ -76,9 +76,12 @@ class TestConstruct:
         assert code == INPUT_ERROR
 
     def test_p_k_form(self, capsys):
-        code, report = run(capsys, "construct", "paley", "--p", "3", "--k", "3")
-        assert code == OK
-        assert report["results"]["n"] == 27
+        # --q is the one spelling of the order
+        for argv in (["--p", "3", "--k", "3"], []):
+            assert main(["construct", "paley", *argv]) == INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: the following arguments are required: --q\n"
 
 
 class TestCount:
@@ -480,7 +483,8 @@ class TestOneSquaringPerMatrix:
 
 
 class TestConstructPrimePower:
-    """--p/--k are checked before p ** k is built."""
+    """--q names the prime power; the old --p/--k spelling of q = p^k is a
+    usage error, refused before any construction starts."""
 
     @pytest.mark.parametrize("p,k", [("3", "10000"), ("3", "10"), ("2", "10"), ("513", "1"),
                                      ("10" * 20, "3")])
@@ -488,30 +492,27 @@ class TestConstructPrimePower:
         def never(q):
             raise AssertionError("construction started")
         monkeypatch.setattr(constructions, "paley_tournament", never)
-        assert main(["construct", "paley", "--p", p, "--k", k]) == INPUT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: paley of q={p}^{k} is above the limit of 512 vertices\n"
+        for argv, err in [(["--p", p, "--k", k], "the following arguments are required: --q"),
+                          ([f"--q={p}^{k}"], f"argument --q: invalid int value: '{p}^{k}'")]:
+            assert main(["construct", "paley", *argv]) == INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {err}\n"
 
     def test_order_above_max_n_after_the_power(self, capsys):
-        # 3^7 = 2187 is small enough to build; the library names the order
-        assert main(["construct", "star-paley", "--p", "3", "--k", "7"]) == INPUT_ERROR
+        # 3^7 = 2187 is small enough to read; the library names the order
+        assert main(["construct", "star-paley", "--q", "2187"]) == INPUT_ERROR
         err = capsys.readouterr().err
         assert err == "error: star-paley of q=2187 has 2188 vertices, above the limit of 512\n"
 
     @pytest.mark.parametrize("p,k", [("3", "-2"), ("3", "0"), ("1", "5"), ("0", "3"),
                                      ("-3", "3")])
     def test_p_below_2_or_k_below_1_exit_2(self, capsys, p, k):
-        assert main(["construct", "paley", f"--p={p}", f"--k={k}"]) == INPUT_ERROR
+        # beside a valid --q too
+        assert main(["construct", "paley", "--q", "27", f"--p={p}", f"--k={k}"]) == INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: need --p >= 2 and --k >= 1, got p={p}, k={k}\n"
-
-    def test_p_k_report_matches_q(self, capsys):
-        assert main(["construct", "paley", "--p", "3", "--k", "3"]) == OK
-        by_p_k = capsys.readouterr().out
-        assert main(["construct", "paley", "--q", "27"]) == OK
-        assert by_p_k == capsys.readouterr().out
+        assert captured.err == f"error: unrecognized arguments: --p={p} --k={k}\n"
 
 
 class TestVerifyReaderFromChecks:
@@ -591,7 +592,7 @@ class TestErrorText:
         (("construct", "paley", "--q", "13"),
          "q=13 is not 3 mod 4; the square relation would not be a tournament"),
         (("construct", "paley", "--p", "3", "--k", "10000"),
-         "paley of q=3^10000 is above the limit of 512 vertices"),
+         "the following arguments are required: --q"),
         (("delete", "--in", "{trn}", "--vertices", "a,b"),
          "invalid literal for int() with base 10: 'a'"),
         (("delete", "--in", "{trn}", "--vertices", "99"), "vertex out of range"),
@@ -844,6 +845,10 @@ class TestExitContract:
                 with open(report_path) as fh:
                     text = fh.read()
         assert code in (OK, VIOLATED, INPUT_ERROR)
+        flags = {a.partition("=")[0] for a in argv if a.startswith("--")}
+        if argv[0] == "construct" and ("--q" not in flags or flags & {"--p", "--k"}):
+            # --q alone names the order: --p, --k or no --q is a usage error
+            assert code == INPUT_ERROR
         if code == INPUT_ERROR:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()

@@ -340,6 +340,13 @@ class TestLinkFF4Oracle:
             hypergraph(5, [(0, 1, 2, 3), edge])
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("n", [-4, MAX_N + 1])
+    def test_constructor_rejects_bad_n(self, n):
+        # a negative n would reach math.comb in is_3_design and is_ff4_design
+        with pytest.raises(InputError) as exc:
+            hypergraph(n, [])
+        assert str(exc.value) == f"need 0 <= n <= {MAX_N}, got n={n}"
+
 
 class TestLinks:
     @given(st.integers(4, 10), st.integers(0, 10**6))

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,7 @@ from diamondkit.search import SearchResult
 from diamondkit.tournament import Tournament, random_tournament
 
 # the names `diamondkit` exported when its __init__ imported every module,
-# by the module that held them then
+# by the module that held them then; the package root exports none of them
 EXPORTS = {
     "tournament": ["ArcFlip", "Tournament", "count_diamonds", "diamond_delta_on_flip",
                    "is_diamond", "random_tournament", "validate"],
@@ -33,24 +36,34 @@ ORACLES = {"ArcFlip", "CharPoly", "char_poly", "delete_vertices_count", "design_
 
 
 class TestLazyExports:
+    """Each name has one import path, the module that defines it: the
+    package root defines no public name but __version__ and re-exports none."""
+
     def test_34_names(self):
         assert len(NAMES) == 34
         assert ORACLES < {name for _, name in NAMES}
 
     @pytest.mark.parametrize("module,name", NAMES)
     def test_from_import(self, module, name):
-        namespace = {}
-        exec(f"from diamondkit import {name}", namespace)
         home = "oracles" if name in ORACLES else module
-        assert namespace[name] is getattr(importlib.import_module(f"diamondkit.{home}"), name)
-        assert name in dir(diamondkit)
+        obj = getattr(importlib.import_module(f"diamondkit.{home}"), name)
+        assert obj.__module__ == f"diamondkit.{home}"
+        with pytest.raises(ImportError):
+            exec(f"from diamondkit import {name}", {})
+        assert name not in dir(diamondkit)
         if home != module:  # moved, and not re-exported where it was
             assert not hasattr(importlib.import_module(f"diamondkit.{module}"), name)
 
     def test_star_import(self):
-        namespace = {}
-        exec("from diamondkit import *", namespace)
-        assert {name for _, name in NAMES} <= set(namespace)
+        # a fresh interpreter: an imported submodule becomes an attribute of
+        # the package, so this process's diamondkit has some
+        code = ("import diamondkit; namespace = {}; exec('from diamondkit import *', namespace); "
+                "print([x for x in dir(diamondkit) if not x.startswith('_')], "
+                "sorted(x for x in namespace if not x.startswith('_')), diamondkit.__version__)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(diamondkit.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out == "[] [] 0.1.0\n"
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

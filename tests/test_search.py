@@ -305,7 +305,7 @@ class TestThreadLimit:
             search(threads)
 
     def test_max_threads_accepted(self, monkeypatch):
-        sizes = []
+        sizes, tasks = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -318,6 +318,8 @@ class TestThreadLimit:
                 return False
 
             def map(self, fn, items):
+                items = list(items)
+                tasks.append(len(items))
                 return map(fn, items)
 
         monkeypatch.setattr("diamondkit.search.ThreadPoolExecutor", InlinePool)
@@ -327,3 +329,10 @@ class TestThreadLimit:
         one = local_search_max_diamonds(8, restarts=2, steps=50, seed=3)
         assert (res.max_diamonds, res.witness) == (one.max_diamonds, one.witness)
         assert sizes == [MAX_THREADS, MAX_THREADS]
+        # one task per worker, not one per restart: the pool holds no
+        # result per item
+        tasks.clear()
+        res = local_search_max_diamonds(4, restarts=1000, steps=0, threads=2)
+        one = local_search_max_diamonds(4, restarts=1000, steps=0)
+        assert tasks == [2]
+        assert (res.max_diamonds, res.witness) == (one.max_diamonds, one.witness)
