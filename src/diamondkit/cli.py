@@ -57,6 +57,18 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _number(convert):
+    """The argparse type convert (int or float), refusing the same texts but
+    echoing at most 40 characters of a refused one (tournament._quote)."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {tournament._quote(text)}") from None
+    return parse
+
+
 # Every cmd_* returns (inputs, results, status); main writes the report.
 
 def cmd_construct(args):
@@ -243,7 +255,7 @@ def build_parser():
 
     c = sub.add_parser("construct", help="build a Paley or star-Paley tournament")
     c.add_argument("kind", choices=["paley", "star-paley"])
-    c.add_argument("--q", type=int, required=True)
+    c.add_argument("--q", type=_number(int), required=True)
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
@@ -276,14 +288,14 @@ def build_parser():
 
     c = sub.add_parser("search", help="search for diamond-maximal tournaments")
     c.add_argument("--mode", choices=["exhaustive", "local"], default="exhaustive")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--n", type=_number(int), required=True)
+    c.add_argument("--threads", type=_number(int), default=1)
     c.add_argument("--long-run", action="store_true")
-    c.add_argument("--restarts", type=int, default=4)
-    c.add_argument("--steps", type=int, default=2000)
-    c.add_argument("--t0", type=float, default=2.0)
-    c.add_argument("--cooling", type=float, default=0.999)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--restarts", type=_number(int), default=4)
+    c.add_argument("--steps", type=_number(int), default=2000)
+    c.add_argument("--t0", type=_number(float), default=2.0)
+    c.add_argument("--cooling", type=_number(float), default=0.999)
+    c.add_argument("--seed", type=_number(int), default=0)
     c.add_argument("--out")
     c.set_defaults(func=cmd_search)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import gf
 from .spectral import is_skew_conference, kernel_sign_vector
-from .tournament import MAX_N, InputError, Tournament
+from .tournament import MAX_N, InputError, Tournament, _quote_int
 
 
 class ExtensionFailed(RuntimeError):
@@ -15,7 +15,8 @@ class ExtensionFailed(RuntimeError):
 
 def _check_order(kind, q, n):
     if n > MAX_N:
-        raise InputError(f"{kind} of q={q} has {n} vertices, above the limit of {MAX_N}")
+        raise InputError(f"{kind} of q={_quote_int(q)} has {_quote_int(n)} vertices, "
+                         f"above the limit of {MAX_N}")
 
 
 def paley_tournament(q: int) -> Tournament:

@@ -15,7 +15,7 @@ from functools import cached_property
 from math import comb
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, _immutable, _quote, _read_utf8,
+from .tournament import (MAX_N, InputError, Tournament, _bits, _immutable, _quote, _read_utf8,
                          _refuse_trailing, parse_int)
 
 PROVEN = "proven"
@@ -86,14 +86,6 @@ def hypergraph(n, edges) -> Hypergraph4:
             raise InputError(f"edge {e!r} out of range for n={n}")
         checked.add(e)
     return Hypergraph4(n, frozenset(checked))
-
-
-def _bits(x):
-    """Indices of the set bits of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def baber(t: Tournament) -> Hypergraph4:

@@ -92,16 +92,20 @@ def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
 
 
 def _deltas(n, encodings):
-    """Diamond counts for a uint32/uint64 array of encodings, by the
-    Pfaffian test over the whole array, one pass per 4-subset: with
-    s = 2 bit - 1 for each pair bit, taken in combinations order, a 4-set
-    a < b < c < d is a diamond iff |s_ab s_cd - s_ac s_bd + s_ad s_bc| = 3."""
-    s = {pair: 2 * ((encodings >> b) & 1).astype(np.int8) - 1
+    """Diamond counts for a uint32/uint64 array of encodings, by the score
+    test over the whole array, one pass per 4-subset: pair bit b, taken in
+    combinations order, is set iff the lower vertex of pair b dominates, and
+    a 4-set is a diamond iff its in-subset out-degrees square-sum to
+    _DIAMOND_SQ."""
+    e = {pair: ((encodings >> b) & 1).astype(np.int8)
          for b, pair in enumerate(combinations(range(n), 2))}
     total = np.zeros(len(encodings), dtype=np.uint16)
-    for a, b, c, d in combinations(range(n), 4):
-        pf = s[a, b] * s[c, d] - s[a, c] * s[b, d] + s[a, d] * s[b, c]
-        total += np.abs(pf) == 3
+    for quad in combinations(range(n), 4):
+        squares = 0
+        for v in quad:
+            deg = sum(e[v, w] if v < w else 1 - e[w, v] for w in quad if w != v)
+            squares = squares + deg * deg
+        total += squares == _DIAMOND_SQ
     return total
 
 

@@ -4,12 +4,13 @@ Only this module and oracles import numpy; the CLI imports it only for
 `search`.  Encodings are tournament.encode's: bit pair_index(n, i, j) is
 the arc between i < j.  The canonical witness of a search is the least
 encoding integer attaining the maximum.  The exhaustive scan runs over
-blocks of encodings that share their high bits: per 4-subset, a cached code
-of the low pair bits indexes a 64-entry diamond lookup table completed by
-the block's high bits, and the block maxima reduce to the most diamonds,
-ties to the least encoding, so results are bit-identical for any thread
-count.  Annealing keeps S and S^2 of the current tournament and scores
-each arc flip in O(n).
+blocks of encodings that share their high bits, bit-sliced: a block is one
+Python int per pair bit, with one bit (lane) per encoding, the diamond
+test of a 4-subset is five XORs and an AND of its six pair bits, and a
+ripple-carry adder sums the tests into the bit planes of the counts.  The
+block maxima reduce to the most diamonds, ties to the least encoding, so
+results are bit-identical for any thread count.  Annealing keeps S and S^2
+of the current tournament and scores each arc flip in O(n).
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from itertools import combinations
 import numpy as np
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, count_diamonds, decode, encode, is_diamond,
-                         pair_index, random_tournament)
+from .tournament import (MAX_N, InputError, Tournament, _bits, _quote_int, count_diamonds, decode,
+                         encode, pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
-_GROUP = 2  # mixed 4-subsets per table gather: 64^2 table entries per block
-_ARANGE64 = np.arange(64, dtype=np.uint8)
 _EXHAUSTIVE_MAX_N = 8
 _LONG_RUN_N = 8  # 2^28 encodings; gated behind long_run=True
 MAX_THREADS = 64  # a pool is never larger, whatever the caller asks for
@@ -45,94 +44,58 @@ class SearchResult(namedtuple("SearchResult", "n mode max_diamonds witness bound
 
 
 @lru_cache(maxsize=16)
-def _subset_tables(n):
-    """(lut, pair_bits): the 64-entry diamond LUT and a (C(n,4), 6) uint32
-    array of the global pair bit positions of every 4-subset.
+def _scan_plan(n):
+    """(low, ones, lanes, quads): the cached plan of the bit-sliced scan of
+    all n-vertex encodings.
 
-    The LUT is indexed by a 4-subset's own 6 pair bits, taken in pair_index
-    order, so it is the encoding of a 4-tournament and one LUT serves all.
-    """
-    lut = np.array([is_diamond(decode(4, code), range(4)) for code in range(64)], dtype=np.uint8)
-    local_pairs = list(combinations(range(4), 2))
-    pair_bits = np.array([[pair_index(n, quad[a], quad[b]) for a, b in local_pairs]
-                          for quad in combinations(range(n), 4)], dtype=np.uint32)
-    return lut, pair_bits
-
-
-@lru_cache(maxsize=16)
-def _block_tables(n):
-    """Low-bit subset codes for the block scan of all n-vertex encodings.
-
-    An encoding is split into its low = min(_LOW_BITS, C(n,2)) bits, which
-    run over one block, and its high bits, fixed per block.  A 4-subset's
-    6-bit LUT index is the OR of a low code, from its pair bits in the low
-    part x, and a high code, from the (local bit, high bit) pairs of its
-    hpos.  Returns (low, base, mixed, high): base[x] sums the LUT over the
-    subsets with all six pair bits low (uint8, 2^low entries); high holds
-    the hpos of the subsets with all six bits high; mixed holds, per group
-    of _GROUP subsets with bits on both sides, the hpos of each and a
-    uint16 array whose bits 6g..6g+5 at x are the low code of subset g.
+    Block h holds the 2^low encodings (h << low) | x, low =
+    min(_LOW_BITS, C(n,2)), as the lanes x of one int, and ones sets every
+    lane.  Bit x of lanes[b] is bit b of x: runs of 2^b clear and 2^b set
+    lanes.  quads holds, for each 4-subset a < b < c < d, the pair indices
+    of ab, cd, ac, bd, ad and bc.
     """
     low = min(_LOW_BITS, n * (n - 1) // 2)
-    x = np.arange(1 << low, dtype=np.uint32)
-    base = np.zeros(1 << low, dtype=np.uint8)
-    mixed, high = [], []
-    joint, group = None, []
-    lut, pair_bits = _subset_tables(n)
-    for bits in pair_bits.tolist():
-        code = np.zeros(1 << low, dtype=np.uint8)
-        hpos = []
-        for t, pb in enumerate(bits):
-            if pb < low:
-                code |= ((x >> pb) & 1).astype(np.uint8) << t
-            else:
-                hpos.append((t, pb - low))
-        if not hpos:
-            base += lut[code]
-        elif len(hpos) == len(bits):
-            high.append(tuple(hpos))
-        else:
-            if not group:
-                joint = np.zeros(1 << low, dtype=np.uint16)
-            joint |= code.astype(np.uint16) << (6 * len(group))
-            group.append(tuple(hpos))
-            if len(group) == _GROUP:
-                mixed.append((joint, tuple(group)))
-                group = []
-    if group:
-        mixed.append((joint, tuple(group)))
-    return low, base, tuple(mixed), tuple(high)
+    ones = (1 << (1 << low)) - 1
+    # ones // (2^(2w) - 1) sets lane 0 of each period of 2w lanes, w = 2^b
+    lanes = tuple(ones // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
+                  for b in range(low))
+    quads = tuple(tuple(pair_index(n, i, j)
+                        for i, j in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c)))
+                  for a, b, c, d in combinations(range(n), 4))
+    return low, ones, lanes, quads
 
 
-def _high_code(h, hpos):
-    code = 0
-    for t, b in hpos:
-        code |= ((h >> b) & 1) << t
-    return code
+def _block_planes(n, h):
+    """The diamond counts of block h as bit planes: lane x of planes[k] is
+    bit k of the count of the encoding (h << low) | x.
 
-
-def _block_counts(n, h):
-    """Diamond counts of the encodings (h << low) | x for x = 0 .. 2^low - 1.
-
-    uint8 suffices: a count is at most C(8,4) = 70.
+    Each pair bit e is an int over the lanes: a low bit is its lane
+    pattern, a high bit 0 or ones.  With s = 2e - 1, a 4-set is a diamond
+    iff |s_ab s_cd - s_ac s_bd + s_ad s_bc| = 3 (its Pfaffian), so iff
+    e_ab ^ e_cd differs from e_ac ^ e_bd and equals e_ad ^ e_bc.  A
+    ripple-carry adder sums the diamond lanes of every 4-set into the
+    planes, stopping at the first zero carry.
     """
-    low, base, mixed, high = _block_tables(n)
-    lut = _subset_tables(n)[0]
-    tot = base + np.uint8(sum(int(lut[_high_code(h, hpos)]) for hpos in high))
-    tmp = np.empty_like(tot)
-    for joint, group in mixed:
-        # table[c0 + 64 c1 + ...] = sum_g lut[c_g | high code of subset g]
-        table = np.zeros(1, dtype=np.uint8)
-        for hpos in group:
-            table = np.add.outer(lut[_ARANGE64 | _high_code(h, hpos)], table).ravel()
-        np.take(table, joint, out=tmp)
-        tot += tmp
-    return tot
+    low, ones, lanes, quads = _scan_plan(n)
+    e = [*lanes, *(ones if (h >> k) & 1 else 0 for k in range(n * (n - 1) // 2 - low))]
+    planes = []
+    for ab, cd, ac, bd, ad, bc in quads:
+        y = e[ab] ^ e[cd]
+        carry = (y ^ e[ac] ^ e[bd]) & (y ^ e[ad] ^ e[bc] ^ ones)
+        for k, p in enumerate(planes):
+            planes[k] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
 
 
 def _check_threads(threads):
     if not 1 <= threads <= MAX_THREADS:
-        raise InputError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
+        raise InputError(f"threads must be in [1, {MAX_THREADS}], got {_quote_int(threads)}")
 
 
 def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
@@ -176,12 +139,17 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
     _check_exhaustive_n(n, long_run)
     _check_threads(threads)
     total = 1 << (n * (n - 1) // 2)
-    low = _block_tables(n)[0]  # build the cached tables before any thread starts
+    low, ones = _scan_plan(n)[:2]  # build the cached plan before any thread starts
 
     def scan_block(h):
-        d = _block_counts(n, h)
-        x = int(d.argmax())
-        return int(d[x]), (h << low) | x
+        # from the top plane down, keep the lanes with the bit set, if any
+        count, best = 0, ones
+        planes = _block_planes(n, h)
+        for k in reversed(range(len(planes))):
+            top = best & planes[k]
+            if top:
+                count, best = count | (1 << k), top
+        return count, (h << low) | ((best & -best).bit_length() - 1)
 
     return _best_of(n, "exhaustive", scan_block, range(total >> low), threads,
                     explored=total, params={"threads": threads})
@@ -190,16 +158,21 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
 def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> np.ndarray:
     """All encodings whose tournament has exactly the given diamond count.
 
-    A uint32 array in ascending order, from the same block counts as
+    A uint32 array in ascending order, from the same block planes as
     exhaustive_max_diamonds.
     """
     _check_exhaustive_n(n, long_run)
-    low = _block_tables(n)[0]
-    hits = [
-        np.flatnonzero(_block_counts(n, h) == delta).astype(np.uint32) | np.uint32(h << low)
-        for h in range((1 << (n * (n - 1) // 2)) >> low)
-    ]
-    return np.concatenate(hits)
+    low, ones = _scan_plan(n)[:2]
+    hits = []
+    for h in range((1 << (n * (n - 1) // 2)) >> low):
+        planes = _block_planes(n, h)
+        if delta >> len(planes):  # negative, or above every count of the block
+            continue
+        lanes = ones
+        for k, p in enumerate(planes):
+            lanes &= p if (delta >> k) & 1 else ones ^ p
+        hits.extend((h << low) | x for x in _bits(lanes))
+    return np.array(hits, dtype=np.uint32)
 
 
 def verify_five_vertex_law():
@@ -207,11 +180,14 @@ def verify_five_vertex_law():
 
     Returns None on success, else (encoding, delta) of the first violation.
     """
-    d = _block_counts(5, 0)  # C(5,2) = 10 bits: one block holds every encoding
-    bad = np.nonzero((d != 0) & (d != 2))[0]
-    if len(bad):
-        e = int(bad[0])
-        return e, int(d[e])
+    planes = _block_planes(5, 0)  # C(5,2) = 10 bits: one block holds every encoding
+    bad = 0  # the lanes with a count other than 0 and 2: a set bit besides bit 1
+    for k, p in enumerate(planes):
+        if k != 1:
+            bad |= p
+    if bad:
+        e = (bad & -bad).bit_length() - 1
+        return e, sum(((p >> e) & 1) << k for k, p in enumerate(planes))
     return None
 
 
@@ -282,11 +258,11 @@ def local_search_max_diamonds(
     >= 0 and cooling is finite and > 0.
     """
     if not 4 <= n <= MAX_N:
-        raise InputError(f"local search supports 4 <= n <= {MAX_N}, got n={n}")
+        raise InputError(f"local search supports 4 <= n <= {MAX_N}, got n={_quote_int(n)}")
     if restarts < 1:
-        raise InputError(f"restarts must be at least 1, got {restarts}")
+        raise InputError(f"restarts must be at least 1, got {_quote_int(restarts)}")
     if steps < 0:
-        raise InputError(f"steps must be at least 0, got {steps}")
+        raise InputError(f"steps must be at least 0, got {_quote_int(steps)}")
     _check_threads(threads)
     if not (math.isfinite(t0) and t0 >= 0):
         raise InputError(f"t0 must be finite and at least 0, got {t0}")

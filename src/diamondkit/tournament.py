@@ -61,6 +61,14 @@ def _square(n, rows):
     return tuple(sq)
 
 
+def _bits(x):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def _immutable(self, name, value):
     """__setattr__ of the records that keep a __dict__ for their cached
     properties: every assignment is refused, while cached_property stores
@@ -243,6 +251,12 @@ def random_tournament(n: int, seed: int) -> Tournament:
 def _quote(text: str) -> str:
     """repr of at most the first 40 characters of text, marked when clipped."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def _quote_int(x: int) -> str:
+    """x in decimal, or _quote of its digits when they are more than 40."""
+    text = str(x)
+    return text if len(text) <= 40 else _quote(text)
 
 
 def parse_int(token: str) -> int:

@@ -492,8 +492,11 @@ class TestConstructPrimePower:
         def never(q):
             raise AssertionError("construction started")
         monkeypatch.setattr(constructions, "paley_tournament", never)
+        # the echo of a refused value is clipped to its first 40 characters
+        text = f"{p}^{k}"
+        echo = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
         for argv, err in [(["--p", p, "--k", k], "the following arguments are required: --q"),
-                          ([f"--q={p}^{k}"], f"argument --q: invalid int value: '{p}^{k}'")]:
+                          ([f"--q={text}"], f"argument --q: invalid int value: {echo}")]:
             assert main(["construct", "paley", *argv]) == INPUT_ERROR
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -621,6 +624,18 @@ class TestErrorText:
         (("verify", "--in", "{plus_hyp}", "--checks", "ff4"),
          "{plus_hyp}: bad index in '0 1 2 +3' (line 2)"),
         (("delete", "--in", "{trn}", "--vertices", "1" * 5000), "number too long: 5000 digits"),
+        # numeric options echo at most 40 characters of a long value
+        (("construct", "paley", "--q", "9" * 4000),
+         f"paley of q={'9' * 40!r}... (4000 characters) has {'9' * 40!r}... (4000 characters) "
+         "vertices, above the limit of 512"),
+        (("search", "--n", "9" * 5000),
+         f"argument --n: invalid int value: {'9' * 40!r}... (5000 characters)"),
+        (("search", "--n", "8", "--restarts", "9" * 5000),
+         f"argument --restarts: invalid int value: {'9' * 40!r}... (5000 characters)"),
+        (("search", "--mode", "local", "--n", "9" * 4000),
+         f"local search supports 4 <= n <= 512, got n={'9' * 40!r}... (4000 characters)"),
+        (("search", "--n", "8", "--t0", "x" * 5000),
+         f"argument --t0: invalid float value: {'x' * 40!r}... (5000 characters)"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),

@@ -17,8 +17,8 @@ from diamondkit.oracles import (
 )
 from diamondkit.search import (
     MAX_THREADS,
-    _block_counts,
-    _block_tables,
+    _block_planes,
+    _scan_plan,
     _SquareState,
     encodings_with_delta,
     exhaustive_max_diamonds,
@@ -34,6 +34,7 @@ from diamondkit.tournament import (
     count_diamonds,
     decode,
     encode,
+    is_diamond,
     random_tournament,
     validate,
 )
@@ -72,6 +73,13 @@ class TestExhaustive:
         assert res.attained
         assert res.explored == 1 << 21
 
+    def test_n8_long_run(self):
+        # the paper's exact bound at n = 8, from the full 2^28 scan (about 4 s)
+        res = exhaustive_max_diamonds(8, long_run=True)
+        assert (res.max_diamonds, res.attained) == (28, True)
+        assert res.explored == 1 << 28
+        assert encode(res.witness) == 600626
+
     def test_witness_is_canonical_least_encoding(self):
         res = exhaustive_max_diamonds(5)
         all_best = encodings_with_delta(5, 2)
@@ -107,6 +115,12 @@ class TestFiveVertexLaw:
     def test_holds(self):
         assert verify_five_vertex_law() is None
 
+    def test_reports_the_first_violation(self, monkeypatch):
+        # lane 3 counts 1, lane 5 counts 3 and lane 6 counts 2
+        monkeypatch.setattr("diamondkit.search._block_planes",
+                            lambda n, h: [0b101000, 0b1100000])
+        assert verify_five_vertex_law() == (3, 1)
+
     def test_transitive_encodings_have_zero(self):
         from itertools import permutations
 
@@ -118,7 +132,6 @@ class TestFiveVertexLaw:
 
     def test_encodings_containing_fixed_diamond_have_two(self):
         twos = set(int(e) for e in encodings_with_delta(5, 2))
-        from diamondkit.tournament import is_diamond
         for e in range(1 << 10):
             t = decode(5, e)
             if is_diamond(t, (0, 1, 2, 3)):
@@ -240,17 +253,32 @@ class TestAnnealingOracle:
 
 
 class TestBlockScan:
+    @staticmethod
+    def _lane_counts(n, h):
+        """The diamond count of each lane of block h, read from its planes."""
+        lanes = 1 << _scan_plan(n)[0]
+        counts = np.zeros(lanes, dtype=np.uint16)
+        for k, plane in enumerate(_block_planes(n, h)):
+            packed = np.frombuffer(plane.to_bytes(lanes // 8, "little"), dtype=np.uint8)
+            bits = np.unpackbits(packed, bitorder="little")
+            counts += bits.astype(np.uint16) << k
+        return counts
+
     def test_n6_single_block_matches_oracle(self):
-        assert _block_tables(6)[0] == 15
+        assert _scan_plan(6)[0] == 15
         enc = np.arange(1 << 15, dtype=np.uint32)
-        assert np.array_equal(_block_counts(6, 0), _deltas(6, enc))
+        assert np.array_equal(self._lane_counts(6, 0), _deltas(6, enc))
 
     @pytest.mark.parametrize("n, h", [(7, 0), (7, 63), (8, 0), (8, 5461), (8, 8191)])
     def test_block_matches_oracle(self, n, h):
-        low = _block_tables(n)[0]
+        low = _scan_plan(n)[0]
         assert low == 15
         enc = (np.uint32(h) << np.uint32(low)) | np.arange(1 << low, dtype=np.uint32)
-        assert np.array_equal(_block_counts(n, h), _deltas(n, enc))
+        assert np.array_equal(self._lane_counts(n, h), _deltas(n, enc))
+
+    def test_oracle_matches_is_diamond(self):
+        expected = [is_diamond(decode(4, e), range(4)) for e in range(64)]
+        assert _deltas(4, np.arange(64, dtype=np.uint32)).tolist() == expected
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_encodings_with_delta_matches_oracle(self, n):
