@@ -4,8 +4,8 @@ matrices and FF4-hypergraphs/designs.
 `import diamondkit` loads no submodule and exports no name but
 `__version__`: each name is imported from the module that defines it
 (`from diamondkit.hypergraph import baber`), so a command pays only for
-the modules it runs.  The searches are in diamondkit.search, the one
-production module that imports numpy; the test oracles (char_poly and the
+the modules it runs.  The searches are in diamondkit.search, whose
+annealer alone imports numpy; the test oracles (char_poly and the
 rest) are in diamondkit.oracles, which no production module imports.
 """
 

@@ -221,7 +221,7 @@ def cmd_extend(args):
 
 
 def cmd_search(args):
-    # the one command that needs numpy: the others start without importing it
+    # only the annealer (--mode local) imports numpy; the scan runs without it
     from . import search
 
     # the search functions check every limit before they start work

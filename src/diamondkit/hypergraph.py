@@ -15,8 +15,8 @@ from functools import cached_property
 from math import comb
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, _bits, _immutable, _quote, _read_utf8,
-                         _refuse_trailing, parse_int)
+from .tournament import (MAX_N, InputError, Tournament, _bits, _immutable, _quote, _quote_int,
+                         _read_utf8, _refuse_trailing, parse_int)
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
@@ -72,7 +72,7 @@ def hypergraph(n, edges) -> Hypergraph4:
     edge themselves, call Hypergraph4 directly.
     """
     if not 0 <= n <= MAX_N:
-        raise InputError(f"need 0 <= n <= {MAX_N}, got n={n}")
+        raise InputError(f"need 0 <= n <= {MAX_N}, got n={_quote_int(n)}")
     checked = set()
     for e in edges:
         try:
@@ -211,9 +211,11 @@ def parse_hyp(text: str) -> Hypergraph4:
     except InputError:
         raise InputError(f"bad header {_quote(lines[0])}", line=1) from None
     if not 0 <= n <= MAX_N or m < 0:
-        raise InputError(f"need 0 <= n <= {MAX_N} and m >= 0, got n={n}, m={m}", line=1)
+        raise InputError(f"need 0 <= n <= {MAX_N} and m >= 0, "
+                         f"got n={_quote_int(n)}, m={_quote_int(m)}", line=1)
     if len(lines) < m + 1:
-        raise InputError(f"expected {m} edge lines, got {len(lines) - 1}", line=len(lines))
+        raise InputError(f"expected {_quote_int(m)} edge lines, got {len(lines) - 1}",
+                         line=len(lines))
     # in ASCII text without "+" or "_", int() takes just the tokens parse_int
     # takes, and is faster
     index = int if text.isascii() and "+" not in text and "_" not in text else parse_int

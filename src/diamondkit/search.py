@@ -1,16 +1,16 @@
 """Exhaustive and annealing search for diamond-maximal tournaments.
 
-Only this module and oracles import numpy; the CLI imports it only for
-`search`.  Encodings are tournament.encode's: bit pair_index(n, i, j) is
-the arc between i < j.  The canonical witness of a search is the least
-encoding integer attaining the maximum.  The exhaustive scan runs over
-blocks of encodings that share their high bits, bit-sliced: a block is one
-Python int per pair bit, with one bit (lane) per encoding, the diamond
-test of a 4-subset is five XORs and an AND of its six pair bits, and a
-ripple-carry adder sums the tests into the bit planes of the counts.  The
-block maxima reduce to the most diamonds, ties to the least encoding, so
-results are bit-identical for any thread count.  Annealing keeps S and S^2
-of the current tournament and scores each arc flip in O(n).
+Only _SquareState, the annealer's state, imports numpy; encodings are
+tournament.encode's ints: bit pair_index(n, i, j) is the arc between i < j.
+The canonical witness of a search is the least encoding integer attaining
+the maximum.  The exhaustive scan runs over blocks of encodings that share
+their high bits, bit-sliced: a block is one Python int per pair bit, with
+one bit (lane) per encoding, the diamond test of a 4-subset is five XORs
+and an AND of its six pair bits, and a ripple-carry adder sums the tests
+into the bit planes of the counts.  The block maxima reduce to the most
+diamonds, ties to the least encoding, so results are bit-identical for any
+thread count.  Annealing keeps S and S^2 of the current tournament and
+scores each arc flip in O(n).
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations
-
-import numpy as np
 
 from .spectral import diamond_upper_bound
 from .tournament import (MAX_N, InputError, Tournament, _bits, _quote_int, count_diamonds, decode,
@@ -155,11 +153,10 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
                     explored=total, params={"threads": threads})
 
 
-def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> np.ndarray:
+def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> tuple:
     """All encodings whose tournament has exactly the given diamond count.
 
-    A uint32 array in ascending order, from the same block planes as
-    exhaustive_max_diamonds.
+    An ascending tuple of ints, read from exhaustive_max_diamonds' planes.
     """
     _check_exhaustive_n(n, long_run)
     low, ones = _scan_plan(n)[:2]
@@ -172,7 +169,7 @@ def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> np.ndarr
         for k, p in enumerate(planes):
             lanes &= p if (delta >> k) & 1 else ones ^ p
         hits.extend((h << low) | x for x in _bits(lanes))
-    return np.array(hits, dtype=np.uint32)
+    return tuple(hits)
 
 
 def verify_five_vertex_law():
@@ -201,14 +198,16 @@ class _SquareState:
     2 S[i] to row j, except at Q[i, i], Q[j, j] and Q[i, j], which keep
     their values, and the same to columns i and j.  Summing the squares of
     those rows and columns before and after gives a change of
-    -(Q[j].S[i] - Q[i].S[j] + 4n - 6) / 4: two length-n dot products per
-    proposal, and an O(n) update per accepted flip.  Every entry of Q has
-    magnitude at most n - 1, so all of it is exact in int64.  Q starts from
-    t's cached square, and S = A - A^T from one unpackbits of the rows: the
-    one place a tournament becomes a matrix.
+    -(Q[j].S[i] - Q[i].S[j] + 4n - 6) / 4, where Q[i].S[j] = -(S^3)[i, j] =
+    -Q[j].S[i] as S and S^3 are skew: one dot product per proposal, an O(n)
+    update per accepted flip.  Q's entries have magnitude at most n - 1, so
+    int64 is exact.  Q starts from t's cached square, and S = A - A^T from
+    one unpackbits of the rows: the one place a tournament becomes a matrix.
     """
 
     def __init__(self, t: Tournament):
+        import numpy as np
+
         n = self.n = t.n
         self.q = np.array(t.square, dtype=np.int64)  # raises unless t is valid
         width = (n + 7) // 8
@@ -222,8 +221,7 @@ class _SquareState:
 
     def delta(self, i, j) -> int:
         """Diamond count change if the arc i -> j is reversed (i dominates j)."""
-        s, q = self.s, self.q
-        return -(int(q[j] @ s[i]) - int(q[i] @ s[j]) + 4 * self.n - 6) // 4
+        return -(int(self.q[j] @ self.s[i]) + 2 * self.n - 3) // 2
 
     def flip(self, i, j):
         """Reverse the arc i -> j (i dominates j)."""

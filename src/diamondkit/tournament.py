@@ -242,7 +242,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     Twister), drawn one getrandbits(1) at a time in pair_index order.
     """
     if not 3 <= n <= MAX_N:
-        raise InputError(f"n must be in [3, {MAX_N}], got {n}")
+        raise InputError(f"n must be in [3, {MAX_N}], got {_quote_int(n)}")
     rng = random.Random(seed)
     bits = "".join(["01"[rng.getrandbits(1)] for _ in range(n * (n - 1) // 2)])
     return decode(n, int(bits[::-1], 2))
@@ -283,7 +283,7 @@ def parse_trn(text: str) -> Tournament:
     except InputError:
         raise InputError(f"bad vertex count {_quote(lines[0])}", line=1) from None
     if not 3 <= n <= MAX_N:
-        raise InputError(f"n={n} out of range [3, {MAX_N}]", line=1)
+        raise InputError(f"n={_quote_int(n)} out of range [3, {MAX_N}]", line=1)
     if len(lines) < n + 1:
         raise InputError(f"expected {n} matrix rows, got {len(lines) - 1}", line=len(lines))
     rows = []

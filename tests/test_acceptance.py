@@ -101,7 +101,7 @@ def test_criterion_3_exhaustive_optima():
     assert r7.max_diamonds == 14 and r7.attained
     assert r7.explored == 1 << 21
     for e in encodings_with_delta(7, 14):
-        t = decode(7, int(e))
+        t = decode(7, e)
         assert matches_extremal_charpoly(t) == ODD_EXTREMAL
 
     r7p = exhaustive_max_diamonds(7, threads=4)

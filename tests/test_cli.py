@@ -587,7 +587,8 @@ class TestErrorText:
     """Each rejected argv exits 2 with exactly this one stderr line.  {trn}
     is T*(31), {hyp} its Baber hypergraph and {missing} a path that does
     not exist.  {plus_trn} and {plus_hyp} hold numbers with a "+" sign,
-    which int() takes but the file formats do not."""
+    which int() takes but the file formats do not.  {long_trn} and
+    {long_hyp} declare a 4000-digit n, {long_m_hyp} a 4000-digit m."""
 
     @pytest.mark.parametrize("argv,err", [
         (("construct", "paley", "--q", "10"), "10 is not a prime power"),
@@ -636,11 +637,20 @@ class TestErrorText:
          f"local search supports 4 <= n <= 512, got n={'9' * 40!r}... (4000 characters)"),
         (("search", "--n", "8", "--t0", "x" * 5000),
          f"argument --t0: invalid float value: {'x' * 40!r}... (5000 characters)"),
+        (("count", "--in", "{long_trn}"),
+         f"{{long_trn}}: n={'9' * 40!r}... (4000 characters) out of range [3, 512] (line 1)"),
+        (("verify", "--in", "{long_hyp}", "--checks", "ff4"),
+         f"{{long_hyp}}: need 0 <= n <= 512 and m >= 0, got n={'9' * 40!r}... (4000 characters), "
+         "m=0 (line 1)"),
+        (("verify", "--in", "{long_m_hyp}", "--checks", "ff4"),
+         f"{{long_m_hyp}}: expected {'9' * 40!r}... (4000 characters) edge lines, got 0 (line 1)"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),
                  "missing": str(tmp_path / "missing.trn"),
-                 "plus_trn": str(tmp_path / "plus.trn"), "plus_hyp": str(tmp_path / "plus.hyp")}
+                 "plus_trn": str(tmp_path / "plus.trn"), "plus_hyp": str(tmp_path / "plus.hyp"),
+                 "long_trn": str(tmp_path / "long.trn"), "long_hyp": str(tmp_path / "long.hyp"),
+                 "long_m_hyp": str(tmp_path / "long_m.hyp")}
         t = star_paley(31)
         save_trn(t, paths["trn"])
         save_hyp(baber(t), paths["hyp"])
@@ -648,6 +658,10 @@ class TestErrorText:
             fh.write("+3\n010\n001\n100\n")
         with open(paths["plus_hyp"], "w") as fh:
             fh.write("6 1\n0 1 2 +3\n")
+        for name, text in [("long_trn", "9" * 4000), ("long_hyp", "9" * 4000 + " 0"),
+                           ("long_m_hyp", "5 " + "9" * 4000)]:
+            with open(paths[name], "w") as fh:
+                fh.write(text + "\n")
         code = main([a.format(**paths) for a in argv])
         captured = capsys.readouterr()
         assert code == INPUT_ERROR and captured.out == ""
@@ -700,9 +714,10 @@ print(json.dumps(steps))
 
 
 class TestNumpyOnlyForSearch:
-    """Each command loads only the modules it runs: only search imports
-    numpy, and none imports dataclasses.  count and verify of a .trn run
-    first, so they show that they load no module the import has not."""
+    """Each command loads only the modules it runs: only the annealer of
+    search --mode local imports numpy, so the exhaustive search runs
+    without it, and none imports dataclasses.  count and verify of a .trn
+    run first, so they show that they load no module the import has not."""
 
     def test_readme_chain(self, tmp_path):
         save_trn(star_paley(7), tmp_path / "tstar7.trn")
@@ -717,6 +732,7 @@ class TestNumpyOnlyForSearch:
             (["delete", "--in", "tstar7.trn", "--vertices", "7", "--out", "paley7.trn"], []),
             (["extend", "--in", "paley7.trn"], []),
             (["search", "--mode", "exhaustive", "--n", "5"], ["search"]),
+            (["search", "--mode", "local", "--n", "5", "--restarts", "1", "--steps", "10"], []),
         ]
         src = os.path.dirname(os.path.dirname(tournament.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -726,9 +742,11 @@ class TestNumpyOnlyForSearch:
                              timeout=120, check=True).stdout
         modules = ["diamondkit", "diamondkit.cli", "diamondkit.spectral", "diamondkit.tournament"]
         want = [["import diamondkit.cli", OK, False, False, sorted(modules)]]
+        numpy = False
         for argv, added in chain:
             modules += [f"diamondkit.{m}" for m in added]
-            want.append([" ".join(argv), OK, argv[0] == "search", False, sorted(modules)])
+            numpy = numpy or "local" in argv
+            want.append([" ".join(argv), OK, numpy, False, sorted(modules)])
         assert json.loads(out) == want
 
 

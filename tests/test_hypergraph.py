@@ -340,12 +340,16 @@ class TestLinkFF4Oracle:
             hypergraph(5, [(0, 1, 2, 3), edge])
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("n", [-4, MAX_N + 1])
-    def test_constructor_rejects_bad_n(self, n):
-        # a negative n would reach math.comb in is_3_design and is_ff4_design
+    @pytest.mark.parametrize("n, shown", [
+        (-4, "-4"), (MAX_N + 1, str(MAX_N + 1)),
+        (int("9" * 4000), f"{'9' * 40!r}... (4000 characters)"),
+    ], ids=["-4", str(MAX_N + 1), "4000-digits"])
+    def test_constructor_rejects_bad_n(self, n, shown):
+        # a negative n would reach math.comb in is_3_design and is_ff4_design,
+        # and a long n is clipped to 40 digits
         with pytest.raises(InputError) as exc:
             hypergraph(n, [])
-        assert str(exc.value) == f"need 0 <= n <= {MAX_N}, got n={n}"
+        assert str(exc.value) == f"need 0 <= n <= {MAX_N}, got n={shown}"
 
 
 class TestLinks:

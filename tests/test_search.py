@@ -51,7 +51,7 @@ class TestExhaustive:
     def test_n4_every_witness_is_conference(self):
         for e in encodings_with_delta(4, 1):
             from diamondkit.spectral import is_skew_conference
-            assert is_skew_conference(decode(4, int(e)))
+            assert is_skew_conference(decode(4, e))
 
     def test_n5(self):
         res = exhaustive_max_diamonds(5)
@@ -83,7 +83,7 @@ class TestExhaustive:
     def test_witness_is_canonical_least_encoding(self):
         res = exhaustive_max_diamonds(5)
         all_best = encodings_with_delta(5, 2)
-        assert encode(res.witness) == int(all_best.min())
+        assert encode(res.witness) == all_best[0]
 
     def test_thread_invariance(self):
         r1 = exhaustive_max_diamonds(6, threads=1)
@@ -125,13 +125,13 @@ class TestFiveVertexLaw:
         from itertools import permutations
 
         from diamondkit.tournament import from_arcs
-        zeros = set(int(e) for e in encodings_with_delta(5, 0))
+        zeros = set(encodings_with_delta(5, 0))
         for order in permutations(range(5)):
             t = from_arcs(5, [(order[a], order[b]) for a in range(5) for b in range(a + 1, 5)])
             assert encode(t) in zeros
 
     def test_encodings_containing_fixed_diamond_have_two(self):
-        twos = set(int(e) for e in encodings_with_delta(5, 2))
+        twos = set(encodings_with_delta(5, 2))
         for e in range(1 << 10):
             t = decode(5, e)
             if is_diamond(t, (0, 1, 2, 3)):
@@ -286,14 +286,14 @@ class TestBlockScan:
         d = _deltas(n, enc)
         for delta in range(-1, int(d.max()) + 2):
             got = encodings_with_delta(n, delta)
-            assert got.dtype == np.uint32
-            assert np.array_equal(got, enc[d == delta])
+            assert all(type(e) is int for e in got)
+            assert got == tuple(enc[d == delta].tolist())
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_n7_witness_encoding(self, threads):
         res = exhaustive_max_diamonds(7, threads=threads)
         assert encode(res.witness) == 4692
-        assert int(encodings_with_delta(7, 14).min()) == 4692
+        assert encodings_with_delta(7, 14)[0] == 4692
 
 
 class TestLocalSearchLimits:

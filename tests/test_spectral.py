@@ -397,7 +397,7 @@ class TestExtremalIdentitiesOracle:
         hits = encodings_with_delta(7, 14)
         assert len(hits) > 0
         for e in hits:
-            assert self._agree(decode(7, int(e))) == ODD_EXTREMAL
+            assert self._agree(decode(7, e)) == ODD_EXTREMAL
 
     def test_exhaustive_n4(self):
         # all 64 labelled 4-tournaments: extremal exactly on the 16 diamonds

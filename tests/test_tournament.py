@@ -305,6 +305,9 @@ class TestRandomTournament:
             random_tournament(2, 0)
         with pytest.raises(ValueError):
             random_tournament(513, 0)
+        with pytest.raises(InputError) as exc:
+            random_tournament(int("9" * 4000), 0)
+        assert str(exc.value) == f"n must be in [3, 512], got {'9' * 40!r}... (4000 characters)"
 
     def test_mean_diamond_count_at_n5(self):
         # per-4-set diamond probability: exactly 16 of the 64 labeled
