@@ -21,9 +21,26 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph4, is_ff4_design
-from .tournament import _DIAMOND_SQ, InputError, Tournament, _subset_degree_squares
+from .tournament import InputError, Tournament
 
 _MINOR_ORACLE_MAX_N = 14
+
+# in-subset out-degree multisets of the two diamond types are (1,1,1,3) and
+# (0,2,2,2); both have sum of squares 12, the other two 4-tournaments give
+# 14 (transitive) and 10 (strong non-diamond).  Production decides diamonds
+# by the Pfaffian rule (tournament._diamond_lanes), so this score-square
+# rule shares no code with it.
+_DIAMOND_SQ = 12
+
+
+def _subset_degree_squares(rows, a, b, c, d):
+    """Sum of the squared in-subset out-degrees of the 4-set a, b, c, d."""
+    mask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
+    s = 0
+    for v in (a, b, c, d):
+        k = (rows[v] & mask).bit_count()
+        s += k * k
+    return s
 
 
 def seidel(t: Tournament) -> list:

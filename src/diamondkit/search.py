@@ -5,11 +5,11 @@ tournament.encode's ints: bit pair_index(n, i, j) is the arc between i < j.
 The canonical witness of a search is the least encoding integer attaining
 the maximum.  The exhaustive scan runs over blocks of encodings that share
 their high bits, bit-sliced: a block is one Python int per pair bit, with
-one bit (lane) per encoding, the diamond test of a 4-subset is five XORs
-and an AND of its six pair bits, and a ripple-carry adder sums the tests
-into the bit planes of the counts.  The block maxima reduce to the most
-diamonds, ties to the least encoding, so results are bit-identical for any
-thread count.  Annealing keeps S and S^2 of the current tournament and
+one bit (lane) per encoding, the diamond test of a 4-subset is
+tournament._diamond_lanes of its six pair bits, and a ripple-carry adder
+sums the tests into the bit planes of the counts.  The block maxima reduce
+to the most diamonds, ties to the least encoding, so results are
+bit-identical for any thread count.  Annealing keeps S and S^2 of the current tournament and
 scores each arc flip in O(n).
 """
 
@@ -23,8 +23,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, _bits, _quote_int, count_diamonds, decode,
-                         encode, pair_index, random_tournament)
+from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _quote_int,
+                         count_diamonds, decode, encode, pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _EXHAUSTIVE_MAX_N = 8
@@ -68,18 +68,15 @@ def _block_planes(n, h):
     bit k of the count of the encoding (h << low) | x.
 
     Each pair bit e is an int over the lanes: a low bit is its lane
-    pattern, a high bit 0 or ones.  With s = 2e - 1, a 4-set is a diamond
-    iff |s_ab s_cd - s_ac s_bd + s_ad s_bc| = 3 (its Pfaffian), so iff
-    e_ab ^ e_cd differs from e_ac ^ e_bd and equals e_ad ^ e_bc.  A
-    ripple-carry adder sums the diamond lanes of every 4-set into the
-    planes, stopping at the first zero carry.
+    pattern, a high bit 0 or ones.  tournament._diamond_lanes (the Pfaffian
+    rule) gives the diamond lanes of each 4-set, and a ripple-carry adder
+    sums them into the planes, stopping at the first zero carry.
     """
     low, ones, lanes, quads = _scan_plan(n)
     e = [*lanes, *(ones if (h >> k) & 1 else 0 for k in range(n * (n - 1) // 2 - low))]
     planes = []
     for ab, cd, ac, bd, ad, bc in quads:
-        y = e[ab] ^ e[cd]
-        carry = (y ^ e[ac] ^ e[bd]) & (y ^ e[ad] ^ e[bc] ^ ones)
+        carry = _diamond_lanes(e[ab], e[cd], e[ac], e[bd], e[ad], e[bc], ones)
         for k, p in enumerate(planes):
             planes[k] = p ^ carry
             carry &= p

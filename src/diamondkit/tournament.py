@@ -18,11 +18,6 @@ from math import comb
 
 MAX_N = 512
 
-# in-subset out-degree multisets of the two diamond types are (1,1,1,3) and
-# (0,2,2,2); both have sum of squares 12, the other two 4-tournaments give
-# 14 (transitive) and 10 (strong non-diamond)
-_DIAMOND_SQ = 12
-
 
 class InputError(ValueError):
     """Bad outside input: file content, a CLI argument or a library
@@ -46,18 +41,17 @@ class InputError(ValueError):
 def _square(n, rows):
     """S^2 of a valid tournament as a tuple of n int tuples, from popcounts.
 
-    For i != j, (S^2)_ij = sum_k S_ik S_kj = 2(d_i + d_j) - 4 |N+(i) & N+(j)| - n
-    with d the out-degrees, and every diagonal entry is 1 - n.  S^2 is
-    symmetric, so row i copies its first i entries from the rows above:
-    C(n,2) ANDs and popcounts of n-bit ints, O(n^3 / 64) word operations.
+    For i != j, (S^2)_ij = -sum_k S_ik S_jk.  Rows i and j differ at each k
+    with S_ik != S_jk and at one of i, j, so
+    (S^2)_ij = 2 popcount(r_i ^ r_j) - n; every diagonal entry is 1 - n.
+    S^2 is symmetric, so row i copies its first i entries from the rows
+    above: C(n,2) XORs and popcounts of n-bit ints, O(n^3 / 64) word
+    operations.
     """
-    d2 = [2 * r.bit_count() for r in rows]
     sq = []
     for i, ri in enumerate(rows):
-        base = d2[i] - n
         sq.append((*[row[i] for row in sq], 1 - n,
-                   *[base + dj - 4 * (ri & rj).bit_count()
-                     for rj, dj in zip(rows[i + 1:], d2[i + 1:])]))
+                   *[2 * (ri ^ rj).bit_count() - n for rj in rows[i + 1:]]))
     return tuple(sq)
 
 
@@ -162,26 +156,33 @@ def reverse(t: Tournament) -> Tournament:
     return Tournament(t.n, tuple((full ^ r) & ~(1 << i) for i, r in enumerate(t.rows)))
 
 
-def _subset_degree_squares(rows, a, b, c, d):
-    mask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
-    s = 0
-    for v in (a, b, c, d):
-        k = (rows[v] & mask).bit_count()
-        s += k * k
-    return s
+def _diamond_lanes(ab, cd, ac, bd, ad, bc, ones):
+    """The lanes on which the 4-set a, b, c, d is a diamond: the package's
+    one diamond test.
+
+    A lane of the word e_xy is set iff x dominates y in that lane, and ones
+    sets every lane.  With s = 2e - 1 the 4x4 Seidel minor is Pf^2, and
+    |Pf| = |s_ab s_cd - s_ac s_bd + s_ad s_bc| = 3 exactly on diamonds, for
+    any order of the four vertices: so iff e_ab ^ e_cd differs from
+    e_ac ^ e_bd and equals e_ad ^ e_bc.
+    """
+    y = ab ^ cd
+    return (y ^ ac ^ bd) & (y ^ ad ^ bc ^ ones)
 
 
 def is_diamond(t: Tournament, quad) -> bool:
     """True iff the 4 vertices induce a 3-cycle dominated by / dominating a vertex.
 
-    Decided from the in-subset score multiset: the two diamond 4-tournaments
-    are exactly those with out-degrees {3,1,1,1} or {2,2,2,0} (a determinant
-    oracle backs this up in the tests).
+    _diamond_lanes on single bits: any order of the quad gives the same
+    answer.
     """
     quad = tuple(quad)
     if len(set(quad)) != 4 or any(not (0 <= v < t.n) for v in quad):
         raise InputError(f"need 4 distinct vertices below n={t.n}, got {quad!r}")
-    return _subset_degree_squares(t.rows, *quad) == _DIAMOND_SQ
+    a, b, c, d = quad
+    ra, rb, rc = t.rows[a], t.rows[b], t.rows[c]
+    return bool(_diamond_lanes(ra >> b & 1, rc >> d & 1, ra >> c & 1, rb >> d & 1,
+                               ra >> d & 1, rb >> c & 1, 1))
 
 
 def count_diamonds(t: Tournament) -> int:

@@ -21,6 +21,8 @@ from diamondkit.hypergraph import (
     verify_ff4,
 )
 from diamondkit.oracles import (
+    _DIAMOND_SQ,
+    _subset_degree_squares,
     count_diamonds_naive,
     delete_vertices_count,
     design_block_counts,
@@ -34,7 +36,6 @@ from diamondkit.tournament import (
     InputError,
     count_diamonds,
     from_arcs,
-    is_diamond,
     random_tournament,
 )
 
@@ -404,19 +405,25 @@ class TestDesignOracle:
         assert not is_3_design(baber(star_paley(7)), 1)
 
 
+def _score_square_quads(t):
+    """The diamond 4-sets of t by the oracles' in-subset score-square rule,
+    which shares no code with baber's Pfaffian test."""
+    return frozenset(q for q in combinations(range(t.n), 4)
+                     if _subset_degree_squares(t.rows, *q) == _DIAMOND_SQ)
+
+
 class TestBaberEnumeration:
-    """baber (neighbourhood 3-cycles) against the C(n,4) is_diamond filter."""
+    """baber (the Pfaffian rule) against the C(n,4) score-square filter."""
 
     @given(st.integers(4, 24), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_matches_filter(self, n, seed):
         t = random_tournament(n, seed)
-        expected = frozenset(q for q in combinations(range(n), 4) if is_diamond(t, q))
-        assert baber(t).edges == expected
+        assert baber(t).edges == _score_square_quads(t)
 
     def test_star_paley_23_matches_filter(self):
         t = star_paley(23)
-        expected = frozenset(q for q in combinations(range(24), 4) if is_diamond(t, q))
+        expected = _score_square_quads(t)
         assert baber(t).edges == expected and len(expected) == 3036
 
     @pytest.mark.parametrize("seed", range(3))

@@ -14,6 +14,7 @@ from diamondkit.hypergraph import baber
 from diamondkit.spectral import count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
+    _diamond_lanes,
     count_diamonds,
     decode,
     encode,
@@ -28,7 +29,9 @@ from diamondkit.tournament import (
     InputError,
 )
 from diamondkit.oracles import (
+    _DIAMOND_SQ,
     ArcFlip,
+    _subset_degree_squares,
     bareiss_det,
     count_diamonds_naive,
     diamond_delta_on_flip,
@@ -137,6 +140,38 @@ class TestIsDiamond:
         for quad in itertools.combinations(range(9), 4):
             sub = np.array(seidel(t))[np.ix_(quad, quad)].tolist()
             assert is_diamond(t, quad) == (bareiss_det(sub) == 9)
+
+    @staticmethod
+    def _bit_form(t, a, b, c, d):
+        """_diamond_lanes on the one-bit arc words of the quad a, b, c, d."""
+        return _diamond_lanes(t.dom(a, b), t.dom(c, d), t.dom(a, c), t.dom(b, d),
+                              t.dom(a, d), t.dom(b, c), 1)
+
+    def test_bit_form_matches_score_squares_all_4_tournaments(self):
+        # the oracles' score-square rule shares no code with the Pfaffian rule
+        got = [self._bit_form(decode(4, e), 0, 1, 2, 3) for e in range(64)]
+        expected = [int(_subset_degree_squares(decode(4, e).rows, 0, 1, 2, 3) == _DIAMOND_SQ)
+                    for e in range(64)]
+        assert got == expected and sum(got) == 16
+
+    def test_every_order_of_a_quad_agrees(self):
+        # |Pf| does not depend on the vertex order: all 24 orders give one answer
+        cases = [(decode(4, e), (0, 1, 2, 3)) for e in range(64)]
+        t = random_tournament(7, 3)
+        cases += [(t, quad) for quad in itertools.combinations(range(7), 4)]
+        for t, quad in cases:
+            answers = {is_diamond(t, p) for p in itertools.permutations(quad)}
+            assert answers == {_subset_degree_squares(t.rows, *quad) == _DIAMOND_SQ}
+
+    def test_lane_form_matches_bit_form_on_a_packed_block(self):
+        # lane x of each arc word is the arc of decode(4, x): all 64 4-tournaments
+        ts = [decode(4, x) for x in range(64)]
+        word = {(i, j): sum(t.dom(i, j) << x for x, t in enumerate(ts))
+                for i, j in itertools.combinations(range(4), 2)}
+        lanes = _diamond_lanes(word[0, 1], word[2, 3], word[0, 2], word[1, 3], word[0, 3],
+                               word[1, 2], (1 << 64) - 1)
+        assert [(lanes >> x) & 1 for x in range(64)] == \
+            [self._bit_form(t, 0, 1, 2, 3) for t in ts]
 
 
 class TestCountDiamonds:
