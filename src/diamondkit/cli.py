@@ -57,15 +57,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _number(convert):
-    """The argparse type convert (int or float), refusing the same texts but
-    echoing at most 40 characters of a refused one (tournament._quote)."""
+def _number(convert, name):
+    """The argparse type convert (parse_int or float), refusing the same texts
+    as an invalid <name> value, echoing at most 40 characters (tournament._quote)."""
     def parse(text):
         try:
             return convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value: {tournament._quote(text)}") from None
+                f"invalid {name} value: {tournament._quote(text)}") from None
     return parse
 
 
@@ -255,7 +255,7 @@ def build_parser():
 
     c = sub.add_parser("construct", help="build a Paley or star-Paley tournament")
     c.add_argument("kind", choices=["paley", "star-paley"])
-    c.add_argument("--q", type=_number(int), required=True)
+    c.add_argument("--q", type=_number(parse_int, "int"), required=True)
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
@@ -288,14 +288,14 @@ def build_parser():
 
     c = sub.add_parser("search", help="search for diamond-maximal tournaments")
     c.add_argument("--mode", choices=["exhaustive", "local"], default="exhaustive")
-    c.add_argument("--n", type=_number(int), required=True)
-    c.add_argument("--threads", type=_number(int), default=1)
+    c.add_argument("--n", type=_number(parse_int, "int"), required=True)
+    c.add_argument("--threads", type=_number(parse_int, "int"), default=1)
     c.add_argument("--long-run", action="store_true")
-    c.add_argument("--restarts", type=_number(int), default=4)
-    c.add_argument("--steps", type=_number(int), default=2000)
-    c.add_argument("--t0", type=_number(float), default=2.0)
-    c.add_argument("--cooling", type=_number(float), default=0.999)
-    c.add_argument("--seed", type=_number(int), default=0)
+    c.add_argument("--restarts", type=_number(parse_int, "int"), default=4)
+    c.add_argument("--steps", type=_number(parse_int, "int"), default=2000)
+    c.add_argument("--t0", type=_number(float, "float"), default=2.0)
+    c.add_argument("--cooling", type=_number(float, "float"), default=0.999)
+    c.add_argument("--seed", type=_number(parse_int, "int"), default=0)
     c.add_argument("--out")
     c.set_defaults(func=cmd_search)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import gf
 from .spectral import is_skew_conference, kernel_sign_vector
-from .tournament import MAX_N, InputError, Tournament, _quote_int
+from .tournament import MAX_N, InputError, Tournament, _index, _quote_int
 
 
 class ExtensionFailed(RuntimeError):
@@ -23,14 +23,13 @@ def paley_tournament(q: int) -> Tournament:
     """Paley tournament on GF(q), q = 3 (mod 4): i -> j iff j - i is a square.
 
     Vertices are the field elements in their integer encoding (see gf module).
-    Row i is the set of squares translated by i.  Raises InputError, before
-    any work, if q exceeds tournament.MAX_N.
+    Row i is the set of squares translated by i.  Raises InputError if q
+    exceeds tournament.MAX_N (before any work), is no prime power or is not 3 mod 4.
     """
     _check_order("paley", q, q)
-    p, k = gf.factor_prime_power(q)
+    table = gf.gf_build(q)
     if q % 4 != 3:
         raise InputError(f"q={q} is not 3 mod 4; the square relation would not be a tournament")
-    table = gf.gf_build(p, k)
     return Tournament(q, table.translates(sum(1 << x for x in table.squares())))
 
 
@@ -49,11 +48,12 @@ def star_paley(q: int) -> Tournament:
 def delete_vertices(t: Tournament, drop) -> Tournament:
     """Induced sub-tournament on the kept vertices, relabeled densely.
 
-    Raises InputError on a vertex out of range or named twice, or when fewer
-    than 4 vertices would be left.  Each dropped vertex v is cut out of every
-    kept row by joining its bits below v to its bits above v shifted down.
+    Raises InputError on a vertex that is not an integer, out of range or
+    named twice, or when fewer than 4 vertices would be left.  Each dropped
+    vertex v is cut out of every kept row by joining its bits below v to its
+    bits above v shifted down.
     """
-    drop = list(drop)
+    drop = list(map(_index, drop))
     if any(not (0 <= v < t.n) for v in drop):
         raise InputError("vertex out of range")
     seen = set()

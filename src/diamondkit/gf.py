@@ -15,17 +15,6 @@ from collections import namedtuple
 from .tournament import InputError
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factor_prime_power(q: int):
     """Return (p, k) with q = p^k, or raise if q is not a prime power."""
     if q < 2:
@@ -131,17 +120,13 @@ class FieldTable(namedtuple("FieldTable", "p k q modulus")):
         return tuple(out)
 
 
-def gf_build(p: int, k: int) -> FieldTable:
-    """Deterministic GF(p^k) construction.
+def gf_build(q: int) -> FieldTable:
+    """Deterministic GF(q) construction; factor_prime_power(q) gives p and k.
 
     The modulus is the first monic irreducible of degree k when candidates
     are ordered by their coefficient vector read high-degree-first.
     """
-    if not is_prime(p):
-        raise InputError(f"p={p} is not prime")
-    if k < 1:
-        raise InputError("k must be >= 1")
-    q = p ** k
+    p, k = factor_prime_power(q)
     for c in range(q):
         # base-p digits of c are the non-leading coefficients, the high-degree
         # coefficient being the most significant digit, so ascending c scans

@@ -7,10 +7,11 @@ the maximum.  The exhaustive scan runs over blocks of encodings that share
 their high bits, bit-sliced: a block is one Python int per pair bit, with
 one bit (lane) per encoding, the diamond test of a 4-subset is
 tournament._diamond_lanes of its six pair bits, and a ripple-carry adder
-sums the tests into the bit planes of the counts.  The block maxima reduce
-to the most diamonds, ties to the least encoding, so results are
-bit-identical for any thread count.  Annealing keeps S and S^2 of the current tournament and
-scores each arc flip in O(n).
+sums the tests into the bit planes of the counts, which encodings_with_delta
+and exhaustive_max_diamonds read.  The block maxima reduce to the most
+diamonds, ties to the least encoding, so results are bit-identical for any
+thread count.  Annealing keeps S and S^2 of the current tournament and scores
+each arc flip in O(n).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _
                          count_diamonds, decode, encode, pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
-_EXHAUSTIVE_MAX_N = 8
-_LONG_RUN_N = 8  # 2^28 encodings; gated behind long_run=True
+_EXHAUSTIVE_MAX_N = 8  # the largest n, 2^28 encodings, runs only with long_run=True
 MAX_THREADS = 64  # a pool is never larger, whatever the caller asks for
 
 
@@ -118,7 +118,7 @@ def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
 def _check_exhaustive_n(n, long_run):
     if not 4 <= n <= _EXHAUSTIVE_MAX_N:
         raise InputError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
-    if n >= _LONG_RUN_N and not long_run:
+    if n == _EXHAUSTIVE_MAX_N and not long_run:
         raise InputError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
 
 
@@ -153,7 +153,7 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
 def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> tuple:
     """All encodings whose tournament has exactly the given diamond count.
 
-    An ascending tuple of ints, read from exhaustive_max_diamonds' planes.
+    An ascending tuple of ints, read from _block_planes.
     """
     _check_exhaustive_n(n, long_run)
     low, ones = _scan_plan(n)[:2]
@@ -167,22 +167,6 @@ def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> tuple:
             lanes &= p if (delta >> k) & 1 else ones ^ p
         hits.extend((h << low) | x for x in _bits(lanes))
     return tuple(hits)
-
-
-def verify_five_vertex_law():
-    """Check delta in {0, 2} over all 1024 labeled 5-tournaments.
-
-    Returns None on success, else (encoding, delta) of the first violation.
-    """
-    planes = _block_planes(5, 0)  # C(5,2) = 10 bits: one block holds every encoding
-    bad = 0  # the lanes with a count other than 0 and 2: a set bit besides bit 1
-    for k, p in enumerate(planes):
-        if k != 1:
-            bad |= p
-    if bad:
-        e = (bad & -bad).bit_length() - 1
-        return e, sum(((p >> e) & 1) << k for k, p in enumerate(planes))
-    return None
 
 
 class _SquareState:

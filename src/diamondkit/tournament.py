@@ -11,6 +11,7 @@ spectral check reads one S^2.  This module does not import numpy.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import namedtuple
 from functools import cached_property
@@ -55,6 +56,15 @@ def _square(n, rows):
     return tuple(sq)
 
 
+def _index(v):
+    """operator.index(v): a Python int, as a shift count into a row must be
+    (a numpy one coerces the row to int64); a float is an InputError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InputError(f"vertex index {v!r} is not an integer") from None
+
+
 def _bits(x):
     """Indices of the set bits of x, ascending."""
     while x:
@@ -76,8 +86,7 @@ class Tournament(namedtuple("Tournament", "n rows")):
     __setattr__ = _immutable
 
     def dom(self, i: int, j: int) -> bool:
-        # int(j): a numpy shift count would coerce the row to int64
-        return bool((self.rows[i] >> int(j)) & 1)
+        return bool((self.rows[_index(i)] >> _index(j)) & 1)
 
     def out_degree(self, i: int) -> int:
         return self.rows[i].bit_count()
@@ -174,9 +183,9 @@ def is_diamond(t: Tournament, quad) -> bool:
     """True iff the 4 vertices induce a 3-cycle dominated by / dominating a vertex.
 
     _diamond_lanes on single bits: any order of the quad gives the same
-    answer.
+    answer.  Vertices are read through _index.
     """
-    quad = tuple(quad)
+    quad = tuple(map(_index, quad))
     if len(set(quad)) != 4 or any(not (0 <= v < t.n) for v in quad):
         raise InputError(f"need 4 distinct vertices below n={t.n}, got {quad!r}")
     a, b, c, d = quad

@@ -587,7 +587,7 @@ class TestErrorText:
     """Each rejected argv exits 2 with exactly this one stderr line.  {trn}
     is T*(31), {hyp} its Baber hypergraph and {missing} a path that does
     not exist.  {plus_trn} and {plus_hyp} hold numbers with a "+" sign,
-    which int() takes but the file formats do not.  {long_trn} and
+    which int() takes but the file formats and the integer options do not.  {long_trn} and
     {long_hyp} declare a 4000-digit n, {long_m_hyp} a 4000-digit m."""
 
     @pytest.mark.parametrize("argv,err", [
@@ -644,6 +644,11 @@ class TestErrorText:
          "m=0 (line 1)"),
         (("verify", "--in", "{long_m_hyp}", "--checks", "ff4"),
          f"{{long_m_hyp}}: expected {'9' * 40!r}... (4000 characters) edge lines, got 0 (line 1)"),
+        # integer options read the files' grammar, -?[0-9]+, not int()'s
+        (("search", "--mode", "exhaustive", "--n", "+7"), "argument --n: invalid int value: '+7'"),
+        (("construct", "paley", "--q", "1_1"), "argument --q: invalid int value: '1_1'"),
+        (("search", "--mode", "local", "--n", "8", "--seed", "\u0663"),
+         "argument --seed: invalid int value: '\u0663'"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),

@@ -20,10 +20,12 @@ from diamondkit.spectral import (
 )
 from diamondkit.tournament import (
     MAX_N,
+    InputError,
     count_diamonds,
     format_trn,
     from_arcs,
     is_diamond,
+    random_tournament,
     validate,
 )
 from itertools import combinations
@@ -117,6 +119,15 @@ class TestDeleteVertices:
             delete_vertices(star_paley(3), {0})
         with pytest.raises(ValueError):
             delete_vertices(star_paley(7), {9})
+
+    def test_reads_indices_through_operator_index(self):
+        # numpy indices at n = 100 give the Python-int answers, where a numpy
+        # shift count would coerce a 100-bit row to int64 and overflow
+        t = random_tournament(100, seed=1)
+        assert delete_vertices(t, np.array([70, 5])) == delete_vertices(t, [70, 5])
+        assert delete_vertices(t, [np.int64(99)]) == delete_vertices(t, [99])
+        with pytest.raises(InputError, match="is not an integer"):
+            delete_vertices(t, [1.0])
 
 
 class TestExtendToConference:

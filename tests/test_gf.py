@@ -2,19 +2,18 @@ import random
 
 import pytest
 
-from diamondkit.gf import (_poly_from_int, _poly_mul_mod, _poly_to_int, factor_prime_power,
-                           gf_build, is_prime)
+from diamondkit.gf import _poly_from_int, _poly_mul_mod, _poly_to_int, factor_prime_power, gf_build
 
 
 def test_prime_field_gf3():
-    ft = gf_build(3, 1)
+    ft = gf_build(3)
     assert ft.q == 3
     assert ft.modulus == (0, 1)  # x
     assert ft.squares() == frozenset({1})
 
 
 def test_gf27_tables():
-    ft = gf_build(3, 3)
+    ft = gf_build(27)
     assert ft.q == 27
     assert len(ft.squares()) == 13
     # modulus x^3 + 2x + 1 is the first irreducible in high-degree-first order
@@ -25,21 +24,21 @@ def test_gf27_tables():
 
 
 def test_gf4_valid_even_if_not_paley_usable():
-    ft = gf_build(2, 2)
+    ft = gf_build(4)
     assert ft.q == 4
     # squaring is a bijection in characteristic 2
     assert ft.squares() == frozenset({1, 2, 3})
 
 
 def test_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        gf_build(4, 1)
-    with pytest.raises(ValueError):
-        gf_build(3, 0)
+    with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        gf_build(6)
+    with pytest.raises(ValueError, match="^1 is not a prime power$"):
+        gf_build(1)
 
 
 def test_determinism():
-    assert gf_build(7, 2) == gf_build(7, 2)
+    assert gf_build(49) == gf_build(49)
 
 
 def _add(ft, a, b):
@@ -62,7 +61,7 @@ def _mul(ft, a, b):
 
 
 def test_field_axioms_spot_check():
-    ft = gf_build(3, 2)
+    ft = gf_build(9)
     for a in range(9):
         assert _sub(ft, a, a) == 0
         assert _sub(ft, a, 0) == a
@@ -84,7 +83,8 @@ def test_field_axioms_spot_check():
 def test_differences_match_digit_subtraction(p, k):
     # bit j of translate i is set iff the difference j - i, by base-p digit
     # subtraction, lies in the translated set
-    ft = gf_build(p, k)
+    ft = gf_build(p ** k)
+    assert (ft.p, ft.k) == (p, k)
     rng = random.Random(p * 100 + k)
     for elements in (ft.squares(), {0}, {e for e in range(ft.q) if rng.random() < 0.5}):
         rows = ft.translates(sum(1 << e for e in elements))
@@ -96,7 +96,7 @@ def test_differences_match_digit_subtraction(p, k):
 
 def test_squares_split_for_q_3_mod_4():
     for p, k in ((7, 1), (11, 1), (3, 3)):
-        ft = gf_build(p, k)
+        ft = gf_build(p ** k)
         sq = ft.squares()
         assert len(sq) == (ft.q - 1) // 2
         # q = 3 mod 4: exactly one of x, -x is a square for every nonzero x
@@ -112,7 +112,3 @@ def test_factor_prime_power():
         factor_prime_power(12)
     with pytest.raises(ValueError):
         factor_prime_power(1)
-
-
-def test_is_prime():
-    assert [m for m in range(20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -78,7 +78,7 @@ def _records():
         (t, "n"),
         (ArcFlip(0, 1), "i"),
         (char_poly(t), "sigma"),
-        (gf_build(3, 2), "modulus"),
+        (gf_build(9), "modulus"),
         (baber(t), "edges"),
         (SearchResult(5, "local", 0, t, Fraction(5, 2), False, 0, {}), "witness"),
     ]
@@ -115,4 +115,4 @@ class TestRecords:
         assert Hypergraph4._fields == ("n", "edges")
         assert SearchResult._fields == ("n", "mode", "max_diamonds", "witness", "bound",
                                         "attained", "explored", "params")
-        assert gf_build(3, 2)._fields == ("p", "k", "q", "modulus")
+        assert gf_build(9)._fields == ("p", "k", "q", "modulus")

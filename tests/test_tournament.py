@@ -141,6 +141,18 @@ class TestIsDiamond:
             sub = np.array(seidel(t))[np.ix_(quad, quad)].tolist()
             assert is_diamond(t, quad) == (bareiss_det(sub) == 9)
 
+    def test_reads_indices_through_operator_index(self):
+        # numpy indices at n = 100 give the Python-int answers, where a numpy
+        # shift count would coerce a 100-bit row to int64 and overflow
+        t = random_tournament(100, seed=1)
+        quads = [(70, 80, 90, 99), (0, 64, 65, 99)]
+        quads += [tuple(random.Random(k).sample(range(100), 4)) for k in range(50)]
+        for quad in quads:
+            assert is_diamond(t, np.array(quad)) == is_diamond(t, quad)
+        assert any(is_diamond(t, quad) for quad in quads)
+        with pytest.raises(InputError, match="is not an integer"):
+            is_diamond(t, (0, 1, 2, 3.0))
+
     @staticmethod
     def _bit_form(t, a, b, c, d):
         """_diamond_lanes on the one-bit arc words of the quad a, b, c, d."""
@@ -265,6 +277,16 @@ class TestAdjacency:
         for i, j in ((0, 69), (69, 0), (5, 64)):
             assert t.dom(np.int64(i), np.int64(j)) == t.dom(i, j)
             assert t.dom(i, np.int64(j)) == t.dom(i, j)
+
+    def test_dom_reads_indices_through_operator_index(self):
+        # numpy indices at n = 100 give the Python-int answers; a float is
+        # refused, not truncated to the vertex below it
+        t = random_tournament(100, seed=1)
+        for i, j in ((0, 99), (99, 0), (70, 5), (5, 70)):
+            assert t.dom(np.int64(i), np.uint8(j)) is t.dom(i, j)
+        for i, j in ((0, 1.5), (1.0, 0), (0, "1")):
+            with pytest.raises(InputError, match="is not an integer"):
+                t.dom(i, j)
 
 
 class TestFlipDelta:
