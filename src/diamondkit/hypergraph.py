@@ -15,8 +15,8 @@ from functools import cached_property
 from math import comb
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _immutable, _quote,
-                         _quote_int, _read_utf8, _refuse_trailing, parse_int)
+from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _immutable, _index,
+                         _quote, _quote_int, _read_utf8, _refuse_trailing, parse_int)
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
@@ -66,11 +66,12 @@ def hypergraph(n, edges) -> Hypergraph4:
 
     The one checked constructor: raises InputError unless
     0 <= n <= tournament.MAX_N, and on an edge that is not 4 distinct
-    integer indices in range(n).  An index may be a Python int or
+    integer indices in range(n).  n and each index may be a Python int or
     any integer type operator.index accepts (numpy integers); a float or a
     string is refused.  parse_hyp and baber, which validate or build every
     edge themselves, call Hypergraph4 directly.
     """
+    n = _index(n, "n")
     if not 0 <= n <= MAX_N:
         raise InputError(f"need 0 <= n <= {MAX_N}, got n={_quote_int(n)}")
     checked = set()

@@ -24,8 +24,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _quote_int,
-                         count_diamonds, decode, encode, pair_index, random_tournament)
+from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _index,
+                         _quote_int, count_diamonds, decode, encode, pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _EXHAUSTIVE_MAX_N = 8  # the largest n, 2^28 encodings, runs only with long_run=True
@@ -88,9 +88,11 @@ def _block_planes(n, h):
     return planes
 
 
-def _check_threads(threads):
+def _check_threads(threads) -> int:
+    threads = _index(threads, "threads")
     if not 1 <= threads <= MAX_THREADS:
         raise InputError(f"threads must be in [1, {MAX_THREADS}], got {_quote_int(threads)}")
+    return threads
 
 
 def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
@@ -115,11 +117,13 @@ def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
                         attained=count == bound, explored=explored, params=params)
 
 
-def _check_exhaustive_n(n, long_run):
+def _check_exhaustive_n(n, long_run) -> int:
+    n = _index(n, "n")
     if not 4 <= n <= _EXHAUSTIVE_MAX_N:
         raise InputError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
     if n == _EXHAUSTIVE_MAX_N and not long_run:
         raise InputError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
+    return n
 
 
 def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) -> SearchResult:
@@ -131,8 +135,8 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
     encoding.  Raises InputError unless 4 <= n <= 8 and
     1 <= threads <= MAX_THREADS; n=8 is refused unless long_run=True.
     """
-    _check_exhaustive_n(n, long_run)
-    _check_threads(threads)
+    n = _check_exhaustive_n(n, long_run)
+    threads = _check_threads(threads)
     total = 1 << (n * (n - 1) // 2)
     low, ones = _scan_plan(n)[:2]  # build the cached plan before any thread starts
 
@@ -155,7 +159,8 @@ def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> tuple:
 
     An ascending tuple of ints, read from _block_planes.
     """
-    _check_exhaustive_n(n, long_run)
+    n = _check_exhaustive_n(n, long_run)
+    delta = _index(delta, "delta")
     low, ones = _scan_plan(n)[:2]
     hits = []
     for h in range((1 << (n * (n - 1) // 2)) >> low):
@@ -236,13 +241,14 @@ def local_search_max_diamonds(
     restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, t0 is finite and
     >= 0 and cooling is finite and > 0.
     """
+    n, restarts, steps = _index(n, "n"), _index(restarts, "restarts"), _index(steps, "steps")
     if not 4 <= n <= MAX_N:
         raise InputError(f"local search supports 4 <= n <= {MAX_N}, got n={_quote_int(n)}")
     if restarts < 1:
         raise InputError(f"restarts must be at least 1, got {_quote_int(restarts)}")
     if steps < 0:
         raise InputError(f"steps must be at least 0, got {_quote_int(steps)}")
-    _check_threads(threads)
+    threads = _check_threads(threads)
     if not (math.isfinite(t0) and t0 >= 0):
         raise InputError(f"t0 must be finite and at least 0, got {t0}")
     if not (math.isfinite(cooling) and cooling > 0):

@@ -56,13 +56,14 @@ def _square(n, rows):
     return tuple(sq)
 
 
-def _index(v):
-    """operator.index(v): a Python int, as a shift count into a row must be
-    (a numpy one coerces the row to int64); a float is an InputError."""
+def _index(v, what="vertex index"):
+    """operator.index(v): a Python int, as a shift count into a row or a size
+    must be (a numpy one coerces a row to int64); a float is an InputError
+    that names what v is."""
     try:
         return operator.index(v)
     except TypeError:
-        raise InputError(f"vertex index {v!r} is not an integer") from None
+        raise InputError(f"{what} {v!r} is not an integer") from None
 
 
 def _bits(x):
@@ -85,11 +86,18 @@ class Tournament(namedtuple("Tournament", "n rows")):
 
     __setattr__ = _immutable
 
+    def _vertex(self, v) -> int:
+        """v through _index; an InputError unless 0 <= v < n."""
+        v = _index(v)
+        if not 0 <= v < self.n:
+            raise InputError(f"vertex {v} out of range for n={self.n}")
+        return v
+
     def dom(self, i: int, j: int) -> bool:
-        return bool((self.rows[_index(i)] >> _index(j)) & 1)
+        return bool((self.rows[self._vertex(i)] >> self._vertex(j)) & 1)
 
     def out_degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
+        return self.rows[self._vertex(i)].bit_count()
 
     @cached_property
     def _defect(self):
@@ -233,12 +241,15 @@ def encode(t: Tournament) -> int:
 
 
 def decode(n: int, e: int) -> Tournament:
-    """Inverse of encode, for 0 <= e < 2^C(n,2).
+    """Inverse of encode, for 0 <= e < 2^C(n,2); any other e is an InputError.
 
     Row i's upper part is cut out of e.  Its lower part is the complement
     of column i of the upper parts (see _columns): for j < i, i dominates j
     exactly when bit i of row j is clear.
     """
+    n = _index(n, "n")
+    if not 0 <= e < 1 << (n * (n - 1) // 2):
+        raise InputError(f"encoding {_quote_int(e)} out of range for n={n}")
     upper = [((e >> pair_index(n, i, i + 1)) & ((1 << (n - 1 - i)) - 1)) << (i + 1)
              for i in range(n)]
     return Tournament(n, tuple(u | (~c & ((1 << i) - 1))
@@ -251,6 +262,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     Deterministic: decode of C(n,2) bits from random.Random(seed) (Mersenne
     Twister), drawn one getrandbits(1) at a time in pair_index order.
     """
+    n = _index(n, "n")
     if not 3 <= n <= MAX_N:
         raise InputError(f"n must be in [3, {MAX_N}], got {_quote_int(n)}")
     rng = random.Random(seed)

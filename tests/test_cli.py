@@ -415,6 +415,26 @@ class TestExtendKernelColumn:
         assert u == [row[-1] for row in seidel(ext)[:-1]]
 
 
+class TestExtendCertificate:
+    """The extend report's skew_conference check is the one certificate of
+    the bordering: a wrong kernel vector is a violated report (exit 1)."""
+
+    def test_wrong_kernel_vector_is_violated(self, tmp_path, capsys, monkeypatch):
+        real = constructions.kernel_sign_vector
+
+        def flipped(t):
+            u = real(t)
+            u[1] = -u[1]
+            return u
+        monkeypatch.setattr(constructions, "kernel_sign_vector", flipped)
+        trn = tmp_path / "p7.trn"
+        save_trn(paley_tournament(7), trn)
+        code, report = run(capsys, "extend", "--in", str(trn))
+        assert code == VIOLATED and report["status"] == "violated"
+        assert report["results"] == {"n": 8, "skew_conference": False,
+                                     "kernel_column": [1, -1, 1, 1, 1, 1, 1]}
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 is a format error (exit 2), not a traceback."""
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diamondkit.constructions import (
-    ExtensionFailed,
     delete_vertices,
     extend_to_conference,
     paley_tournament,

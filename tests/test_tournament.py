@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondkit.constructions import delete_vertices
-from diamondkit.hypergraph import baber
+from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
+from diamondkit.hypergraph import baber, hypergraph, verify_ff4
 from diamondkit.spectral import count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
@@ -38,7 +38,12 @@ from diamondkit.oracles import (
     flip_arc,
     seidel,
 )
-from diamondkit.search import _SquareState
+from diamondkit.search import (
+    _SquareState,
+    encodings_with_delta,
+    exhaustive_max_diamonds,
+    local_search_max_diamonds,
+)
 
 
 def _validate_reference(t):
@@ -287,6 +292,48 @@ class TestAdjacency:
         for i, j in ((0, 1.5), (1.0, 0), (0, "1")):
             with pytest.raises(InputError, match="is not an integer"):
                 t.dom(i, j)
+
+    @pytest.mark.parametrize("call", [
+        lambda t: t.dom(0, 600), lambda t: t.dom(-1, 0), lambda t: t.dom(0, -1),
+        lambda t: t.dom(100, 0), lambda t: t.out_degree(-1), lambda t: t.out_degree(100),
+        lambda t: decode(4, -1), lambda t: decode(4, 1 << 10),
+    ], ids=["dom(0,600)", "dom(-1,0)", "dom(0,-1)", "dom(100,0)", "out_degree(-1)",
+            "out_degree(100)", "decode(4,-1)", "decode(4,2^10)"])
+    def test_out_of_range_is_refused(self, call):
+        # a negative vertex once read a row from the end, and decode took any int
+        with pytest.raises(InputError, match="out of range"):
+            call(random_tournament(100, seed=1))
+
+
+class TestSizesThroughIndex:
+    """Every size a library entry point takes is read through _index: a
+    numpy integer gives the Python-int answer and a float is an InputError."""
+
+    @pytest.mark.parametrize("call, size", [
+        (lambda n: random_tournament(n, 1), 100),
+        (lambda n: decode(n, 5), 70),
+        (paley_tournament, 103),
+        (star_paley, 103),
+        (lambda n: local_search_max_diamonds(n, restarts=1, steps=5), 70),
+        (lambda r: local_search_max_diamonds(8, restarts=r, steps=5), 2),
+        (lambda s: local_search_max_diamonds(8, restarts=1, steps=s), 5),
+        (lambda k: local_search_max_diamonds(8, restarts=2, steps=5, threads=k), 2),
+        (lambda n: exhaustive_max_diamonds(n), 5),
+        (lambda k: exhaustive_max_diamonds(5, threads=k), 2),
+        (lambda n: encodings_with_delta(n, 2), 5),
+        (lambda d: encodings_with_delta(5, d), 2),
+        # T*(7)'s edges on 100 vertices fail the law: a numpy n once broke
+        # verify_ff4's report of the bad 5-set
+        (lambda n: verify_ff4(hypergraph(n, baber(star_paley(7)).edges)), 100),
+        (lambda n: type(hypergraph(n, []).n), 5),
+    ], ids=["random_tournament", "decode", "paley_tournament", "star_paley", "local_search-n",
+            "local_search-restarts", "local_search-steps", "local_search-threads",
+            "exhaustive-n", "exhaustive-threads", "encodings_with_delta-n",
+            "encodings_with_delta-delta", "hypergraph-verify_ff4", "hypergraph-n"])
+    def test_numpy_sizes_agree_and_floats_are_refused(self, call, size):
+        assert call(np.int64(size)) == call(size)
+        with pytest.raises(InputError, match="is not an integer"):
+            call(size + 0.5)
 
 
 class TestFlipDelta:
