@@ -46,14 +46,15 @@ def star_paley(q: int) -> Tournament:
 def delete_vertices(t: Tournament, drop) -> Tournament:
     """Induced sub-tournament on the kept vertices, relabeled densely.
 
-    Raises InputError on a vertex that is not an integer, out of range or
-    named twice, or when fewer than 4 vertices would be left.  Each dropped
-    vertex v is cut out of every kept row by joining its bits below v to its
-    bits above v shifted down.
+    The one reader of vertex indices: raises InputError on a vertex that is
+    not an integer, out of range or named twice, or when fewer than 4
+    vertices would be left.  Each dropped vertex v is cut out of every kept
+    row by joining its bits below v to its bits above v shifted down.
     """
     drop = list(map(_index, drop))
-    if any(not (0 <= v < t.n) for v in drop):
-        raise InputError("vertex out of range")
+    for v in drop:
+        if not 0 <= v < t.n:
+            raise InputError(f"vertex {_quote_int(v)} out of range for n={t.n}")
     seen = set()
     for v in drop:
         if v in seen:

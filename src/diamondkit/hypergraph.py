@@ -181,6 +181,7 @@ def edge_count_bound(n: int):
     The proven bounds are the diamond bounds, the edge counts of Baber
     hypergraphs of extremal tournaments.
     """
+    n = _index(n, "n")
     if n < 5:
         raise InputError("bound defined for n >= 5")
     r = n % 4

@@ -4,10 +4,11 @@ count_diamonds_naive (the C(n,4) scan), diamond_delta_on_flip,
 char_poly (Faddeev-LeVerrier), sum_principal_minors (Bareiss),
 verify_ff4_naive (the C(n,5) scan), triple_profile and _deltas recompute
 what tournament, spectral, hypergraph and search answer, in O(n^4) or
-O(n^5) work; the rest are the paper's design and sum-of-squares formulas.
-They read S from seidel, entry by entry, or the pair bits of an encoding;
-none reuses a production table.  No production module imports this one,
-and it does not import search.
+O(n^5) work; from_arcs and reverse build test tournaments, and the rest
+are the paper's design and sum-of-squares formulas.  They read S from
+seidel, an arc i -> j as (t.rows[i] >> j) & 1, or the pair bits of an
+encoding; none reuses a production table.  No production module imports
+this one, and it does not import search.
 """
 
 from __future__ import annotations
@@ -43,10 +44,23 @@ def _subset_degree_squares(rows, a, b, c, d):
     return s
 
 
+def from_arcs(n, arcs) -> Tournament:
+    """The tournament with the arcs i -> j; it checks nothing (see validate)."""
+    rows = [0] * n
+    for i, j in arcs:
+        rows[i] |= 1 << j
+    return Tournament(n, tuple(rows))
+
+
+def reverse(t: Tournament) -> Tournament:
+    full = (1 << t.n) - 1
+    return Tournament(t.n, tuple((full ^ r) & ~(1 << i) for i, r in enumerate(t.rows)))
+
+
 def seidel(t: Tournament) -> list:
     """S = A - A^T as n int lists: +1 where i dominates j, -1 where j
-    dominates i, 0 on the diagonal; O(n^2) calls of t.dom."""
-    return [[t.dom(i, j) - t.dom(j, i) for j in range(t.n)] for i in range(t.n)]
+    dominates i, 0 on the diagonal; O(n^2) single-bit reads of the rows."""
+    return [[(r >> j & 1) - (t.rows[j] >> i & 1) for j in range(t.n)] for i, r in enumerate(t.rows)]
 
 
 @lru_cache(maxsize=64)
@@ -82,7 +96,7 @@ class ArcFlip(namedtuple("ArcFlip", "i j")):
 
 def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
     """Reverse the arc i -> j (precondition: i dominates j); copies all n rows."""
-    if not t.dom(i, j):
+    if not (t.rows[i] >> j) & 1:
         raise InputError(f"arc ({i},{j}) not present")
     rows = list(t.rows)
     rows[i] &= ~(1 << j)
@@ -94,11 +108,9 @@ def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
     """Change in diamond count if arc (i,j) is reversed.
 
     Only the C(n-2,2) 4-sets containing both endpoints can change; they are
-    scanned in Python.
+    scanned in Python; flip_arc refuses an arc that is not present.
     """
     i, j = flip.i, flip.j
-    if not t.dom(i, j):
-        raise InputError(f"arc ({i},{j}) not present")
     flipped = flip_arc(t, i, j)
     others = [v for v in range(t.n) if v != i and v != j]
     delta = 0

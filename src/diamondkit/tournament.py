@@ -86,19 +86,6 @@ class Tournament(namedtuple("Tournament", "n rows")):
 
     __setattr__ = _immutable
 
-    def _vertex(self, v) -> int:
-        """v through _index; an InputError unless 0 <= v < n."""
-        v = _index(v)
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} out of range for n={self.n}")
-        return v
-
-    def dom(self, i: int, j: int) -> bool:
-        return bool((self.rows[self._vertex(i)] >> self._vertex(j)) & 1)
-
-    def out_degree(self, i: int) -> int:
-        return self.rows[self._vertex(i)].bit_count()
-
     @cached_property
     def _defect(self):
         """validate's verdict, computed on first use and cached (the fields,
@@ -118,13 +105,6 @@ class Tournament(namedtuple("Tournament", "n rows")):
             i, j, reason = bad
             raise ValueError(f"not a tournament at ({i},{j}): {reason}")
         return _square(self.n, self.rows)
-
-
-def from_arcs(n, arcs) -> Tournament:
-    rows = [0] * n
-    for i, j in arcs:
-        rows[i] |= 1 << j
-    return Tournament(n, tuple(rows))
 
 
 def _columns(n, rows):
@@ -168,11 +148,6 @@ def validate(t: Tournament):
     return t._defect
 
 
-def reverse(t: Tournament) -> Tournament:
-    full = (1 << t.n) - 1
-    return Tournament(t.n, tuple((full ^ r) & ~(1 << i) for i, r in enumerate(t.rows)))
-
-
 def _diamond_lanes(ab, cd, ac, bd, ad, bc, ones):
     """The lanes on which the 4-set a, b, c, d is a diamond: the package's
     one diamond test.
@@ -185,21 +160,6 @@ def _diamond_lanes(ab, cd, ac, bd, ad, bc, ones):
     """
     y = ab ^ cd
     return (y ^ ac ^ bd) & (y ^ ad ^ bc ^ ones)
-
-
-def is_diamond(t: Tournament, quad) -> bool:
-    """True iff the 4 vertices induce a 3-cycle dominated by / dominating a vertex.
-
-    _diamond_lanes on single bits: any order of the quad gives the same
-    answer.  Vertices are read through _index.
-    """
-    quad = tuple(map(_index, quad))
-    if len(set(quad)) != 4 or any(not (0 <= v < t.n) for v in quad):
-        raise InputError(f"need 4 distinct vertices below n={t.n}, got {quad!r}")
-    a, b, c, d = quad
-    ra, rb, rc = t.rows[a], t.rows[b], t.rows[c]
-    return bool(_diamond_lanes(ra >> b & 1, rc >> d & 1, ra >> c & 1, rb >> d & 1,
-                               ra >> d & 1, rb >> c & 1, 1))
 
 
 def count_diamonds(t: Tournament) -> int:

@@ -619,7 +619,7 @@ class TestErrorText:
          "the following arguments are required: --q"),
         (("delete", "--in", "{trn}", "--vertices", "a,b"),
          "invalid literal for int() with base 10: 'a'"),
-        (("delete", "--in", "{trn}", "--vertices", "99"), "vertex out of range"),
+        (("delete", "--in", "{trn}", "--vertices", "99"), "vertex 99 out of range for n=32"),
         (("extend", "--in", "{trn}"), "matrix is not odd-extremal; extension does not apply"),
         (("search", "--mode", "local", "--n", "3"),
          "local search supports 4 <= n <= 512, got n=3"),
@@ -640,7 +640,7 @@ class TestErrorText:
          "invalid literal for int() with base 10: '1_0'"),
         (("delete", "--in", "{trn}", "--vertices", "\u0663"),
          "invalid literal for int() with base 10: '\u0663'"),
-        (("delete", "--in", "{trn}", "--vertices", "-1"), "vertex out of range"),
+        (("delete", "--in", "{trn}", "--vertices", "-1"), "vertex -1 out of range for n=32"),
         (("count", "--in", "{plus_trn}"), "{plus_trn}: bad vertex count '+3' (line 1)"),
         (("verify", "--in", "{plus_hyp}", "--checks", "ff4"),
          "{plus_hyp}: bad index in '0 1 2 +3' (line 2)"),
@@ -669,6 +669,9 @@ class TestErrorText:
         (("construct", "paley", "--q", "1_1"), "argument --q: invalid int value: '1_1'"),
         (("search", "--mode", "local", "--n", "8", "--seed", "\u0663"),
          "argument --seed: invalid int value: '\u0663'"),
+        # a vertex is echoed as at most 40 digits
+        (("delete", "--in", "{trn}", "--vertices", "9" * 100),
+         f"vertex {'9' * 40!r}... (100 characters) out of range for n=32"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),

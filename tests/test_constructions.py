@@ -10,7 +10,7 @@ from diamondkit.constructions import (
     star_paley,
 )
 from diamondkit.hypergraph import baber, is_ff4_design
-from diamondkit.oracles import count_diamonds_naive, seidel
+from diamondkit.oracles import count_diamonds_naive, from_arcs, seidel
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     count_diamonds_spectral,
@@ -22,12 +22,9 @@ from diamondkit.tournament import (
     InputError,
     count_diamonds,
     format_trn,
-    from_arcs,
-    is_diamond,
     random_tournament,
     validate,
 )
-from itertools import combinations
 
 
 def test_paley_3_is_the_cycle():
@@ -38,7 +35,7 @@ def test_paley_3_is_the_cycle():
 def test_paley_7_doubly_regular():
     t = paley_tournament(7)
     assert validate(t) is None
-    assert all(t.out_degree(v) == 3 for v in range(7))
+    assert all(row.bit_count() == 3 for row in t.rows)
 
 
 def test_paley_rejects_q_1_mod_4():
@@ -57,7 +54,7 @@ def test_star_paley_3_is_the_diamond():
     t = star_paley(3)
     assert t.n == 4
     assert count_diamonds_naive(t) == 1
-    assert all(t.dom(3, v) for v in range(3))
+    assert t.rows[3] == 0b0111
 
 
 def test_star_paley_7_conference():
@@ -83,11 +80,10 @@ def test_star_paley_attains_even_bound(q):
 
 def test_paley_vertex_symmetric_diamond_counts():
     t = paley_tournament(11)
-    assert all(t.out_degree(v) == 5 for v in range(11))
-    per_vertex = [
-        sum(1 for q in combinations(range(11), 4) if v in q and is_diamond(t, q))
-        for v in range(11)
-    ]
+    assert all(row.bit_count() == 5 for row in t.rows)
+    # the Baber hypergraph's edges are the diamonds
+    edges = baber(t).edges
+    per_vertex = [sum(1 for e in edges if v in e) for v in range(11)]
     assert len(set(per_vertex)) == 1
 
 
@@ -111,7 +107,7 @@ class TestDeleteVertices:
         sub = delete_vertices(t, {1})
         assert sub.n == 4
         assert validate(sub) is None
-        assert all(sub.dom(0, v) for v in range(1, 4))
+        assert sub.rows[0] == 0b1110
 
     def test_rejects_too_many(self):
         with pytest.raises(ValueError):
@@ -127,6 +123,17 @@ class TestDeleteVertices:
         assert delete_vertices(t, [np.int64(99)]) == delete_vertices(t, [99])
         with pytest.raises(InputError, match="is not an integer"):
             delete_vertices(t, [1.0])
+
+    def test_out_of_range_names_the_vertex_and_n(self):
+        # the one vertex-range check of the package; a long vertex is clipped
+        t = star_paley(7)
+        for v in (8, -1, np.int64(9)):
+            with pytest.raises(InputError, match=f"^vertex {v} out of range for n=8$"):
+                delete_vertices(t, [0, v])
+        with pytest.raises(InputError) as info:
+            delete_vertices(t, [10 ** 99])
+        assert str(info.value) == \
+            f"vertex {'1' + '0' * 39!r}... (100 characters) out of range for n=8"
 
 
 class TestExtendToConference:

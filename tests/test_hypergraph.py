@@ -26,6 +26,7 @@ from diamondkit.oracles import (
     count_diamonds_naive,
     delete_vertices_count,
     design_block_counts,
+    from_arcs,
     is_min_sum_squares_witness,
     min_sum_squares,
     triple_profile,
@@ -35,7 +36,6 @@ from diamondkit.tournament import (
     MAX_N,
     InputError,
     count_diamonds,
-    from_arcs,
     random_tournament,
 )
 

@@ -33,6 +33,8 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 ORACLES = {"ArcFlip", "CharPoly", "char_poly", "delete_vertices_count", "design_block_counts",
            "diamond_delta_on_flip", "min_sum_squares", "sum_principal_minors", "triple_profile",
            "verify_ff4_naive"}
+# deleted: production decides diamonds by tournament._diamond_lanes alone
+DELETED = {"is_diamond"}
 
 
 class TestLazyExports:
@@ -41,10 +43,16 @@ class TestLazyExports:
 
     def test_34_names(self):
         assert len(NAMES) == 34
-        assert ORACLES < {name for _, name in NAMES}
+        assert ORACLES | DELETED < {name for _, name in NAMES}
 
     @pytest.mark.parametrize("module,name", NAMES)
     def test_from_import(self, module, name):
+        if name in DELETED:  # importable from nowhere
+            for home in (module, "oracles"):
+                assert not hasattr(importlib.import_module(f"diamondkit.{home}"), name)
+            with pytest.raises(ImportError):
+                exec(f"from diamondkit import {name}", {})
+            return
         home = "oracles" if name in ORACLES else module
         obj = getattr(importlib.import_module(f"diamondkit.{home}"), name)
         assert obj.__module__ == f"diamondkit.{home}"
@@ -64,6 +72,15 @@ class TestLazyExports:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True).stdout
         assert out == "[] [] 0.1.0\n"
+
+    def test_tournament_is_its_rows(self):
+        # the arc readers are gone, and the builders only tests call are oracles
+        from diamondkit import oracles, tournament
+        for name in ("dom", "out_degree", "_vertex"):
+            assert not hasattr(Tournament, name)
+        for name in ("from_arcs", "reverse"):
+            assert not hasattr(tournament, name)
+            assert getattr(oracles, name).__module__ == "diamondkit.oracles"
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

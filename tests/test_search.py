@@ -13,6 +13,7 @@ from diamondkit.oracles import (
     count_diamonds_naive,
     diamond_delta_on_flip,
     flip_arc,
+    from_arcs,
     seidel,
 )
 from diamondkit.search import (
@@ -30,13 +31,20 @@ from diamondkit.spectral import (
     matches_extremal_charpoly,
 )
 from diamondkit.tournament import (
+    _diamond_lanes,
     count_diamonds,
     decode,
     encode,
-    is_diamond,
     random_tournament,
     validate,
 )
+
+
+def _is_diamond4(t):
+    """1 iff vertices 0, 1, 2, 3 are a diamond: _diamond_lanes on single bits."""
+    r0, r1, r2 = t.rows[:3]
+    return _diamond_lanes(r0 >> 1 & 1, r2 >> 3 & 1, r0 >> 2 & 1, r1 >> 3 & 1, r0 >> 3 & 1,
+                          r1 >> 2 & 1, 1)
 
 
 class TestExhaustive:
@@ -116,7 +124,6 @@ class TestFiveVertexLaw:
     def test_transitive_encodings_have_zero(self):
         from itertools import permutations
 
-        from diamondkit.tournament import from_arcs
         zeros = set(encodings_with_delta(5, 0))
         for order in permutations(range(5)):
             t = from_arcs(5, [(order[a], order[b]) for a in range(5) for b in range(a + 1, 5)])
@@ -126,7 +133,7 @@ class TestFiveVertexLaw:
         twos = set(encodings_with_delta(5, 2))
         for e in range(1 << 10):
             t = decode(5, e)
-            if is_diamond(t, (0, 1, 2, 3)):
+            if _is_diamond4(t):
                 assert e in twos
 
 
@@ -177,7 +184,7 @@ def _reference_anneal(n, restarts, steps, t0, cooling, seed):
             j = rng.randrange(n - 1)
             if j >= i:
                 j += 1
-            if not t.dom(i, j):
+            if not (t.rows[i] >> j) & 1:
                 i, j = j, i
             delta = diamond_delta_on_flip(t, ArcFlip(i, j))
             if delta >= 0 or (temp > 0 and rng.random() < math.exp(delta / temp)):
@@ -220,7 +227,7 @@ class TestAnnealingOracle:
         state = _SquareState(t)
         for i in range(n):
             for j in range(n):
-                if i != j and t.dom(i, j):
+                if i != j and (t.rows[i] >> j) & 1:
                     assert state.dominates(i, j)
                     assert state.delta(i, j) == diamond_delta_on_flip(t, ArcFlip(i, j))
 
@@ -269,7 +276,8 @@ class TestBlockScan:
         assert np.array_equal(self._lane_counts(n, h), _deltas(n, enc))
 
     def test_oracle_matches_is_diamond(self):
-        expected = [is_diamond(decode(4, e), range(4)) for e in range(64)]
+        # the score-square rule against the Pfaffian rule on single bits
+        expected = [_is_diamond4(decode(4, e)) for e in range(64)]
         assert _deltas(4, np.arange(64, dtype=np.uint32)).tolist() == expected
 
     @pytest.mark.parametrize("n", [4, 5, 6])

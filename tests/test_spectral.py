@@ -12,6 +12,8 @@ from diamondkit.oracles import (
     char_poly,
     count_diamonds_naive,
     flip_arc,
+    from_arcs,
+    reverse,
     seidel,
     sum_principal_minors,
 )
@@ -31,9 +33,7 @@ from diamondkit.spectral import (
 from diamondkit.tournament import (
     count_diamonds,
     decode,
-    from_arcs,
     random_tournament,
-    reverse,
 )
 
 

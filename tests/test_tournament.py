@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
-from diamondkit.hypergraph import baber, hypergraph, verify_ff4
-from diamondkit.spectral import count_diamonds_spectral
+from diamondkit.hypergraph import baber, edge_count_bound, hypergraph, verify_ff4
+from diamondkit.spectral import count_diamonds_spectral, diamond_upper_bound
 from diamondkit.tournament import (
     Tournament,
     _diamond_lanes,
@@ -19,12 +19,9 @@ from diamondkit.tournament import (
     decode,
     encode,
     format_trn,
-    from_arcs,
-    is_diamond,
     pair_index,
     parse_trn,
     random_tournament,
-    reverse,
     validate,
     InputError,
 )
@@ -36,6 +33,8 @@ from diamondkit.oracles import (
     count_diamonds_naive,
     diamond_delta_on_flip,
     flip_arc,
+    from_arcs,
+    reverse,
     seidel,
 )
 from diamondkit.search import (
@@ -46,15 +45,26 @@ from diamondkit.search import (
 )
 
 
+def _arc(t, i, j):
+    """1 iff i dominates j: bit j of row i."""
+    return (t.rows[i] >> j) & 1
+
+
+def _is_diamond(t, a, b, c, d):
+    """_diamond_lanes on the one-bit arc words of the quad a, b, c, d."""
+    return _diamond_lanes(_arc(t, a, b), _arc(t, c, d), _arc(t, a, c), _arc(t, b, d),
+                          _arc(t, a, d), _arc(t, b, c), 1)
+
+
 def _validate_reference(t):
     """validate() as a per-pair scan in row-major order."""
     for i in range(t.n):
-        if t.dom(i, i):
+        if _arc(t, i, i):
             return (i, i, "diagonal entry set")
         if t.rows[i] >> t.n:
             return (i, i, "bit set beyond vertex range")
         for j in range(i + 1, t.n):
-            ij, ji = t.dom(i, j), t.dom(j, i)
+            ij, ji = _arc(t, i, j), _arc(t, j, i)
             if ij and ji:
                 return (i, j, "both orientations present")
             if not ij and not ji:
@@ -80,7 +90,7 @@ class TestValidate:
         assert validate(three_cycle()) is None
 
     def test_antisymmetry_violation(self):
-        # dom(0,1) and dom(1,0) both set
+        # the arcs 0 -> 1 and 1 -> 0 both set
         bad = validate(Tournament(3, (0b010, 0b101, 0b010)))
         assert bad is not None and bad[:2] == (0, 1)
 
@@ -116,21 +126,20 @@ class TestValidate:
 
 
 class TestIsDiamond:
+    """The Pfaffian rule, tournament._diamond_lanes, on single bits against
+    checks that share no code with it."""
+
     def test_dominating_vertex_over_cycle(self):
-        assert is_diamond(diamond4(), (0, 1, 2, 3))
+        assert _is_diamond(diamond4(), 0, 1, 2, 3)
 
     def test_transitive_is_not(self):
-        assert not is_diamond(transitive(4), (0, 1, 2, 3))
+        assert not _is_diamond(transitive(4), 0, 1, 2, 3)
 
     def test_strong_non_diamond(self):
         t = from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-        assert not is_diamond(t, (0, 1, 2, 3))
+        assert not _is_diamond(t, 0, 1, 2, 3)
         # its induced Seidel determinant is 1, not 9
         assert bareiss_det(seidel(t)) == 1
-
-    def test_invalid_subset(self):
-        with pytest.raises(ValueError):
-            is_diamond(diamond4(), (0, 1, 2, 2))
 
     def test_agrees_with_determinant_oracle_all_4_tournaments(self):
         # the 4x4 Seidel determinant is 9 for a diamond and 1 otherwise
@@ -138,35 +147,31 @@ class TestIsDiamond:
             t = decode(4, e)
             det = bareiss_det(seidel(t))
             assert det in (1, 9)
-            assert is_diamond(t, (0, 1, 2, 3)) == (det == 9)
+            assert _is_diamond(t, 0, 1, 2, 3) == (det == 9)
 
     def test_agrees_with_determinant_oracle_random(self):
         t = random_tournament(9, seed=7)
         for quad in itertools.combinations(range(9), 4):
             sub = np.array(seidel(t))[np.ix_(quad, quad)].tolist()
-            assert is_diamond(t, quad) == (bareiss_det(sub) == 9)
+            assert _is_diamond(t, *quad) == (bareiss_det(sub) == 9)
 
     def test_reads_indices_through_operator_index(self):
-        # numpy indices at n = 100 give the Python-int answers, where a numpy
-        # shift count would coerce a 100-bit row to int64 and overflow
+        # a quad of n = 100 cut out by numpy indices is a diamond iff the bit
+        # form says so, where a numpy shift count would coerce a 100-bit row
+        # to int64 and overflow
         t = random_tournament(100, seed=1)
         quads = [(70, 80, 90, 99), (0, 64, 65, 99)]
         quads += [tuple(random.Random(k).sample(range(100), 4)) for k in range(50)]
         for quad in quads:
-            assert is_diamond(t, np.array(quad)) == is_diamond(t, quad)
-        assert any(is_diamond(t, quad) for quad in quads)
+            rest = np.array([v for v in range(100) if v not in quad])
+            assert count_diamonds(delete_vertices(t, rest)) == _is_diamond(t, *quad)
+        assert any(_is_diamond(t, *quad) for quad in quads)
         with pytest.raises(InputError, match="is not an integer"):
-            is_diamond(t, (0, 1, 2, 3.0))
-
-    @staticmethod
-    def _bit_form(t, a, b, c, d):
-        """_diamond_lanes on the one-bit arc words of the quad a, b, c, d."""
-        return _diamond_lanes(t.dom(a, b), t.dom(c, d), t.dom(a, c), t.dom(b, d),
-                              t.dom(a, d), t.dom(b, c), 1)
+            delete_vertices(t, [0, 1, 2, 3.0])
 
     def test_bit_form_matches_score_squares_all_4_tournaments(self):
         # the oracles' score-square rule shares no code with the Pfaffian rule
-        got = [self._bit_form(decode(4, e), 0, 1, 2, 3) for e in range(64)]
+        got = [_is_diamond(decode(4, e), 0, 1, 2, 3) for e in range(64)]
         expected = [int(_subset_degree_squares(decode(4, e).rows, 0, 1, 2, 3) == _DIAMOND_SQ)
                     for e in range(64)]
         assert got == expected and sum(got) == 16
@@ -177,18 +182,18 @@ class TestIsDiamond:
         t = random_tournament(7, 3)
         cases += [(t, quad) for quad in itertools.combinations(range(7), 4)]
         for t, quad in cases:
-            answers = {is_diamond(t, p) for p in itertools.permutations(quad)}
+            answers = {_is_diamond(t, *p) for p in itertools.permutations(quad)}
             assert answers == {_subset_degree_squares(t.rows, *quad) == _DIAMOND_SQ}
 
     def test_lane_form_matches_bit_form_on_a_packed_block(self):
         # lane x of each arc word is the arc of decode(4, x): all 64 4-tournaments
         ts = [decode(4, x) for x in range(64)]
-        word = {(i, j): sum(t.dom(i, j) << x for x, t in enumerate(ts))
+        word = {(i, j): sum(_arc(t, i, j) << x for x, t in enumerate(ts))
                 for i, j in itertools.combinations(range(4), 2)}
         lanes = _diamond_lanes(word[0, 1], word[2, 3], word[0, 2], word[1, 3], word[0, 3],
                                word[1, 2], (1 << 64) - 1)
         assert [(lanes >> x) & 1 for x in range(64)] == \
-            [self._bit_form(t, 0, 1, 2, 3) for t in ts]
+            [_is_diamond(t, 0, 1, 2, 3) for t in ts]
 
 
 class TestCountDiamonds:
@@ -260,10 +265,10 @@ class TestSwitching:
     def test_source_decomposition(self, t):
         # switching the in-neighbours of 0 makes 0 a source; a 4-set through
         # the source is a diamond iff its other three vertices are a 3-cycle
-        s = _switch(t, [v for v in range(1, t.n) if t.dom(v, 0)])
-        assert s.out_degree(0) == t.n - 1
+        s = _switch(t, [v for v in range(1, t.n) if _arc(t, v, 0)])
+        assert s.rows[0].bit_count() == t.n - 1
         u = delete_vertices(s, [0])
-        c3 = comb(u.n, 3) - sum(comb(u.out_degree(v), 2) for v in range(u.n))
+        c3 = comb(u.n, 3) - sum(comb(row.bit_count(), 2) for row in u.rows)
         assert count_diamonds(t) == count_diamonds(u) + c3
 
 
@@ -277,25 +282,36 @@ class TestAdjacency:
         assert s.tolist() == seidel(t)
 
     def test_dom_numpy_index(self):
-        # a numpy shift count once coerced the row to int64 and overflowed
+        # the arc i -> j of the rows survives delete_vertices when the drop
+        # list holds numpy ints; a numpy shift count once coerced a row to
+        # int64 and overflowed
         t = random_tournament(70, seed=1)
         for i, j in ((0, 69), (69, 0), (5, 64)):
-            assert t.dom(np.int64(i), np.int64(j)) == t.dom(i, j)
-            assert t.dom(i, np.int64(j)) == t.dom(i, j)
+            keep = sorted({i, j, 30, 31})
+            drop = np.array([v for v in range(70) if v not in keep])
+            sub = delete_vertices(t, drop)
+            assert _arc(sub, keep.index(i), keep.index(j)) == _arc(t, i, j)
+            assert sub == delete_vertices(t, drop.tolist())
 
     def test_dom_reads_indices_through_operator_index(self):
-        # numpy indices at n = 100 give the Python-int answers; a float is
-        # refused, not truncated to the vertex below it
+        # numpy indices at n = 100 give the Python-int answer, with Python-int
+        # rows; a float or a string is refused, not truncated or parsed
         t = random_tournament(100, seed=1)
         for i, j in ((0, 99), (99, 0), (70, 5), (5, 70)):
-            assert t.dom(np.int64(i), np.uint8(j)) is t.dom(i, j)
+            sub = delete_vertices(t, [np.int64(i), np.uint8(j)])
+            assert sub == delete_vertices(t, [i, j])
+            assert all(type(r) is int for r in sub.rows)
         for i, j in ((0, 1.5), (1.0, 0), (0, "1")):
             with pytest.raises(InputError, match="is not an integer"):
-                t.dom(i, j)
+                delete_vertices(t, [i, j])
 
+    # the dom and out_degree ids name the vertex pairs and vertices that the
+    # Tournament readers of those names refused; delete_vertices, the one
+    # reader of vertex indices left, refuses them now
     @pytest.mark.parametrize("call", [
-        lambda t: t.dom(0, 600), lambda t: t.dom(-1, 0), lambda t: t.dom(0, -1),
-        lambda t: t.dom(100, 0), lambda t: t.out_degree(-1), lambda t: t.out_degree(100),
+        lambda t: delete_vertices(t, [0, 600]), lambda t: delete_vertices(t, [-1, 0]),
+        lambda t: delete_vertices(t, [0, -1]), lambda t: delete_vertices(t, [100, 0]),
+        lambda t: delete_vertices(t, [-1]), lambda t: delete_vertices(t, [100]),
         lambda t: decode(4, -1), lambda t: decode(4, 1 << 10),
     ], ids=["dom(0,600)", "dom(-1,0)", "dom(0,-1)", "dom(100,0)", "out_degree(-1)",
             "out_degree(100)", "decode(4,-1)", "decode(4,2^10)"])
@@ -326,10 +342,14 @@ class TestSizesThroughIndex:
         # verify_ff4's report of the bad 5-set
         (lambda n: verify_ff4(hypergraph(n, baber(star_paley(7)).edges)), 100),
         (lambda n: type(hypergraph(n, []).n), 5),
+        # an int64 n once overflowed the bounds' products with only a RuntimeWarning
+        (diamond_upper_bound, 100000),
+        (edge_count_bound, 100001),
     ], ids=["random_tournament", "decode", "paley_tournament", "star_paley", "local_search-n",
             "local_search-restarts", "local_search-steps", "local_search-threads",
             "exhaustive-n", "exhaustive-threads", "encodings_with_delta-n",
-            "encodings_with_delta-delta", "hypergraph-verify_ff4", "hypergraph-n"])
+            "encodings_with_delta-delta", "hypergraph-verify_ff4", "hypergraph-n",
+            "diamond_upper_bound", "edge_count_bound"])
     def test_numpy_sizes_agree_and_floats_are_refused(self, call, size):
         assert call(np.int64(size)) == call(size)
         with pytest.raises(InputError, match="is not an integer"):
@@ -364,7 +384,7 @@ class TestFlipDelta:
         t = random_tournament(10, seed=11)
         for i in range(10):
             for j in range(10):
-                if t.dom(i, j):
+                if _arc(t, i, j):
                     d = diamond_delta_on_flip(t, ArcFlip(i, j))
                     assert d == count_diamonds_naive(flip_arc(t, i, j)) - count_diamonds_naive(t)
 
@@ -380,7 +400,7 @@ class TestFlipDelta:
             j = rng.randrange(13)
             if j >= i:
                 j += 1
-            if not t.dom(i, j):
+            if not _arc(t, i, j):
                 i, j = j, i
             delta_total += diamond_delta_on_flip(t, ArcFlip(i, j))
             t = flip_arc(t, i, j)
@@ -390,7 +410,7 @@ class TestFlipDelta:
 def first_arc(t):
     for i in range(t.n):
         for j in range(t.n):
-            if t.dom(i, j):
+            if _arc(t, i, j):
                 return i, j
     raise AssertionError
 
@@ -417,7 +437,7 @@ class TestRandomTournament:
         # per-4-set diamond probability: exactly 16 of the 64 labeled
         # 4-tournaments are diamonds (4 apex choices x 2 directions x 2 cycle
         # orientations), i.e. 1/4
-        hits = sum(is_diamond(decode(4, e), (0, 1, 2, 3)) for e in range(64))
+        hits = sum(_is_diamond(decode(4, e), 0, 1, 2, 3) for e in range(64))
         assert hits == 16
         # exact mean and variance of delta over the 1024 labeled 5-tournaments
         deltas = [count_diamonds_naive(decode(5, e)) for e in range(1 << 10)]
@@ -553,7 +573,7 @@ class TestTrnFormat:
                 rows[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)
             t = Tournament(n, tuple(rows))
             assert validate(t) == _validate_reference(t)
-            lines = [str(n)] + ["".join("1" if t.dom(i, j) else "0" for j in range(n))
+            lines = [str(n)] + ["".join("1" if _arc(t, i, j) else "0" for j in range(n))
                                 for i in range(n)]
             assert format_trn(t) == "\n".join(lines) + "\n"
 
@@ -565,7 +585,7 @@ class TestTrnFormat:
                 t = random_tournament(n, seed)
                 e = encode(t)
                 assert e >> len(pairs) == 0
-                assert all(((e >> b) & 1) == t.dom(i, j) for b, (i, j) in enumerate(pairs))
+                assert all(((e >> b) & 1) == _arc(t, i, j) for b, (i, j) in enumerate(pairs))
                 assert decode(n, e) == t
 
 
