@@ -287,7 +287,8 @@ def build_parser():
     c = sub.add_parser("search", help="search for diamond-maximal tournaments")
     c.add_argument("--mode", choices=["exhaustive", "local"], default="exhaustive")
     c.add_argument("--n", type=_number(parse_int, "int"), required=True)
-    c.add_argument("--threads", type=_number(parse_int, "int"), default=1)
+    c.add_argument("--threads", type=_number(parse_int, "int"), default=1,
+                   help="1 to 64, checked and reported; the search runs on one thread")
     c.add_argument("--long-run", action="store_true")
     c.add_argument("--restarts", type=_number(parse_int, "int"), default=4)
     c.add_argument("--steps", type=_number(parse_int, "int"), default=2000)

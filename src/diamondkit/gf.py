@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .tournament import InputError
+from .tournament import InputError, _index, _quote_int
 
 
 def factor_prime_power(q: int):
     """Return (p, k) with q = p^k, or raise if q is not a prime power."""
     if q < 2:
-        raise InputError(f"{q} is not a prime power")
+        raise InputError(f"{_quote_int(q)} is not a prime power")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -28,7 +28,7 @@ def factor_prime_power(q: int):
                 m //= p
                 k += 1
             if m != 1:
-                raise InputError(f"{q} is not a prime power")
+                raise InputError(f"{_quote_int(q)} is not a prime power")
             return p, k
         p += 1
     return q, 1  # q itself is prime
@@ -124,8 +124,10 @@ def gf_build(q: int) -> FieldTable:
     """Deterministic GF(q) construction; factor_prime_power(q) gives p and k.
 
     The modulus is the first monic irreducible of degree k when candidates
-    are ordered by their coefficient vector read high-degree-first.
+    are ordered by their coefficient vector read high-degree-first.  q is
+    read through _index, so a numpy q builds the Python-int table.
     """
+    q = _index(q, "q")
     p, k = factor_prime_power(q)
     for c in range(q):
         # base-p digits of c are the non-leading coefficients, the high-degree

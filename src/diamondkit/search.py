@@ -8,10 +8,10 @@ their high bits, bit-sliced: a block is one Python int per pair bit, with
 one bit (lane) per encoding, the diamond test of a 4-subset is
 tournament._diamond_lanes of its six pair bits, and a ripple-carry adder
 sums the tests into the bit planes of the counts, which encodings_with_delta
-and exhaustive_max_diamonds read.  The block maxima reduce to the most
-diamonds, ties to the least encoding, so results are bit-identical for any
-thread count.  Annealing keeps S and S^2 of the current tournament and scores
-each arc flip in O(n).
+and exhaustive_max_diamonds read.  The block maxima reduce, as they are
+computed, to the most diamonds, ties to the least encoding.  Annealing keeps
+S and S^2 of the current tournament and scores each arc flip in O(n).  Both
+searches run on the calling thread; threads is checked and reported only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations
 
@@ -29,7 +28,7 @@ from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _EXHAUSTIVE_MAX_N = 8  # the largest n, 2^28 encodings, runs only with long_run=True
-MAX_THREADS = 64  # a pool is never larger, whatever the caller asks for
+MAX_THREADS = 64  # the largest threads a search accepts; both run on one thread
 
 
 class SearchResult(namedtuple("SearchResult", "n mode max_diamonds witness bound attained "
@@ -95,23 +94,11 @@ def _check_threads(threads) -> int:
     return threads
 
 
-def _best_of(n, mode, fn, items, threads, explored, params) -> SearchResult:
+def _best_of(n, mode, fn, items, explored, params) -> SearchResult:
     """The SearchResult of the best (count, encoding) pair fn returns over
-    the range items: most diamonds, ties to the least encoding, so the
-    result does not depend on the thread count.  The only place this module
-    starts threads: with threads > 1 (checked by the caller) worker k
-    reduces the slice items[k::threads] as it goes, so the pool holds one
-    task per worker, not one per item.
-    """
-    def best(results):
-        return max(results, key=lambda r: (r[0], -r[1]))
-
-    if threads > 1:
-        chunks = [items[k::threads] for k in range(min(threads, len(items)))]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            count, enc = best(pool.map(lambda chunk: best(map(fn, chunk)), chunks))
-    else:
-        count, enc = best(map(fn, items))
+    items, reduced as fn returns them: most diamonds, ties to the least
+    encoding."""
+    count, enc = max(map(fn, items), key=lambda r: (r[0], -r[1]))
     bound = diamond_upper_bound(n)
     return SearchResult(n=n, mode=mode, max_diamonds=count, witness=decode(n, enc), bound=bound,
                         attained=count == bound, explored=explored, params=params)
@@ -129,16 +116,16 @@ def _check_exhaustive_n(n, long_run) -> int:
 def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) -> SearchResult:
     """Exact maximum diamond count over all 2^C(n,2) arc encodings.
 
-    Deterministic for any thread count: the encoding space is cut into
-    blocks of 2^_LOW_BITS encodings that share their high bits, and the
-    per-block maxima are reduced to the most diamonds, ties to the least
-    encoding.  Raises InputError unless 4 <= n <= 8 and
+    The encoding space is cut into blocks of 2^_LOW_BITS encodings that
+    share their high bits, and the per-block maxima are reduced to the most
+    diamonds, ties to the least encoding.  threads is checked and reported,
+    not used.  Raises InputError unless 4 <= n <= 8 and
     1 <= threads <= MAX_THREADS; n=8 is refused unless long_run=True.
     """
     n = _check_exhaustive_n(n, long_run)
     threads = _check_threads(threads)
     total = 1 << (n * (n - 1) // 2)
-    low, ones = _scan_plan(n)[:2]  # build the cached plan before any thread starts
+    low, ones = _scan_plan(n)[:2]
 
     def scan_block(h):
         # from the top plane down, keep the lanes with the bit set, if any
@@ -150,8 +137,8 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
                 count, best = count | (1 << k), top
         return count, (h << low) | ((best & -best).bit_length() - 1)
 
-    return _best_of(n, "exhaustive", scan_block, range(total >> low), threads,
-                    explored=total, params={"threads": threads})
+    return _best_of(n, "exhaustive", scan_block, range(total >> low), explored=total,
+                    params={"threads": threads})
 
 
 def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> tuple:
@@ -235,8 +222,9 @@ def local_search_max_diamonds(
     Geometric cooling T_k = t0 * cooling^k; a flip is accepted when it does
     not decrease the diamond count or with probability exp(delta / T).
     Proposals are scored and applied on _SquareState in O(n).  Restarts are
-    independent with per-restart derived seeds; the best-of reduction (max
-    diamonds, ties to least encoding) is deterministic for any thread count.
+    independent with per-restart derived seeds, run one after another, and
+    the best-of reduction keeps the most diamonds, ties to the least
+    encoding; threads is checked and reported, not used.
     Raises InputError, before any work, unless 4 <= n <= MAX_N,
     restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, t0 is finite and
     >= 0 and cooling is finite and > 0.
@@ -281,7 +269,7 @@ def local_search_max_diamonds(
         return best, best_enc
 
     return _best_of(
-        n, "local", run_restart, range(restarts), threads,
+        n, "local", run_restart, range(restarts),
         explored=restarts * (steps + 1),
         params={
             "restarts": restarts,

@@ -464,13 +464,21 @@ class TestThreadLimit:
     @pytest.mark.parametrize("argv", [
         ("--mode", "exhaustive", "--n", "8", "--long-run", "--threads", "65"),
         ("--mode", "local", "--n", "8", "--threads", "100000"),
+        ("--mode", "exhaustive", "--n", "7", "--threads", "0"),
     ])
     def test_above_max_threads_exit_2(self, monkeypatch, capsys, argv):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool constructed")
-        monkeypatch.setattr("diamondkit.search.ThreadPoolExecutor", no_pool)
+        def no_work(*args, **kwargs):
+            raise AssertionError("search work started")
+        monkeypatch.setattr("diamondkit.search._block_planes", no_work)
+        monkeypatch.setattr("diamondkit.search.random_tournament", no_work)
         assert main(["search", *argv]) == INPUT_ERROR
         assert one_line_error(capsys)
+
+    def test_help_states_the_limit(self, capsys):
+        from diamondkit.search import MAX_THREADS
+        assert main(["search", "--help"]) == OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"--threads THREADS 1 to {MAX_THREADS}, checked and reported" in help_text
 
 
 class TestOneSquaringPerMatrix:
@@ -672,6 +680,9 @@ class TestErrorText:
         # a vertex is echoed as at most 40 digits
         (("delete", "--in", "{trn}", "--vertices", "9" * 100),
          f"vertex {'9' * 40!r}... (100 characters) out of range for n=32"),
+        # and so is a q that is no prime power
+        (("construct", "paley", "--q", "-" + "9" * 3999),
+         f"{'-' + '9' * 39!r}... (4000 characters) is not a prime power"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),

@@ -317,50 +317,27 @@ class TestLocalSearchLimits:
 
 
 class TestThreadLimit:
-    """threads above MAX_THREADS are refused before any pool exists; the pool
-    is replaced by fakes, so no test here starts a thread."""
+    """threads outside [1, MAX_THREADS] is refused before any block is
+    scanned or any tournament drawn; MAX_THREADS gives the 1-thread result."""
 
     @pytest.mark.parametrize("search", [
         lambda threads: exhaustive_max_diamonds(8, threads=threads, long_run=True),
         lambda threads: local_search_max_diamonds(8, restarts=2, steps=10, threads=threads),
     ])
-    @pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10 ** 6])
-    def test_rejected_before_any_pool(self, monkeypatch, search, threads):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool constructed")
-        monkeypatch.setattr("diamondkit.search.ThreadPoolExecutor", no_pool)
+    @pytest.mark.parametrize("threads", [0, MAX_THREADS + 1, 10 ** 6])
+    def test_rejected_before_any_work(self, monkeypatch, search, threads):
+        def no_work(*args, **kwargs):
+            raise AssertionError("search work started")
+        monkeypatch.setattr("diamondkit.search._block_planes", no_work)
+        monkeypatch.setattr("diamondkit.search.random_tournament", no_work)
         with pytest.raises(ValueError, match="threads"):
             search(threads)
 
-    def test_max_threads_accepted(self, monkeypatch):
-        sizes, tasks = [], []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                tasks.append(len(items))
-                return map(fn, items)
-
-        monkeypatch.setattr("diamondkit.search.ThreadPoolExecutor", InlinePool)
+    def test_max_threads_accepted(self):
         wide, one = exhaustive_max_diamonds(6, threads=MAX_THREADS), exhaustive_max_diamonds(6)
-        assert (wide.max_diamonds, wide.witness) == (one.max_diamonds, one.witness)
+        assert wide._replace(params=None) == one._replace(params=None)
+        assert wide.params == {"threads": MAX_THREADS}
         res = local_search_max_diamonds(8, restarts=2, steps=50, seed=3, threads=MAX_THREADS)
         one = local_search_max_diamonds(8, restarts=2, steps=50, seed=3)
-        assert (res.max_diamonds, res.witness) == (one.max_diamonds, one.witness)
-        assert sizes == [MAX_THREADS, MAX_THREADS]
-        # one task per worker, not one per restart: the pool holds no
-        # result per item
-        tasks.clear()
-        res = local_search_max_diamonds(4, restarts=1000, steps=0, threads=2)
-        one = local_search_max_diamonds(4, restarts=1000, steps=0)
-        assert tasks == [2]
-        assert (res.max_diamonds, res.witness) == (one.max_diamonds, one.witness)
+        assert res._replace(params=None) == one._replace(params=None)
+        assert res.params == {**one.params, "threads": MAX_THREADS}

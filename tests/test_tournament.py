@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
+from diamondkit.gf import gf_build
 from diamondkit.hypergraph import baber, edge_count_bound, hypergraph, verify_ff4
 from diamondkit.spectral import count_diamonds_spectral, diamond_upper_bound
 from diamondkit.tournament import (
@@ -345,11 +346,13 @@ class TestSizesThroughIndex:
         # an int64 n once overflowed the bounds' products with only a RuntimeWarning
         (diamond_upper_bound, 100000),
         (edge_count_bound, 100001),
+        # a numpy q once kept numpy squares, whose bitmask wrapped at 64 bits
+        (lambda q: gf_build(q).translates(sum(1 << x for x in gf_build(q).squares())), 67),
     ], ids=["random_tournament", "decode", "paley_tournament", "star_paley", "local_search-n",
             "local_search-restarts", "local_search-steps", "local_search-threads",
             "exhaustive-n", "exhaustive-threads", "encodings_with_delta-n",
             "encodings_with_delta-delta", "hypergraph-verify_ff4", "hypergraph-n",
-            "diamond_upper_bound", "edge_count_bound"])
+            "diamond_upper_bound", "edge_count_bound", "gf_build"])
     def test_numpy_sizes_agree_and_floats_are_refused(self, call, size):
         assert call(np.int64(size)) == call(size)
         with pytest.raises(InputError, match="is not an integer"):
