@@ -178,10 +178,9 @@ def cmd_baber(args):
     h = hypergraph.baber(t)
     if args.out:
         hypergraph.save_hyp(h, args.out)
-    results = {"n": h.n, "m": h.m, "out": args.out}
-    if h.n >= 5:
-        # the diamond hypergraph of a tournament is always FF4
-        results["bound"] = _bound(h, True)[1]
+    # the diamond hypergraph of a tournament is always FF4
+    results = {"n": h.n, "m": h.m, "bound": _bound(h, True)[1] if h.n >= 5 else None,
+               "out": args.out}
     return {"in": args.input}, results, "ok"
 
 

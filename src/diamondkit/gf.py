@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .tournament import InputError, _index, _quote_int
+from .tournament import MAX_N, InputError, _index, _quote_int
 
 
 def factor_prime_power(q: int):
@@ -125,9 +125,10 @@ def gf_build(q: int) -> FieldTable:
 
     The modulus is the first monic irreducible of degree k when candidates
     are ordered by their coefficient vector read high-degree-first.  q is
-    read through _index, so a numpy q builds the Python-int table.
+    read through _index, so a numpy q builds the Python-int table, and
+    refused outside [2, tournament.MAX_N] before it is factored.
     """
-    q = _index(q, "q")
+    q = _index(q, "q", 2, MAX_N)
     p, k = factor_prime_power(q)
     for c in range(q):
         # base-p digits of c are the non-leading coefficients, the high-degree

@@ -71,9 +71,7 @@ def hypergraph(n, edges) -> Hypergraph4:
     string is refused.  parse_hyp and baber, which validate or build every
     edge themselves, call Hypergraph4 directly.
     """
-    n = _index(n, "n")
-    if not 0 <= n <= MAX_N:
-        raise InputError(f"need 0 <= n <= {MAX_N}, got n={_quote_int(n)}")
+    n = _index(n, "n", 0, MAX_N)
     checked = set()
     for e in edges:
         try:
@@ -127,9 +125,7 @@ def verify_ff4(h: Hypergraph4):
     the least of these over the failing edges is the lexicographically least
     bad 5-set.
     """
-    n = h.n
-    if n < 5:
-        raise InputError("property defined for n >= 5")
+    n = _index(h.n, "n", 5)
     links = h.links
     full = (1 << n) - 1
     best = None
@@ -181,9 +177,7 @@ def edge_count_bound(n: int):
     The proven bounds are the diamond bounds, the edge counts of Baber
     hypergraphs of extremal tournaments.
     """
-    n = _index(n, "n")
-    if n < 5:
-        raise InputError("bound defined for n >= 5")
+    n = _index(n, "n", 5)
     r = n % 4
     if r in (0, 3):
         return diamond_upper_bound(n), PROVEN

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .spectral import diamond_upper_bound
 from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _index,
-                         _quote_int, count_diamonds, decode, encode, pair_index, random_tournament)
+                         count_diamonds, decode, encode, pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _EXHAUSTIVE_MAX_N = 8  # the largest n, 2^28 encodings, runs only with long_run=True
@@ -87,13 +87,6 @@ def _block_planes(n, h):
     return planes
 
 
-def _check_threads(threads) -> int:
-    threads = _index(threads, "threads")
-    if not 1 <= threads <= MAX_THREADS:
-        raise InputError(f"threads must be in [1, {MAX_THREADS}], got {_quote_int(threads)}")
-    return threads
-
-
 def _best_of(n, mode, fn, items, explored, params) -> SearchResult:
     """The SearchResult of the best (count, encoding) pair fn returns over
     items, reduced as fn returns them: most diamonds, ties to the least
@@ -105,9 +98,7 @@ def _best_of(n, mode, fn, items, explored, params) -> SearchResult:
 
 
 def _check_exhaustive_n(n, long_run) -> int:
-    n = _index(n, "n")
-    if not 4 <= n <= _EXHAUSTIVE_MAX_N:
-        raise InputError(f"exhaustive search supports 4 <= n <= {_EXHAUSTIVE_MAX_N}")
+    n = _index(n, "n", 4, _EXHAUSTIVE_MAX_N)
     if n == _EXHAUSTIVE_MAX_N and not long_run:
         raise InputError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
     return n
@@ -123,7 +114,7 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
     1 <= threads <= MAX_THREADS; n=8 is refused unless long_run=True.
     """
     n = _check_exhaustive_n(n, long_run)
-    threads = _check_threads(threads)
+    threads = _index(threads, "threads", 1, MAX_THREADS)
     total = 1 << (n * (n - 1) // 2)
     low, ones = _scan_plan(n)[:2]
 
@@ -229,14 +220,8 @@ def local_search_max_diamonds(
     restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, t0 is finite and
     >= 0 and cooling is finite and > 0.
     """
-    n, restarts, steps = _index(n, "n"), _index(restarts, "restarts"), _index(steps, "steps")
-    if not 4 <= n <= MAX_N:
-        raise InputError(f"local search supports 4 <= n <= {MAX_N}, got n={_quote_int(n)}")
-    if restarts < 1:
-        raise InputError(f"restarts must be at least 1, got {_quote_int(restarts)}")
-    if steps < 0:
-        raise InputError(f"steps must be at least 0, got {_quote_int(steps)}")
-    threads = _check_threads(threads)
+    n, restarts = _index(n, "n", 4, MAX_N), _index(restarts, "restarts", 1)
+    steps, threads = _index(steps, "steps", 0), _index(threads, "threads", 1, MAX_THREADS)
     if not (math.isfinite(t0) and t0 >= 0):
         raise InputError(f"t0 must be finite and at least 0, got {t0}")
     if not (math.isfinite(cooling) and cooling > 0):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .tournament import InputError, Tournament, _index
+from .tournament import Tournament, _index
 
 EVEN_EXTREMAL = "even-extremal"
 ODD_EXTREMAL = "odd-extremal"
@@ -106,9 +106,7 @@ def matches_extremal_charpoly(t: Tournament) -> str:
 
 def diamond_upper_bound(n: int) -> Fraction:
     """Maximum possible diamond count by parity, as an exact rational."""
-    n = _index(n, "n")
-    if n < 4:
-        raise InputError("bound defined for n >= 4")
+    n = _index(n, "n", 4)
     if n % 2 == 0:
         return Fraction(n * n * (n - 1) * (n - 2), 96)
     return Fraction(n * (n - 1) * (n - 3) * (n + 1), 96)

@@ -56,14 +56,20 @@ def _square(n, rows):
     return tuple(sq)
 
 
-def _index(v, what="vertex index"):
+def _index(v, what="vertex index", lo=None, hi=None):
     """operator.index(v): a Python int, as a shift count into a row or a size
     must be (a numpy one coerces a row to int64); a float is an InputError
-    that names what v is."""
+    that names what v is.  The one reader of a size and its range: with lo,
+    a v below lo, or above hi when given, is an InputError too."""
     try:
-        return operator.index(v)
+        v = operator.index(v)
     except TypeError:
         raise InputError(f"{what} {v!r} is not an integer") from None
+    if lo is not None and hi is None and v < lo:
+        raise InputError(f"{what} must be at least {lo}, got {_quote_int(v)}")
+    if hi is not None and not lo <= v <= hi:
+        raise InputError(f"{what}={_quote_int(v)} out of range [{lo}, {hi}]")
+    return v
 
 
 def _bits(x):
@@ -201,13 +207,14 @@ def encode(t: Tournament) -> int:
 
 
 def decode(n: int, e: int) -> Tournament:
-    """Inverse of encode, for 0 <= e < 2^C(n,2); any other e is an InputError.
+    """Inverse of encode, for 3 <= n <= MAX_N and 0 <= e < 2^C(n,2); any
+    other n or e is an InputError.
 
     Row i's upper part is cut out of e.  Its lower part is the complement
     of column i of the upper parts (see _columns): for j < i, i dominates j
     exactly when bit i of row j is clear.
     """
-    n = _index(n, "n")
+    n = _index(n, "n", 3, MAX_N)
     if not 0 <= e < 1 << (n * (n - 1) // 2):
         raise InputError(f"encoding {_quote_int(e)} out of range for n={n}")
     upper = [((e >> pair_index(n, i, i + 1)) & ((1 << (n - 1 - i)) - 1)) << (i + 1)
@@ -222,9 +229,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     Deterministic: decode of C(n,2) bits from random.Random(seed) (Mersenne
     Twister), drawn one getrandbits(1) at a time in pair_index order.
     """
-    n = _index(n, "n")
-    if not 3 <= n <= MAX_N:
-        raise InputError(f"n must be in [3, {MAX_N}], got {_quote_int(n)}")
+    n = _index(n, "n", 3, MAX_N)
     rng = random.Random(seed)
     bits = "".join(["01"[rng.getrandbits(1)] for _ in range(n * (n - 1) // 2)])
     return decode(n, int(bits[::-1], 2))

@@ -183,6 +183,16 @@ class TestPipelines:
         assert report["results"]["m"] == 28
         assert load_hyp(hyp) == baber(star_paley(7))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_baber_below_five_vertices_has_null_bound(self, tmp_path, capsys, n):
+        # the bound is defined from n = 5 on; below, baber reports it as null
+        # like count and verify do, rather than leaving the key out
+        path = tmp_path / "t.trn"
+        path.write_text(transitive_trn(n))
+        code, report = run(capsys, "baber", "--in", str(path))
+        assert code == OK
+        assert report["results"] == {"bound": None, "m": 0, "n": n, "out": None}
+
     def test_delete_command(self, tmp_path, capsys):
         trn = tmp_path / "t.trn"
         out = tmp_path / "d.trn"
@@ -629,10 +639,8 @@ class TestErrorText:
          "invalid literal for int() with base 10: 'a'"),
         (("delete", "--in", "{trn}", "--vertices", "99"), "vertex 99 out of range for n=32"),
         (("extend", "--in", "{trn}"), "matrix is not odd-extremal; extension does not apply"),
-        (("search", "--mode", "local", "--n", "3"),
-         "local search supports 4 <= n <= 512, got n=3"),
-        (("search", "--mode", "exhaustive", "--n", "9"),
-         "exhaustive search supports 4 <= n <= 8"),
+        (("search", "--mode", "local", "--n", "3"), "n=3 out of range [4, 512]"),
+        (("search", "--mode", "exhaustive", "--n", "9"), "n=9 out of range [4, 8]"),
         (("search", "--mode", "exhaustive", "--n", "8"),
          "n=8 requires long_run=True (2^28 encodings)"),
         (("count", "--in", "{missing}"),
@@ -662,7 +670,7 @@ class TestErrorText:
         (("search", "--n", "8", "--restarts", "9" * 5000),
          f"argument --restarts: invalid int value: {'9' * 40!r}... (5000 characters)"),
         (("search", "--mode", "local", "--n", "9" * 4000),
-         f"local search supports 4 <= n <= 512, got n={'9' * 40!r}... (4000 characters)"),
+         f"n={'9' * 40!r}... (4000 characters) out of range [4, 512]"),
         (("search", "--n", "8", "--t0", "x" * 5000),
          f"argument --t0: invalid float value: {'x' * 40!r}... (5000 characters)"),
         (("count", "--in", "{long_trn}"),
@@ -680,9 +688,9 @@ class TestErrorText:
         # a vertex is echoed as at most 40 digits
         (("delete", "--in", "{trn}", "--vertices", "9" * 100),
          f"vertex {'9' * 40!r}... (100 characters) out of range for n=32"),
-        # and so is a q that is no prime power
+        # and so is a q below the smallest field order
         (("construct", "paley", "--q", "-" + "9" * 3999),
-         f"{'-' + '9' * 39!r}... (4000 characters) is not a prime power"),
+         f"q={'-' + '9' * 39!r}... (4000 characters) out of range [2, 512]"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),

@@ -33,8 +33,14 @@ def test_gf4_valid_even_if_not_paley_usable():
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError, match="^6 is not a prime power$"):
         gf_build(6)
-    with pytest.raises(ValueError, match="^1 is not a prime power$"):
+    with pytest.raises(ValueError, match=r"^q=1 out of range \[2, 512\]$"):
         gf_build(1)
+    with pytest.raises(ValueError, match="^1 is not a prime power$"):
+        factor_prime_power(1)
+    # a long q is clipped to 40 digits
+    with pytest.raises(ValueError) as exc:
+        factor_prime_power(-int("9" * 3999))
+    assert str(exc.value) == f"{'-' + '9' * 39!r}... (4000 characters) is not a prime power"
 
 
 def test_determinism():

@@ -350,7 +350,7 @@ class TestLinkFF4Oracle:
         # and a long n is clipped to 40 digits
         with pytest.raises(InputError) as exc:
             hypergraph(n, [])
-        assert str(exc.value) == f"need 0 <= n <= {MAX_N}, got n={shown}"
+        assert str(exc.value) == f"n={shown} out of range [0, {MAX_N}]"
 
 
 class TestLinks:

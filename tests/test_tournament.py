@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
+from diamondkit import gf
 from diamondkit.gf import gf_build
 from diamondkit.hypergraph import baber, edge_count_bound, hypergraph, verify_ff4
 from diamondkit.spectral import count_diamonds_spectral, diamond_upper_bound
@@ -358,6 +359,51 @@ class TestSizesThroughIndex:
         with pytest.raises(InputError, match="is not an integer"):
             call(size + 0.5)
 
+    # _index(v, what, lo, hi) is the one range check of each size: one text
+    # for a range, one for a lower bound alone, v clipped to 40 digits
+    @pytest.mark.parametrize("call, text", [
+        (lambda: decode(2, 0), "n=2 out of range [3, 512]"),
+        (lambda: random_tournament(513, 0), "n=513 out of range [3, 512]"),
+        (lambda: local_search_max_diamonds(3), "n=3 out of range [4, 512]"),
+        (lambda: local_search_max_diamonds(8, restarts=0), "restarts must be at least 1, got 0"),
+        (lambda: local_search_max_diamonds(8, steps=-1), "steps must be at least 0, got -1"),
+        (lambda: local_search_max_diamonds(8, threads=0), "threads=0 out of range [1, 64]"),
+        (lambda: exhaustive_max_diamonds(9), "n=9 out of range [4, 8]"),
+        (lambda: exhaustive_max_diamonds(5, threads=65), "threads=65 out of range [1, 64]"),
+        (lambda: hypergraph(-1, []), "n=-1 out of range [0, 512]"),
+        (lambda: verify_ff4(hypergraph(4, [])), "n must be at least 5, got 4"),
+        (lambda: edge_count_bound(4), "n must be at least 5, got 4"),
+        (lambda: diamond_upper_bound(3), "n must be at least 4, got 3"),
+        # trial division of this prime would take seconds
+        (lambda: gf_build(100000000000031), "q=100000000000031 out of range [2, 512]"),
+        (lambda: local_search_max_diamonds(8, steps=-10 ** 50),
+         f"steps must be at least 0, got {'-1' + '0' * 38!r}... (52 characters)"),
+    ], ids=["decode", "random_tournament", "local_search-n", "local_search-restarts",
+            "local_search-steps", "local_search-threads", "exhaustive-n", "exhaustive-threads",
+            "hypergraph-n", "verify_ff4", "edge_count_bound", "diamond_upper_bound", "gf_build",
+            "clipped"])
+    def test_out_of_range_text(self, call, text):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("n", [-5, 0, 1, 2, 513, 2000])
+    def test_decode_refuses_orders_outside_3_to_512(self, n):
+        # checked before 2^C(n,2) is built; n = 3 and 512 round-trip in
+        # TestTrnFormat.test_encode_decode_round_trip
+        with pytest.raises(InputError, match=rf"^n={n} out of range \[3, 512\]$"):
+            decode(n, 0)
+
+    def test_sizes_are_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+        monkeypatch.setattr(random, "Random", no_work)
+        monkeypatch.setattr(gf, "factor_prime_power", no_work)
+        with pytest.raises(InputError, match=r"^n=1000000 out of range \[3, 512\]$"):
+            random_tournament(10 ** 6, 0)
+        with pytest.raises(InputError, match=r"^q=100000000000031 out of range \[2, 512\]$"):
+            gf_build(100000000000031)
+
 
 class TestFlipDelta:
     def test_create_diamond_from_transitive(self):
@@ -434,7 +480,7 @@ class TestRandomTournament:
             random_tournament(513, 0)
         with pytest.raises(InputError) as exc:
             random_tournament(int("9" * 4000), 0)
-        assert str(exc.value) == f"n must be in [3, 512], got {'9' * 40!r}... (4000 characters)"
+        assert str(exc.value) == f"n={'9' * 40!r}... (4000 characters) out of range [3, 512]"
 
     def test_mean_diamond_count_at_n5(self):
         # per-4-set diamond probability: exactly 16 of the 64 labeled
