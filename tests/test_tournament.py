@@ -528,7 +528,8 @@ def _parse_trn_reference(text):
         raise InputError("empty input", line=1)
     if not re.fullmatch("-?[0-9]+", lines[0].strip()):
         raise InputError(f"bad vertex count {lines[0]!r}", line=1)
-    n = int(lines[0])
+    # the stripped header: str.strip also takes "\x1f", which int() keeps
+    n = int(lines[0].strip())
     if not 3 <= n <= 512:
         raise InputError(f"n={n} out of range [3, 512]", line=1)
     if len(lines) < n + 1:
@@ -609,6 +610,7 @@ class TestTrnFormat:
 
     def test_header_around_the_limits(self):
         assert parse_trn(" 3 \n010\n001\n100\n").n == 3
+        assert parse_trn("\x1f3\x1f\n010\n001\n100\n").n == 3
         with pytest.raises(InputError, match=r"^n=-3 out of range \[3, 512\] \(line 1\)$"):
             parse_trn("-3\n010\n001\n100\n")
 
