@@ -9,6 +9,7 @@ exactly n/4 hyperedges.
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -16,18 +17,24 @@ from math import comb
 
 from .spectral import diamond_upper_bound
 from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _immutable, _index,
-                         _quote, _quote_int, _read_utf8, _refuse_trailing, parse_int)
+                         _quote, _quote_int, _read_utf8, _refuse_trailing, count_diamonds,
+                         parse_int)
 
 PROVEN = "proven"
 CONJECTURAL = "conjectural"
 # a conjectural bound that an FF4 hypergraph exceeds, as the n = 1 (mod 4)
 # formula is at n = 17 (702 > 700 edges)
 REFUTED = "refuted"
+# the most edges baber builds or parse_hyp reads: the Baber hypergraph of
+# every tournament on at most 142 vertices fits (diamond_upper_bound(142) is
+# 4,146,222.5), while an extremal one at n = 512 would hold 711,639,040
+MAX_EDGES = 2**22
 
 
 class Hypergraph4(namedtuple("Hypergraph4", "n edges")):
-    """n vertices; edges is a frozenset of increasing 4-tuples of Python
-    ints below n."""
+    """n vertices; edges is a tuple of increasing 4-tuples of Python ints
+    below n, in ascending order: the order of the .hyp lines.  The order is
+    canonical, so equality and hash are those of the edge set."""
 
     __setattr__ = _immutable
 
@@ -68,8 +75,10 @@ def hypergraph(n, edges) -> Hypergraph4:
     0 <= n <= tournament.MAX_N, and on an edge that is not 4 distinct
     integer indices in range(n).  n and each index may be a Python int or
     any integer type operator.index accepts (numpy integers); a float or a
-    string is refused.  parse_hyp and baber, which validate or build every
-    edge themselves, call Hypergraph4 directly.
+    string is refused.  The edges may come in any order and repeat; they
+    are stored once each, ascending.  parse_hyp and baber, which validate or
+    build every edge in ascending order themselves, call Hypergraph4
+    directly.
     """
     n = _index(n, "n", 0, MAX_N)
     checked = set()
@@ -84,7 +93,7 @@ def hypergraph(n, edges) -> Hypergraph4:
         if e[0] < 0 or e[3] >= n:
             raise InputError(f"edge {e!r} out of range for n={n}")
         checked.add(e)
-    return Hypergraph4(n, frozenset(checked))
+    return Hypergraph4(n, tuple(sorted(checked)))
 
 
 def baber(t: Tournament) -> Hypergraph4:
@@ -94,10 +103,16 @@ def baber(t: Tournament) -> Hypergraph4:
     a < b < c, with the fourth vertex d as the lane: the rows of c, b and a
     are the words of the arcs cd, bd and ad, and the arcs ab, ac and bc are
     0 or all ones.  Each set lane d > c is an edge, so every diamond comes
-    out once: O(n^3) bitset steps plus O(1) per edge, no 4-subset scan, and
-    no code shared with tournament.count_diamonds.
+    out once, and in ascending order: O(n^3) bitset steps plus O(1) per
+    edge, no 4-subset scan.  The edges share no code with
+    tournament.count_diamonds, which serves only the size check: a
+    tournament with more than MAX_EDGES diamonds is an InputError, raised
+    before any edge is built.
     """
     rows, n = t.rows, t.n
+    m = count_diamonds(t)
+    if m > MAX_EDGES:
+        raise InputError(f"baber of n={n} would build {m} edges, above the limit of {MAX_EDGES}")
     full = (1 << n) - 1
     edges = []
     for a, ra in enumerate(rows):
@@ -108,7 +123,7 @@ def baber(t: Tournament) -> Hypergraph4:
                 lanes = _diamond_lanes(ab, rows[c], full if (ra >> c) & 1 else 0, rb, ra,
                                        full if (rb >> c) & 1 else 0, full)
                 edges.extend((a, b, c, d) for d in _bits(lanes & -(2 << c)))
-    return Hypergraph4(n, frozenset(edges))
+    return Hypergraph4(n, tuple(edges))
 
 
 def verify_ff4(h: Hypergraph4):
@@ -141,7 +156,9 @@ def verify_ff4(h: Hypergraph4):
         bad = full & ~(cover & ~twice)  # covered by no link or by two or more
         v = (bad & -bad).bit_length() - 1
         count = 1 + sum((link >> v) & 1 for link in (la, lb, lc, ld))
-        five = tuple(sorted((a, b, c, d, v)))
+        e = (a, b, c, d)
+        k = bisect(e, v)
+        five = (*e[:k], v, *e[k:])
         if best is None or five < best[0]:
             best = (five, count)
     return best
@@ -188,10 +205,11 @@ def edge_count_bound(n: int):
 
 def parse_hyp(text: str) -> Hypergraph4:
     """Parse the .hyp format: 'n m', then m lines of 4 increasing indices below
-    n, then only blank lines.
+    n, each edge strictly after the one before (so none repeats), then only
+    blank lines.
 
     n is capped at tournament.MAX_N, the order of the largest tournament
-    whose Baber hypergraph the toolkit builds.
+    the toolkit builds, and m at MAX_EDGES.
 
     Every number is ASCII digits with an optional leading minus (see
     tournament.parse_int).  Every edge is validated here, once; each
@@ -207,8 +225,8 @@ def parse_hyp(text: str) -> Hypergraph4:
         n, m = parse_int(head[0]), parse_int(head[1])
     except InputError:
         raise InputError(f"bad header {_quote(lines[0])}", line=1) from None
-    if not 0 <= n <= MAX_N or m < 0:
-        raise InputError(f"need 0 <= n <= {MAX_N} and m >= 0, "
+    if not (0 <= n <= MAX_N and 0 <= m <= MAX_EDGES):
+        raise InputError(f"need 0 <= n <= {MAX_N} and 0 <= m <= {MAX_EDGES}, "
                          f"got n={_quote_int(n)}, m={_quote_int(m)}", line=1)
     if len(lines) < m + 1:
         raise InputError(f"expected {_quote_int(m)} edge lines, got {len(lines) - 1}",
@@ -229,20 +247,17 @@ def parse_hyp(text: str) -> Hypergraph4:
             if a < b < c < d:
                 raise InputError(f"edge {(a, b, c, d)} out of range for n={n}", line=lineno)
             raise InputError("edge indices must be strictly increasing", line=lineno)
-        edges.append((a, b, c, d))
-    edge_set = frozenset(edges)
-    if len(edge_set) != m:
-        seen = set()
-        for lineno, e in enumerate(edges, start=2):
-            if e in seen:
-                raise InputError(f"duplicate edge {e}", line=lineno)
-            seen.add(e)
+        edge = (a, b, c, d)
+        if edges and edge <= edges[-1]:
+            raise InputError(f"edge {edge} is not after {edges[-1]}: "
+                             "edges must be strictly ascending", line=lineno)
+        edges.append(edge)
     _refuse_trailing(lines, m + 1, f"the {m} edges")
-    return Hypergraph4(n, edge_set)
+    return Hypergraph4(n, tuple(edges))
 
 
 def format_hyp(h: Hypergraph4) -> str:
-    return "\n".join([f"{h.n} {h.m}", *("%d %d %d %d" % e for e in sorted(h.edges))]) + "\n"
+    return "\n".join([f"{h.n} {h.m}", *("%d %d %d %d" % e for e in h.edges)]) + "\n"
 
 
 def load_hyp(path) -> Hypergraph4:

@@ -235,8 +235,9 @@ def verify_ff4_naive(h: Hypergraph4):
     """verify_ff4 by scanning all C(n,5) 5-subsets in lexicographic order."""
     if h.n < 5:
         raise InputError("property defined for n >= 5")
+    edges = set(h.edges)
     for five in combinations(range(h.n), 5):
-        c = sum(1 for quad in combinations(five, 4) if quad in h.edges)
+        c = sum(1 for quad in combinations(five, 4) if quad in edges)
         if c not in (0, 2):
             return five, c
     return None

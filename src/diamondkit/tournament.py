@@ -126,10 +126,15 @@ def _columns(n, rows):
 def _first_defect(n, rows):
     """The first pair at which rows fail to be a tournament, or None.
 
-    Row i is checked for a diagonal bit, then for bits beyond n (a negative
-    row has infinitely many), then for the first j > i where a_ij == a_ji.
-    Column j (see _columns) is the in-neighbourhood of j.
+    A row count other than n is reported first, at (k, k) for
+    k = min(len(rows), n).  Then row i is checked for a diagonal bit, then
+    for bits beyond n (a negative row has infinitely many), then for the
+    first j > i where a_ij == a_ji.  Column j (see _columns) is the
+    in-neighbourhood of j.
     """
+    if len(rows) != n:
+        k = min(len(rows), n)
+        return (k, k, f"{len(rows)} rows for n={n}")
     full = (1 << n) - 1
     for i, (r, c) in enumerate(zip(rows, _columns(n, rows))):
         if (r >> i) & 1:

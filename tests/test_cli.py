@@ -144,7 +144,7 @@ class TestVerify:
         h = baber(star_paley(7))
         removed = min(h.edges)
         path = tmp_path / "h.hyp"
-        path.write_text(format_hyp(type(h)(h.n, h.edges - {removed})))
+        path.write_text(format_hyp(type(h)(h.n, tuple(e for e in h.edges if e != removed))))
         code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4")
         assert code == VIOLATED
         assert report["status"] == "violated"
@@ -192,6 +192,16 @@ class TestPipelines:
         code, report = run(capsys, "baber", "--in", str(path))
         assert code == OK
         assert report["results"] == {"bound": None, "m": 0, "n": n, "out": None}
+
+    def test_baber_refuses_above_the_edge_limit(self, tmp_path, capsys):
+        # T*(151) has 5,451,100 diamonds, above hypergraph.MAX_EDGES
+        path = tmp_path / "t.trn"
+        save_trn(star_paley(151), path)
+        assert main(["baber", "--in", str(path), "--out", str(tmp_path / "h.hyp")]) == INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "h.hyp").exists()
+        assert captured.err == ("error: baber of n=152 would build 5451100 edges, "
+                                "above the limit of 4194304\n")
 
     def test_delete_command(self, tmp_path, capsys):
         trn = tmp_path / "t.trn"
@@ -382,7 +392,8 @@ class TestHypInputErrors:
     def test_design_fails_when_ff4_fails(self, tmp_path, capsys):
         h = baber(star_paley(7))
         path = tmp_path / "h.hyp"
-        path.write_text(format_hyp(type(h)(h.n, h.edges - {min(h.edges)})))
+        removed = min(h.edges)
+        path.write_text(format_hyp(type(h)(h.n, tuple(e for e in h.edges if e != removed))))
         code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4,design")
         assert code == VIOLATED
         assert report["results"]["design"] is False
@@ -676,10 +687,11 @@ class TestErrorText:
         (("count", "--in", "{long_trn}"),
          f"{{long_trn}}: n={'9' * 40!r}... (4000 characters) out of range [3, 512] (line 1)"),
         (("verify", "--in", "{long_hyp}", "--checks", "ff4"),
-         f"{{long_hyp}}: need 0 <= n <= 512 and m >= 0, got n={'9' * 40!r}... (4000 characters), "
-         "m=0 (line 1)"),
+         f"{{long_hyp}}: need 0 <= n <= 512 and 0 <= m <= 4194304, "
+         f"got n={'9' * 40!r}... (4000 characters), m=0 (line 1)"),
         (("verify", "--in", "{long_m_hyp}", "--checks", "ff4"),
-         f"{{long_m_hyp}}: expected {'9' * 40!r}... (4000 characters) edge lines, got 0 (line 1)"),
+         f"{{long_m_hyp}}: need 0 <= n <= 512 and 0 <= m <= 4194304, "
+         f"got n=5, m={'9' * 40!r}... (4000 characters) (line 1)"),
         # integer options read the files' grammar, -?[0-9]+, not int()'s
         (("search", "--mode", "exhaustive", "--n", "+7"), "argument --n: invalid int value: '+7'"),
         (("construct", "paley", "--q", "1_1"), "argument --q: invalid int value: '1_1'"),
@@ -802,13 +814,15 @@ def _fuzz_files():
     """Valid, violating, malformed and misnamed inputs, by file name."""
     star = format_trn(star_paley(7)).encode()
     design = baber(star_paley(7))
+    removed = min(design.edges)
+    broken = type(design)(8, tuple(e for e in design.edges if e != removed))
     hyp = format_hyp(design).encode()
     return {
         "s7.trn": star,
         "p7.trn": format_trn(paley_tournament(7)).encode(),
         "r6.trn": format_trn(random_tournament(6, 1)).encode(),
         "s7.hyp": hyp,
-        "broken.hyp": format_hyp(type(design)(8, design.edges - {min(design.edges)})).encode(),
+        "broken.hyp": format_hyp(broken).encode(),
         "hyp-as.trn": hyp,
         "trn-as.hyp": star,
         "s7.txt": star,

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamondkit import hypergraph as hypergraph_module
 from diamondkit.constructions import star_paley
 from diamondkit.hypergraph import (
     CONJECTURAL,
+    MAX_EDGES,
     PROVEN,
     baber,
     edge_count_bound,
@@ -32,6 +34,7 @@ from diamondkit.oracles import (
     triple_profile,
     verify_ff4_naive,
 )
+from diamondkit.spectral import diamond_upper_bound
 from diamondkit.tournament import (
     MAX_N,
     InputError,
@@ -50,7 +53,7 @@ class TestBaber:
 
     def test_star_paley_3_single_edge(self):
         h = baber(star_paley(3))
-        assert h.edges == frozenset({(0, 1, 2, 3)})
+        assert h.edges == ((0, 1, 2, 3),)
 
     def test_star_paley_7(self):
         h = baber(star_paley(7))
@@ -280,6 +283,71 @@ class TestHypFormat:
             parse_hyp("5\n")
 
 
+def _ascending(edges):
+    return type(edges) is tuple and all(e < f for e, f in zip(edges, edges[1:]))
+
+
+class TestEdgeOrder:
+    """Every constructor holds the edges as one ascending tuple, the order
+    of the .hyp lines."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_constructor_returns_an_ascending_tuple(self, seed):
+        h = baber(random_tournament(12, seed))
+        assert h.m > 0 and _ascending(h.edges)
+        assert _ascending(hypergraph(12, reversed(h.edges)).edges)
+        assert _ascending(parse_hyp(format_hyp(h)).edges)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hypergraph_sorts_a_shuffled_list(self, seed):
+        h = _random_hypergraph(9, seed, 0.3)
+        edges = [tuple(random.Random(seed).sample(e, 4)) for e in h.edges] + list(h.edges)
+        random.Random(seed).shuffle(edges)
+        shuffled = hypergraph(9, edges)
+        assert shuffled.edges == tuple(sorted(h.edges)) == h.edges
+        assert shuffled == h and hash(shuffled) == hash(h)
+
+    @pytest.mark.parametrize("text,first,second", [
+        ("6 2\n0 1 2 4\n0 1 2 3\n", (0, 1, 2, 4), (0, 1, 2, 3)),
+        ("6 2\n0 1 2 3\n0 1 2 3\n", (0, 1, 2, 3), (0, 1, 2, 3)),
+    ])
+    def test_parse_refuses_out_of_order_and_repeated_edges(self, text, first, second):
+        with pytest.raises(InputError) as info:
+            parse_hyp(text)
+        assert str(info.value) == (f"edge {second} is not after {first}: "
+                                   "edges must be strictly ascending (line 3)")
+
+    @pytest.mark.parametrize("q", [7, 43])
+    def test_format_reproduces_baber_text(self, q):
+        text = format_hyp(baber(star_paley(q)))
+        assert format_hyp(parse_hyp(text)) == text
+
+
+class TestEdgeLimit:
+    def test_limit_between_extremal_orders(self):
+        # every tournament on at most 142 vertices fits; T*(151) does not
+        assert diamond_upper_bound(142) <= MAX_EDGES == 2**22 < count_diamonds(star_paley(151))
+
+    def test_baber_refuses_before_any_edge(self, monkeypatch):
+        def lanes(*args):
+            raise AssertionError("baber built an edge")
+
+        monkeypatch.setattr(hypergraph_module, "_diamond_lanes", lanes)
+        with pytest.raises(InputError) as info:
+            baber(star_paley(151))
+        assert str(info.value) == ("baber of n=152 would build 5451100 edges, "
+                                   "above the limit of 4194304")
+
+    def test_parse_refuses_m_above_the_limit(self):
+        with pytest.raises(InputError) as info:
+            parse_hyp(f"8 {MAX_EDGES + 1}\n")
+        assert str(info.value) == ("need 0 <= n <= 512 and 0 <= m <= 4194304, "
+                                   "got n=8, m=4194305 (line 1)")
+        with pytest.raises(InputError) as info:
+            parse_hyp(f"8 {MAX_EDGES}\n")
+        assert str(info.value) == "expected 4194304 edge lines, got 0 (line 1)"
+
+
 def _random_hypergraph(n, seed, density):
     rng = random.Random(seed)
     return hypergraph(n, [q for q in combinations(range(n), 4) if rng.random() < density])
@@ -406,10 +474,10 @@ class TestDesignOracle:
 
 
 def _score_square_quads(t):
-    """The diamond 4-sets of t by the oracles' in-subset score-square rule,
-    which shares no code with baber's Pfaffian test."""
-    return frozenset(q for q in combinations(range(t.n), 4)
-                     if _subset_degree_squares(t.rows, *q) == _DIAMOND_SQ)
+    """The diamond 4-sets of t, ascending, by the oracles' in-subset
+    score-square rule, which shares no code with baber's Pfaffian test."""
+    return tuple(q for q in combinations(range(t.n), 4)
+                 if _subset_degree_squares(t.rows, *q) == _DIAMOND_SQ)
 
 
 class TestBaberEnumeration:
@@ -491,7 +559,7 @@ class TestHypFormatErrors:
 
     def test_edges_at_the_range_limit(self):
         h = parse_hyp("5 1\n0 1 2 4\n")
-        assert h.edges == frozenset({(0, 1, 2, 4)})
+        assert h.edges == ((0, 1, 2, 4),)
         assert parse_hyp("0 0\n") == hypergraph(0, [])
 
     def test_format_matches_reference_and_round_trips(self):

@@ -112,6 +112,21 @@ class TestValidate:
         t = Tournament(3, tuple(rows))
         assert validate(t) == _validate_reference(t) == (1, 1, "bit set beyond vertex range")
 
+    @pytest.mark.parametrize("n,rows,bad", [
+        # the transitive tournament on 3 vertices plus a fourth row: its
+        # square would be 4x4 and count_diamonds -1
+        (3, (6, 4, 0, 0), (3, 3, "4 rows for n=3")),
+        # the first three rows of a valid 4-vertex tournament
+        (4, (14, 12, 8), (3, 3, "3 rows for n=4")),
+        (3, (), (0, 0, "0 rows for n=3")),
+    ])
+    def test_row_count_reported_first(self, n, rows, bad):
+        t = Tournament(n, rows)
+        assert validate(t) == bad
+        with pytest.raises(ValueError) as exc:
+            t.square
+        assert str(exc.value) == "not a tournament at ({},{}): {}".format(*bad)
+
     @pytest.mark.parametrize("rows", [
         (0b010, 0b101, 0b010),
         (0b001 | 0b010, 0b100, 0b010),
