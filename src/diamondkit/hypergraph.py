@@ -168,9 +168,9 @@ def is_3_design(h: Hypergraph4, lam: int) -> bool:
     """True iff every 3-subset of vertices lies in exactly lam edges.
 
     Read off the link popcounts: with lam >= 1 every one of the C(n,3)
-    triples must have a link, with lam = 0 none may.
+    triples must have a link, with lam = 0 none may.  lam is an int >= 0.
     """
-    links = h.links
+    lam, links = _index(lam, "lam", 0), h.links
     return len(links) == (comb(h.n, 3) if lam else 0) and \
         all(x.bit_count() == lam for x in links.values())
 

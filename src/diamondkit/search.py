@@ -165,15 +165,17 @@ class _SquareState:
     -(Q[j].S[i] - Q[i].S[j] + 4n - 6) / 4, where Q[i].S[j] = -(S^3)[i, j] =
     -Q[j].S[i] as S and S^3 are skew: one dot product per proposal, an O(n)
     update per accepted flip.  Q's entries have magnitude at most n - 1, so
-    int64 is exact.  Q starts from t's cached square, and S = A - A^T from
-    one unpackbits of the rows: the one place a tournament becomes a matrix.
+    int64 is exact.  Q is 1 - n on the diagonal and t's cached square_upper
+    on both sides of it, and S = A - A^T comes from one unpackbits of the rows.
     """
 
     def __init__(self, t: Tournament):
         import numpy as np
 
         n = self.n = t.n
-        self.q = np.array(t.square, dtype=np.int64)  # raises unless t is valid
+        q = self.q = np.full((n, n), 1 - n, dtype=np.int64)
+        i, j = np.triu_indices(n, 1)
+        q[i, j] = q[j, i] = t.square_upper  # raises unless t is valid
         width = (n + 7) // 8
         packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in t.rows),
                                dtype=np.uint8).reshape(n, width)

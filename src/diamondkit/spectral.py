@@ -2,15 +2,16 @@
 
 Everything here is integer-exact and takes a Tournament.  The checks use
 matrix identities: sigma_2/sigma_4 from traces of S^2 and S^4, the
-skew-conference test from S^2 and the odd-extremal test from the rank of
-S^2 + nI.  All of them read the S^2 cached on the tournament
-(Tournament.square, Python ints from row popcounts), so each is O(n^2)
-once S^2 is built.
+skew-conference test from S^2 and the odd-extremal test as S^2 + nI = uu^T.
+All of them read S^2 above its diagonal, cached on the tournament
+(Tournament.square_upper, Python ints from row popcounts), and its diagonal
+1 - n from n, so each is O(n^2) once S^2 is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from operator import mul
 
@@ -26,12 +27,13 @@ def sigma_from_traces(t: Tournament):
 
     Odd power sums of a skew-symmetric matrix vanish, which collapses the
     identities to sigma_2 = -tr(S^2)/2 and
-    sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4, in Python ints.
+    sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4, in Python ints.  S^2 is symmetric
+    with diagonal 1 - n, so tr(S^4), the sum of its squared entries, is
+    n(n-1)^2 plus twice the sum of squares g^2 above the diagonal.
     """
-    a2 = t.square
-    t2 = sum(row[i] for i, row in enumerate(a2))
-    # S^2 is symmetric, so tr(S^4) is the sum of squared entries of S^2
-    t4 = sum(sum(map(mul, row, row)) for row in a2)
+    n, g = t.n, t.square_upper
+    t2 = -n * (n - 1)
+    t4 = n * (n - 1) ** 2 + 2 * sum(map(mul, g, g))
     sigma2, r2 = divmod(-t2, 2)
     sigma4, r4 = divmod(t2 * t2 // 2 - t4, 4)
     if r2 or r4:
@@ -49,10 +51,8 @@ def count_diamonds_spectral(t: Tournament) -> int:
 
 
 def is_skew_conference(t: Tournament) -> bool:
-    """True iff S^2 = -(n-1) I exactly."""
-    n = t.n
-    return all(row[i] == 1 - n and not any(row[:i]) and not any(row[i + 1:])
-               for i, row in enumerate(t.square))
+    """True iff S^2 = -(n-1) I exactly: its diagonal is always 1 - n."""
+    return not any(t.square_upper)
 
 
 def kernel_sign_vector(t: Tournament):
@@ -63,21 +63,17 @@ def kernel_sign_vector(t: Tournament):
     and tr S^2 = -n(n-1), so S^3 = -nS iff S^2 has the eigenvalue -n with
     multiplicity n-1 and 0 once, iff S^2 + nI is n times the projector onto
     ker S.  Its diagonal is 1, so that is u u^T with u +-1 valued, and
-    S u = 0.  Column 0 of S^2 + nI is u_0 u.  O(n^2) on the cached S^2.
+    S u = 0.  Row 0 of S^2 + nI, the pairs (0, j) that lead square_upper,
+    is u, and then each entry is u_i u_j.  O(n^2) on the cached S^2.
     """
-    n = t.n
-    sq = t.square
-    u = [row[0] for row in sq]
-    u[0] += n
+    n, g = t.n, t.square_upper
+    u = [1, *g[:n - 1]]
     if any(x != 1 and x != -1 for x in u):
         return None
     neg = [-x for x in u]
-    for i, row in enumerate(sq):
-        want = list(u if u[i] == 1 else neg)
-        want[i] -= n
-        if list(row) != want:
-            return None
-    return u
+    # row i of u u^T right of the diagonal is u_i u[i+1:]
+    upper = chain.from_iterable((u if ui == 1 else neg)[i + 1:] for i, ui in enumerate(u))
+    return u if g == tuple(upper) else None
 
 
 def matches_extremal_charpoly(t: Tournament) -> str:

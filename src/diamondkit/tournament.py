@@ -4,9 +4,9 @@ pair encoding and S^2.
 A tournament on n vertices (3 <= n <= 512) stores one bitmask per vertex;
 bit j of row i is set iff i dominates j.  Vertices are dense 0-based ints.
 The pair encoding is bit operations on the rows.  The validation verdict
-and S^2, for the Seidel matrix S = A - A^T, are built from the rows on
-first use and cached, so a loaded tournament is scanned once and every
-spectral check reads one S^2.  This module does not import numpy.
+and S^2 above its diagonal, for the Seidel matrix S = A - A^T, are built
+from the rows on first use and cached, so a loaded tournament is scanned
+once and every spectral check reads one S^2.  No numpy is imported here.
 """
 
 from __future__ import annotations
@@ -40,20 +40,17 @@ class InputError(ValueError):
 
 
 def _square(n, rows):
-    """S^2 of a valid tournament as a tuple of n int tuples, from popcounts.
+    """The C(n,2) entries of S^2 above its diagonal, of a valid tournament,
+    in pair_index order, from popcounts.
 
     For i != j, (S^2)_ij = -sum_k S_ik S_jk.  Rows i and j differ at each k
     with S_ik != S_jk and at one of i, j, so
-    (S^2)_ij = 2 popcount(r_i ^ r_j) - n; every diagonal entry is 1 - n.
-    S^2 is symmetric, so row i copies its first i entries from the rows
-    above: C(n,2) XORs and popcounts of n-bit ints, O(n^3 / 64) word
-    operations.
+    (S^2)_ij = 2 popcount(r_i ^ r_j) - n.  S^2 is symmetric with every
+    diagonal entry 1 - n, so these entries are all of it that varies:
+    C(n,2) XORs and popcounts of n-bit ints, O(n^3 / 64) word operations.
     """
-    sq = []
-    for i, ri in enumerate(rows):
-        sq.append((*[row[i] for row in sq], 1 - n,
-                   *[2 * (ri ^ rj).bit_count() - n for rj in rows[i + 1:]]))
-    return tuple(sq)
+    return tuple([2 * (ri ^ rj).bit_count() - n
+                  for i, ri in enumerate(rows) for rj in rows[i + 1:]])
 
 
 def _index(v, what="vertex index", lo=None, hi=None):
@@ -99,8 +96,9 @@ class Tournament(namedtuple("Tournament", "n rows")):
         return _first_defect(self.n, self.rows)
 
     @cached_property
-    def square(self) -> tuple:
-        """S @ S as a tuple of n int tuples, exact (see _square).
+    def square_upper(self) -> tuple:
+        """(S^2)_ij, i < j, for S = A - A^T: a tuple of C(n,2) ints in
+        pair_index order, exact (see _square); S^2 is symmetric, diagonal 1 - n.
 
         Raises a plain ValueError unless validate(self) is None: no loaded or
         constructed tournament fails it, so it marks a bug, not an
@@ -212,14 +210,14 @@ def encode(t: Tournament) -> int:
 
 
 def decode(n: int, e: int) -> Tournament:
-    """Inverse of encode, for 3 <= n <= MAX_N and 0 <= e < 2^C(n,2); any
-    other n or e is an InputError.
+    """Inverse of encode, for 3 <= n <= MAX_N and integer 0 <= e < 2^C(n,2);
+    any other n or e is an InputError.
 
     Row i's upper part is cut out of e.  Its lower part is the complement
     of column i of the upper parts (see _columns): for j < i, i dominates j
     exactly when bit i of row j is clear.
     """
-    n = _index(n, "n", 3, MAX_N)
+    n, e = _index(n, "n", 3, MAX_N), _index(e, "encoding")
     if not 0 <= e < 1 << (n * (n - 1) // 2):
         raise InputError(f"encoding {_quote_int(e)} out of range for n={n}")
     upper = [((e >> pair_index(n, i, i + 1)) & ((1 << (n - 1 - i)) - 1)) << (i + 1)
@@ -232,9 +230,10 @@ def random_tournament(n: int, seed: int) -> Tournament:
     """Uniformly random tournament, one fair bit per unordered pair.
 
     Deterministic: decode of C(n,2) bits from random.Random(seed) (Mersenne
-    Twister), drawn one getrandbits(1) at a time in pair_index order.
+    Twister), drawn one getrandbits(1) at a time in pair_index order.  A
+    seed that is not an integer (None would draw from the OS) is an InputError.
     """
-    n = _index(n, "n", 3, MAX_N)
+    n, seed = _index(n, "n", 3, MAX_N), _index(seed, "seed")
     rng = random.Random(seed)
     bits = "".join(["01"[rng.getrandbits(1)] for _ in range(n * (n - 1) // 2)])
     return decode(n, int(bits[::-1], 2))

@@ -49,6 +49,15 @@ def _exact_matmul(a, b):
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
+def _upper_of(a2, n):
+    """The entries of the n x n matrix a2 above its diagonal, in pair_index
+    order, as Python ints, after asserting that a2 is symmetric with
+    diagonal 1 - n: the entries square_upper leaves out."""
+    assert np.array_equal(a2, a2.T)
+    assert (np.diagonal(a2) == 1 - n).all()
+    return tuple(a2[np.triu_indices(n, 1)].tolist())
+
+
 def three_cycle():
     return from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -72,18 +81,17 @@ def test_seidel_reversal_negates():
 
 
 def test_seidel_view_is_read_only_and_cached():
-    # the square of S is the one matrix view a tournament caches
+    # the entries of S^2 above its diagonal are the one view a tournament caches
     t = random_tournament(9, seed=4)
-    a = t.square
-    assert a is t.square
-    # tuples of tuples of Python ints: no entry can be assigned
-    assert type(a) is tuple and len(a) == 9
-    assert all(type(row) is tuple and len(row) == 9 for row in a)
-    assert all(type(x) is int for row in a for x in row)
+    a = t.square_upper
+    assert a is t.square_upper
+    # a tuple of C(n,2) Python ints: no entry can be assigned
+    assert type(a) is tuple and len(a) == comb(9, 2)
+    assert all(type(x) is int for x in a)
     with pytest.raises(TypeError):
-        a[0][0] = 5
+        a[0] = 5
     s = np.array(seidel(t))
-    assert np.array_equal(np.array(t.square), s @ s)
+    assert _upper_of(s @ s, 9) == a
 
 
 class TestCharPoly:
@@ -199,7 +207,8 @@ class TestSpectralCount:
 
 
 class TestSquare:
-    """The popcount S^2 of Tournament.square against matrix products."""
+    """Tournament.square_upper against the entries above the diagonal of
+    matrix products."""
 
     @pytest.mark.parametrize("n", [3, 64, 512])
     def test_matches_int64_product(self, n):
@@ -209,20 +218,57 @@ class TestSquare:
             a2 = _exact_matmul(a, a)
             assert a2.dtype == np.int64
             assert np.array_equal(a2, a @ a)
-            assert np.array_equal(np.array(t.square), a2)
+            assert t.square_upper == _upper_of(a2, n)
 
     @given(st.integers(3, 64), st.integers(0, 2**30))
     @settings(max_examples=60, deadline=None)
     def test_matches_blas_oracle(self, n, seed):
         t = random_tournament(n, seed)
         a = np.array(seidel(t), dtype=np.int64)
-        assert np.array_equal(np.array(t.square), _exact_matmul(a, a))
+        assert t.square_upper == _upper_of(_exact_matmul(a, a), n)
 
     @pytest.mark.parametrize("build", [paley_tournament, star_paley])
     def test_paley_499(self, build):
         t = build(499)
         a = np.array(seidel(t), dtype=np.int64)
-        assert np.array_equal(np.array(t.square), _exact_matmul(a, a))
+        assert t.square_upper == _upper_of(_exact_matmul(a, a), t.n)
+
+
+class TestReadersAgainstFullSquare:
+    """is_skew_conference, kernel_sign_vector and sigma_from_traces, which
+    take the diagonal of S^2 from n, against the full numpy S^2 of the
+    oracle's S."""
+
+    def _agree(self, t):
+        n = t.n
+        s = np.array(seidel(t), dtype=np.int64)
+        a2 = s @ s
+        assert is_skew_conference(t) == np.array_equal(a2, (1 - n) * np.eye(n, dtype=np.int64))
+        # S^2 + nI = u u^T with u its row 0, when that is a +-1 vector
+        u = a2[0] + n * (np.arange(n) == 0)
+        rank_one = bool(np.isin(u, (-1, 1)).all()
+                        and np.array_equal(a2 + n * np.eye(n, dtype=np.int64), np.outer(u, u)))
+        got = kernel_sign_vector(t)
+        assert got == (u.tolist() if rank_one else None)
+        t2, t4 = int(np.trace(a2)), int((a2 * a2).sum())
+        assert sigma_from_traces(t) == (-t2 // 2, (t2 * t2 // 2 - t4) // 4)
+        return got
+
+    @given(st.integers(3, 40), st.integers(0, 2**30))
+    @settings(max_examples=60, deadline=None)
+    def test_random(self, n, seed):
+        self._agree(random_tournament(n, seed))
+
+    @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31, 43, 47])
+    def test_paley_and_star_paley(self, q):
+        assert self._agree(paley_tournament(q)) is not None
+        assert self._agree(star_paley(q)) is None
+        assert is_skew_conference(star_paley(q))
+
+    def test_one_arc_reversed_in_paley_43(self):
+        t = paley_tournament(43)
+        j = (t.rows[0] & -t.rows[0]).bit_length() - 1
+        assert self._agree(flip_arc(t, 0, j)) is None
 
 
 def _s3_identity(t):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
 from diamondkit import gf
 from diamondkit.gf import gf_build
-from diamondkit.hypergraph import baber, edge_count_bound, hypergraph, verify_ff4
+from diamondkit.hypergraph import baber, edge_count_bound, hypergraph, is_3_design, verify_ff4
 from diamondkit.spectral import count_diamonds_spectral, diamond_upper_bound
 from diamondkit.tournament import (
     Tournament,
@@ -114,7 +114,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("n,rows,bad", [
         # the transitive tournament on 3 vertices plus a fourth row: its
-        # square would be 4x4 and count_diamonds -1
+        # S^2 would be of order 4 and count_diamonds -1
         (3, (6, 4, 0, 0), (3, 3, "4 rows for n=3")),
         # the first three rows of a valid 4-vertex tournament
         (4, (14, 12, 8), (3, 3, "3 rows for n=4")),
@@ -124,7 +124,7 @@ class TestValidate:
         t = Tournament(n, rows)
         assert validate(t) == bad
         with pytest.raises(ValueError) as exc:
-            t.square
+            t.square_upper
         assert str(exc.value) == "not a tournament at ({},{}): {}".format(*bad)
 
     @pytest.mark.parametrize("rows", [
@@ -138,7 +138,7 @@ class TestValidate:
         t = Tournament(3, rows)
         i, j, reason = validate(t)
         with pytest.raises(ValueError) as exc:
-            t.square
+            t.square_upper
         assert str(exc.value) == f"not a tournament at ({i},{j}): {reason}"
 
 
@@ -344,7 +344,11 @@ class TestSizesThroughIndex:
 
     @pytest.mark.parametrize("call, size", [
         (lambda n: random_tournament(n, 1), 100),
+        # an int64 seed once reached random.Random, which refuses it
+        (lambda s: random_tournament(10, s), 1),
         (lambda n: decode(n, 5), 70),
+        # an int64 e once overflowed the range check against 2^C(70,2)
+        (lambda e: decode(70, e), 3),
         (paley_tournament, 103),
         (star_paley, 103),
         (lambda n: local_search_max_diamonds(n, restarts=1, steps=5), 70),
@@ -364,15 +368,24 @@ class TestSizesThroughIndex:
         (edge_count_bound, 100001),
         # a numpy q once kept numpy squares, whose bitmask wrapped at 64 bits
         (lambda q: gf_build(q).translates(sum(1 << x for x in gf_build(q).squares())), 67),
-    ], ids=["random_tournament", "decode", "paley_tournament", "star_paley", "local_search-n",
+        (lambda lam: is_3_design(baber(star_paley(7)), lam), 2),
+    ], ids=["random_tournament", "random_tournament-seed", "decode", "decode-encoding",
+            "paley_tournament", "star_paley", "local_search-n",
             "local_search-restarts", "local_search-steps", "local_search-threads",
             "exhaustive-n", "exhaustive-threads", "encodings_with_delta-n",
             "encodings_with_delta-delta", "hypergraph-verify_ff4", "hypergraph-n",
-            "diamond_upper_bound", "edge_count_bound", "gf_build"])
+            "diamond_upper_bound", "edge_count_bound", "gf_build", "is_3_design-lam"])
     def test_numpy_sizes_agree_and_floats_are_refused(self, call, size):
         assert call(np.int64(size)) == call(size)
         with pytest.raises(InputError, match="is not an integer"):
             call(size + 0.5)
+
+    @pytest.mark.parametrize("t", [lambda: decode(70, np.int64(3)),
+                                   lambda: random_tournament(10, np.int64(1))],
+                             ids=["decode", "random_tournament"])
+    def test_numpy_parameters_give_python_int_rows(self, t):
+        # an int64 row compares equal to its int, so == alone does not show this
+        assert all(type(r) is int for r in t().rows)
 
     # _index(v, what, lo, hi) is the one range check of each size: one text
     # for a range, one for a lower bound alone, v clipped to 40 digits
@@ -393,10 +406,16 @@ class TestSizesThroughIndex:
         (lambda: gf_build(100000000000031), "q=100000000000031 out of range [2, 512]"),
         (lambda: local_search_max_diamonds(8, steps=-10 ** 50),
          f"steps must be at least 0, got {'-1' + '0' * 38!r}... (52 characters)"),
+        # random.Random(None) would draw from the OS: the same seed would not
+        # give the same tournament
+        (lambda: random_tournament(10, None), "seed None is not an integer"),
+        (lambda: is_3_design(baber(star_paley(7)), 2.0), "lam 2.0 is not an integer"),
+        (lambda: is_3_design(hypergraph(8, []), -1), "lam must be at least 0, got -1"),
     ], ids=["decode", "random_tournament", "local_search-n", "local_search-restarts",
             "local_search-steps", "local_search-threads", "exhaustive-n", "exhaustive-threads",
             "hypergraph-n", "verify_ff4", "edge_count_bound", "diamond_upper_bound", "gf_build",
-            "clipped"])
+            "clipped", "random_tournament-seed-None", "is_3_design-lam-float",
+            "is_3_design-lam-negative"])
     def test_out_of_range_text(self, call, text):
         with pytest.raises(InputError) as exc:
             call()
