@@ -9,38 +9,37 @@ from .spectral import kernel_sign_vector
 from .tournament import MAX_N, InputError, Tournament, _index, _quote_int
 
 
-def _check_order(kind, q, n):
-    if n > MAX_N:
-        raise InputError(f"{kind} of q={_quote_int(q)} has {_quote_int(n)} vertices, "
-                         f"above the limit of {MAX_N}")
+def _paley_rows(kind, q, extra):
+    """The rows of T(q) on GF(q), q = 3 (mod 4): i -> j iff j - i is a square.
 
-
-def paley_tournament(q: int) -> Tournament:
-    """Paley tournament on GF(q), q = 3 (mod 4): i -> j iff j - i is a square.
-
-    Vertices are the field elements in their integer encoding (see gf module).
-    Row i is the set of squares translated by i.  Raises InputError if q
-    exceeds tournament.MAX_N (before any work), is no prime power or is not 3 mod 4.
+    Vertices are the field elements in their integer encoding (see gf
+    module); row i is the set of squares translated by i.  Raises
+    InputError if q + extra, the order of kind, exceeds tournament.MAX_N
+    (before any work), or if q is no prime power or is not 3 mod 4.
     """
     q = _index(q, "q")
-    _check_order("paley", q, q)
+    if q + extra > MAX_N:
+        raise InputError(f"{kind} of q={_quote_int(q)} has {_quote_int(q + extra)} vertices, "
+                         f"above the limit of {MAX_N}")
     table = gf.gf_build(q)
     if q % 4 != 3:
         raise InputError(f"q={q} is not 3 mod 4; the square relation would not be a tournament")
-    return Tournament(q, table.translates(sum(1 << x for x in table.squares())))
+    return table.translates(sum(1 << x for x in table.squares()))
+
+
+def paley_tournament(q: int) -> Tournament:
+    """The Paley tournament T(q) (see _paley_rows)."""
+    return Tournament(_paley_rows("paley", q, 0))
 
 
 def star_paley(q: int) -> Tournament:
-    """Paley tournament plus a new vertex (index q) dominating everything.
+    """T*(q): T(q) plus a new vertex (index q) dominating everything.
 
-    Raises InputError, before any work, if q + 1 exceeds tournament.MAX_N.
+    Its rows are built once and checked once; raises InputError as
+    _paley_rows does, for an order q + 1 above tournament.MAX_N.
     """
-    q = _index(q, "q")
-    _check_order("star-paley", q, q + 1)
-    base = paley_tournament(q)
-    rows = list(base.rows)
-    rows.append((1 << q) - 1)
-    return Tournament(q + 1, tuple(rows))
+    rows = _paley_rows("star-paley", q, 1)
+    return Tournament((*rows, (1 << len(rows)) - 1))
 
 
 def delete_vertices(t: Tournament, drop) -> Tournament:
@@ -66,7 +65,7 @@ def delete_vertices(t: Tournament, drop) -> Tournament:
     for v in sorted(seen, reverse=True):
         low = (1 << v) - 1
         rows = [(r & low) | ((r >> (v + 1)) << v) for r in rows]
-    return Tournament(len(rows), tuple(rows))
+    return Tournament(rows)
 
 
 def extend_to_conference(t: Tournament) -> Tournament:
@@ -86,4 +85,4 @@ def extend_to_conference(t: Tournament) -> Tournament:
         raise InputError("matrix is not odd-extremal; extension does not apply")
     rows = [r | (1 << n) if x == 1 else r for r, x in zip(t.rows, u)]
     rows.append(sum(1 << i for i, x in enumerate(u) if x == -1))
-    return Tournament(n + 1, tuple(rows))
+    return Tournament(rows)

@@ -45,16 +45,17 @@ def _subset_degree_squares(rows, a, b, c, d):
 
 
 def from_arcs(n, arcs) -> Tournament:
-    """The tournament with the arcs i -> j; it checks nothing (see validate)."""
+    """The tournament on n vertices with the arcs i -> j; Tournament refuses
+    arcs that do not make one."""
     rows = [0] * n
     for i, j in arcs:
         rows[i] |= 1 << j
-    return Tournament(n, tuple(rows))
+    return Tournament(rows)
 
 
 def reverse(t: Tournament) -> Tournament:
     full = (1 << t.n) - 1
-    return Tournament(t.n, tuple((full ^ r) & ~(1 << i) for i, r in enumerate(t.rows)))
+    return Tournament([(full ^ r) & ~(1 << i) for i, r in enumerate(t.rows)])
 
 
 def seidel(t: Tournament) -> list:
@@ -101,7 +102,7 @@ def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
     rows = list(t.rows)
     rows[i] &= ~(1 << j)
     rows[j] |= 1 << i
-    return Tournament(t.n, tuple(rows))
+    return Tournament(rows)
 
 
 def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:

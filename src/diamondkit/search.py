@@ -21,6 +21,7 @@ import random
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
+from numbers import Real
 
 from .spectral import diamond_upper_bound
 from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _index,
@@ -175,7 +176,7 @@ class _SquareState:
         n = self.n = t.n
         q = self.q = np.full((n, n), 1 - n, dtype=np.int64)
         i, j = np.triu_indices(n, 1)
-        q[i, j] = q[j, i] = t.square_upper  # raises unless t is valid
+        q[i, j] = q[j, i] = t.square_upper
         width = (n + 7) // 8
         packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in t.rows),
                                dtype=np.uint8).reshape(n, width)
@@ -219,15 +220,17 @@ def local_search_max_diamonds(
     the best-of reduction keeps the most diamonds, ties to the least
     encoding; threads is checked and reported, not used.
     Raises InputError, before any work, unless 4 <= n <= MAX_N,
-    restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, t0 is finite and
-    >= 0 and cooling is finite and > 0.
+    restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, seed is an
+    integer (see tournament._index), t0 is a finite real >= 0 and cooling a
+    finite real > 0.
     """
     n, restarts = _index(n, "n", 4, MAX_N), _index(restarts, "restarts", 1)
     steps, threads = _index(steps, "steps", 0), _index(threads, "threads", 1, MAX_THREADS)
-    if not (math.isfinite(t0) and t0 >= 0):
-        raise InputError(f"t0 must be finite and at least 0, got {t0}")
-    if not (math.isfinite(cooling) and cooling > 0):
-        raise InputError(f"cooling must be finite and above 0, got {cooling}")
+    seed = _index(seed, "seed")
+    if not (isinstance(t0, Real) and math.isfinite(t0) and t0 >= 0):
+        raise InputError(f"t0 must be finite and at least 0, got {t0!r}")
+    if not (isinstance(cooling, Real) and math.isfinite(cooling) and cooling > 0):
+        raise InputError(f"cooling must be finite and above 0, got {cooling!r}")
 
     def run_restart(r):
         rng = random.Random(f"{seed}/{r}")

@@ -1,12 +1,12 @@
-"""Tournaments as row bitsets: validation, diamond detection, counting, the
-pair encoding and S^2.
+"""Tournaments as row bitsets: the one check, diamond detection, counting,
+the pair encoding and S^2.
 
-A tournament on n vertices (3 <= n <= 512) stores one bitmask per vertex;
-bit j of row i is set iff i dominates j.  Vertices are dense 0-based ints.
-The pair encoding is bit operations on the rows.  The validation verdict
-and S^2 above its diagonal, for the Seidel matrix S = A - A^T, are built
-from the rows on first use and cached, so a loaded tournament is scanned
-once and every spectral check reads one S^2.  No numpy is imported here.
+A tournament on n vertices stores one bitmask per vertex; bit j of row i is
+set iff i dominates j.  Vertices are dense 0-based ints.  Tournament(rows)
+refuses rows that are not a tournament, so every reader trusts them.  The
+pair encoding is bit operations on the rows.  S^2 above its diagonal, for
+S = A - A^T, is built from the rows on first use and cached, so every
+spectral check reads one S^2.  No numpy is imported here.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class InputError(ValueError):
 
 
 def _square(n, rows):
-    """The C(n,2) entries of S^2 above its diagonal, of a valid tournament,
+    """The C(n,2) entries of S^2 above its diagonal, of a tournament's rows,
     in pair_index order, from popcounts.
 
     For i != j, (S^2)_ij = -sum_k S_ik S_jk.  Rows i and j differ at each k
@@ -84,30 +84,39 @@ def _immutable(self, name, value):
     raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
 
-class Tournament(namedtuple("Tournament", "n rows")):
-    """n vertices; rows[i] is the bitmask of the vertices dominated by i."""
+class Tournament(namedtuple("Tournament", "rows")):
+    """A tournament on n = len(rows) vertices; rows[i] is the bitmask of the
+    vertices dominated by i.  The constructor is the one check: it reads the
+    rows into a tuple of Python ints (see _index) and raises InputError at
+    the first bad pair (see _first_defect); _make, _replace, copy and pickle
+    build through it."""
 
     __setattr__ = _immutable
 
-    @cached_property
-    def _defect(self):
-        """validate's verdict, computed on first use and cached (the fields,
-        equality and hash do not change)."""
-        return _first_defect(self.n, self.rows)
+    def __new__(cls, rows):
+        rows = tuple([_index(r, "row") for r in rows])
+        bad = _first_defect(rows)
+        if bad is not None:
+            raise InputError("not a tournament at ({},{}): {}".format(*bad))
+        return super().__new__(cls, rows)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
     @cached_property
     def square_upper(self) -> tuple:
         """(S^2)_ij, i < j, for S = A - A^T: a tuple of C(n,2) ints in
         pair_index order, exact (see _square); S^2 is symmetric, diagonal 1 - n.
-
-        Raises a plain ValueError unless validate(self) is None: no loaded or
-        constructed tournament fails it, so it marks a bug, not an
-        InputError.  Built on first use and cached on the instance.
+        Built on first use and cached on the instance.
         """
-        bad = validate(self)
-        if bad is not None:
-            i, j, reason = bad
-            raise ValueError(f"not a tournament at ({i},{j}): {reason}")
         return _square(self.n, self.rows)
 
 
@@ -121,18 +130,16 @@ def _columns(n, rows):
     return cols
 
 
-def _first_defect(n, rows):
-    """The first pair at which rows fail to be a tournament, or None.
+def _first_defect(rows):
+    """The first pair at which rows fail to be a tournament on n = len(rows)
+    vertices, as (i, j, reason), or None.
 
-    A row count other than n is reported first, at (k, k) for
-    k = min(len(rows), n).  Then row i is checked for a diagonal bit, then
-    for bits beyond n (a negative row has infinitely many), then for the
-    first j > i where a_ij == a_ji.  Column j (see _columns) is the
-    in-neighbourhood of j.
+    Pairs are scanned in row-major order with i <= j: row i is checked for
+    a diagonal bit, then for bits beyond n (a negative row has infinitely
+    many), then for the first j > i where a_ij == a_ji.  Column j (see
+    _columns) is the in-neighbourhood of j.  O(n^2) character work.
     """
-    if len(rows) != n:
-        k = min(len(rows), n)
-        return (k, k, f"{len(rows)} rows for n={n}")
+    n = len(rows)
     full = (1 << n) - 1
     for i, (r, c) in enumerate(zip(rows, _columns(n, rows))):
         if (r >> i) & 1:
@@ -144,17 +151,6 @@ def _first_defect(n, rows):
             j = i + (bad & -bad).bit_length()
             return (i, j, "both orientations present" if (r >> j) & 1 else "missing orientation")
     return None
-
-
-def validate(t: Tournament):
-    """Return None if all tournament invariants hold, else the first bad pair.
-
-    The report is a tuple (i, j, reason); pairs are scanned in row-major
-    order with i <= j, so the first violation is deterministic.  O(n^2)
-    character work; the verdict is cached on t, so each tournament is
-    scanned once.
-    """
-    return t._defect
 
 
 def _diamond_lanes(ab, cd, ac, bd, ad, bc, ones):
@@ -203,7 +199,7 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 
 def encode(t: Tournament) -> int:
-    """The pair encoding of a valid tournament: bit pair_index(n, i, j) is
+    """The pair encoding of t: bit pair_index(n, i, j) is
     set iff i dominates j, for i < j.  Row i's bits above the diagonal are
     one run of the encoding, from pair_index(n, i, i+1) on: one shift each."""
     return sum((r >> (i + 1)) << pair_index(t.n, i, i + 1) for i, r in enumerate(t.rows))
@@ -215,15 +211,15 @@ def decode(n: int, e: int) -> Tournament:
 
     Row i's upper part is cut out of e.  Its lower part is the complement
     of column i of the upper parts (see _columns): for j < i, i dominates j
-    exactly when bit i of row j is clear.
+    exactly when bit i of row j is clear; Tournament(rows) checks the result.
     """
     n, e = _index(n, "n", 3, MAX_N), _index(e, "encoding")
     if not 0 <= e < 1 << (n * (n - 1) // 2):
         raise InputError(f"encoding {_quote_int(e)} out of range for n={n}")
     upper = [((e >> pair_index(n, i, i + 1)) & ((1 << (n - 1 - i)) - 1)) << (i + 1)
              for i in range(n)]
-    return Tournament(n, tuple(u | (~c & ((1 << i) - 1))
-                               for i, (u, c) in enumerate(zip(upper, _columns(n, upper)))))
+    return Tournament([u | (~c & ((1 << i) - 1))
+                       for i, (u, c) in enumerate(zip(upper, _columns(n, upper)))])
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -288,11 +284,11 @@ def parse_trn(text: str) -> Tournament:
             raise InputError(f"bad character {ch!r}", line=i + 2, column=j + 1)
         # character j is bit j: the reversed line is the row in binary
         rows.append(int(line[::-1], 2))
-    t = Tournament(n, tuple(rows))
-    bad = validate(t)
-    if bad is not None:
-        i, j, reason = bad
-        raise InputError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
+    try:
+        t = Tournament(rows)
+    except InputError as exc:  # scan again, only to place the defect
+        i, j, _ = _first_defect(rows)
+        raise InputError(str(exc), line=i + 2, column=j + 1) from None
     _refuse_trailing(lines, n + 1, f"the {n} rows")
     return t
 

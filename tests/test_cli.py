@@ -35,7 +35,6 @@ from diamondkit.tournament import (
     load_trn,
     random_tournament,
     save_trn,
-    validate,
 )
 
 
@@ -604,15 +603,14 @@ ROWS_17 = (70798, 92668, 46264, 98336, 1513, 114049, 55469, 29448, 123981, 45439
 
 class TestRefutedBound:
     def test_n17_witness(self):
-        t = Tournament(17, ROWS_17)
-        assert validate(t) is None
+        t = Tournament(ROWS_17)
         assert count_diamonds(t) == count_diamonds_spectral(t) == count_diamonds_naive(t) == 702
         assert verify_ff4(baber(t)) is None
         assert edge_count_bound(17) == (700, CONJECTURAL)
 
     def test_baber_verify_chain_reports_refuted(self, tmp_path, capsys):
         trn, hyp = tmp_path / "w17.trn", tmp_path / "w17.hyp"
-        save_trn(Tournament(17, ROWS_17), trn)
+        save_trn(Tournament(ROWS_17), trn)
         code, report = run(capsys, "baber", "--in", str(trn), "--out", str(hyp))
         assert code == OK and report["results"]["m"] == 702
         assert report["results"]["bound"]["status"] == REFUTED
@@ -738,19 +736,47 @@ class TestOnlyInputErrorsExit2:
         assert type(info.value) is ValueError
 
 
+def _count_scans(monkeypatch):
+    """The list that each later call of tournament._first_defect appends to."""
+    calls = []
+    first_defect = tournament._first_defect
+    monkeypatch.setattr(tournament, "_first_defect",
+                        lambda *a: calls.append(a) or first_defect(*a))
+    return calls
+
+
 class TestUnpackOnce:
     def test_verify_unpacks_the_rows_once(self, tmp_path, capsys, monkeypatch):
-        # parse_trn validates, and S^2 reads the verdict cached on the tournament
+        # parse_trn builds the one Tournament, and its constructor is the check
         path = tmp_path / "s.trn"
         save_trn(star_paley(11), path)
-        calls = []
-        first_defect = tournament._first_defect
-        monkeypatch.setattr(tournament, "_first_defect",
-                            lambda *a: calls.append(a) or first_defect(*a))
+        calls = _count_scans(monkeypatch)
         code, report = run(capsys, "verify", "--in", str(path),
                            "--checks", "conference,extremal-charpoly")
         assert code == OK and report["results"]["conference"] is True
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, scans", [
+        # each Tournament made is scanned once: star_paley builds no T(q) first
+        (["construct", "star-paley", "--q", "11"], 1),
+        (["count", "--in", "s.trn"], 1),
+        (["verify", "--in", "s.trn", "--checks", "conference"], 1),
+        (["baber", "--in", "s.trn"], 1),
+        # the loaded tournament and the result
+        (["delete", "--in", "s.trn", "--vertices", "11"], 2),
+        (["extend", "--in", "p.trn"], 2),
+        # the witness
+        (["search", "--mode", "exhaustive", "--n", "5"], 1),
+        # three random starts and the witness
+        (["search", "--mode", "local", "--n", "5", "--restarts", "3", "--steps", "10"], 4),
+    ])
+    def test_one_scan_per_tournament(self, tmp_path, capsys, monkeypatch, argv, scans):
+        save_trn(star_paley(11), tmp_path / "s.trn")
+        save_trn(paley_tournament(11), tmp_path / "p.trn")
+        monkeypatch.chdir(tmp_path)
+        calls = _count_scans(monkeypatch)
+        code, _ = run(capsys, *argv)
+        assert code == OK and len(calls) == scans
 
 
 # Runs the README chain in one interpreter and prints, after the import and

@@ -23,7 +23,6 @@ from diamondkit.tournament import (
     count_diamonds,
     format_trn,
     random_tournament,
-    validate,
 )
 
 
@@ -34,7 +33,6 @@ def test_paley_3_is_the_cycle():
 
 def test_paley_7_doubly_regular():
     t = paley_tournament(7)
-    assert validate(t) is None
     assert all(row.bit_count() == 3 for row in t.rows)
 
 
@@ -106,7 +104,6 @@ class TestDeleteVertices:
                           (2, 3), (2, 4), (3, 4)])
         sub = delete_vertices(t, {1})
         assert sub.n == 4
-        assert validate(sub) is None
         assert sub.rows[0] == 0b1110
 
     def test_rejects_too_many(self):
@@ -193,7 +190,6 @@ class TestExtendKernelColumn:
         # the extension is an extremal tournament: both counts, the
         # classifier and the Baber design all accept it
         ext = extend_to_conference(paley_tournament(q))
-        assert validate(ext) is None
         n = q + 1
         assert count_diamonds(ext) == count_diamonds_spectral(ext) == n * n * q * (q - 1) // 96
         assert matches_extremal_charpoly(ext) == EVEN_EXTREMAL

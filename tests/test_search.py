@@ -31,12 +31,12 @@ from diamondkit.spectral import (
     matches_extremal_charpoly,
 )
 from diamondkit.tournament import (
+    InputError,
     _diamond_lanes,
     count_diamonds,
     decode,
     encode,
     random_tournament,
-    validate,
 )
 
 
@@ -146,7 +146,6 @@ class TestLocalSearch:
     def test_zero_steps_returns_seed_delta(self):
         res = local_search_max_diamonds(10, restarts=1, steps=0, seed=3)
         assert res.max_diamonds == count_diamonds_naive(res.witness)
-        assert validate(res.witness) is None
 
     def test_deterministic_for_fixed_seed(self):
         a = local_search_max_diamonds(9, restarts=2, steps=300, seed=7)
@@ -310,6 +309,31 @@ class TestLocalSearchLimits:
         monkeypatch.setattr("diamondkit.search.random_tournament", never)
         with pytest.raises(ValueError):
             local_search_max_diamonds(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, text", [
+        ({"seed": None}, "seed None is not an integer"),
+        ({"seed": 1.5}, "seed 1.5 is not an integer"),
+        ({"seed": "abc"}, "seed 'abc' is not an integer"),
+        ({"t0": "2"}, "t0 must be finite and at least 0, got '2'"),
+        ({"t0": None}, "t0 must be finite and at least 0, got None"),
+        ({"t0": 1j}, "t0 must be finite and at least 0, got 1j"),
+        ({"cooling": "x"}, "cooling must be finite and above 0, got 'x'"),
+        ({"cooling": None}, "cooling must be finite and above 0, got None"),
+    ])
+    def test_parameter_types_are_input_errors(self, monkeypatch, kwargs, text):
+        def never(*args):
+            raise AssertionError("search started")
+        monkeypatch.setattr("diamondkit.search.random_tournament", never)
+        with pytest.raises(InputError) as exc:
+            local_search_max_diamonds(8, **kwargs)
+        assert str(exc.value) == text
+
+    def test_seed_is_read_as_an_integer(self):
+        # a bool or numpy seed names the same run as the int it equals
+        one = local_search_max_diamonds(8, restarts=2, steps=50, seed=1)
+        for seed in (True, np.int64(1)):
+            res = local_search_max_diamonds(8, restarts=2, steps=50, seed=seed)
+            assert res == one and type(res.params["seed"]) is int
 
     def test_exhaustive_threads_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import random
 import re
 from math import comb
@@ -14,9 +15,11 @@ from diamondkit import gf
 from diamondkit.gf import gf_build
 from diamondkit.hypergraph import baber, edge_count_bound, hypergraph, is_3_design, verify_ff4
 from diamondkit.spectral import count_diamonds_spectral, diamond_upper_bound
+from diamondkit import tournament
 from diamondkit.tournament import (
     Tournament,
     _diamond_lanes,
+    _first_defect,
     count_diamonds,
     decode,
     encode,
@@ -24,7 +27,6 @@ from diamondkit.tournament import (
     pair_index,
     parse_trn,
     random_tournament,
-    validate,
     InputError,
 )
 from diamondkit.oracles import (
@@ -58,15 +60,20 @@ def _is_diamond(t, a, b, c, d):
                           _arc(t, a, d), _arc(t, b, c), 1)
 
 
-def _validate_reference(t):
-    """validate() as a per-pair scan in row-major order."""
-    for i in range(t.n):
-        if _arc(t, i, i):
+def _validate_reference(rows):
+    """_first_defect as a per-pair scan in row-major order."""
+    n = len(rows)
+
+    def arc(i, j):
+        return (rows[i] >> j) & 1
+
+    for i in range(n):
+        if arc(i, i):
             return (i, i, "diagonal entry set")
-        if t.rows[i] >> t.n:
+        if rows[i] >> n:
             return (i, i, "bit set beyond vertex range")
-        for j in range(i + 1, t.n):
-            ij, ji = _arc(t, i, j), _arc(t, j, i)
+        for j in range(i + 1, n):
+            ij, ji = arc(i, j), arc(j, i)
             if ij and ji:
                 return (i, j, "both orientations present")
             if not ij and not ji:
@@ -88,44 +95,48 @@ def diamond4():
 
 
 class TestValidate:
+    """Tournament(rows) is the one check: it refuses rows that are not a
+    tournament, with the first bad pair of _first_defect."""
+
     def test_three_cycle_ok(self):
-        assert validate(three_cycle()) is None
+        assert Tournament((0b010, 0b100, 0b001)) == three_cycle()
 
     def test_antisymmetry_violation(self):
         # the arcs 0 -> 1 and 1 -> 0 both set
-        bad = validate(Tournament(3, (0b010, 0b101, 0b010)))
-        assert bad is not None and bad[:2] == (0, 1)
+        with pytest.raises(InputError, match=r"^not a tournament at \(0,1\): "
+                                             "both orientations present$"):
+            Tournament((0b010, 0b101, 0b010))
 
     def test_irreflexivity_violation(self):
-        bad = validate(Tournament(3, (0b001 | 0b010, 0b100, 0b010)))
-        assert bad is not None and bad[:2] == (0, 0)
+        with pytest.raises(InputError, match=r"^not a tournament at \(0,0\): "
+                                             "diagonal entry set$"):
+            Tournament((0b001 | 0b010, 0b100, 0b010))
 
     def test_missing_orientation(self):
-        bad = validate(Tournament(3, (0b010, 0b100, 0)))
-        assert bad is not None
+        with pytest.raises(InputError, match=r"^not a tournament at \(0,2\): "
+                                             "missing orientation$"):
+            Tournament((0b010, 0b100, 0))
+
+    def test_everyone_beats_everyone_refused(self):
+        # these rows once counted -40 diamonds and had 0 Baber edges
+        with pytest.raises(InputError, match=r"^not a tournament at \(0,1\): "
+                                             "both orientations present$"):
+            Tournament([0b11111 ^ (1 << i) for i in range(5)])
+
+    def test_n_is_the_row_count(self):
+        assert three_cycle().n == 3
+        with pytest.raises(TypeError):
+            Tournament(4, (2, 0))
 
     def test_negative_row_reported(self):
         # row 1 - 2^8 has the bits of row 1 below n, so the adjacency view
         # is a valid tournament; the infinite run of high bits is not
         rows = list(three_cycle().rows)
         rows[1] -= 1 << 8
-        t = Tournament(3, tuple(rows))
-        assert validate(t) == _validate_reference(t) == (1, 1, "bit set beyond vertex range")
-
-    @pytest.mark.parametrize("n,rows,bad", [
-        # the transitive tournament on 3 vertices plus a fourth row: its
-        # S^2 would be of order 4 and count_diamonds -1
-        (3, (6, 4, 0, 0), (3, 3, "4 rows for n=3")),
-        # the first three rows of a valid 4-vertex tournament
-        (4, (14, 12, 8), (3, 3, "3 rows for n=4")),
-        (3, (), (0, 0, "0 rows for n=3")),
-    ])
-    def test_row_count_reported_first(self, n, rows, bad):
-        t = Tournament(n, rows)
-        assert validate(t) == bad
-        with pytest.raises(ValueError) as exc:
-            t.square_upper
-        assert str(exc.value) == "not a tournament at ({},{}): {}".format(*bad)
+        assert _first_defect(rows) == _validate_reference(rows) == \
+            (1, 1, "bit set beyond vertex range")
+        with pytest.raises(InputError):
+            Tournament(rows)
 
     @pytest.mark.parametrize("rows", [
         (0b010, 0b101, 0b010),
@@ -134,12 +145,50 @@ class TestValidate:
         (0b010, 0b100 - (1 << 8), 0b001),
     ])
     def test_seidel_refuses_invalid(self, rows):
-        # the square of the Seidel matrix exists only for a valid tournament
-        t = Tournament(3, rows)
-        i, j, reason = validate(t)
-        with pytest.raises(ValueError) as exc:
-            t.square_upper
+        # no S^2 exists for rows that are not a tournament: no Tournament does
+        i, j, reason = _validate_reference(rows)
+        with pytest.raises(InputError) as exc:
+            Tournament(rows)
         assert str(exc.value) == f"not a tournament at ({i},{j}): {reason}"
+
+    def test_list_rows_stored_as_a_tuple(self):
+        rows = [0b010, 0b100, 0b001]
+        t = Tournament(rows)
+        rows[2] = 0
+        assert type(t.rows) is tuple and t == three_cycle()
+
+    def test_numpy_rows_stored_as_python_ints(self):
+        # vertex i beats every j < i; the rows that fit in int64 are numpy ints
+        rows = [np.int64((1 << i) - 1) if i < 63 else (1 << i) - 1 for i in range(70)]
+        t = Tournament(rows)
+        assert t.rows == tuple((1 << i) - 1 for i in range(70))
+        assert all(type(r) is int for r in t.rows)
+        assert count_diamonds(t) == 0
+
+    def test_float_row_refused(self):
+        with pytest.raises(InputError, match="^row 4.0 is not an integer$"):
+            Tournament((0b010, 4.0, 0b001))
+
+    def test_replace_and_make_are_checked(self):
+        t = three_cycle()
+        assert t._replace(rows=[0b100, 0b001, 0b010]) == reverse(t)
+        with pytest.raises(InputError, match=r"^not a tournament at \(0,2\)"):
+            t._replace(rows=(0b010, 0b100, 0))
+        with pytest.raises(InputError, match=r"^not a tournament at \(0,2\)"):
+            Tournament._make([(0b010, 0b100, 0)])
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_is_checked(self, monkeypatch, protocol):
+        t = random_tournament(9, 1)
+        t.square_upper
+        data = pickle.dumps(t, protocol)
+        calls = []
+        first_defect = tournament._first_defect
+        monkeypatch.setattr(tournament, "_first_defect",
+                            lambda *a: calls.append(a) or first_defect(*a))
+        u = pickle.loads(data)
+        assert u == t and hash(u) == hash(t) and type(u) is Tournament
+        assert len(calls) == 1
 
 
 class TestIsDiamond:
@@ -260,8 +309,8 @@ def _switch(t, x):
     elsewhere): every arc between x and the other vertices is reversed."""
     inside = sum(1 << v for v in x)
     outside = ((1 << t.n) - 1) ^ inside
-    return Tournament(t.n, tuple(r ^ (outside if (inside >> i) & 1 else inside)
-                                 for i, r in enumerate(t.rows)))
+    return Tournament([r ^ (outside if (inside >> i) & 1 else inside)
+                       for i, r in enumerate(t.rows)])
 
 
 class TestSwitching:
@@ -272,7 +321,6 @@ class TestSwitching:
     @settings(max_examples=60, deadline=None)
     def test_counts_and_baber_are_invariant(self, t, data):
         u = _switch(t, data.draw(st.sets(st.integers(0, t.n - 1))))
-        assert validate(u) is None
         assert count_diamonds(u) == count_diamonds(t)
         assert count_diamonds_spectral(u) == count_diamonds_spectral(t)
         assert baber(u).edges == baber(t).edges
@@ -505,7 +553,6 @@ class TestRandomTournament:
     def test_seed_sensitivity(self):
         a, b = random_tournament(5, 1), random_tournament(5, 2)
         assert a != b
-        assert validate(a) is None and validate(b) is None
 
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
@@ -580,11 +627,11 @@ def _parse_trn_reference(text):
             if ch == "1":
                 r |= 1 << j
         rows.append(r)
-    t = Tournament(n, tuple(rows))
-    bad = validate(t)
+    bad = _validate_reference(rows)
     if bad is not None:
         i, j, reason = bad
         raise InputError(f"not a tournament at ({i},{j}): {reason}", line=i + 2, column=j + 1)
+    t = Tournament(rows)
     for k in range(n + 1, len(lines)):
         if lines[k].strip():
             raise InputError(f"text after the {n} rows: {lines[k]!r}", line=k + 1)
@@ -656,8 +703,13 @@ class TestTrnFormat:
             rows = list(random_tournament(n, trial).rows)
             for _ in range(rng.randint(0, 3)):
                 rows[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)
-            t = Tournament(n, tuple(rows))
-            assert validate(t) == _validate_reference(t)
+            bad = _first_defect(rows)
+            assert bad == _validate_reference(rows)
+            if bad is not None:
+                with pytest.raises(InputError, match=re.escape("at ({},{}): {}".format(*bad))):
+                    Tournament(rows)
+                continue
+            t = Tournament(rows)
             lines = [str(n)] + ["".join("1" if _arc(t, i, j) else "0" for j in range(n))
                                 for i in range(n)]
             assert format_trn(t) == "\n".join(lines) + "\n"
