@@ -3,20 +3,20 @@
 
 An FF4-hypergraph is a 4-uniform hypergraph in which every 5 vertices span
 0 or exactly 2 hyperedges; an FF4-design additionally has every triple in
-exactly n/4 hyperedges.
+exactly n/4 hyperedges.  Hypergraph4(n, edges) checks every hypergraph.
 """
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import index, lt
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _immutable, _index,
+from .tournament import (MAX_N, InputError, Tournament, _Record, _bits, _diamond_lanes, _index,
                          _quote, _quote_int, _read_utf8, _refuse_trailing, count_diamonds,
                          parse_int)
 
@@ -31,12 +31,24 @@ REFUTED = "refuted"
 MAX_EDGES = 2**22
 
 
-class Hypergraph4(namedtuple("Hypergraph4", "n edges")):
-    """n vertices; edges is a tuple of increasing 4-tuples of Python ints
-    below n, in ascending order: the order of the .hyp lines.  The order is
-    canonical, so equality and hash are those of the edge set."""
+class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
+    """n vertices, 0 <= n <= MAX_N; edges is the strictly ascending tuple of
+    4-tuples 0 <= a < b < c < d < n of Python ints (link shifts on numpy ints
+    would wrap): the .hyp order, so equality and hash are those of the edge
+    set.  The constructor is the one check: see _first_bad_edge."""
 
-    __setattr__ = _immutable
+    def __new__(cls, n, edges):
+        n = _index(n, "n", 0, MAX_N)
+        edges = tuple(edges)
+        try:
+            checked = tuple([(a, b, c, d) for w, x, y, z in edges
+                             for a, b, c, d in [(index(w), index(x), index(y), index(z))]
+                             if 0 <= a < b < c < d < n])
+        except (TypeError, ValueError):  # not 4 integers: _first_bad_edge names it
+            checked = ()
+        if len(checked) != len(edges) or not all(map(lt, checked, checked[1:])):
+            raise InputError(_first_bad_edge(n, edges)[1])
+        return super().__new__(cls, n, checked)
 
     @property
     def m(self) -> int:
@@ -68,32 +80,24 @@ class Hypergraph4(namedtuple("Hypergraph4", "n edges")):
         return links
 
 
-def hypergraph(n, edges) -> Hypergraph4:
-    """Hypergraph4 on n vertices from any iterable of 4-sets of indices.
-
-    The one checked constructor: raises InputError unless
-    0 <= n <= tournament.MAX_N, and on an edge that is not 4 distinct
-    integer indices in range(n).  n and each index may be a Python int or
-    any integer type operator.index accepts (numpy integers); a float or a
-    string is refused.  The edges may come in any order and repeat; they
-    are stored once each, ascending.  parse_hyp and baber, which validate or
-    build every edge in ascending order themselves, call Hypergraph4
-    directly.
-    """
-    n = _index(n, "n", 0, MAX_N)
-    checked = set()
-    for e in edges:
+def _first_bad_edge(n, edges):
+    """(k, message): the first edge, edges[k], that is not 4 integers
+    0 <= a < b < c < d < n after edges[k - 1], named, or None."""
+    last = ()
+    for k, e in enumerate(edges):
         try:
-            # Python ints: a numpy index would make the link shifts wrap at 64 bits
-            e = tuple(sorted(map(operator.index, e)))
+            e = tuple(map(index, e))
         except TypeError:
-            raise InputError(f"bad edge {e!r}: indices must be integers") from None
-        if len(e) != 4 or len(set(e)) != 4:
-            raise InputError(f"bad edge {e!r}")
-        if e[0] < 0 or e[3] >= n:
-            raise InputError(f"edge {e!r} out of range for n={n}")
-        checked.add(e)
-    return Hypergraph4(n, tuple(sorted(checked)))
+            return k, f"bad edge {e!r}: indices must be integers"
+        if len(e) != 4:
+            return k, f"bad edge {e!r}"
+        if not 0 <= e[0] < e[1] < e[2] < e[3] < n:
+            if e[0] < e[1] < e[2] < e[3]:
+                return k, f"edge {e} out of range for n={n}"
+            return k, "edge indices must be strictly increasing"
+        if e <= last:
+            return k, f"edge {e} is not after {last}: edges must be strictly ascending"
+        last = e
 
 
 def baber(t: Tournament) -> Hypergraph4:
@@ -123,7 +127,7 @@ def baber(t: Tournament) -> Hypergraph4:
                 lanes = _diamond_lanes(ab, rows[c], full if (ra >> c) & 1 else 0, rb, ra,
                                        full if (rb >> c) & 1 else 0, full)
                 edges.extend((a, b, c, d) for d in _bits(lanes & -(2 << c)))
-    return Hypergraph4(n, tuple(edges))
+    return Hypergraph4(n, edges)
 
 
 def verify_ff4(h: Hypergraph4):
@@ -212,8 +216,8 @@ def parse_hyp(text: str) -> Hypergraph4:
     the toolkit builds, and m at MAX_EDGES.
 
     Every number is ASCII digits with an optional leading minus (see
-    tournament.parse_int).  Every edge is validated here, once; each
-    InputError carries the 1-based line.
+    tournament.parse_int).  The tokens of every line come before the edges,
+    which Hypergraph4 checks; each InputError carries the 1-based line.
     """
     lines = text.splitlines()
     if not lines:
@@ -233,27 +237,23 @@ def parse_hyp(text: str) -> Hypergraph4:
                          line=len(lines))
     # in ASCII text without "+" or "_", int() takes just the tokens parse_int
     # takes, and is faster
-    index = int if text.isascii() and "+" not in text and "_" not in text else parse_int
+    read = int if text.isascii() and "+" not in text and "_" not in text else parse_int
     edges = []
     for lineno, raw in enumerate(lines[1:m + 1], start=2):
         parts = raw.split()
         if len(parts) != 4:
             raise InputError(f"an edge needs 4 indices, got {len(parts)}", line=lineno)
         try:
-            a, b, c, d = map(index, parts)
+            edges.append(tuple(map(read, parts)))
         except ValueError:
             raise InputError(f"bad index in {_quote(raw)}", line=lineno) from None
-        if not 0 <= a < b < c < d < n:
-            if a < b < c < d:
-                raise InputError(f"edge {(a, b, c, d)} out of range for n={n}", line=lineno)
-            raise InputError("edge indices must be strictly increasing", line=lineno)
-        edge = (a, b, c, d)
-        if edges and edge <= edges[-1]:
-            raise InputError(f"edge {edge} is not after {edges[-1]}: "
-                             "edges must be strictly ascending", line=lineno)
-        edges.append(edge)
+    try:
+        h = Hypergraph4(n, edges)
+    except InputError as exc:  # scan again, only to place the defect
+        k, _ = _first_bad_edge(n, edges)
+        raise InputError(str(exc), line=k + 2) from None
     _refuse_trailing(lines, m + 1, f"the {m} edges")
-    return Hypergraph4(n, tuple(edges))
+    return h
 
 
 def format_hyp(h: Hypergraph4) -> str:

@@ -77,35 +77,35 @@ def _bits(x):
         x ^= low
 
 
-def _immutable(self, name, value):
-    """__setattr__ of the records that keep a __dict__ for their cached
-    properties: every assignment is refused, while cached_property stores
-    its value in the __dict__ directly."""
-    raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+class _Record(tuple):
+    """Base of Tournament and Hypergraph4: _make (so _replace), copy and
+    pickle build through the constructor, the check; assignment is refused,
+    while cached_property writes the __dict__ directly."""
 
-
-class Tournament(namedtuple("Tournament", "rows")):
-    """A tournament on n = len(rows) vertices; rows[i] is the bitmask of the
-    vertices dominated by i.  The constructor is the one check: it reads the
-    rows into a tuple of Python ints (see _index) and raises InputError at
-    the first bad pair (see _first_defect); _make, _replace, copy and pickle
-    build through it."""
-
-    __setattr__ = _immutable
-
-    def __new__(cls, rows):
-        rows = tuple([_index(r, "row") for r in rows])
-        bad = _first_defect(rows)
-        if bad is not None:
-            raise InputError("not a tournament at ({},{}): {}".format(*bad))
-        return super().__new__(cls, rows)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
     def __reduce__(self):
-        return type(self), (self.rows,)
+        return type(self), tuple(self)
+
+
+class Tournament(_Record, namedtuple("Tournament", "rows")):
+    """A tournament on n = len(rows) vertices, 3 <= n <= MAX_N; rows[i] is
+    the bitmask of the vertices dominated by i.  The constructor is the one
+    check: it reads the rows into a tuple of Python ints (see _index) and
+    raises InputError on n, then at the first bad pair (see _first_defect)."""
+
+    def __new__(cls, rows):
+        rows = tuple([_index(r, "row") for r in rows])
+        _index(len(rows), "n", 3, MAX_N)
+        bad = _first_defect(rows)
+        if bad is not None:
+            raise InputError("not a tournament at ({},{}): {}".format(*bad))
+        return super().__new__(cls, rows)
 
     @property
     def n(self) -> int:
@@ -302,9 +302,8 @@ def _refuse_trailing(lines, start, declared):
 
 def format_trn(t: Tournament) -> str:
     # character j of a line is bit j of the row: the row's binary string reversed
-    full = (1 << t.n) - 1
     out = [str(t.n)]
-    out.extend(format(r & full, f"0{t.n}b")[::-1] for r in t.rows)
+    out.extend(format(r, f"0{t.n}b")[::-1] for r in t.rows)
     return "\n".join(out) + "\n"
 
 

@@ -623,7 +623,7 @@ class TestRefutedBound:
     def test_non_ff4_above_the_bound_stays_conjectural(self, tmp_path, capsys):
         # all 5 quadruples of 5 vertices: above the bound 2, but not FF4
         path = tmp_path / "k5.hyp"
-        save_hyp(hypergraph.hypergraph(5, combinations(range(5), 4)), path)
+        save_hyp(hypergraph.Hypergraph4(5, combinations(range(5), 4)), path)
         code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4")
         assert code == VIOLATED
         assert report["results"]["bound"]["status"] == CONJECTURAL

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,10 +16,10 @@ from diamondkit.hypergraph import (
     CONJECTURAL,
     MAX_EDGES,
     PROVEN,
+    Hypergraph4,
     baber,
     edge_count_bound,
     format_hyp,
-    hypergraph,
     is_3_design,
     is_ff4_design,
     parse_hyp,
@@ -67,21 +70,21 @@ class TestBaber:
 
 class TestVerifyFF4:
     def test_two_edges_ok(self):
-        h = hypergraph(5, [(0, 1, 2, 3), (0, 1, 2, 4)])
+        h = Hypergraph4(5, [(0, 1, 2, 3), (0, 1, 2, 4)])
         assert verify_ff4(h) is None
 
     def test_single_edge_counterexample(self):
-        h = hypergraph(5, [(0, 1, 2, 3)])
+        h = Hypergraph4(5, [(0, 1, 2, 3)])
         assert verify_ff4(h) == ((0, 1, 2, 3, 4), 1)
 
     def test_least_counterexample_reported(self):
-        h = hypergraph(6, [(1, 2, 3, 4)])
+        h = Hypergraph4(6, [(1, 2, 3, 4)])
         five, count = verify_ff4(h)
         assert five == (0, 1, 2, 3, 4) and count == 1
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            verify_ff4(hypergraph(4, []))
+            verify_ff4(Hypergraph4(4, []))
 
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_baber_always_ff4(self, n):
@@ -93,7 +96,7 @@ class TestVerifyFF4:
 
 class TestTripleProfile:
     def test_empty(self):
-        prof = triple_profile(hypergraph(6, []))
+        prof = triple_profile(Hypergraph4(6, []))
         assert len(prof) == 20 and set(prof.values()) == {0}
 
     def test_star_paley_7_uniform(self):
@@ -102,7 +105,7 @@ class TestTripleProfile:
         assert set(prof.values()) == {2}
 
     def test_single_edge(self):
-        prof = triple_profile(hypergraph(5, [(0, 1, 2, 3)]))
+        prof = triple_profile(Hypergraph4(5, [(0, 1, 2, 3)]))
         assert sorted(prof.values()).count(1) == 4
         assert sorted(prof.values()).count(0) == 6
 
@@ -127,7 +130,7 @@ class TestDesign:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            is_ff4_design(hypergraph(6, []))
+            is_ff4_design(Hypergraph4(6, []))
 
 
 class TestEdgeCountBound:
@@ -294,18 +297,32 @@ class TestEdgeOrder:
     @pytest.mark.parametrize("seed", range(4))
     def test_each_constructor_returns_an_ascending_tuple(self, seed):
         h = baber(random_tournament(12, seed))
-        assert h.m > 0 and _ascending(h.edges)
-        assert _ascending(hypergraph(12, reversed(h.edges)).edges)
+        assert h.m > 1 and _ascending(h.edges)
+        assert _ascending(Hypergraph4(12, list(h.edges)).edges)
         assert _ascending(parse_hyp(format_hyp(h)).edges)
+        # the constructor sorts nothing: the edges come ascending or not at all
+        with pytest.raises(InputError) as info:
+            Hypergraph4(12, reversed(h.edges))
+        assert str(info.value) == (f"edge {h.edges[-2]} is not after {h.edges[-1]}: "
+                                   "edges must be strictly ascending")
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_hypergraph_sorts_a_shuffled_list(self, seed):
+    def test_a_shuffled_or_repeated_list_is_refused(self, seed):
         h = _random_hypergraph(9, seed, 0.3)
-        edges = [tuple(random.Random(seed).sample(e, 4)) for e in h.edges] + list(h.edges)
-        random.Random(seed).shuffle(edges)
-        shuffled = hypergraph(9, edges)
-        assert shuffled.edges == tuple(sorted(h.edges)) == h.edges
-        assert shuffled == h and hash(shuffled) == hash(h)
+        shuffled = list(h.edges)
+        random.Random(seed).shuffle(shuffled)
+        k = next(k for k in range(1, h.m) if shuffled[k] < shuffled[k - 1])
+        repeated = sorted(h.edges + h.edges[seed:seed + 1])
+        reversed_edge = [*h.edges[:seed], h.edges[seed][::-1], *h.edges[seed + 1:]]
+        for edges, message in [
+                (shuffled, f"edge {shuffled[k]} is not after {shuffled[k - 1]}"),
+                (repeated, f"edge {h.edges[seed]} is not after {h.edges[seed]}")]:
+            with pytest.raises(InputError) as info:
+                Hypergraph4(9, edges)
+            assert str(info.value) == f"{message}: edges must be strictly ascending"
+        with pytest.raises(InputError, match="^edge indices must be strictly increasing$"):
+            Hypergraph4(9, reversed_edge)
+        assert Hypergraph4(9, sorted(set(shuffled + repeated))) == h
 
     @pytest.mark.parametrize("text,first,second", [
         ("6 2\n0 1 2 4\n0 1 2 3\n", (0, 1, 2, 4), (0, 1, 2, 3)),
@@ -350,7 +367,7 @@ class TestEdgeLimit:
 
 def _random_hypergraph(n, seed, density):
     rng = random.Random(seed)
-    return hypergraph(n, [q for q in combinations(range(n), 4) if rng.random() < density])
+    return Hypergraph4(n, [q for q in combinations(range(n), 4) if rng.random() < density])
 
 
 def _perturbed_baber(t, seed, flips):
@@ -359,7 +376,7 @@ def _perturbed_baber(t, seed, flips):
     edges = set(baber(t).edges)
     for _ in range(flips):
         edges ^= {tuple(sorted(rng.sample(range(t.n), 4)))}
-    return hypergraph(t.n, edges)
+    return Hypergraph4(t.n, sorted(edges))
 
 
 class TestLinkFF4Oracle:
@@ -388,25 +405,33 @@ class TestLinkFF4Oracle:
         # T*(7)'s design on vertices 62..69; vertex 0 plus any of its edges
         # spans exactly 1 edge, and (0, least edge) is the least bad 5-set
         shifted = sorted(tuple(v + 62 for v in e) for e in baber(star_paley(7)).edges)
-        h_np = hypergraph(70, [tuple(np.array(e, dtype=np.int64)) for e in shifted])
-        h_int = hypergraph(70, shifted)
-        assert h_np == h_int
-        assert all(type(x) is int for e in h_np.edges for x in e)
+        h_np = Hypergraph4(np.int64(70), np.array(shifted, dtype=np.int64))
+        h_int = Hypergraph4(70, shifted)
+        assert h_np == h_int and type(h_np.n) is int
+        assert all(type(e) is tuple and all(type(x) is int for x in e) for e in h_np.edges)
         assert verify_ff4(h_np) == verify_ff4(h_int) == ((0, *shifted[0]), 1)
 
     @pytest.mark.parametrize("edge,message", [
-        ((0, 1, 1, 2), "bad edge (0, 1, 1, 2)"),
-        ((3, 1, 2, 5), "edge (1, 2, 3, 5) out of range for n=5"),
-        ((0, -1, 2, 3), "edge (-1, 0, 2, 3) out of range for n=5"),
+        # the texts of parse_hyp: the constructor is the check of both
+        ((0, 1, 1, 2), "edge indices must be strictly increasing"),
+        ((1, 2, 3, 5), "edge (1, 2, 3, 5) out of range for n=5"),
+        ((-1, 0, 2, 3), "edge (-1, 0, 2, 3) out of range for n=5"),
         ((0, 1, 2), "bad edge (0, 1, 2)"),
         # only integers: a float was truncated, and a string raised TypeError
         ((0, 1, 2, 3.7), "bad edge (0, 1, 2, 3.7): indices must be integers"),
         (("0", "1", "2", "3"), "bad edge ('0', '1', '2', '3'): indices must be integers"),
         ((0, 1, 2, None), "bad edge (0, 1, 2, None): indices must be integers"),
+        # the indices are not sorted: each of these was once sorted first
+        ((3, 1, 2, 5), "edge indices must be strictly increasing"),
+        ((0, -1, 2, 3), "edge indices must be strictly increasing"),
+        ((0, 1, 2, 3), "edge (0, 1, 2, 3) is not after (0, 1, 2, 3): "
+                       "edges must be strictly ascending"),
+        ((0, 1, 2, 3, 4), "bad edge (0, 1, 2, 3, 4)"),
+        (4, "bad edge 4: indices must be integers"),
     ])
     def test_constructor_rejects_bad_edges(self, edge, message):
         with pytest.raises(InputError) as exc:
-            hypergraph(5, [(0, 1, 2, 3), edge])
+            Hypergraph4(5, [(0, 1, 2, 3), edge])
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("n, shown", [
@@ -417,8 +442,58 @@ class TestLinkFF4Oracle:
         # a negative n would reach math.comb in is_3_design and is_ff4_design,
         # and a long n is clipped to 40 digits
         with pytest.raises(InputError) as exc:
-            hypergraph(n, [])
+            Hypergraph4(n, [])
         assert str(exc.value) == f"n={shown} out of range [0, {MAX_N}]"
+
+
+def _count_checks(monkeypatch):
+    """The argument tuples of every Hypergraph4.__new__ call from now on."""
+    calls = []
+    new = Hypergraph4.__new__
+    monkeypatch.setattr(Hypergraph4, "__new__",
+                        staticmethod(lambda cls, *a: calls.append(a) or new(cls, *a)))
+    return calls
+
+
+class TestRecord:
+    """Hypergraph4(n, edges) is the one check: _replace, _make, copy and
+    pickle build through it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda h: h._replace(edges=list(h.edges)),
+        lambda h: Hypergraph4._make([h.n, h.edges]),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["_replace", "_make", "copy", "deepcopy"])
+    def test_builders_run_the_check_once(self, monkeypatch, build):
+        h = baber(star_paley(7))
+        calls = _count_checks(monkeypatch)
+        u = build(h)
+        assert u == h and type(u) is Hypergraph4 and type(u.edges) is tuple
+        assert len(calls) == 1
+
+    def test_bad_replace_raises(self):
+        h = baber(star_paley(7))
+        with pytest.raises(InputError, match="^edge indices must be strictly increasing$"):
+            h._replace(edges=((9, 9, 9, 9),))
+        with pytest.raises(InputError, match=r"^edge \(0, 1, 2, 3\) is not after \(0, 1, 2, 3\)"):
+            h._replace(edges=((0, 1, 2, 3), (0, 1, 2, 3)))
+        with pytest.raises(InputError, match=r"^edge \(0, 1, 2, 4\) out of range for n=4$"):
+            h._replace(n=4)
+        with pytest.raises(InputError, match=r"^edge indices must be strictly increasing$"):
+            Hypergraph4._make([8, [(3, 2, 1, 0)]])
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_is_checked(self, monkeypatch, protocol):
+        h = baber(star_paley(7))
+        data = pickle.dumps(h, protocol)
+        assert h.links and "links" in vars(h)
+        assert pickle.dumps(h, protocol) == data  # the cached links are not pickled
+        calls = _count_checks(monkeypatch)
+        u = pickle.loads(data)
+        assert u == h and hash(u) == hash(h) and type(u) is Hypergraph4
+        assert "links" not in vars(u)
+        assert len(calls) == 1
 
 
 class TestLinks:
@@ -436,7 +511,7 @@ class TestLinks:
     def test_cached_and_invisible_to_equality(self):
         h = baber(star_paley(7))
         assert h.links is h.links
-        assert h == hypergraph(8, h.edges) and hash(h) == hash(hypergraph(8, h.edges))
+        assert h == Hypergraph4(8, h.edges) and hash(h) == hash(Hypergraph4(8, h.edges))
 
 
 def _design_by_definition(h):
@@ -461,14 +536,14 @@ class TestDesignOracle:
 
     def test_empty_and_complete(self):
         for n in (4, 8):
-            empty = hypergraph(n, [])
-            complete = hypergraph(n, combinations(range(n), 4))
+            empty = Hypergraph4(n, [])
+            complete = Hypergraph4(n, combinations(range(n), 4))
             assert is_ff4_design(empty) == _design_by_definition(empty) is False
             assert is_ff4_design(complete) == _design_by_definition(complete)
 
     def test_3_design_lambda_zero(self):
-        assert is_3_design(hypergraph(8, []), 0)
-        assert not is_3_design(hypergraph(8, [(0, 1, 2, 3)]), 0)
+        assert is_3_design(Hypergraph4(8, []), 0)
+        assert not is_3_design(Hypergraph4(8, [(0, 1, 2, 3)]), 0)
         assert is_3_design(baber(star_paley(7)), 2)
         assert not is_3_design(baber(star_paley(7)), 1)
 
@@ -552,7 +627,7 @@ class TestHypFormatErrors:
                 parse_hyp(f"6 1\n0 1 2 5\n{tail}")
             assert str(info.value) == f"text after the 1 edges: {tail[:-1]!r} (line 3)"
         else:
-            assert parse_hyp(f"6 1\n0 1 2 5\n{tail}") == hypergraph(6, [(0, 1, 2, 5)])
+            assert parse_hyp(f"6 1\n0 1 2 5\n{tail}") == Hypergraph4(6, [(0, 1, 2, 5)])
         with pytest.raises(InputError) as info:
             parse_hyp(f"6 1\n-1 0 1 2\n{tail}")
         assert str(info.value) == "edge (-1, 0, 1, 2) out of range for n=6 (line 2)"
@@ -560,7 +635,7 @@ class TestHypFormatErrors:
     def test_edges_at_the_range_limit(self):
         h = parse_hyp("5 1\n0 1 2 4\n")
         assert h.edges == ((0, 1, 2, 4),)
-        assert parse_hyp("0 0\n") == hypergraph(0, [])
+        assert parse_hyp("0 0\n") == Hypergraph4(0, [])
 
     def test_format_matches_reference_and_round_trips(self):
         h = baber(star_paley(43))
@@ -568,3 +643,101 @@ class TestHypFormatErrors:
         text = format_hyp(h)
         assert text == reference + "\n"
         assert parse_hyp(text) == h
+
+
+_NUMBER = re.compile(r"-?[0-9]+")
+
+
+def _parse_hyp_reference(text):
+    """parse_hyp as a per-line scan: (n, edges), or the (message, line) of
+    its InputError.  The header and the line count, then the tokens of every
+    edge line, then the edges' order and range, line by line, then the text
+    after them.  The lines here are short, so no quote is clipped."""
+    lines = text.splitlines()
+    if not lines:
+        return "empty input", 1
+    head = lines[0].split()
+    if len(head) != 2:
+        return f"header must be 'n m', got {lines[0]!r}", 1
+    if not all(_NUMBER.fullmatch(x) for x in head):
+        return f"bad header {lines[0]!r}", 1
+    n, m = map(int, head)
+    if not (0 <= n <= MAX_N and 0 <= m <= MAX_EDGES):
+        return f"need 0 <= n <= {MAX_N} and 0 <= m <= {MAX_EDGES}, got n={n}, m={m}", 1
+    if len(lines) < m + 1:
+        return f"expected {m} edge lines, got {len(lines) - 1}", len(lines)
+    for line in range(2, m + 2):
+        parts = lines[line - 1].split()
+        if len(parts) != 4:
+            return f"an edge needs 4 indices, got {len(parts)}", line
+        if not all(_NUMBER.fullmatch(x) for x in parts):
+            return f"bad index in {lines[line - 1]!r}", line
+    edges = [tuple(map(int, lines[line - 1].split())) for line in range(2, m + 2)]
+    for line, e in enumerate(edges, start=2):
+        if not e[0] < e[1] < e[2] < e[3]:
+            return "edge indices must be strictly increasing", line
+        if e[0] < 0 or e[3] >= n:
+            return f"edge {e} out of range for n={n}", line
+        if line > 2 and e <= edges[line - 3]:
+            return (f"edge {e} is not after {edges[line - 3]}: "
+                    "edges must be strictly ascending"), line
+    for line in range(m + 2, len(lines) + 1):
+        if lines[line - 1].strip():
+            return f"text after the {m} edges: {lines[line - 1]!r}", line
+    return n, tuple(edges)
+
+
+_DESIGN7 = format_hyp(baber(star_paley(7)))
+
+
+class TestHypErrorPlacement:
+    """parse_hyp reports the error of the per-line reference, at its line."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_single_corruptions_match_the_reference(self, data):
+        text = _DESIGN7
+        if data.draw(st.booleans(), label="character"):
+            # replace, insert or delete one character
+            i = data.draw(st.integers(0, len(text) - 1), label="at")
+            c = data.draw(st.sampled_from(["", *"0123456789 -+_x\t\n"]), label="by")
+            keep = data.draw(st.booleans(), label="insert")
+            text = text[:i] + c + text[i if keep else i + 1:]
+        else:
+            # delete, repeat or replace one line, or swap two
+            lines = text.splitlines(keepends=True)
+            i, j = (data.draw(st.integers(0, len(lines) - 1), label=x) for x in "ij")
+            other = data.draw(st.sampled_from(
+                ["\n", "0 1 2\n", "0 1 2 3 4\n", "7 6 5 4\n", "0 1 2 8\n", "-1 0 1 2\n",
+                 "0 0 1 2\n", "4 5 6 7\n", "0 1 2 3\n", "x\n", "8 28\n", " \t \n"]), label="line")
+            op = data.draw(st.sampled_from(["delete", "repeat", "replace", "swap"]), label="op")
+            if op == "delete":
+                del lines[i]
+            elif op == "repeat":
+                lines.insert(i, lines[i])
+            elif op == "replace":
+                lines[i] = other
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "".join(lines)
+        expected = _parse_hyp_reference(text)
+        if isinstance(expected[0], str):
+            with pytest.raises(InputError) as info:
+                parse_hyp(text)
+            assert (info.value.args[0], info.value.line) == expected
+        else:
+            h = parse_hyp(text)
+            assert (h.n, h.edges) == expected
+
+    def test_the_reference_reads_the_design(self):
+        h = parse_hyp(_DESIGN7)
+        assert _parse_hyp_reference(_DESIGN7) == (h.n, h.edges) and h.m == 28
+
+    def test_a_bad_token_is_reported_before_an_edge_out_of_range(self):
+        # line 2 is out of range for n=5 and line 3 has a bad token: the
+        # tokens of every line are read before Hypergraph4 checks the edges
+        text = "5 2\n0 1 2 9\n0 1 x 3\n"
+        with pytest.raises(InputError) as info:
+            parse_hyp(text)
+        assert str(info.value) == "bad index in '0 1 x 3' (line 3)"
+        assert (info.value.args[0], info.value.line) == _parse_hyp_reference(text)

@@ -83,6 +83,12 @@ class TestLazyExports:
             assert not hasattr(tournament, name)
             assert getattr(oracles, name).__module__ == "diamondkit.oracles"
 
+    def test_hypergraph_has_one_constructor(self):
+        # Hypergraph4(n, edges) checks every hypergraph: the second,
+        # sorting constructor is gone
+        from diamondkit import hypergraph
+        assert not hasattr(hypergraph, "hypergraph")
+
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             diamondkit.no_such_name

@@ -31,6 +31,7 @@ from diamondkit.spectral import (
     sigma_from_traces,
 )
 from diamondkit.tournament import (
+    InputError,
     count_diamonds,
     decode,
     random_tournament,
@@ -305,7 +306,11 @@ class TestKernelSignVector:
 
 class TestSkewConference:
     def test_order_2(self):
-        assert is_skew_conference(from_arcs(2, [(0, 1)]))
+        # order 2 is no Tournament, whose n is at least 3: T*(3), of order
+        # 4, is the least skew-conference tournament
+        with pytest.raises(InputError, match=r"^n=2 out of range \[3, 512\]$"):
+            from_arcs(2, [(0, 1)])
+        assert is_skew_conference(star_paley(3))
 
     def test_star_paley_7(self):
         assert is_skew_conference(star_paley(7))

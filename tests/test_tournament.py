@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
 from diamondkit import gf
 from diamondkit.gf import gf_build
-from diamondkit.hypergraph import baber, edge_count_bound, hypergraph, is_3_design, verify_ff4
+from diamondkit.hypergraph import Hypergraph4, baber, edge_count_bound, is_3_design, verify_ff4
 from diamondkit.spectral import count_diamonds_spectral, diamond_upper_bound
 from diamondkit import tournament
 from diamondkit.tournament import (
@@ -127,6 +127,18 @@ class TestValidate:
         assert three_cycle().n == 3
         with pytest.raises(TypeError):
             Tournament(4, (2, 0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, tournament.MAX_N + 1, 600])
+    def test_order_out_of_range_refused(self, n):
+        # every Tournament is one that format_trn writes and parse_trn reads:
+        # n is read as the .trn header is, before any pair is scanned
+        with pytest.raises(InputError, match=rf"^n={n} out of range \[3, 512\]$"):
+            Tournament([(1 << i) - 1 for i in range(n)])
+
+    @pytest.mark.parametrize("n", [3, tournament.MAX_N])
+    def test_orders_at_the_limits_round_trip(self, n):
+        t = Tournament([(1 << i) - 1 for i in range(n)])
+        assert parse_trn(format_trn(t)) == t
 
     def test_negative_row_reported(self):
         # row 1 - 2^8 has the bits of row 1 below n, so the adjacency view
@@ -409,8 +421,8 @@ class TestSizesThroughIndex:
         (lambda d: encodings_with_delta(5, d), 2),
         # T*(7)'s edges on 100 vertices fail the law: a numpy n once broke
         # verify_ff4's report of the bad 5-set
-        (lambda n: verify_ff4(hypergraph(n, baber(star_paley(7)).edges)), 100),
-        (lambda n: type(hypergraph(n, []).n), 5),
+        (lambda n: verify_ff4(Hypergraph4(n, baber(star_paley(7)).edges)), 100),
+        (lambda n: type(Hypergraph4(n, []).n), 5),
         # an int64 n once overflowed the bounds' products with only a RuntimeWarning
         (diamond_upper_bound, 100000),
         (edge_count_bound, 100001),
@@ -446,8 +458,8 @@ class TestSizesThroughIndex:
         (lambda: local_search_max_diamonds(8, threads=0), "threads=0 out of range [1, 64]"),
         (lambda: exhaustive_max_diamonds(9), "n=9 out of range [4, 8]"),
         (lambda: exhaustive_max_diamonds(5, threads=65), "threads=65 out of range [1, 64]"),
-        (lambda: hypergraph(-1, []), "n=-1 out of range [0, 512]"),
-        (lambda: verify_ff4(hypergraph(4, [])), "n must be at least 5, got 4"),
+        (lambda: Hypergraph4(-1, []), "n=-1 out of range [0, 512]"),
+        (lambda: verify_ff4(Hypergraph4(4, [])), "n must be at least 5, got 4"),
         (lambda: edge_count_bound(4), "n must be at least 5, got 4"),
         (lambda: diamond_upper_bound(3), "n must be at least 4, got 3"),
         # trial division of this prime would take seconds
@@ -458,7 +470,7 @@ class TestSizesThroughIndex:
         # give the same tournament
         (lambda: random_tournament(10, None), "seed None is not an integer"),
         (lambda: is_3_design(baber(star_paley(7)), 2.0), "lam 2.0 is not an integer"),
-        (lambda: is_3_design(hypergraph(8, []), -1), "lam must be at least 0, got -1"),
+        (lambda: is_3_design(Hypergraph4(8, []), -1), "lam must be at least 0, got -1"),
     ], ids=["decode", "random_tournament", "local_search-n", "local_search-restarts",
             "local_search-steps", "local_search-threads", "exhaustive-n", "exhaustive-threads",
             "hypergraph-n", "verify_ff4", "edge_count_bound", "diamond_upper_bound", "gf_build",
