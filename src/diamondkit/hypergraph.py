@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from operator import index, lt
+from operator import index
 
 from .spectral import diamond_upper_bound
 from .tournament import (MAX_N, InputError, Tournament, _Record, _bits, _diamond_lanes, _index,
@@ -35,20 +35,34 @@ class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
     """n vertices, 0 <= n <= MAX_N; edges is the strictly ascending tuple of
     4-tuples 0 <= a < b < c < d < n of Python ints (link shifts on numpy ints
     would wrap): the .hyp order, so equality and hash are those of the edge
-    set.  The constructor is the one check: see _first_bad_edge."""
+    set.  The constructor is the one check, one pass that keeps a tuple of
+    four Python ints as that object and reads any other edge through
+    operator.index; its InputError at the first bad edge, edges[k], has at=k."""
 
     def __new__(cls, n, edges):
         n = _index(n, "n", 0, MAX_N)
-        edges = tuple(edges)
-        try:
-            checked = tuple([(a, b, c, d) for w, x, y, z in edges
-                             for a, b, c, d in [(index(w), index(x), index(y), index(z))]
-                             if 0 <= a < b < c < d < n])
-        except (TypeError, ValueError):  # not 4 integers: _first_bad_edge names it
-            checked = ()
-        if len(checked) != len(edges) or not all(map(lt, checked, checked[1:])):
-            raise InputError(_first_bad_edge(n, edges)[1])
-        return super().__new__(cls, n, checked)
+        checked = []
+        last = ()
+        for e in edges:
+            if type(e) is not tuple or len(e) != 4 or \
+                    not type(e[0]) is type(e[1]) is type(e[2]) is type(e[3]) is int:
+                try:
+                    e = tuple(map(index, e))
+                except TypeError:
+                    raise InputError(f"bad edge {e!r}: indices must be integers",
+                                     at=len(checked)) from None
+                if len(e) != 4:
+                    raise InputError(f"bad edge {e!r}", at=len(checked))
+            a, b, c, d = e
+            if not 0 <= a < b < c < d < n:
+                raise InputError(f"edge {e} out of range for n={n}" if a < b < c < d
+                                 else "edge indices must be strictly increasing", at=len(checked))
+            if e <= last:
+                raise InputError(f"edge {e} is not after {last}: edges must be strictly ascending",
+                                 at=len(checked))
+            checked.append(e)
+            last = e
+        return super().__new__(cls, n, tuple(checked))
 
     @property
     def m(self) -> int:
@@ -66,8 +80,9 @@ class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
         """
         links = {}
         get = links.get
+        bit = [1 << v for v in range(self.n)]
         for a, b, c, d in self.edges:
-            ba, bb, bc, bd = 1 << a, 1 << b, 1 << c, 1 << d
+            ba, bb, bc, bd = bit[a], bit[b], bit[c], bit[d]
             mask = ba | bb | bc | bd
             t = mask ^ ba
             links[t] = get(t, 0) | ba
@@ -78,26 +93,6 @@ class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
             t = mask ^ bd
             links[t] = get(t, 0) | bd
         return links
-
-
-def _first_bad_edge(n, edges):
-    """(k, message): the first edge, edges[k], that is not 4 integers
-    0 <= a < b < c < d < n after edges[k - 1], named, or None."""
-    last = ()
-    for k, e in enumerate(edges):
-        try:
-            e = tuple(map(index, e))
-        except TypeError:
-            return k, f"bad edge {e!r}: indices must be integers"
-        if len(e) != 4:
-            return k, f"bad edge {e!r}"
-        if not 0 <= e[0] < e[1] < e[2] < e[3] < n:
-            if e[0] < e[1] < e[2] < e[3]:
-                return k, f"edge {e} out of range for n={n}"
-            return k, "edge indices must be strictly increasing"
-        if e <= last:
-            return k, f"edge {e} is not after {last}: edges must be strictly ascending"
-        last = e
 
 
 def baber(t: Tournament) -> Hypergraph4:
@@ -148,8 +143,9 @@ def verify_ff4(h: Hypergraph4):
     links = h.links
     full = (1 << n) - 1
     best = None
+    bit = [1 << v for v in range(n)]
     for a, b, c, d in h.edges:
-        ba, bb, bc, bd = 1 << a, 1 << b, 1 << c, 1 << d
+        ba, bb, bc, bd = bit[a], bit[b], bit[c], bit[d]
         mask = ba | bb | bc | bd
         la, lb, lc, ld = links[mask ^ ba], links[mask ^ bb], links[mask ^ bc], links[mask ^ bd]
         cover = la | lb | lc | ld
@@ -217,7 +213,8 @@ def parse_hyp(text: str) -> Hypergraph4:
 
     Every number is ASCII digits with an optional leading minus (see
     tournament.parse_int).  The tokens of every line come before the edges,
-    which Hypergraph4 checks; each InputError carries the 1-based line.
+    which Hypergraph4 checks, keeps and places in one pass (its error's at);
+    each InputError carries the 1-based line.
     """
     lines = text.splitlines()
     if not lines:
@@ -249,9 +246,8 @@ def parse_hyp(text: str) -> Hypergraph4:
             raise InputError(f"bad index in {_quote(raw)}", line=lineno) from None
     try:
         h = Hypergraph4(n, edges)
-    except InputError as exc:  # scan again, only to place the defect
-        k, _ = _first_bad_edge(n, edges)
-        raise InputError(str(exc), line=k + 2) from None
+    except InputError as exc:
+        raise InputError(str(exc), line=exc.at + 2) from None
     _refuse_trailing(lines, m + 1, f"the {m} edges")
     return h
 

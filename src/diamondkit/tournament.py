@@ -24,13 +24,15 @@ class InputError(ValueError):
     """Bad outside input: file content, a CLI argument or a library
     parameter.  Carries the 1-based line and column of a file when known,
     and str() then ends with " (line L[, column C])".  The CLI maps it, and
-    only it (with OSError), to exit 2.
+    only it (with OSError), to exit 2.  A record's check sets at, where its
+    defect is (Tournament's pair, Hypergraph4's edge index), for the parsers.
     """
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None, column=None, at=None):
         super().__init__(message)
         self.line = line
         self.column = column
+        self.at = at
 
     def __str__(self):
         if self.line is None:
@@ -104,7 +106,7 @@ class Tournament(_Record, namedtuple("Tournament", "rows")):
         _index(len(rows), "n", 3, MAX_N)
         bad = _first_defect(rows)
         if bad is not None:
-            raise InputError("not a tournament at ({},{}): {}".format(*bad))
+            raise InputError("not a tournament at ({},{}): {}".format(*bad), at=bad[:2])
         return super().__new__(cls, rows)
 
     @property
@@ -122,12 +124,11 @@ class Tournament(_Record, namedtuple("Tournament", "rows")):
 
 def _columns(n, rows):
     """The columns of rows: bit i of column j is bit j of rows[i], i, j < n.
-    Column k of the rows' binary strings is bit n-1-k of every row."""
+    In the rows' binary strings, joined, character i*n + n-1-j is bit j of
+    rows[i], so column j is one strided slice."""
     full = (1 << n) - 1
-    strings = [format(r & full, f"0{n}b") for r in rows]
-    cols = [int("".join(col)[::-1], 2) for col in zip(*strings)]
-    cols.reverse()
-    return cols
+    blob = "".join([format(r & full, f"0{n}b") for r in rows])
+    return [int(blob[n - 1 - j::n][::-1], 2) for j in range(n)]
 
 
 def _first_defect(rows):
@@ -286,8 +287,8 @@ def parse_trn(text: str) -> Tournament:
         rows.append(int(line[::-1], 2))
     try:
         t = Tournament(rows)
-    except InputError as exc:  # scan again, only to place the defect
-        i, j, _ = _first_defect(rows)
+    except InputError as exc:
+        i, j = exc.at
         raise InputError(str(exc), line=i + 2, column=j + 1) from None
     _refuse_trailing(lines, n + 1, f"the {n} rows")
     return t

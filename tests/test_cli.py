@@ -756,6 +756,19 @@ class TestUnpackOnce:
         assert code == OK and report["results"]["conference"] is True
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("text, err", [
+        ("3\n011\n001\n100\n", "both orientations present (line 2, column 3)"),
+        ("4\n0111\n0011\n0001\n0010\n", "both orientations present (line 4, column 4)"),
+    ])
+    def test_a_bad_file_is_scanned_once(self, tmp_path, capsys, monkeypatch, text, err):
+        # parse_trn places the defect the constructor's one scan found
+        path = tmp_path / "bad.trn"
+        path.write_text(text)
+        calls = _count_scans(monkeypatch)
+        assert main(["count", "--in", str(path)]) == INPUT_ERROR
+        assert capsys.readouterr().err.rstrip().endswith(err)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("argv, scans", [
         # each Tournament made is scanned once: star_paley builds no T(q) first
         (["construct", "star-paley", "--q", "11"], 1),

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -434,6 +435,26 @@ class TestLinkFF4Oracle:
             Hypergraph4(5, [(0, 1, 2, 3), edge])
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("second, message", [
+        ((0, 1, 2, 9), "edge (0, 1, 2, 9) out of range for n=6"),
+        ((0, 1, 2, 3), "edge (0, 1, 2, 3) is not after (0, 1, 2, 3): "
+                       "edges must be strictly ascending"),
+    ])
+    def test_one_shot_edges_name_the_real_defect(self, second, message):
+        # the check reads each edge once, so an iterator edge is not lost
+        with pytest.raises(InputError) as exc:
+            Hypergraph4(6, [iter((0, 1, 2, 3)), second])
+        assert str(exc.value) == message and exc.value.at == 1
+
+    def test_int_tuples_are_kept_and_other_edges_copied(self):
+        kept = (0, 1, 2, 3)
+        as_list = [0, 1, 2, 4]
+        as_numpy = tuple(np.array([0, 1, 2, 5], dtype=np.int64))
+        h = Hypergraph4(6, [kept, as_list, as_numpy])
+        assert h.edges[0] is kept
+        assert h.edges[1:] == ((0, 1, 2, 4), (0, 1, 2, 5))
+        assert all(type(e) is tuple and all(type(x) is int for x in e) for e in h.edges[1:])
+
     @pytest.mark.parametrize("n, shown", [
         (-4, "-4"), (MAX_N + 1, str(MAX_N + 1)),
         (int("9" * 4000), f"{'9' * 40!r}... (4000 characters)"),
@@ -732,6 +753,30 @@ class TestHypErrorPlacement:
     def test_the_reference_reads_the_design(self):
         h = parse_hyp(_DESIGN7)
         assert _parse_hyp_reference(_DESIGN7) == (h.n, h.edges) and h.m == 28
+
+    @pytest.mark.parametrize("text, err", [
+        (_DESIGN7[:-2] + "9\n", "edge (3, 5, 6, 9) out of range for n=8 (line 29)"),
+        ("6 3\n0 1 2 3\n0 1 2 4\n0 1 2 4\n",
+         "edge (0, 1, 2, 4) is not after (0, 1, 2, 4): edges must be strictly ascending (line 4)"),
+    ])
+    def test_a_bad_file_is_checked_once(self, monkeypatch, text, err):
+        # the line comes from the one pass of the edge check, not a second scan
+        calls = _count_checks(monkeypatch)
+        with pytest.raises(InputError) as info:
+            parse_hyp(text)
+        assert str(info.value) == err and len(calls) == 1
+
+    def test_parse_holds_each_edge_once(self):
+        # the token tuples are the edges: a second copy of T*(43)'s 36,421
+        # edges would take the peak from about 2.1 to 3 times the result
+        text = format_hyp(baber(star_paley(43)))
+        tracemalloc.start()
+        try:
+            h = parse_hyp(text)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.m == 36421 and peak < 2.5 * size
 
     def test_a_bad_token_is_reported_before_an_edge_out_of_range(self):
         # line 2 is out of range for n=5 and line 3 has a bad token: the
