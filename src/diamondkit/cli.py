@@ -84,7 +84,7 @@ def cmd_construct(args):
         "q": args.q,
         "n": t.n,
         "diamonds": delta,
-        "bound": _rat(spectral.diamond_upper_bound(t.n)) if t.n >= 4 else None,
+        "bound": _rat(spectral.diamond_upper_bound(t.n)),
         "skew_conference": spectral.is_skew_conference(t),
         "out": args.out,
     }
@@ -102,8 +102,8 @@ def cmd_count(args):
         spectral_count = spectral.count_diamonds_spectral(t)
         results["spectral"] = spectral_count
     delta = naive if naive is not None else spectral_count
-    bound = spectral.diamond_upper_bound(t.n) if t.n >= 4 else None
-    results["bound"] = _rat(bound) if bound is not None else None
+    bound = spectral.diamond_upper_bound(t.n)
+    results["bound"] = _rat(bound)
     results["attained"] = delta == bound
     disagree = args.method == "both" and naive != spectral_count
     return {"in": args.input}, results, "violated" if disagree else "ok"
@@ -128,16 +128,12 @@ def _verify_hypergraph(path, checks):
     from . import hypergraph
 
     h = _load(hypergraph.load_hyp, path)
-    if "ff4" in checks and h.n < 5:
-        raise InputError(f"ff4 check needs n >= 5, got n={h.n}")
     if "design" in checks and h.n % 4 != 0:
         raise InputError(f"design check needs n divisible by 4, got n={h.n}")
-    # one FF4 test serves both checks and the bound (it is vacuous below n=5)
-    bad = hypergraph.verify_ff4(h) if h.n >= 5 else None
-    results = {"m": h.m, "bound": None, "margin": None}
-    if h.n >= 5:
-        bound, results["bound"] = _bound(h, bad is None)
-        results["margin"] = _rat(bound - h.m)
+    # one FF4 test serves both checks and the bound
+    bad = hypergraph.verify_ff4(h)
+    bound, reported = _bound(h, bad is None)
+    results = {"m": h.m, "bound": reported, "margin": _rat(bound - h.m)}
     failed = False
     if "ff4" in checks:
         results["ff4"] = bad is None
@@ -160,6 +156,8 @@ _VERIFIERS = {"conference": _verify_tournament, "extremal-charpoly": _verify_tou
 
 def cmd_verify(args):
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        raise InputError(f"--checks names no check, got {tournament._quote(args.checks)}")
     unknown = set(checks) - set(_VERIFIERS)
     if unknown:
         raise InputError(f"unknown checks: {sorted(unknown)}")
@@ -179,8 +177,7 @@ def cmd_baber(args):
     if args.out:
         hypergraph.save_hyp(h, args.out)
     # the diamond hypergraph of a tournament is always FF4
-    results = {"n": h.n, "m": h.m, "bound": _bound(h, True)[1] if h.n >= 5 else None,
-               "out": args.out}
+    results = {"n": h.n, "m": h.m, "bound": _bound(h, True)[1], "out": args.out}
     return {"in": args.input}, results, "ok"
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import gf
 from .spectral import kernel_sign_vector
-from .tournament import MAX_N, InputError, Tournament, _index, _quote_int
+from .tournament import MAX_N, MIN_N, InputError, Tournament, _index, _quote_int
 
 
 def _paley_rows(kind, q, extra):
@@ -46,7 +46,7 @@ def delete_vertices(t: Tournament, drop) -> Tournament:
     """Induced sub-tournament on the kept vertices, relabeled densely.
 
     The one reader of vertex indices: raises InputError on a vertex that is
-    not an integer, out of range or named twice, or when fewer than 4
+    not an integer, out of range or named twice, or when fewer than MIN_N
     vertices would be left.  Each dropped vertex v is cut out of every kept
     row by joining its bits below v to its bits above v shifted down.
     """
@@ -59,8 +59,8 @@ def delete_vertices(t: Tournament, drop) -> Tournament:
         if v in seen:
             raise InputError(f"vertex {v} named twice")
         seen.add(v)
-    if len(drop) >= t.n - 3:
-        raise InputError(f"cannot drop {len(drop)} of {t.n} vertices (need >= 4 left)")
+    if t.n - len(drop) < MIN_N:
+        raise InputError(f"cannot drop {len(drop)} of {t.n} vertices (need >= {MIN_N} left)")
     rows = [r for v, r in enumerate(t.rows) if v not in seen]
     for v in sorted(seen, reverse=True):
         low = (1 << v) - 1

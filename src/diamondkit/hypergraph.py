@@ -37,7 +37,8 @@ class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
     would wrap): the .hyp order, so equality and hash are those of the edge
     set.  The constructor is the one check, one pass that keeps a tuple of
     four Python ints as that object and reads any other edge through
-    operator.index; its InputError at the first bad edge, edges[k], has at=k."""
+    operator.index; its InputError at the first bad edge, edges[k], has at=k.
+    More than MAX_EDGES edges are refused after the pass, with at=MAX_EDGES."""
 
     def __new__(cls, n, edges):
         n = _index(n, "n", 0, MAX_N)
@@ -62,6 +63,8 @@ class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
                                  at=len(checked))
             checked.append(e)
             last = e
+        if len(checked) > MAX_EDGES:
+            raise InputError(f"{len(checked)} edges, above the limit of {MAX_EDGES}", at=MAX_EDGES)
         return super().__new__(cls, n, tuple(checked))
 
     @property
@@ -137,10 +140,10 @@ def verify_ff4(h: Hypergraph4):
     Every bad 5-set contains an edge, and that edge fails the test.  Through
     a failing edge e the least bad 5-set is e + {v} for the least bad v, so
     the least of these over the failing edges is the lexicographically least
-    bad 5-set.
+    bad 5-set.  Below 5 vertices the law holds vacuously, and so does the
+    test: at n = 4 the one possible edge has four disjoint one-vertex links.
     """
-    n = _index(h.n, "n", 5)
-    links = h.links
+    n, links = h.n, h.links
     full = (1 << n) - 1
     best = None
     bit = [1 << v for v in range(n)]
@@ -179,10 +182,7 @@ def is_ff4_design(h: Hypergraph4) -> bool:
     """FF4 plus every triple in exactly n/4 edges (requires n = 0 mod 4)."""
     if h.n % 4 != 0:
         raise InputError(f"n={h.n} is not divisible by 4")
-    # the 5-vertex condition is vacuous at n=4 (single-block design case)
-    if h.n >= 5 and verify_ff4(h) is not None:
-        return False
-    return is_3_design(h, h.n // 4)
+    return verify_ff4(h) is None and is_3_design(h, h.n // 4)
 
 
 def edge_count_bound(n: int):
@@ -192,9 +192,10 @@ def edge_count_bound(n: int):
     and must never be asserted, only reported.  The n = 1 formula is false:
     at n = 17 an FF4 hypergraph has 702 edges against 700 (see REFUTED).
     The proven bounds are the diamond bounds, the edge counts of Baber
-    hypergraphs of extremal tournaments.
+    hypergraphs of extremal tournaments.  Every n >= 0 is taken: below 5
+    vertices each formula is the exact maximum, 0 up to n = 3 and 1 at n = 4.
     """
-    n = _index(n, "n", 5)
+    n = _index(n, "n", 0)
     r = n % 4
     if r in (0, 3):
         return diamond_upper_bound(n), PROVEN

@@ -24,7 +24,7 @@ from itertools import combinations
 from numbers import Real
 
 from .spectral import diamond_upper_bound
-from .tournament import (MAX_N, InputError, Tournament, _bits, _diamond_lanes, _index,
+from .tournament import (MAX_N, MIN_N, InputError, Tournament, _bits, _diamond_lanes, _index,
                          count_diamonds, decode, encode, pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
@@ -99,7 +99,7 @@ def _best_of(n, mode, fn, items, explored, params) -> SearchResult:
 
 
 def _check_exhaustive_n(n, long_run) -> int:
-    n = _index(n, "n", 4, _EXHAUSTIVE_MAX_N)
+    n = _index(n, "n", MIN_N, _EXHAUSTIVE_MAX_N)
     if n == _EXHAUSTIVE_MAX_N and not long_run:
         raise InputError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
     return n
@@ -111,7 +111,7 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
     The encoding space is cut into blocks of 2^_LOW_BITS encodings that
     share their high bits, and the per-block maxima are reduced to the most
     diamonds, ties to the least encoding.  threads is checked and reported,
-    not used.  Raises InputError unless 4 <= n <= 8 and
+    not used.  Raises InputError unless MIN_N <= n <= 8 and
     1 <= threads <= MAX_THREADS; n=8 is refused unless long_run=True.
     """
     n = _check_exhaustive_n(n, long_run)
@@ -219,12 +219,12 @@ def local_search_max_diamonds(
     independent with per-restart derived seeds, run one after another, and
     the best-of reduction keeps the most diamonds, ties to the least
     encoding; threads is checked and reported, not used.
-    Raises InputError, before any work, unless 4 <= n <= MAX_N,
+    Raises InputError, before any work, unless MIN_N <= n <= MAX_N,
     restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, seed is an
     integer (see tournament._index), t0 is a finite real >= 0 and cooling a
     finite real > 0.
     """
-    n, restarts = _index(n, "n", 4, MAX_N), _index(restarts, "restarts", 1)
+    n, restarts = _index(n, "n", MIN_N, MAX_N), _index(restarts, "restarts", 1)
     steps, threads = _index(steps, "steps", 0), _index(threads, "threads", 1, MAX_THREADS)
     seed = _index(seed, "seed")
     if not (isinstance(t0, Real) and math.isfinite(t0) and t0 >= 0):

@@ -101,8 +101,9 @@ def matches_extremal_charpoly(t: Tournament) -> str:
 
 
 def diamond_upper_bound(n: int) -> Fraction:
-    """Maximum possible diamond count by parity, as an exact rational."""
-    n = _index(n, "n", 4)
+    """Maximum possible diamond count by parity, as an exact rational, for
+    any n >= 0: 0 below 4 vertices, where there is no 4-set, and 1 at n = 4."""
+    n = _index(n, "n", 0)
     if n % 2 == 0:
         return Fraction(n * n * (n - 1) * (n - 2), 96)
     return Fraction(n * (n - 1) * (n - 3) * (n + 1), 96)

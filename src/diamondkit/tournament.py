@@ -17,7 +17,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import comb
 
-MAX_N = 512
+MIN_N, MAX_N = 3, 512  # the least and the greatest order of a tournament
 
 
 class InputError(ValueError):
@@ -96,14 +96,14 @@ class _Record(tuple):
 
 
 class Tournament(_Record, namedtuple("Tournament", "rows")):
-    """A tournament on n = len(rows) vertices, 3 <= n <= MAX_N; rows[i] is
+    """A tournament on n = len(rows) vertices, MIN_N <= n <= MAX_N; rows[i] is
     the bitmask of the vertices dominated by i.  The constructor is the one
     check: it reads the rows into a tuple of Python ints (see _index) and
     raises InputError on n, then at the first bad pair (see _first_defect)."""
 
     def __new__(cls, rows):
         rows = tuple([_index(r, "row") for r in rows])
-        _index(len(rows), "n", 3, MAX_N)
+        _index(len(rows), "n", MIN_N, MAX_N)
         bad = _first_defect(rows)
         if bad is not None:
             raise InputError("not a tournament at ({},{}): {}".format(*bad), at=bad[:2])
@@ -207,14 +207,14 @@ def encode(t: Tournament) -> int:
 
 
 def decode(n: int, e: int) -> Tournament:
-    """Inverse of encode, for 3 <= n <= MAX_N and integer 0 <= e < 2^C(n,2);
+    """Inverse of encode, for MIN_N <= n <= MAX_N and integer 0 <= e < 2^C(n,2);
     any other n or e is an InputError.
 
     Row i's upper part is cut out of e.  Its lower part is the complement
     of column i of the upper parts (see _columns): for j < i, i dominates j
     exactly when bit i of row j is clear; Tournament(rows) checks the result.
     """
-    n, e = _index(n, "n", 3, MAX_N), _index(e, "encoding")
+    n, e = _index(n, "n", MIN_N, MAX_N), _index(e, "encoding")
     if not 0 <= e < 1 << (n * (n - 1) // 2):
         raise InputError(f"encoding {_quote_int(e)} out of range for n={n}")
     upper = [((e >> pair_index(n, i, i + 1)) & ((1 << (n - 1 - i)) - 1)) << (i + 1)
@@ -230,7 +230,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     Twister), drawn one getrandbits(1) at a time in pair_index order.  A
     seed that is not an integer (None would draw from the OS) is an InputError.
     """
-    n, seed = _index(n, "n", 3, MAX_N), _index(seed, "seed")
+    n, seed = _index(n, "n", MIN_N, MAX_N), _index(seed, "seed")
     rng = random.Random(seed)
     bits = "".join(["01"[rng.getrandbits(1)] for _ in range(n * (n - 1) // 2)])
     return decode(n, int(bits[::-1], 2))
@@ -270,8 +270,8 @@ def parse_trn(text: str) -> Tournament:
         n = parse_int(lines[0].strip())
     except InputError:
         raise InputError(f"bad vertex count {_quote(lines[0])}", line=1) from None
-    if not 3 <= n <= MAX_N:
-        raise InputError(f"n={_quote_int(n)} out of range [3, {MAX_N}]", line=1)
+    if not MIN_N <= n <= MAX_N:
+        raise InputError(f"n={_quote_int(n)} out of range [{MIN_N}, {MAX_N}]", line=1)
     if len(lines) < n + 1:
         raise InputError(f"expected {n} matrix rows, got {len(lines) - 1}", line=len(lines))
     rows = []

@@ -18,6 +18,7 @@ from diamondkit.cli import INPUT_ERROR, OK, VIOLATED, main
 from diamondkit.constructions import paley_tournament, star_paley
 from diamondkit.hypergraph import (
     CONJECTURAL,
+    PROVEN,
     REFUTED,
     baber,
     edge_count_bound,
@@ -33,6 +34,7 @@ from diamondkit.tournament import (
     count_diamonds,
     format_trn,
     load_trn,
+    parse_trn,
     random_tournament,
     save_trn,
 )
@@ -111,14 +113,19 @@ class TestCount:
         code, _ = run(capsys, "count", "--in", "/nonexistent.trn")
         assert code == INPUT_ERROR
 
-    def test_three_vertices_no_bound(self, tmp_path, capsys):
+    def test_three_vertices_bound_zero(self, tmp_path, capsys):
+        # no 4-set, so no diamond: the bound is 0, and every 3-vertex
+        # tournament attains it
         path = tmp_path / "c3.trn"
         path.write_text("3\n010\n001\n100\n")
         code, report = run(capsys, "count", "--in", str(path))
         assert code == OK
         assert report["results"]["naive"] == report["results"]["spectral"] == 0
-        assert report["results"]["bound"] is None
-        assert report["results"]["attained"] is False
+        assert report["results"]["bound"] == {"num": 0, "den": 1, "decimal": 0.0}
+        assert report["results"]["attained"] is True
+        code, report = run(capsys, "construct", "paley", "--q", "3")
+        assert code == OK and report["results"]["n"] == 3
+        assert report["results"]["bound"] == {"num": 0, "den": 1, "decimal": 0.0}
 
     def test_both_at_max_n(self, tmp_path, capsys):
         path = tmp_path / "t.trn"
@@ -183,14 +190,23 @@ class TestPipelines:
         assert load_hyp(hyp) == baber(star_paley(7))
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_baber_below_five_vertices_has_null_bound(self, tmp_path, capsys, n):
-        # the bound is defined from n = 5 on; below, baber reports it as null
-        # like count and verify do, rather than leaving the key out
+    def test_baber_below_five_vertices_has_exact_bound(self, tmp_path, capsys, n):
+        # below 5 vertices the bound is the exact maximum: 0 edges at n = 3,
+        # 1 at n = 4
         path = tmp_path / "t.trn"
         path.write_text(transitive_trn(n))
         code, report = run(capsys, "baber", "--in", str(path))
         assert code == OK
-        assert report["results"] == {"bound": None, "m": 0, "n": n, "out": None}
+        bound = {"num": n - 3, "den": 1, "decimal": n - 3.0, "status": PROVEN}
+        assert report["results"] == {"bound": bound, "m": 0, "n": n, "out": None}
+
+    def test_delete_down_to_three_vertices(self, tmp_path, capsys):
+        path = tmp_path / "s3.trn"
+        save_trn(star_paley(3), path)
+        code, report = run(capsys, "delete", "--in", str(path), "--vertices", "3")
+        assert code == OK
+        assert report["results"]["n"] == 3 and report["results"]["diamonds"] == 0
+        assert report["results"]["bound"] == {"num": 0, "den": 1, "decimal": 0.0}
 
     def test_baber_refuses_above_the_edge_limit(self, tmp_path, capsys):
         # T*(151) has 5,451,100 diamonds, above hypergraph.MAX_EDGES
@@ -245,6 +261,17 @@ class TestSearchCommand:
         assert report["results"]["bound"] == {"num": 5, "den": 2, "decimal": 2.5}
         assert report["results"]["attained"] is False
 
+    def test_exhaustive_n3(self, capsys):
+        # the least order: 8 encodings, none with a 4-set, so the bound 0 is
+        # attained by the least encoding, the transitive tournament
+        code, report = run(capsys, "search", "--mode", "exhaustive", "--n", "3")
+        assert code == OK
+        results = report["results"]
+        assert results["max_diamonds"] == 0 and results["explored"] == 8
+        assert results["bound"] == {"num": 0, "den": 1, "decimal": 0.0}
+        assert results["attained"] is True
+        assert parse_trn(results["witness_trn"]).rows == (0, 1, 3)
+
     def test_local_seeded(self, tmp_path, capsys):
         out = tmp_path / "w.trn"
         code, report = run(capsys, "search", "--mode", "local", "--n", "8",
@@ -286,7 +313,7 @@ class TestSearchArguments:
 
 class TestLocalSearchLimits:
     @pytest.mark.parametrize("argv", [
-        ("--n", "3"),
+        ("--n", "2"),
         ("--n", "513"),
         ("--n", "8", "--steps", "-5"),
         ("--n", "8", "--t0", "nan"),
@@ -361,21 +388,27 @@ class TestHypInputErrors:
         assert code == INPUT_ERROR
         assert one_line_error(capsys)
 
-    def test_ff4_below_5_vertices_exit_2(self, tmp_path, capsys):
+    def test_ff4_below_5_vertices_holds(self, tmp_path, capsys):
+        # no 5-set, so the law holds vacuously; the bound is the exact maximum
         path = tmp_path / "h.hyp"
-        save_hyp(baber(star_paley(3)), path)
-        for checks in ("ff4", "ff4,design"):
-            assert main(["verify", "--in", str(path), "--checks", checks]) == INPUT_ERROR
-            assert one_line_error(capsys)
+        for n, edges, bound in [(0, [], 0), (3, [], 0), (4, [], 1), (4, [(0, 1, 2, 3)], 1)]:
+            save_hyp(hypergraph.Hypergraph4(n, edges), path)
+            code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4")
+            assert code == OK
+            results = report["results"]
+            assert results["ff4"] is True and results["bound"]["num"] == bound
+            assert results["margin"]["num"] == bound - len(edges)
 
     def test_design_at_4_vertices(self, tmp_path, capsys):
         # Baber of T*(3) is the single-block 3-(4,4,1) design
         path = tmp_path / "h.hyp"
         save_hyp(baber(star_paley(3)), path)
-        code, report = run(capsys, "verify", "--in", str(path), "--checks", "design")
+        code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4,design")
         assert code == OK
         results = report["results"]
-        assert results["bound"] is None and results["margin"] is None
+        assert results["bound"] == {"num": 1, "den": 1, "decimal": 1.0, "status": PROVEN}
+        assert results["margin"] == {"num": 0, "den": 1, "decimal": 0.0}
+        assert results["ff4"] is True
         assert results["design"] is True and results["design_lambda"] == 1
 
     def test_ff4_and_design_run_one_ff4_test(self, tmp_path, capsys, monkeypatch):
@@ -592,7 +625,10 @@ class TestVerifyReaderFromChecks:
         path = tmp_path / "missing.hyp"
         assert main(["verify", "--in", str(path), "--checks", checks]) == INPUT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: --checks takes tournament checks") and err.count("\n") == 1
+        # a list that names no check says so; a mixed one names both kinds
+        want = "error: --checks takes tournament checks" if checks.strip(" ,") \
+            else "error: --checks names no check"
+        assert err.startswith(want) and err.count("\n") == 1
 
 
 # An annealing witness at n = 17 (bit j of row i set iff i -> j) with 702
@@ -648,8 +684,8 @@ class TestErrorText:
          "invalid literal for int() with base 10: 'a'"),
         (("delete", "--in", "{trn}", "--vertices", "99"), "vertex 99 out of range for n=32"),
         (("extend", "--in", "{trn}"), "matrix is not odd-extremal; extension does not apply"),
-        (("search", "--mode", "local", "--n", "3"), "n=3 out of range [4, 512]"),
-        (("search", "--mode", "exhaustive", "--n", "9"), "n=9 out of range [4, 8]"),
+        (("search", "--mode", "local", "--n", "2"), "n=2 out of range [3, 512]"),
+        (("search", "--mode", "exhaustive", "--n", "9"), "n=9 out of range [3, 8]"),
         (("search", "--mode", "exhaustive", "--n", "8"),
          "n=8 requires long_run=True (2^28 encodings)"),
         (("count", "--in", "{missing}"),
@@ -679,7 +715,7 @@ class TestErrorText:
         (("search", "--n", "8", "--restarts", "9" * 5000),
          f"argument --restarts: invalid int value: {'9' * 40!r}... (5000 characters)"),
         (("search", "--mode", "local", "--n", "9" * 4000),
-         f"n={'9' * 40!r}... (4000 characters) out of range [4, 512]"),
+         f"n={'9' * 40!r}... (4000 characters) out of range [3, 512]"),
         (("search", "--n", "8", "--t0", "x" * 5000),
          f"argument --t0: invalid float value: {'x' * 40!r}... (5000 characters)"),
         (("count", "--in", "{long_trn}"),
@@ -701,6 +737,13 @@ class TestErrorText:
         # and so is a q below the smallest field order
         (("construct", "paley", "--q", "-" + "9" * 3999),
          f"q={'-' + '9' * 39!r}... (4000 characters) out of range [2, 512]"),
+        # a list that names no check
+        (("verify", "--in", "{hyp}", "--checks", ","), "--checks names no check, got ','"),
+        (("verify", "--in", "{hyp}", "--checks", ""), "--checks names no check, got ''"),
+        # the least order is 3, for both searches and for what delete leaves
+        (("search", "--mode", "exhaustive", "--n", "2"), "n=2 out of range [3, 8]"),
+        (("delete", "--in", "{trn}", "--vertices", ",".join(map(str, range(30)))),
+         "cannot drop 30 of 32 vertices (need >= 3 left)"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),

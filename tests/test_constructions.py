@@ -107,8 +107,10 @@ class TestDeleteVertices:
         assert sub.rows[0] == 0b1110
 
     def test_rejects_too_many(self):
-        with pytest.raises(ValueError):
-            delete_vertices(star_paley(3), {0})
+        # three vertices is the least order left: T*(3) keeps 3, not 2
+        assert delete_vertices(star_paley(3), {0}).n == 3
+        with pytest.raises(InputError, match=r"^cannot drop 2 of 4 vertices \(need >= 3 left\)$"):
+            delete_vertices(star_paley(3), {0, 1})
         with pytest.raises(ValueError):
             delete_vertices(star_paley(7), {9})
 
@@ -162,10 +164,8 @@ class TestExtendToConference:
     @pytest.mark.parametrize("q", [3, 7, 11, 19])
     def test_round_trip_from_deleted_star(self, q):
         # deleting the star vertex and re-extending recovers a conference
-        # matrix of order q+1 (not necessarily the same one entrywise);
-        # q=3 uses the Paley tournament directly since deletion requires
-        # at least 4 surviving vertices
-        t = paley_tournament(q) if q == 3 else delete_vertices(star_paley(q), {q})
+        # matrix of order q+1 (not necessarily the same one entrywise)
+        t = delete_vertices(star_paley(q), {q})
         ext = extend_to_conference(t)
         assert ext.n == q + 1
         assert is_skew_conference(ext)

@@ -43,6 +43,7 @@ from diamondkit.tournament import (
     MAX_N,
     InputError,
     count_diamonds,
+    decode,
     random_tournament,
 )
 
@@ -83,9 +84,11 @@ class TestVerifyFF4:
         five, count = verify_ff4(h)
         assert five == (0, 1, 2, 3, 4) and count == 1
 
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            verify_ff4(Hypergraph4(4, []))
+    def test_small_n_holds_vacuously(self):
+        # no 5-set below n = 5; at n = 4 the one possible edge passes the
+        # edge test with four disjoint one-vertex links
+        for n, edges in [(0, []), (3, []), (4, []), (4, [(0, 1, 2, 3)])]:
+            assert verify_ff4(Hypergraph4(n, edges)) is None
 
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_baber_always_ff4(self, n):
@@ -356,6 +359,18 @@ class TestEdgeLimit:
         assert str(info.value) == ("baber of n=152 would build 5451100 edges, "
                                    "above the limit of 4194304")
 
+    def test_constructor_refuses_more_than_the_limit(self, monkeypatch):
+        # read at call time and checked once, after the pass, so a one-shot
+        # iterator is refused as a list is
+        monkeypatch.setattr(hypergraph_module, "MAX_EDGES", 100)
+        quads = list(combinations(range(12), 4))
+        for edges in (quads, iter(quads)):
+            with pytest.raises(InputError) as info:
+                Hypergraph4(12, edges)
+            assert str(info.value) == "495 edges, above the limit of 100"
+            assert info.value.at == 100
+        assert Hypergraph4(12, iter(quads[:100])).m == 100
+
     def test_parse_refuses_m_above_the_limit(self):
         with pytest.raises(InputError) as info:
             parse_hyp(f"8 {MAX_EDGES + 1}\n")
@@ -364,6 +379,46 @@ class TestEdgeLimit:
         with pytest.raises(InputError) as info:
             parse_hyp(f"8 {MAX_EDGES}\n")
         assert str(info.value) == "expected 4194304 edge lines, got 0 (line 1)"
+
+
+def _ff4_by_definition(n):
+    """Every 4-graph on n vertices, as a bitmask g over the 4-sets in
+    combinations order, with its least bad 5-set and that set's edge count,
+    or None when every 5-set spans 0 or 2 edges: the definition, 5-set by
+    5-set, with no oracle."""
+    quads = list(combinations(range(n), 4))
+    bit = {q: 1 << k for k, q in enumerate(quads)}
+    fives = [(f, sum(bit[q] for q in combinations(f, 4))) for f in combinations(range(n), 5)]
+    for g in range(1 << len(quads)):
+        bad = next(((f, (g & mask).bit_count()) for f, mask in fives
+                    if (g & mask).bit_count() not in (0, 2)), None)
+        yield [q for k, q in enumerate(quads) if (g >> k) & 1], bad
+
+
+class TestBruteForceSmallOrders:
+    """Every 4-graph on at most 6 vertices against the FF4 definition."""
+
+    def test_bound_is_the_ff4_maximum(self):
+        # n = 6 holds 2^15 4-graphs; below n = 5 every one is FF4
+        maxima = [max(len(edges) for edges, bad in _ff4_by_definition(n) if bad is None)
+                  for n in range(7)]
+        assert maxima == [edge_count_bound(n)[0] for n in range(7)] == [0, 0, 0, 0, 1, 2, 6]
+
+    def test_ff4_counts(self):
+        # n = 5: the empty graph and the C(5,2) pairs of edges
+        for n, count in [(5, 11), (6, 208)]:
+            assert sum(bad is None for _, bad in _ff4_by_definition(n)) == count
+
+    def test_verify_ff4_is_the_definition(self):
+        for n in range(6):
+            for edges, bad in _ff4_by_definition(n):
+                assert verify_ff4(Hypergraph4(n, edges)) == bad
+
+    def test_three_vertex_bound(self):
+        # the 8 labelled 3-vertex tournaments have no 4-set, so no diamond
+        tournaments = {decode(3, e) for e in range(8)}
+        assert len(tournaments) == 8
+        assert max(map(count_diamonds, tournaments)) == diamond_upper_bound(3) == 0
 
 
 def _random_hypergraph(n, seed, density):

@@ -111,7 +111,7 @@ class TestExhaustive:
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
-            exhaustive_max_diamonds(3)
+            exhaustive_max_diamonds(2)
         with pytest.raises(ValueError):
             exhaustive_max_diamonds(9)
         with pytest.raises(ValueError):
@@ -219,7 +219,7 @@ class TestAnnealingOracle:
         assert (res.max_diamonds, res.witness, res.explored) == \
             _reference_anneal(n, restarts, steps, t0, 0.995, seed)
 
-    @given(st.integers(4, 24), st.integers(0, 2**30))
+    @given(st.integers(3, 24), st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
     def test_delta_on_every_arc(self, n, seed):
         t = random_tournament(n, seed)
@@ -279,7 +279,7 @@ class TestBlockScan:
         expected = [_is_diamond4(decode(4, e)) for e in range(64)]
         assert _deltas(4, np.arange(64, dtype=np.uint32)).tolist() == expected
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 3])
     def test_encodings_with_delta_matches_oracle(self, n):
         enc = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
         d = _deltas(n, enc)
@@ -297,7 +297,7 @@ class TestBlockScan:
 
 class TestLocalSearchLimits:
     @pytest.mark.parametrize("kwargs", [
-        {"n": 3}, {"n": 513}, {"n": 8, "steps": -1}, {"n": 8, "restarts": 0},
+        {"n": 2}, {"n": 513}, {"n": 8, "steps": -1}, {"n": 8, "restarts": 0},
         {"n": 8, "threads": 0}, {"n": 8, "t0": float("nan")}, {"n": 8, "t0": -1.0},
         {"n": 8, "t0": float("inf")}, {"n": 8, "cooling": 0.0},
         {"n": 8, "cooling": -1.0}, {"n": 8, "cooling": float("nan")},

@@ -365,10 +365,13 @@ class TestBounds:
         assert sigma4_upper_bound(n) == expected
 
     def test_rejects_small_n(self):
+        # every n >= 0 has a bound; below 4 vertices it is 0
+        assert [diamond_upper_bound(n) for n in range(5)] == [0, 0, 0, 0, 1]
+        assert [sigma4_upper_bound(n) for n in range(5)] == [0, 0, 0, 0, 9]
         with pytest.raises(ValueError):
-            diamond_upper_bound(3)
+            diamond_upper_bound(-1)
         with pytest.raises(ValueError):
-            sigma4_upper_bound(3)
+            sigma4_upper_bound(-1)
 
     def test_n5_bound_not_attained(self):
         # bound 5/2 is non-integral; exhaustive max at n=5 is 2

@@ -452,16 +452,15 @@ class TestSizesThroughIndex:
     @pytest.mark.parametrize("call, text", [
         (lambda: decode(2, 0), "n=2 out of range [3, 512]"),
         (lambda: random_tournament(513, 0), "n=513 out of range [3, 512]"),
-        (lambda: local_search_max_diamonds(3), "n=3 out of range [4, 512]"),
+        (lambda: local_search_max_diamonds(2), "n=2 out of range [3, 512]"),
         (lambda: local_search_max_diamonds(8, restarts=0), "restarts must be at least 1, got 0"),
         (lambda: local_search_max_diamonds(8, steps=-1), "steps must be at least 0, got -1"),
         (lambda: local_search_max_diamonds(8, threads=0), "threads=0 out of range [1, 64]"),
-        (lambda: exhaustive_max_diamonds(9), "n=9 out of range [4, 8]"),
+        (lambda: exhaustive_max_diamonds(9), "n=9 out of range [3, 8]"),
         (lambda: exhaustive_max_diamonds(5, threads=65), "threads=65 out of range [1, 64]"),
         (lambda: Hypergraph4(-1, []), "n=-1 out of range [0, 512]"),
-        (lambda: verify_ff4(Hypergraph4(4, [])), "n must be at least 5, got 4"),
-        (lambda: edge_count_bound(4), "n must be at least 5, got 4"),
-        (lambda: diamond_upper_bound(3), "n must be at least 4, got 3"),
+        (lambda: edge_count_bound(-1), "n must be at least 0, got -1"),
+        (lambda: diamond_upper_bound(-1), "n must be at least 0, got -1"),
         # trial division of this prime would take seconds
         (lambda: gf_build(100000000000031), "q=100000000000031 out of range [2, 512]"),
         (lambda: local_search_max_diamonds(8, steps=-10 ** 50),
@@ -473,7 +472,7 @@ class TestSizesThroughIndex:
         (lambda: is_3_design(Hypergraph4(8, []), -1), "lam must be at least 0, got -1"),
     ], ids=["decode", "random_tournament", "local_search-n", "local_search-restarts",
             "local_search-steps", "local_search-threads", "exhaustive-n", "exhaustive-threads",
-            "hypergraph-n", "verify_ff4", "edge_count_bound", "diamond_upper_bound", "gf_build",
+            "hypergraph-n", "edge_count_bound", "diamond_upper_bound", "gf_build",
             "clipped", "random_tournament-seed-None", "is_3_design-lam-float",
             "is_3_design-lam-negative"])
     def test_out_of_range_text(self, call, text):
