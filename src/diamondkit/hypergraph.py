@@ -178,30 +178,25 @@ def is_3_design(h: Hypergraph4, lam: int) -> bool:
         all(x.bit_count() == lam for x in links.values())
 
 
-def is_ff4_design(h: Hypergraph4) -> bool:
-    """FF4 plus every triple in exactly n/4 edges (requires n = 0 mod 4)."""
-    if h.n % 4 != 0:
-        raise InputError(f"n={h.n} is not divisible by 4")
-    return verify_ff4(h) is None and is_3_design(h, h.n // 4)
-
-
 def edge_count_bound(n: int):
     """(bound, status) for the maximum FF4 edge count in residue class n mod 4.
 
-    The n = 0 and n = 3 bounds are proven; n = 1 and n = 2 are conjectural
-    and must never be asserted, only reported.  The n = 1 formula is false:
-    at n = 17 an FF4 hypergraph has 702 edges against 700 (see REFUTED).
-    The proven bounds are the diamond bounds, the edge counts of Baber
-    hypergraphs of extremal tournaments.  Every n >= 0 is taken: below 5
-    vertices each formula is the exact maximum, 0 up to n = 3 and 1 at n = 4.
+    The n = 0 and n = 3 bounds are proven: they are the diamond bounds, the
+    edge counts of Baber hypergraphs of extremal tournaments.  Every n >= 0
+    is taken, and up to n = 6 each formula is the exact maximum, found by
+    enumerating every 4-graph (0 up to n = 3, then 1, 2 and 6), so it is
+    proven there too.  n = 1 and n = 2 from n = 9 on are conjectural and
+    must never be asserted, only reported.  The n = 1 formula is false: at
+    n = 17 an FF4 hypergraph has 702 edges against 700 (see REFUTED).
     """
     n = _index(n, "n", 0)
     r = n % 4
     if r in (0, 3):
         return diamond_upper_bound(n), PROVEN
+    status = PROVEN if n <= 6 else CONJECTURAL
     if r == 2:
-        return Fraction(n * (n - 3) * (n + 2) * (n - 2), 96), CONJECTURAL
-    return Fraction((n - 1) * (n - 2) * (n - 3) * (n + 3), 96), CONJECTURAL
+        return Fraction(n * (n - 3) * (n + 2) * (n - 2), 96), status
+    return Fraction((n - 1) * (n - 2) * (n - 3) * (n + 3), 96), status
 
 
 def parse_hyp(text: str) -> Hypergraph4:

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph4, is_ff4_design
+from .hypergraph import Hypergraph4, is_3_design, verify_ff4
 from .tournament import InputError, Tournament
 
 _MINOR_ORACLE_MAX_N = 14
@@ -276,7 +276,7 @@ def delete_vertices_count(h: Hypergraph4, drop):
         raise InputError("vertex out of range")
     observed = sum(1 for e in h.edges if not drop & set(e))
     predicted = None
-    if h.n % 4 == 0 and is_ff4_design(h):
+    if h.n % 4 == 0 and verify_ff4(h) is None and is_3_design(h, h.n // 4):
         lam = h.n // 4
         d = len(drop)
         predicted = sum(

@@ -23,9 +23,9 @@ from functools import lru_cache
 from itertools import combinations
 from numbers import Real
 
-from .spectral import diamond_upper_bound
+from .spectral import count_diamonds_spectral, diamond_upper_bound
 from .tournament import (MAX_N, MIN_N, InputError, Tournament, _bits, _diamond_lanes, _index,
-                         count_diamonds, decode, encode, pair_index, random_tournament)
+                         decode, encode, pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _EXHAUSTIVE_MAX_N = 8  # the largest n, 2^28 encodings, runs only with long_run=True
@@ -236,7 +236,8 @@ def local_search_max_diamonds(
         rng = random.Random(f"{seed}/{r}")
         t = random_tournament(n, rng.getrandbits(63))
         state = _SquareState(t)
-        cur = best = count_diamonds(t)
+        # from the S^2 that _SquareState has just built and cached on t
+        cur = best = count_diamonds_spectral(t)
         enc = best_enc = encode(t)
         temp = t0
         for _ in range(steps):

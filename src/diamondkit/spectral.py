@@ -107,9 +107,3 @@ def diamond_upper_bound(n: int) -> Fraction:
     if n % 2 == 0:
         return Fraction(n * n * (n - 1) * (n - 2), 96)
     return Fraction(n * (n - 1) * (n - 3) * (n + 1), 96)
-
-
-def sigma4_upper_bound(n: int) -> Fraction:
-    """Maximum possible sigma_4 of an order-n Seidel matrix: sigma_4 is
-    8 * diamonds + C(n,4) (see count_diamonds_spectral)."""
-    return 8 * diamond_upper_bound(n) + comb(n, 4)

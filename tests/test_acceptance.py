@@ -17,7 +17,7 @@ from diamondkit.constructions import (
     paley_tournament,
     star_paley,
 )
-from diamondkit.hypergraph import baber, edge_count_bound, is_ff4_design, verify_ff4
+from diamondkit.hypergraph import baber, edge_count_bound, is_3_design, verify_ff4
 from diamondkit.oracles import (
     char_poly,
     count_diamonds_naive,
@@ -34,9 +34,9 @@ from diamondkit.spectral import (
     NOT_EXTREMAL,
     ODD_EXTREMAL,
     count_diamonds_spectral,
+    diamond_upper_bound,
     is_skew_conference,
     matches_extremal_charpoly,
-    sigma4_upper_bound,
     sigma_from_traces,
 )
 from diamondkit.tournament import decode, random_tournament
@@ -137,9 +137,8 @@ def test_criterion_6_sigma_invariants():
     for t, expect_extremal in instances:
         sigma2, sigma4 = sigma_from_traces(t)
         assert sigma2 == t.n * (t.n - 1) // 2
-        bound = sigma4_upper_bound(t.n) if t.n >= 4 else None
-        if bound is None:
-            continue
+        # sigma_4 = 8 * diamonds + C(n,4) (see count_diamonds_spectral)
+        bound = 8 * diamond_upper_bound(t.n) + comb(t.n, 4)
         assert Fraction(sigma4) <= bound
         tight = Fraction(sigma4) == bound
         assert tight == (matches_extremal_charpoly(t) != NOT_EXTREMAL)
@@ -152,7 +151,7 @@ def test_criterion_7_baber_ff4_design_chain():
     h = baber(star_paley(7))
     assert h.m == 28
     assert verify_ff4(h) is None
-    assert is_ff4_design(h)
+    assert is_3_design(h, h.n // 4)
     profile = triple_profile(h)
     assert len(profile) == 56
     assert set(profile.values()) == {2}
@@ -164,8 +163,8 @@ def test_criterion_8_deletion_ladder():
     expected = {1: 14, 2: 6, 3: 2}
     bounds = {1: edge_count_bound(7), 2: edge_count_bound(6), 3: edge_count_bound(5)}
     assert bounds[1] == (Fraction(14), "proven")
-    assert bounds[2] == (Fraction(6), "conjectural")
-    assert bounds[3] == (Fraction(2), "conjectural")
+    assert bounds[2] == (Fraction(6), "proven")
+    assert bounds[3] == (Fraction(2), "proven")
     cases = 0
     for d in (1, 2, 3):
         for drop in combinations(range(8), d):

@@ -411,6 +411,16 @@ class TestHypInputErrors:
         assert results["ff4"] is True
         assert results["design"] is True and results["design_lambda"] == 1
 
+    def test_ff4_where_design_is_refused(self, tmp_path, capsys):
+        # TestErrorText refuses --checks design on this n = 7 file
+        path = tmp_path / "h.hyp"
+        save_hyp(baber(paley_tournament(7)), path)
+        code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4")
+        assert code == OK
+        results = report["results"]
+        assert results["ff4"] is True and results["m"] == 14
+        assert results["bound"] == {"num": 14, "den": 1, "decimal": 14.0, "status": PROVEN}
+
     def test_ff4_and_design_run_one_ff4_test(self, tmp_path, capsys, monkeypatch):
         calls = []
         real = hypergraph.verify_ff4
@@ -657,13 +667,14 @@ class TestRefutedBound:
         assert results["margin"] == {"num": -2, "den": 1, "decimal": -2.0}
 
     def test_non_ff4_above_the_bound_stays_conjectural(self, tmp_path, capsys):
-        # all 5 quadruples of 5 vertices: above the bound 2, but not FF4
-        path = tmp_path / "k5.hyp"
-        save_hyp(hypergraph.Hypergraph4(5, combinations(range(5), 4)), path)
+        # all 126 quadruples of 9 vertices: above the bound 42, but not FF4
+        # (up to 6 vertices every bound is proven)
+        path = tmp_path / "k9.hyp"
+        save_hyp(hypergraph.Hypergraph4(9, combinations(range(9), 4)), path)
         code, report = run(capsys, "verify", "--in", str(path), "--checks", "ff4")
         assert code == VIOLATED
         assert report["results"]["bound"]["status"] == CONJECTURAL
-        assert report["results"]["margin"]["num"] == -3
+        assert report["results"]["margin"]["num"] == 42 - 126
 
 
 class TestErrorText:
@@ -744,9 +755,13 @@ class TestErrorText:
         (("search", "--mode", "exhaustive", "--n", "2"), "n=2 out of range [3, 8]"),
         (("delete", "--in", "{trn}", "--vertices", ",".join(map(str, range(30)))),
          "cannot drop 30 of 32 vertices (need >= 3 left)"),
+        # the one design refusal: Baber(T(7)) is FF4, but 7 is not divisible by 4
+        (("verify", "--in", "{hyp7}", "--checks", "design"),
+         "design check needs n divisible by 4, got n=7"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),
+                 "hyp7": str(tmp_path / "p7.hyp"),
                  "missing": str(tmp_path / "missing.trn"),
                  "plus_trn": str(tmp_path / "plus.trn"), "plus_hyp": str(tmp_path / "plus.hyp"),
                  "long_trn": str(tmp_path / "long.trn"), "long_hyp": str(tmp_path / "long.hyp"),
@@ -754,6 +769,7 @@ class TestErrorText:
         t = star_paley(31)
         save_trn(t, paths["trn"])
         save_hyp(baber(t), paths["hyp"])
+        save_hyp(baber(paley_tournament(7)), paths["hyp7"])
         with open(paths["plus_trn"], "w") as fh:
             fh.write("+3\n010\n001\n100\n")
         with open(paths["plus_hyp"], "w") as fh:

@@ -9,7 +9,7 @@ from diamondkit.constructions import (
     paley_tournament,
     star_paley,
 )
-from diamondkit.hypergraph import baber, is_ff4_design
+from diamondkit.hypergraph import baber, is_3_design, verify_ff4
 from diamondkit.oracles import count_diamonds_naive, from_arcs, seidel
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
@@ -193,7 +193,8 @@ class TestExtendKernelColumn:
         n = q + 1
         assert count_diamonds(ext) == count_diamonds_spectral(ext) == n * n * q * (q - 1) // 96
         assert matches_extremal_charpoly(ext) == EVEN_EXTREMAL
-        assert is_ff4_design(baber(ext))
+        h = baber(ext)
+        assert verify_ff4(h) is None and is_3_design(h, n // 4)
 
     @pytest.mark.parametrize("q", [11, 19])
     def test_deleted_non_star_vertex(self, q):

@@ -22,7 +22,6 @@ from diamondkit.hypergraph import (
     edge_count_bound,
     format_hyp,
     is_3_design,
-    is_ff4_design,
     parse_hyp,
     verify_ff4,
 )
@@ -120,31 +119,35 @@ class TestTripleProfile:
         assert sum(triple_profile(h).values()) == 4 * h.m
 
 
+def _ff4_design(h):
+    """The verdict of `verify --checks design`, n divisible by 4: FF4, and
+    every triple in exactly n/4 edges."""
+    return verify_ff4(h) is None and is_3_design(h, h.n // 4)
+
+
 class TestDesign:
     def test_star_paley_7_is_design(self):
-        assert is_ff4_design(baber(star_paley(7)))
+        assert _ff4_design(baber(star_paley(7)))
 
     def test_star_paley_3_is_design(self):
-        assert is_ff4_design(baber(star_paley(3)))
+        assert _ff4_design(baber(star_paley(3)))
 
     def test_random_8_below_bound(self):
         t = random_tournament(8, seed=0)
         assert count_diamonds_naive(t) < 28
-        assert not is_ff4_design(baber(t))
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            is_ff4_design(Hypergraph4(6, []))
+        assert not _ff4_design(baber(t))
 
 
 class TestEdgeCountBound:
     @pytest.mark.parametrize("n,value,status", [
         (8, 28, PROVEN),
         (7, 14, PROVEN),
-        (6, 6, CONJECTURAL),
-        (5, 2, CONJECTURAL),
+        (6, 6, PROVEN),
+        (5, 2, PROVEN),
         (12, 165, PROVEN),
         (11, 110, PROVEN),
+        (10, 70, CONJECTURAL),
+        (9, 42, CONJECTURAL),
     ])
     def test_values(self, n, value, status):
         assert edge_count_bound(n) == (Fraction(value), status)
@@ -515,7 +518,7 @@ class TestLinkFF4Oracle:
         (int("9" * 4000), f"{'9' * 40!r}... (4000 characters)"),
     ], ids=["-4", str(MAX_N + 1), "4000-digits"])
     def test_constructor_rejects_bad_n(self, n, shown):
-        # a negative n would reach math.comb in is_3_design and is_ff4_design,
+        # a negative n would reach math.comb in is_3_design,
         # and a long n is clipped to 40 digits
         with pytest.raises(InputError) as exc:
             Hypergraph4(n, [])
@@ -596,26 +599,26 @@ def _design_by_definition(h):
 
 
 class TestDesignOracle:
-    """is_ff4_design (link popcounts) against the triple_profile definition."""
+    """The design verdict (link popcounts) against the triple_profile definition."""
 
     @given(st.sampled_from([3, 7, 11]), st.integers(0, 10**6), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
     def test_perturbed_star_paley(self, q, seed, flips):
         h = _perturbed_baber(star_paley(q), seed, flips)
-        assert is_ff4_design(h) == _design_by_definition(h)
+        assert _ff4_design(h) == _design_by_definition(h)
 
     @given(st.sampled_from([4, 8, 12]), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_random_baber(self, n, seed):
         h = baber(random_tournament(n, seed))
-        assert is_ff4_design(h) == _design_by_definition(h)
+        assert _ff4_design(h) == _design_by_definition(h)
 
     def test_empty_and_complete(self):
         for n in (4, 8):
             empty = Hypergraph4(n, [])
             complete = Hypergraph4(n, combinations(range(n), 4))
-            assert is_ff4_design(empty) == _design_by_definition(empty) is False
-            assert is_ff4_design(complete) == _design_by_definition(complete)
+            assert _ff4_design(empty) == _design_by_definition(empty) is False
+            assert _ff4_design(complete) == _design_by_definition(complete)
 
     def test_3_design_lambda_zero(self):
         assert is_3_design(Hypergraph4(8, []), 0)
@@ -664,6 +667,7 @@ class TestHypFormatErrors:
         # a line after the m edges that is not blank: without the check, this
         # FF4 design plus a 29th edge passed verify
         (format_hyp(baber(star_paley(7))) + "0 1 2 3\n", 30),
+        ("", 1),
     ])
     def test_rejected_with_line(self, text, line):
         with pytest.raises(InputError) as info:

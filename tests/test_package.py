@@ -34,8 +34,9 @@ ORACLES = {"ArcFlip", "CharPoly", "char_poly", "delete_vertices_count", "design_
            "diamond_delta_on_flip", "min_sum_squares", "sum_principal_minors", "triple_profile",
            "verify_ff4_naive"}
 # deleted: production decides diamonds by tournament._diamond_lanes alone,
-# and Tournament(rows) checks every tournament it makes
-DELETED = {"is_diamond", "validate"}
+# Tournament(rows) checks every tournament it makes, `verify --checks design`
+# is the one design verdict and sigma_4's bound is 8 * diamonds + C(n,4)
+DELETED = {"is_diamond", "is_ff4_design", "sigma4_upper_bound", "validate"}
 
 
 class TestLazyExports:

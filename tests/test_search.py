@@ -66,13 +66,12 @@ class TestExhaustive:
         assert not res.attained  # bound is 5/2
         assert res.explored == 1024
 
-    def test_n6_recorded_against_conjectural_bound(self):
-        # no tournament-level theorem at n = 2 mod 4; record, do not assert
+    def test_n6_meets_the_ff4_bound(self):
+        # a Baber hypergraph is FF4, and up to n = 6 the FF4 bound is the
+        # exact maximum, below the diamond bound 15/2
         res = exhaustive_max_diamonds(6)
-        bound, status = edge_count_bound(6)
-        assert status == "conjectural"
-        assert res.max_diamonds <= diamond_upper_bound(6)
-        print(f"n=6 exhaustive max {res.max_diamonds}, conjectural FF4 bound {bound}")
+        assert edge_count_bound(6) == (6, "proven")
+        assert res.max_diamonds == 6 < diamond_upper_bound(6)
 
     def test_n7(self):
         res = exhaustive_max_diamonds(7)

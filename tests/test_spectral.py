@@ -27,7 +27,6 @@ from diamondkit.spectral import (
     is_skew_conference,
     kernel_sign_vector,
     matches_extremal_charpoly,
-    sigma4_upper_bound,
     sigma_from_traces,
 )
 from diamondkit.tournament import (
@@ -362,16 +361,16 @@ class TestBounds:
         (8, Fraction(294)),
     ])
     def test_sigma4_bound(self, n, expected):
-        assert sigma4_upper_bound(n) == expected
+        # sigma_4 = 8 * diamonds + C(n,4), attained by the extremal T(n) or T*(n-1)
+        assert 8 * diamond_upper_bound(n) + comb(n, 4) == expected
+        t = paley_tournament(n) if n % 4 == 3 else star_paley(n - 1)
+        assert sigma_from_traces(t)[1] == expected
 
     def test_rejects_small_n(self):
         # every n >= 0 has a bound; below 4 vertices it is 0
         assert [diamond_upper_bound(n) for n in range(5)] == [0, 0, 0, 0, 1]
-        assert [sigma4_upper_bound(n) for n in range(5)] == [0, 0, 0, 0, 9]
         with pytest.raises(ValueError):
             diamond_upper_bound(-1)
-        with pytest.raises(ValueError):
-            sigma4_upper_bound(-1)
 
     def test_n5_bound_not_attained(self):
         # bound 5/2 is non-integral; exhaustive max at n=5 is 2
