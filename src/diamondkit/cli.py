@@ -57,19 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _number(convert, name):
-    """The argparse type convert (parse_int or float), refusing the same texts
-    as an invalid <name> value, echoing at most 40 characters (tournament._quote)."""
-    def parse(text):
-        try:
-            return convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {name} value: {tournament._quote(text)}") from None
-    return parse
+def _int(text):
+    """The argparse type of every numeric option: parse_int, whose refusal
+    argparse reports as an invalid int value, echoing at most 40 characters
+    (tournament._quote)."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {tournament._quote(text)}") from None
 
 
-# Every cmd_* returns (inputs, results, status); main writes the report.
+# Every cmd_* returns (inputs, results, status); main prints the report.
 
 def cmd_construct(args):
     from . import constructions
@@ -224,8 +222,8 @@ def cmd_search(args):
                                              long_run=args.long_run)
     else:
         res = search.local_search_max_diamonds(
-            args.n, restarts=args.restarts, steps=args.steps, t0=args.t0,
-            cooling=args.cooling, seed=args.seed, threads=args.threads)
+            args.n, restarts=args.restarts, steps=args.steps, seed=args.seed,
+            threads=args.threads)
     if args.out:
         tournament.save_trn(res.witness, args.out)
     results = {
@@ -249,7 +247,7 @@ def build_parser():
 
     c = sub.add_parser("construct", help="build a Paley or star-Paley tournament")
     c.add_argument("kind", choices=["paley", "star-paley"])
-    c.add_argument("--q", type=_number(parse_int, "int"), required=True)
+    c.add_argument("--q", type=_int, required=True)
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
@@ -282,21 +280,15 @@ def build_parser():
 
     c = sub.add_parser("search", help="search for diamond-maximal tournaments")
     c.add_argument("--mode", choices=["exhaustive", "local"], default="exhaustive")
-    c.add_argument("--n", type=_number(parse_int, "int"), required=True)
-    c.add_argument("--threads", type=_number(parse_int, "int"), default=1,
+    c.add_argument("--n", type=_int, required=True)
+    c.add_argument("--threads", type=_int, default=1,
                    help="1 to 64, checked and reported; the search runs on one thread")
     c.add_argument("--long-run", action="store_true")
-    c.add_argument("--restarts", type=_number(parse_int, "int"), default=4)
-    c.add_argument("--steps", type=_number(parse_int, "int"), default=2000)
-    c.add_argument("--t0", type=_number(float, "float"), default=2.0)
-    c.add_argument("--cooling", type=_number(float, "float"), default=0.999)
-    c.add_argument("--seed", type=_number(parse_int, "int"), default=0)
+    c.add_argument("--restarts", type=_int, default=4)
+    c.add_argument("--steps", type=_int, default=2000)
+    c.add_argument("--seed", type=_int, default=0)
     c.add_argument("--out")
     c.set_defaults(func=cmd_search)
-
-    # added last, so usage and help list it after each command's own options
-    for c in sub.choices.values():
-        c.add_argument("--report")
     return p
 
 
@@ -305,14 +297,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         inputs, results, status = args.func(args)
-        text = json.dumps({"command": args.command, "inputs": inputs, "results": results,
-                           "status": status, "versions": {"diamondkit": __version__}},
-                          indent=2, sort_keys=True)
-        if args.report:
-            with open(args.report, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        print(json.dumps({"command": args.command, "inputs": inputs, "results": results,
+                          "status": status, "versions": {"diamondkit": __version__}},
+                         indent=2, sort_keys=True))
     except SystemExit:
         # only --help and --version exit: usage errors raise InputError
         return OK

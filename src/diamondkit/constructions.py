@@ -6,39 +6,38 @@ from __future__ import annotations
 
 from . import gf
 from .spectral import kernel_sign_vector
-from .tournament import MAX_N, MIN_N, InputError, Tournament, _index, _quote_int
+from .tournament import MIN_N, InputError, Tournament, _index, _quote_int
 
 
-def _paley_rows(kind, q, extra):
+def _paley_rows(q):
     """The rows of T(q) on GF(q), q = 3 (mod 4): i -> j iff j - i is a square.
 
     Vertices are the field elements in their integer encoding (see gf
-    module); row i is the set of squares translated by i.  Raises
-    InputError if q + extra, the order of kind, exceeds tournament.MAX_N
-    (before any work), or if q is no prime power or is not 3 mod 4.
+    module); row i is the set of squares translated by i.  q is read by
+    gf.gf_build alone, which raises InputError for a q outside
+    [2, tournament.MAX_N] before any work or for no prime power; a q that is
+    not 3 mod 4 is refused after it.  The largest q left is 503, so T*(q)
+    too, of q + 1 vertices, needs no order check of its own.
     """
-    q = _index(q, "q")
-    if q + extra > MAX_N:
-        raise InputError(f"{kind} of q={_quote_int(q)} has {_quote_int(q + extra)} vertices, "
-                         f"above the limit of {MAX_N}")
     table = gf.gf_build(q)
-    if q % 4 != 3:
-        raise InputError(f"q={q} is not 3 mod 4; the square relation would not be a tournament")
+    if table.q % 4 != 3:
+        raise InputError(f"q={table.q} is not 3 mod 4; the square relation would not be a "
+                         "tournament")
     return table.translates(sum(1 << x for x in table.squares()))
 
 
 def paley_tournament(q: int) -> Tournament:
     """The Paley tournament T(q) (see _paley_rows)."""
-    return Tournament(_paley_rows("paley", q, 0))
+    return Tournament(_paley_rows(q))
 
 
 def star_paley(q: int) -> Tournament:
     """T*(q): T(q) plus a new vertex (index q) dominating everything.
 
     Its rows are built once and checked once; raises InputError as
-    _paley_rows does, for an order q + 1 above tournament.MAX_N.
+    _paley_rows does.
     """
-    rows = _paley_rows("star-paley", q, 1)
+    rows = _paley_rows(q)
     return Tournament((*rows, (1 << len(rows)) - 1))
 
 

@@ -10,7 +10,8 @@ tournament._diamond_lanes of its six pair bits, and a ripple-carry adder
 sums the tests into the bit planes of the counts, which encodings_with_delta
 and exhaustive_max_diamonds read.  The block maxima reduce, as they are
 computed, to the most diamonds, ties to the least encoding.  Annealing keeps
-S and S^2 of the current tournament and scores each arc flip in O(n).  Both
+S and S^2 of the current tournament, scores each arc flip in O(n) and cools
+on one fixed schedule, T_k = 2 * 0.999^k after k proposals.  Both
 searches run on the calling thread; threads is checked and reported only.
 """
 
@@ -21,7 +22,6 @@ import random
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
-from numbers import Real
 
 from .spectral import count_diamonds_spectral, diamond_upper_bound
 from .tournament import (MAX_N, MIN_N, InputError, Tournament, _bits, _diamond_lanes, _index,
@@ -30,6 +30,9 @@ from .tournament import (MAX_N, MIN_N, InputError, Tournament, _bits, _diamond_l
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _EXHAUSTIVE_MAX_N = 8  # the largest n, 2^28 encodings, runs only with long_run=True
 MAX_THREADS = 64  # the largest threads a search accepts; both run on one thread
+# the annealing schedule T_k = _T0 * _COOLING^k; it decays to a subnormal
+# float that stays above 0, so every step divides by a positive temperature
+_T0, _COOLING = 2.0, 0.999
 
 
 class SearchResult(namedtuple("SearchResult", "n mode max_diamonds witness bound attained "
@@ -206,31 +209,24 @@ def local_search_max_diamonds(
     n: int,
     restarts: int = 4,
     steps: int = 2000,
-    t0: float = 2.0,
-    cooling: float = 0.999,
     seed: int = 0,
     threads: int = 1,
 ) -> SearchResult:
     """Simulated annealing over arc flips scored by the incremental delta.
 
-    Geometric cooling T_k = t0 * cooling^k; a flip is accepted when it does
-    not decrease the diamond count or with probability exp(delta / T).
-    Proposals are scored and applied on _SquareState in O(n).  Restarts are
-    independent with per-restart derived seeds, run one after another, and
-    the best-of reduction keeps the most diamonds, ties to the least
-    encoding; threads is checked and reported, not used.
+    The schedule is fixed, T_k = 2 * 0.999^k (_T0, _COOLING); a flip is
+    accepted when it does not decrease the diamond count or with probability
+    exp(delta / T_k).  Proposals are scored and applied on _SquareState in
+    O(n).  Restarts are independent with per-restart derived seeds, run one
+    after another, and the best-of reduction keeps the most diamonds, ties
+    to the least encoding; threads is checked and reported, not used.
     Raises InputError, before any work, unless MIN_N <= n <= MAX_N,
-    restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS, seed is an
-    integer (see tournament._index), t0 is a finite real >= 0 and cooling a
-    finite real > 0.
+    restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS and seed is an
+    integer (see tournament._index).
     """
     n, restarts = _index(n, "n", MIN_N, MAX_N), _index(restarts, "restarts", 1)
     steps, threads = _index(steps, "steps", 0), _index(threads, "threads", 1, MAX_THREADS)
     seed = _index(seed, "seed")
-    if not (isinstance(t0, Real) and math.isfinite(t0) and t0 >= 0):
-        raise InputError(f"t0 must be finite and at least 0, got {t0!r}")
-    if not (isinstance(cooling, Real) and math.isfinite(cooling) and cooling > 0):
-        raise InputError(f"cooling must be finite and above 0, got {cooling!r}")
 
     def run_restart(r):
         rng = random.Random(f"{seed}/{r}")
@@ -239,7 +235,7 @@ def local_search_max_diamonds(
         # from the S^2 that _SquareState has just built and cached on t
         cur = best = count_diamonds_spectral(t)
         enc = best_enc = encode(t)
-        temp = t0
+        temp = _T0
         for _ in range(steps):
             i = rng.randrange(n)
             j = rng.randrange(n - 1)
@@ -248,7 +244,7 @@ def local_search_max_diamonds(
             if not state.dominates(i, j):
                 i, j = j, i
             delta = state.delta(i, j)
-            if delta >= 0 or (temp > 0 and rng.random() < math.exp(delta / temp)):
+            if delta >= 0 or rng.random() < math.exp(delta / temp):
                 state.flip(i, j)
                 cur += delta
                 enc ^= 1 << pair_index(n, min(i, j), max(i, j))
@@ -256,7 +252,7 @@ def local_search_max_diamonds(
                     best, best_enc = cur, enc
                 elif cur == best:
                     best_enc = min(best_enc, enc)
-            temp *= cooling
+            temp *= _COOLING
         return best, best_enc
 
     return _best_of(
@@ -265,8 +261,8 @@ def local_search_max_diamonds(
         params={
             "restarts": restarts,
             "steps": steps,
-            "t0": t0,
-            "cooling": cooling,
+            "t0": _T0,
+            "cooling": _COOLING,
             "seed": seed,
             "threads": threads,
         },

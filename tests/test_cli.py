@@ -285,15 +285,6 @@ class TestSearchCommand:
         code, _ = run(capsys, "search", "--mode", "exhaustive", "--n", "8")
         assert code == INPUT_ERROR
 
-    def test_report_file(self, tmp_path, capsys):
-        report_path = tmp_path / "r.json"
-        code = main(["search", "--mode", "exhaustive", "--n", "4",
-                     "--report", str(report_path)])
-        assert code == OK
-        report = json.loads(report_path.read_text())
-        assert report["results"]["max_diamonds"] == 1
-        assert report["versions"]["diamondkit"]
-
 
 class TestSearchArguments:
     @pytest.mark.parametrize("argv", [
@@ -316,6 +307,7 @@ class TestLocalSearchLimits:
         ("--n", "2"),
         ("--n", "513"),
         ("--n", "8", "--steps", "-5"),
+        # the schedule is fixed: --t0 and --cooling are no options
         ("--n", "8", "--t0", "nan"),
         ("--n", "8", "--t0", "-1"),
         ("--n", "8", "--t0", "inf"),
@@ -335,8 +327,9 @@ class TestLocalSearchLimits:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_zero_steps_and_zero_temperature_accepted(self, capsys):
+        # the schedule has no option; zero steps explore each restart's start
         code, report = run(capsys, "search", "--mode", "local", "--n", "6",
-                           "--restarts", "3", "--steps", "0", "--t0", "0")
+                           "--restarts", "3", "--steps", "0")
         assert code == OK
         assert report["results"]["explored"] == 3
 
@@ -349,8 +342,8 @@ class TestUsage:
         assert main(["frobnicate"]) == INPUT_ERROR
 
     @pytest.mark.parametrize("argv", [
-        # argparse takes -1e+16 for an option, so --cooling has no value
-        ("search", "--mode", "local", "--n", "8", "--cooling", "-1e+16"),
+        # argparse takes -1e+16 for an option, so --seed has no value
+        ("search", "--mode", "local", "--n", "8", "--seed", "-1e+16"),
         ("count",),
         ("count", "--in", "t.trn", "--bogus"),
         (),
@@ -594,10 +587,10 @@ class TestConstructPrimePower:
             assert captured.err == f"error: {err}\n"
 
     def test_order_above_max_n_after_the_power(self, capsys):
-        # 3^7 = 2187 is small enough to read; the library names the order
+        # 3^7 = 2187 is small enough to read; the field builder refuses it
         assert main(["construct", "star-paley", "--q", "2187"]) == INPUT_ERROR
         err = capsys.readouterr().err
-        assert err == "error: star-paley of q=2187 has 2188 vertices, above the limit of 512\n"
+        assert err == "error: q=2187 out of range [2, 512]\n"
 
     @pytest.mark.parametrize("p,k", [("3", "-2"), ("3", "0"), ("1", "5"), ("0", "3"),
                                      ("-3", "3")])
@@ -719,16 +712,16 @@ class TestErrorText:
         (("delete", "--in", "{trn}", "--vertices", "1" * 5000), "number too long: 5000 digits"),
         # numeric options echo at most 40 characters of a long value
         (("construct", "paley", "--q", "9" * 4000),
-         f"paley of q={'9' * 40!r}... (4000 characters) has {'9' * 40!r}... (4000 characters) "
-         "vertices, above the limit of 512"),
+         f"q={'9' * 40!r}... (4000 characters) out of range [2, 512]"),
         (("search", "--n", "9" * 5000),
          f"argument --n: invalid int value: {'9' * 40!r}... (5000 characters)"),
         (("search", "--n", "8", "--restarts", "9" * 5000),
          f"argument --restarts: invalid int value: {'9' * 40!r}... (5000 characters)"),
         (("search", "--mode", "local", "--n", "9" * 4000),
          f"n={'9' * 40!r}... (4000 characters) out of range [3, 512]"),
-        (("search", "--n", "8", "--t0", "x" * 5000),
-         f"argument --t0: invalid float value: {'x' * 40!r}... (5000 characters)"),
+        # the annealing schedule is fixed: --t0 is no option
+        (("search", "--mode", "local", "--n", "8", "--t0", "1"),
+         "unrecognized arguments: --t0 1"),
         (("count", "--in", "{long_trn}"),
          f"{{long_trn}}: n={'9' * 40!r}... (4000 characters) out of range [3, 512] (line 1)"),
         (("verify", "--in", "{long_hyp}", "--checks", "ff4"),
@@ -758,6 +751,15 @@ class TestErrorText:
         # the one design refusal: Baber(T(7)) is FF4, but 7 is not divisible by 4
         (("verify", "--in", "{hyp7}", "--checks", "design"),
          "design check needs n divisible by 4, got n=7"),
+        # 512 is a field order, so T*(512), of 513 vertices, is refused by the 3 mod 4 check
+        (("construct", "star-paley", "--q", "512"),
+         "q=512 is not 3 mod 4; the square relation would not be a tournament"),
+        # --cooling is no option either, and every report goes to stdout
+        (("search", "--mode", "local", "--n", "8", "--cooling", "0.5"),
+         "unrecognized arguments: --cooling 0.5"),
+        (("search", "--mode", "exhaustive", "--n", "4", "--report", "r.json"),
+         "unrecognized arguments: --report r.json"),
+        (("verify", "--in", "{empty_hyp}", "--checks", "ff4"), "{empty_hyp}: empty input (line 1)"),
     ])
     def test_exit_2_with_text(self, tmp_path, capsys, argv, err):
         paths = {"trn": str(tmp_path / "s31.trn"), "hyp": str(tmp_path / "s31.hyp"),
@@ -765,7 +767,8 @@ class TestErrorText:
                  "missing": str(tmp_path / "missing.trn"),
                  "plus_trn": str(tmp_path / "plus.trn"), "plus_hyp": str(tmp_path / "plus.hyp"),
                  "long_trn": str(tmp_path / "long.trn"), "long_hyp": str(tmp_path / "long.hyp"),
-                 "long_m_hyp": str(tmp_path / "long_m.hyp")}
+                 "long_m_hyp": str(tmp_path / "long_m.hyp"),
+                 "empty_hyp": str(tmp_path / "empty.hyp")}
         t = star_paley(31)
         save_trn(t, paths["trn"])
         save_hyp(baber(t), paths["hyp"])
@@ -774,10 +777,10 @@ class TestErrorText:
             fh.write("+3\n010\n001\n100\n")
         with open(paths["plus_hyp"], "w") as fh:
             fh.write("6 1\n0 1 2 +3\n")
-        for name, text in [("long_trn", "9" * 4000), ("long_hyp", "9" * 4000 + " 0"),
-                           ("long_m_hyp", "5 " + "9" * 4000)]:
+        for name, text in [("long_trn", "9" * 4000 + "\n"), ("long_hyp", "9" * 4000 + " 0\n"),
+                           ("long_m_hyp", "5 " + "9" * 4000 + "\n"), ("empty_hyp", "")]:
             with open(paths[name], "w") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
         code = main([a.format(**paths) for a in argv])
         captured = capsys.readouterr()
         assert code == INPUT_ERROR and captured.out == ""
@@ -851,11 +854,11 @@ class TestUnpackOnce:
         assert code == OK and len(calls) == scans
 
 
-# Runs the README chain in one interpreter and prints, after the import and
-# after each command, the exit code, whether numpy and dataclasses have been
-# imported and the diamondkit modules loaded so far
+# Runs the README chain in one interpreter, each report swallowed, and prints,
+# after the import and after each command, the exit code, whether numpy and
+# dataclasses have been imported and the diamondkit modules loaded so far
 _NUMPY_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 
 def loaded(step, code):
     return [step, code, "numpy" in sys.modules, "dataclasses" in sys.modules,
@@ -864,7 +867,8 @@ def loaded(step, code):
 import diamondkit.cli
 steps = [loaded("import diamondkit.cli", 0)]
 for argv in json.loads(sys.argv[1]):
-    code = diamondkit.cli.main(argv + ["--report", "report.json"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = diamondkit.cli.main(argv)
     steps.append(loaded(" ".join(argv), code))
 print(json.dumps(steps))
 """
@@ -936,12 +940,11 @@ def _fuzz_files():
 _NAMES = sorted(_fuzz_files()) + ["mutant.trn", "mutant.hyp", "mutant.txt", "missing.trn"]
 _TRN_NAMES = ["p7.trn", "s7.trn", "r6.trn", "trn-as.hyp", "s7.txt"]
 _HYP_NAMES = ["s7.hyp", "broken.hyp", "hyp-as.trn", "h7.txt"]
-_PATHS = {*_NAMES, "out.trn", "report.json"}
+_PATHS = {*_NAMES, "out.trn"}
 
 
 # each st.one_of below draws valid values or any values, so that commands
 # succeed and fail in about equal measure
-_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
 
 @st.composite
@@ -973,10 +976,7 @@ def _argvs(draw):
         argv += opt("mode", mode) + opt("n", draw(n)) + opt("threads", draw(threads))
         if mode == "local":
             restarts = st.one_of(st.integers(1, 3), st.integers(-1, 3))
-            t0 = st.one_of(st.sampled_from([0.0, 0.5, 2.0]), _FLOATS)
-            cooling = st.one_of(st.sampled_from([0.5, 0.999, 1.0]), _FLOATS)
             argv += (opt("restarts", draw(restarts)) + opt("steps", draw(st.integers(-1, 200)))
-                     + opt("t0", draw(t0)) + opt("cooling", draw(cooling))
                      + opt("seed", draw(st.integers(-5, 5))))
     else:
         tournament_checks = st.lists(st.sampled_from(["conference", "extremal-charpoly"]),
@@ -999,8 +999,6 @@ def _argvs(draw):
             argv += opt("vertices", ",".join(draw(vertices)))
     if cmd in ("construct", "baber", "delete", "search") and draw(st.booleans()):
         argv += opt("out", "out.trn")
-    if draw(st.booleans()):
-        argv += opt("report", "report.json")
     return argv
 
 
@@ -1030,12 +1028,6 @@ class TestExitContract:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            report_path = os.path.join(work, "report.json")
-            text = out.getvalue()
-            if code != INPUT_ERROR and any(a.endswith(report_path) for a in argv):
-                assert text == ""
-                with open(report_path) as fh:
-                    text = fh.read()
         assert code in (OK, VIOLATED, INPUT_ERROR)
         flags = {a.partition("=")[0] for a in argv if a.startswith("--")}
         if argv[0] == "construct" and ("--q" not in flags or flags & {"--p", "--k"}):
@@ -1047,4 +1039,4 @@ class TestExitContract:
             assert len(lines) == 1 and lines[0].startswith("error: ")
         else:
             assert err.getvalue() == ""
-            assert (code == VIOLATED) == (json.loads(text)["status"] == "violated")
+            assert (code == VIOLATED) == (json.loads(out.getvalue())["status"] == "violated")

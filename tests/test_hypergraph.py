@@ -655,25 +655,29 @@ class TestBaberEnumeration:
 
 
 class TestHypFormatErrors:
-    @pytest.mark.parametrize("text,line", [
-        ("5 1\n0 1 2 5\n", 2),
-        ("5 2\n0 1 2 3\n1 2 3 9\n", 3),
-        ("5 1\n-1 0 1 2\n", 2),
-        ("-5 0\n", 1),
-        ("5 -1\n", 1),
-        (f"{MAX_N + 1} 0\n", 1),
-        ("5 2\n0 1 2 3\n0 1 2\n", 3),
-        ("5 3\n0 1 2 3\n0 1 2 4\n0 1 2 3\n", 4),
+    @pytest.mark.parametrize("text,line,err", [
+        ("5 1\n0 1 2 5\n", 2, "edge (0, 1, 2, 5) out of range for n=5 (line 2)"),
+        ("5 2\n0 1 2 3\n1 2 3 9\n", 3, "edge (1, 2, 3, 9) out of range for n=5 (line 3)"),
+        ("5 1\n-1 0 1 2\n", 2, "edge (-1, 0, 1, 2) out of range for n=5 (line 2)"),
+        ("-5 0\n", 1, "need 0 <= n <= 512 and 0 <= m <= 4194304, got n=-5, m=0 (line 1)"),
+        ("5 -1\n", 1, "need 0 <= n <= 512 and 0 <= m <= 4194304, got n=5, m=-1 (line 1)"),
+        (f"{MAX_N + 1} 0\n", 1,
+         "need 0 <= n <= 512 and 0 <= m <= 4194304, got n=513, m=0 (line 1)"),
+        ("5 2\n0 1 2 3\n0 1 2\n", 3, "an edge needs 4 indices, got 3 (line 3)"),
+        ("5 3\n0 1 2 3\n0 1 2 4\n0 1 2 3\n", 4,
+         "edge (0, 1, 2, 3) is not after (0, 1, 2, 4): edges must be strictly ascending "
+         "(line 4)"),
         # a line after the m edges that is not blank: without the check, this
         # FF4 design plus a 29th edge passed verify
-        (format_hyp(baber(star_paley(7))) + "0 1 2 3\n", 30),
-        ("", 1),
+        (format_hyp(baber(star_paley(7))) + "0 1 2 3\n", 30,
+         "text after the 28 edges: '0 1 2 3' (line 30)"),
+        ("", 1, "empty input (line 1)"),
     ])
-    def test_rejected_with_line(self, text, line):
+    def test_rejected_with_line(self, text, line, err):
         with pytest.raises(InputError) as info:
             parse_hyp(text)
         assert info.value.line == line
-        assert str(info.value).endswith(f" (line {line})")
+        assert str(info.value) == err
 
     @pytest.mark.parametrize("text,err", [
         # int() takes every one of these numbers

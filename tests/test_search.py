@@ -17,6 +17,8 @@ from diamondkit.oracles import (
     seidel,
 )
 from diamondkit.search import (
+    _COOLING,
+    _T0,
     MAX_THREADS,
     _block_planes,
     _scan_plan,
@@ -166,17 +168,18 @@ class TestLocalSearch:
         assert count_diamonds_naive(res.witness) == res.max_diamonds
 
 
-def _reference_anneal(n, restarts, steps, t0, cooling, seed):
+def _reference_anneal(n, restarts, steps, seed):
     """The annealer scored by the oracles: a Tournament rebuilt per accepted
-    flip, diamond_delta_on_flip per proposal and encode per accepted tie.
-    Draws the same RNG sequence as local_search_max_diamonds."""
+    flip, diamond_delta_on_flip per proposal and encode per accepted tie, on
+    the schedule T_k = 2 * 0.999^k.  Draws the same RNG sequence as
+    local_search_max_diamonds."""
     results = []
     for r in range(restarts):
         rng = random.Random(f"{seed}/{r}")
         t = random_tournament(n, rng.getrandbits(63))
         cur = count_diamonds_naive(t)
         best, best_enc = cur, encode(t)
-        temp = t0
+        temp = 2.0
         for _ in range(steps):
             i = rng.randrange(n)
             j = rng.randrange(n - 1)
@@ -185,38 +188,46 @@ def _reference_anneal(n, restarts, steps, t0, cooling, seed):
             if not (t.rows[i] >> j) & 1:
                 i, j = j, i
             delta = diamond_delta_on_flip(t, ArcFlip(i, j))
-            if delta >= 0 or (temp > 0 and rng.random() < math.exp(delta / temp)):
+            if delta >= 0 or rng.random() < math.exp(delta / temp):
                 t = flip_arc(t, i, j)
                 cur += delta
                 if cur > best:
                     best, best_enc = cur, encode(t)
                 elif cur == best:
                     best_enc = min(best_enc, encode(t))
-            temp *= cooling
+            temp *= 0.999
         results.append((best, best_enc))
     best, enc = max(results, key=lambda res: (res[0], -res[1]))
     return best, decode(n, enc), restarts * (steps + 1)
 
 
 class TestAnnealingOracle:
-    @pytest.mark.parametrize("n, restarts, steps, t0, seed", [
-        (4, 3, 200, 2.0, 0),
-        (4, 2, 100, 0.0, 7),
-        (5, 3, 300, 2.0, 1),
-        (5, 2, 200, 5.0, 11),
-        (9, 2, 400, 2.0, 2),
-        (9, 3, 300, 0.5, 23),
-        (12, 2, 400, 2.0, 3),
-        (12, 2, 300, 8.0, 4),
-        (33, 2, 150, 2.0, 5),
-        (33, 1, 150, 20.0, 6),
+    @pytest.mark.parametrize("n, restarts, steps, seed", [
+        (4, 3, 200, 0),
+        (4, 2, 100, 7),
+        (5, 3, 300, 1),
+        (5, 2, 200, 11),
+        (9, 2, 400, 2),
+        (9, 3, 300, 23),
+        (12, 2, 400, 3),
+        (12, 2, 300, 4),
+        (33, 2, 150, 5),
+        (33, 1, 150, 6),
     ])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_matches_reference_annealer(self, n, restarts, steps, t0, seed, threads):
-        res = local_search_max_diamonds(n, restarts=restarts, steps=steps, t0=t0,
-                                        cooling=0.995, seed=seed, threads=threads)
+    def test_matches_reference_annealer(self, n, restarts, steps, seed, threads):
+        res = local_search_max_diamonds(n, restarts=restarts, steps=steps, seed=seed,
+                                        threads=threads)
         assert (res.max_diamonds, res.witness, res.explored) == \
-            _reference_anneal(n, restarts, steps, t0, 0.995, seed)
+            _reference_anneal(n, restarts, steps, seed)
+
+    def test_temperature_never_reaches_zero(self):
+        # the acceptance test divides by the temperature with no guard: the
+        # schedule's float decays to a fixed point, 738,434 steps in, above 0
+        temp = _T0
+        while temp * _COOLING != temp:
+            temp *= _COOLING
+        assert temp > 0
 
     @given(st.integers(3, 24), st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
@@ -297,10 +308,7 @@ class TestBlockScan:
 class TestLocalSearchLimits:
     @pytest.mark.parametrize("kwargs", [
         {"n": 2}, {"n": 513}, {"n": 8, "steps": -1}, {"n": 8, "restarts": 0},
-        {"n": 8, "threads": 0}, {"n": 8, "t0": float("nan")}, {"n": 8, "t0": -1.0},
-        {"n": 8, "t0": float("inf")}, {"n": 8, "cooling": 0.0},
-        {"n": 8, "cooling": -1.0}, {"n": 8, "cooling": float("nan")},
-        {"n": 8, "cooling": float("inf")},
+        {"n": 8, "threads": 0},
     ])
     def test_rejected_before_the_run(self, monkeypatch, kwargs):
         def never(*args):
@@ -313,11 +321,6 @@ class TestLocalSearchLimits:
         ({"seed": None}, "seed None is not an integer"),
         ({"seed": 1.5}, "seed 1.5 is not an integer"),
         ({"seed": "abc"}, "seed 'abc' is not an integer"),
-        ({"t0": "2"}, "t0 must be finite and at least 0, got '2'"),
-        ({"t0": None}, "t0 must be finite and at least 0, got None"),
-        ({"t0": 1j}, "t0 must be finite and at least 0, got 1j"),
-        ({"cooling": "x"}, "cooling must be finite and above 0, got 'x'"),
-        ({"cooling": None}, "cooling must be finite and above 0, got None"),
     ])
     def test_parameter_types_are_input_errors(self, monkeypatch, kwargs, text):
         def never(*args):
