@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
     other input error; add_subparsers makes every subparser one too."""
 
     def error(self, message):
+        # argparse echoes an argument whole.  A message too long for a
+        # 200-byte line, or with a line break, has each word clipped to 40
+        # characters (tournament._quote, inside its quotes), and is clipped
+        # whole if still too long; a shorter one, such as _int's, is kept
+        if len(message) > 190 or not message.isprintable():
+            message = " ".join(w if len(w) <= 40 and w.isprintable()
+                               else tournament._quote(w.strip("'")) for w in message.split(" "))
+            message = message if len(message) <= 190 else tournament._quote(message)
         raise InputError(message)
 
 
@@ -212,18 +220,24 @@ def cmd_extend(args):
     return {"in": args.input}, results, "ok" if results["skew_conference"] else "violated"
 
 
+# each search mode: its function in diamondkit.search and the options it
+# reads, which the parser defaults to None so that the function's defaults hold
+_SEARCH_MODES = {"exhaustive": ("exhaustive_max_diamonds", ("threads", "long_run")),
+                 "local": ("local_search_max_diamonds", ("restarts", "steps", "seed"))}
+
+
 def cmd_search(args):
     # only the annealer (--mode local) imports numpy; the scan runs without it
     from . import search
 
-    # the search functions check every limit before they start work
-    if args.mode == "exhaustive":
-        res = search.exhaustive_max_diamonds(args.n, threads=args.threads,
-                                             long_run=args.long_run)
-    else:
-        res = search.local_search_max_diamonds(
-            args.n, restarts=args.restarts, steps=args.steps, seed=args.seed,
-            threads=args.threads)
+    name, reads = _SEARCH_MODES[args.mode]
+    given = {o: getattr(args, o) for _, options in _SEARCH_MODES.values() for o in options
+             if getattr(args, o) is not None}
+    foreign = [f"--{o.replace('_', '-')}" for o in given if o not in reads]
+    if foreign:
+        raise InputError(f"--mode {args.mode} does not read {', '.join(foreign)}")
+    # the search function checks every limit before it starts work
+    res = getattr(search, name)(args.n, **given)
     if args.out:
         tournament.save_trn(res.witness, args.out)
     results = {
@@ -279,14 +293,13 @@ def build_parser():
     c.set_defaults(func=cmd_extend)
 
     c = sub.add_parser("search", help="search for diamond-maximal tournaments")
-    c.add_argument("--mode", choices=["exhaustive", "local"], default="exhaustive")
+    c.add_argument("--mode", choices=_SEARCH_MODES, default="exhaustive")
     c.add_argument("--n", type=_int, required=True)
-    c.add_argument("--threads", type=_int, default=1,
-                   help="1 to 64, checked and reported; the search runs on one thread")
-    c.add_argument("--long-run", action="store_true")
-    c.add_argument("--restarts", type=_int, default=4)
-    c.add_argument("--steps", type=_int, default=2000)
-    c.add_argument("--seed", type=_int, default=0)
+    c.add_argument("--threads", type=_int,
+                   help="exhaustive only: 1 to 64, checked and reported, not used")
+    c.add_argument("--long-run", action="store_true", default=None, help="exhaustive only")
+    for option in ("--restarts", "--steps", "--seed"):
+        c.add_argument(option, type=_int, help="local only")
     c.add_argument("--out")
     c.set_defaults(func=cmd_search)
     return p

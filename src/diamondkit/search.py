@@ -12,7 +12,8 @@ and exhaustive_max_diamonds read.  The block maxima reduce, as they are
 computed, to the most diamonds, ties to the least encoding.  Annealing keeps
 S and S^2 of the current tournament, scores each arc flip in O(n) and cools
 on one fixed schedule, T_k = 2 * 0.999^k after k proposals.  Both
-searches run on the calling thread; threads is checked and reported only.
+searches run on the calling thread; the exhaustive scan checks and reports
+its threads, and the annealer takes none.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .tournament import (MAX_N, MIN_N, InputError, Tournament, _bits, _diamond_l
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
 _EXHAUSTIVE_MAX_N = 8  # the largest n, 2^28 encodings, runs only with long_run=True
-MAX_THREADS = 64  # the largest threads a search accepts; both run on one thread
+MAX_THREADS = 64  # the largest threads the exhaustive scan accepts; it runs on one thread
 # the annealing schedule T_k = _T0 * _COOLING^k; it decays to a subnormal
 # float that stays above 0, so every step divides by a positive temperature
 _T0, _COOLING = 2.0, 0.999
@@ -205,28 +206,21 @@ class _SquareState:
         s[j, i] = 1
 
 
-def local_search_max_diamonds(
-    n: int,
-    restarts: int = 4,
-    steps: int = 2000,
-    seed: int = 0,
-    threads: int = 1,
-) -> SearchResult:
+def local_search_max_diamonds(n: int, restarts: int = 4, steps: int = 2000,
+                              seed: int = 0) -> SearchResult:
     """Simulated annealing over arc flips scored by the incremental delta.
 
     The schedule is fixed, T_k = 2 * 0.999^k (_T0, _COOLING); a flip is
     accepted when it does not decrease the diamond count or with probability
     exp(delta / T_k).  Proposals are scored and applied on _SquareState in
     O(n).  Restarts are independent with per-restart derived seeds, run one
-    after another, and the best-of reduction keeps the most diamonds, ties
-    to the least encoding; threads is checked and reported, not used.
-    Raises InputError, before any work, unless MIN_N <= n <= MAX_N,
-    restarts >= 1, steps >= 0, 1 <= threads <= MAX_THREADS and seed is an
-    integer (see tournament._index).
+    after another, on the calling thread, and the best-of reduction keeps
+    the most diamonds, ties to the least encoding.  Raises InputError,
+    before any work, unless MIN_N <= n <= MAX_N, restarts >= 1, steps >= 0
+    and seed is an integer (see tournament._index).
     """
     n, restarts = _index(n, "n", MIN_N, MAX_N), _index(restarts, "restarts", 1)
-    steps, threads = _index(steps, "steps", 0), _index(threads, "threads", 1, MAX_THREADS)
-    seed = _index(seed, "seed")
+    steps, seed = _index(steps, "steps", 0), _index(seed, "seed")
 
     def run_restart(r):
         rng = random.Random(f"{seed}/{r}")
@@ -255,15 +249,6 @@ def local_search_max_diamonds(
             temp *= _COOLING
         return best, best_enc
 
-    return _best_of(
-        n, "local", run_restart, range(restarts),
-        explored=restarts * (steps + 1),
-        params={
-            "restarts": restarts,
-            "steps": steps,
-            "t0": _T0,
-            "cooling": _COOLING,
-            "seed": seed,
-            "threads": threads,
-        },
-    )
+    return _best_of(n, "local", run_restart, range(restarts), explored=restarts * (steps + 1),
+                    params={"restarts": restarts, "steps": steps, "t0": _T0, "cooling": _COOLING,
+                            "seed": seed})

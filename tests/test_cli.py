@@ -291,6 +291,7 @@ class TestSearchArguments:
         ("--mode", "local", "--n", "8", "--restarts", "0"),
         ("--mode", "local", "--n", "8", "--restarts", "-1"),
         ("--mode", "exhaustive", "--n", "5", "--threads", "0"),
+        # the annealer takes no threads: refused as an option local does not read
         ("--mode", "local", "--n", "8", "--threads", "-2"),
     ])
     def test_rejected_exit_2(self, capsys, argv):
@@ -334,6 +335,43 @@ class TestLocalSearchLimits:
         assert report["results"]["explored"] == 3
 
 
+class TestSearchModes:
+    """Each search mode reads only its own options: any other is refused,
+    exit 2 with one error: line, before any block is scanned or any
+    tournament drawn."""
+
+    @pytest.mark.parametrize("mode, option", [
+        ("exhaustive", ("--restarts", "2")),
+        ("exhaustive", ("--steps", "10")),
+        ("exhaustive", ("--seed", "1")),
+        ("local", ("--long-run",)),
+        ("local", ("--threads", "1")),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_foreign_option_exit_2(self, monkeypatch, capsys, mode, option):
+        def no_work(*args, **kwargs):
+            raise AssertionError("search work started")
+        monkeypatch.setattr("diamondkit.search._block_planes", no_work)
+        monkeypatch.setattr("diamondkit.search.random_tournament", no_work)
+        assert main(["search", "--mode", mode, "--n", "5", *option]) == INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --mode {mode} does not read {option[0]}\n"
+
+    def test_every_foreign_option_is_named(self, capsys):
+        argv = ["search", "--mode", "exhaustive", "--n", "4", "--restarts", "-5", "--steps", "-1"]
+        assert main(argv) == INPUT_ERROR
+        assert capsys.readouterr().err == \
+            "error: --mode exhaustive does not read --restarts, --steps\n"
+
+    def test_the_library_declares_each_default(self):
+        # the parser leaves every mode's option unset, and --mode offers the table's modes
+        from diamondkit.cli import _SEARCH_MODES, build_parser
+        args = build_parser().parse_args(["search", "--n", "5"])
+        assert all(getattr(args, o) is None
+                   for _, options in _SEARCH_MODES.values() for o in options)
+        assert list(_SEARCH_MODES) == ["exhaustive", "local"]
+
+
 class TestUsage:
     def test_no_command_exit_2(self, capsys):
         assert main([]) == INPUT_ERROR
@@ -348,10 +386,33 @@ class TestUsage:
         ("count", "--in", "t.trn", "--bogus"),
         (),
         ("frobnicate",),
+        # an echoed argument with a line break is quoted, and one of many
+        # short words is clipped as a whole
+        ("count", "--in", "t.trn", "a\nb"),
+        ("search", "--n", "4", "--mode", "a " * 2500),
     ])
     def test_usage_error_is_one_line(self, capsys, argv):
         assert main(list(argv)) == INPUT_ERROR
-        assert one_line_error(capsys)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
+        assert len(captured.err.encode()) < 200
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "--mode", "local", "--n", "8", "--t0", "x" * 5000),
+        ("search", "--mode", "x" * 5000, "--n", "4"),
+        ("construct", "x" * 5000, "--q", "7"),
+        ("count", "--in", "t.trn", "--method", "x" * 5000),
+        ("x" * 5000,),
+    ], ids=["unrecognized", "mode", "construct-kind", "method", "command"])
+    def test_echoed_argument_is_clipped(self, capsys, argv):
+        # argparse echoes an argument whole; the error quotes at most 40 characters of it
+        assert main(list(argv)) == INPUT_ERROR
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
+        assert len(captured.err.encode()) < 200
+        assert f"{'x' * 40!r}... (5000 characters)" in captured.err
 
     @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("search", "--help")])
     def test_help_and_version_exit_0(self, capsys, argv):
@@ -519,7 +580,7 @@ class TestNonUtf8Input:
 class TestThreadLimit:
     @pytest.mark.parametrize("argv", [
         ("--mode", "exhaustive", "--n", "8", "--long-run", "--threads", "65"),
-        ("--mode", "local", "--n", "8", "--threads", "100000"),
+        ("--mode", "exhaustive", "--n", "8", "--long-run", "--threads", "100000"),
         ("--mode", "exhaustive", "--n", "7", "--threads", "0"),
     ])
     def test_above_max_threads_exit_2(self, monkeypatch, capsys, argv):
@@ -534,7 +595,8 @@ class TestThreadLimit:
         from diamondkit.search import MAX_THREADS
         assert main(["search", "--help"]) == OK
         help_text = " ".join(capsys.readouterr().out.split())
-        assert f"--threads THREADS 1 to {MAX_THREADS}, checked and reported" in help_text
+        assert (f"--threads THREADS exhaustive only: 1 to {MAX_THREADS}, checked and reported,"
+                " not used") in help_text
 
 
 class TestOneSquaringPerMatrix:
@@ -943,6 +1005,10 @@ _HYP_NAMES = ["s7.hyp", "broken.hyp", "hyp-as.trn", "h7.txt"]
 _PATHS = {*_NAMES, "out.trn"}
 
 
+# the options that each search mode reads; any other is a usage error
+_SEARCH_READS = {"exhaustive": {"--threads", "--long-run"},
+                 "local": {"--restarts", "--steps", "--seed"}}
+
 # each st.one_of below draws valid values or any values, so that commands
 # succeed and fail in about equal measure
 
@@ -970,14 +1036,19 @@ def _argvs(draw):
                           st.integers(-2, 4) | st.sampled_from([9, 10, 10 ** 4]))
             argv += opt("p", draw(p)) + opt("k", draw(k))
     elif cmd == "search":
-        mode = draw(st.sampled_from(["exhaustive", "local"]))
+        mode = draw(st.sampled_from(sorted(_SEARCH_READS)))
         n = st.one_of(st.integers(4, 7), st.integers(2, 7))
-        threads = st.one_of(st.integers(1, 2), st.integers(-1, 2))
-        argv += opt("mode", mode) + opt("n", draw(n)) + opt("threads", draw(threads))
-        if mode == "local":
-            restarts = st.one_of(st.integers(1, 3), st.integers(-1, 3))
-            argv += (opt("restarts", draw(restarts)) + opt("steps", draw(st.integers(-1, 200)))
-                     + opt("seed", draw(st.integers(-5, 5))))
+        argv += opt("mode", mode) + opt("n", draw(n))
+        values = {"--threads": st.one_of(st.integers(1, 2), st.integers(-1, 2)),
+                  "--long-run": st.none(),
+                  "--restarts": st.one_of(st.integers(1, 3), st.integers(-1, 3)),
+                  "--steps": st.integers(-1, 200), "--seed": st.integers(-5, 5)}
+        for flag, value in values.items():
+            # any option for either mode: one the mode reads half the time,
+            # one it does not read a quarter of the time
+            if draw(st.integers(0, 3)) < (2 if flag in _SEARCH_READS[mode] else 1):
+                v = draw(value)
+                argv += [flag] if v is None else opt(flag[2:], v)
     else:
         tournament_checks = st.lists(st.sampled_from(["conference", "extremal-charpoly"]),
                                      min_size=1, max_size=2)
@@ -1033,6 +1104,11 @@ class TestExitContract:
         if argv[0] == "construct" and ("--q" not in flags or flags & {"--p", "--k"}):
             # --q alone names the order: --p, --k or no --q is a usage error
             assert code == INPUT_ERROR
+        if argv[0] == "search":
+            mode = "local" if {"local", "--mode=local"} & set(argv) else "exhaustive"
+            if flags & set().union(*_SEARCH_READS.values()) - _SEARCH_READS[mode]:
+                # each mode reads only its own options
+                assert code == INPUT_ERROR
         if code == INPUT_ERROR:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()

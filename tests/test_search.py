@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -153,10 +154,12 @@ class TestLocalSearch:
         b = local_search_max_diamonds(9, restarts=2, steps=300, seed=7)
         assert a == b
 
-    def test_thread_invariant_reduction(self):
-        a = local_search_max_diamonds(9, restarts=4, steps=200, seed=1, threads=1)
-        b = local_search_max_diamonds(9, restarts=4, steps=200, seed=1, threads=4)
-        assert (a.max_diamonds, a.witness) == (b.max_diamonds, b.witness)
+    def test_params_are_the_run_and_its_schedule(self):
+        # the annealer takes no threads: its report names what it ran on
+        res = local_search_max_diamonds(6, restarts=2, steps=30, seed=4)
+        assert res.params == {"restarts": 2, "steps": 30, "t0": _T0, "cooling": _COOLING,
+                              "seed": 4}
+        assert "threads" not in inspect.signature(local_search_max_diamonds).parameters
 
     def test_n12_does_not_exceed_bound(self):
         res = local_search_max_diamonds(12, restarts=2, steps=1500, seed=0)
@@ -214,10 +217,8 @@ class TestAnnealingOracle:
         (33, 2, 150, 5),
         (33, 1, 150, 6),
     ])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_matches_reference_annealer(self, n, restarts, steps, seed, threads):
-        res = local_search_max_diamonds(n, restarts=restarts, steps=steps, seed=seed,
-                                        threads=threads)
+    def test_matches_reference_annealer(self, n, restarts, steps, seed):
+        res = local_search_max_diamonds(n, restarts=restarts, steps=steps, seed=seed)
         assert (res.max_diamonds, res.witness, res.explored) == \
             _reference_anneal(n, restarts, steps, seed)
 
@@ -308,7 +309,6 @@ class TestBlockScan:
 class TestLocalSearchLimits:
     @pytest.mark.parametrize("kwargs", [
         {"n": 2}, {"n": 513}, {"n": 8, "steps": -1}, {"n": 8, "restarts": 0},
-        {"n": 8, "threads": 0},
     ])
     def test_rejected_before_the_run(self, monkeypatch, kwargs):
         def never(*args):
@@ -343,27 +343,18 @@ class TestLocalSearchLimits:
 
 
 class TestThreadLimit:
-    """threads outside [1, MAX_THREADS] is refused before any block is
-    scanned or any tournament drawn; MAX_THREADS gives the 1-thread result."""
+    """The exhaustive scan refuses threads outside [1, MAX_THREADS] before
+    any block is scanned; MAX_THREADS gives the 1-thread result."""
 
-    @pytest.mark.parametrize("search", [
-        lambda threads: exhaustive_max_diamonds(8, threads=threads, long_run=True),
-        lambda threads: local_search_max_diamonds(8, restarts=2, steps=10, threads=threads),
-    ])
     @pytest.mark.parametrize("threads", [0, MAX_THREADS + 1, 10 ** 6])
-    def test_rejected_before_any_work(self, monkeypatch, search, threads):
+    def test_rejected_before_any_work(self, monkeypatch, threads):
         def no_work(*args, **kwargs):
             raise AssertionError("search work started")
         monkeypatch.setattr("diamondkit.search._block_planes", no_work)
-        monkeypatch.setattr("diamondkit.search.random_tournament", no_work)
         with pytest.raises(ValueError, match="threads"):
-            search(threads)
+            exhaustive_max_diamonds(8, threads=threads, long_run=True)
 
     def test_max_threads_accepted(self):
         wide, one = exhaustive_max_diamonds(6, threads=MAX_THREADS), exhaustive_max_diamonds(6)
         assert wide._replace(params=None) == one._replace(params=None)
         assert wide.params == {"threads": MAX_THREADS}
-        res = local_search_max_diamonds(8, restarts=2, steps=50, seed=3, threads=MAX_THREADS)
-        one = local_search_max_diamonds(8, restarts=2, steps=50, seed=3)
-        assert res._replace(params=None) == one._replace(params=None)
-        assert res.params == {**one.params, "threads": MAX_THREADS}

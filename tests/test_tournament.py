@@ -414,7 +414,6 @@ class TestSizesThroughIndex:
         (lambda n: local_search_max_diamonds(n, restarts=1, steps=5), 70),
         (lambda r: local_search_max_diamonds(8, restarts=r, steps=5), 2),
         (lambda s: local_search_max_diamonds(8, restarts=1, steps=s), 5),
-        (lambda k: local_search_max_diamonds(8, restarts=2, steps=5, threads=k), 2),
         (lambda n: exhaustive_max_diamonds(n), 5),
         (lambda k: exhaustive_max_diamonds(5, threads=k), 2),
         (lambda n: encodings_with_delta(n, 2), 5),
@@ -431,7 +430,7 @@ class TestSizesThroughIndex:
         (lambda lam: is_3_design(baber(star_paley(7)), lam), 2),
     ], ids=["random_tournament", "random_tournament-seed", "decode", "decode-encoding",
             "paley_tournament", "star_paley", "local_search-n",
-            "local_search-restarts", "local_search-steps", "local_search-threads",
+            "local_search-restarts", "local_search-steps",
             "exhaustive-n", "exhaustive-threads", "encodings_with_delta-n",
             "encodings_with_delta-delta", "hypergraph-verify_ff4", "hypergraph-n",
             "diamond_upper_bound", "edge_count_bound", "gf_build", "is_3_design-lam"])
@@ -455,7 +454,6 @@ class TestSizesThroughIndex:
         (lambda: local_search_max_diamonds(2), "n=2 out of range [3, 512]"),
         (lambda: local_search_max_diamonds(8, restarts=0), "restarts must be at least 1, got 0"),
         (lambda: local_search_max_diamonds(8, steps=-1), "steps must be at least 0, got -1"),
-        (lambda: local_search_max_diamonds(8, threads=0), "threads=0 out of range [1, 64]"),
         (lambda: exhaustive_max_diamonds(9), "n=9 out of range [3, 8]"),
         (lambda: exhaustive_max_diamonds(5, threads=65), "threads=65 out of range [1, 64]"),
         (lambda: Hypergraph4(-1, []), "n=-1 out of range [0, 512]"),
@@ -471,7 +469,7 @@ class TestSizesThroughIndex:
         (lambda: is_3_design(baber(star_paley(7)), 2.0), "lam 2.0 is not an integer"),
         (lambda: is_3_design(Hypergraph4(8, []), -1), "lam must be at least 0, got -1"),
     ], ids=["decode", "random_tournament", "local_search-n", "local_search-restarts",
-            "local_search-steps", "local_search-threads", "exhaustive-n", "exhaustive-threads",
+            "local_search-steps", "exhaustive-n", "exhaustive-threads",
             "hypergraph-n", "edge_count_bound", "diamond_upper_bound", "gf_build",
             "clipped", "random_tournament-seed-None", "is_3_design-lam-float",
             "is_3_design-lam-negative"])
