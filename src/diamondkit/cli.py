@@ -28,6 +28,12 @@ def _rat(x) -> dict:
     return {"num": f.numerator, "den": f.denominator, "decimal": float(f)}
 
 
+def _diamond_bound(n, diamonds) -> dict:
+    """The diamond bound of n as reported, and whether diamonds attains it."""
+    bound = spectral.diamond_upper_bound(n)
+    return {"bound": _rat(bound), "attained": diamonds == bound}
+
+
 def _bound(h, ff4):
     """edge_count_bound of h as reported; a conjectural bound that an FF4
     hypergraph (ff4 true) exceeds is refuted."""
@@ -107,10 +113,7 @@ def cmd_count(args):
     if args.method in ("spectral", "both"):
         spectral_count = spectral.count_diamonds_spectral(t)
         results["spectral"] = spectral_count
-    delta = naive if naive is not None else spectral_count
-    bound = spectral.diamond_upper_bound(t.n)
-    results["bound"] = _rat(bound)
-    results["attained"] = delta == bound
+    results.update(_diamond_bound(t.n, naive if naive is not None else spectral_count))
     disagree = args.method == "both" and naive != spectral_count
     return {"in": args.input}, results, "violated" if disagree else "ok"
 
@@ -166,7 +169,7 @@ def cmd_verify(args):
         raise InputError(f"--checks names no check, got {tournament._quote(args.checks)}")
     unknown = set(checks) - set(_VERIFIERS)
     if unknown:
-        raise InputError(f"unknown checks: {sorted(unknown)}")
+        raise InputError(f"unknown checks: [{', '.join(map(tournament._quote, sorted(unknown)))}]")
     verifiers = {_VERIFIERS[c] for c in checks}
     if len(verifiers) != 1:
         raise InputError("--checks takes tournament checks (conference, extremal-charpoly) or "
@@ -222,7 +225,7 @@ def cmd_extend(args):
 
 # each search mode: its function in diamondkit.search and the options it
 # reads, which the parser defaults to None so that the function's defaults hold
-_SEARCH_MODES = {"exhaustive": ("exhaustive_max_diamonds", ("threads", "long_run")),
+_SEARCH_MODES = {"exhaustive": ("exhaustive_max_diamonds", ("threads",)),
                  "local": ("local_search_max_diamonds", ("restarts", "steps", "seed"))}
 
 
@@ -233,7 +236,7 @@ def cmd_search(args):
     name, reads = _SEARCH_MODES[args.mode]
     given = {o: getattr(args, o) for _, options in _SEARCH_MODES.values() for o in options
              if getattr(args, o) is not None}
-    foreign = [f"--{o.replace('_', '-')}" for o in given if o not in reads]
+    foreign = [f"--{o}" for o in given if o not in reads]
     if foreign:
         raise InputError(f"--mode {args.mode} does not read {', '.join(foreign)}")
     # the search function checks every limit before it starts work
@@ -241,11 +244,10 @@ def cmd_search(args):
     if args.out:
         tournament.save_trn(res.witness, args.out)
     results = {
-        "n": res.n,
-        "mode": res.mode,
+        "n": res.witness.n,
+        "mode": args.mode,
         "max_diamonds": res.max_diamonds,
-        "bound": _rat(res.bound),
-        "attained": res.attained,
+        **_diamond_bound(res.witness.n, res.max_diamonds),
         "explored": res.explored,
         "params": res.params,
         "witness_trn": tournament.format_trn(res.witness),
@@ -297,7 +299,6 @@ def build_parser():
     c.add_argument("--n", type=_int, required=True)
     c.add_argument("--threads", type=_int,
                    help="exhaustive only: 1 to 64, checked and reported, not used")
-    c.add_argument("--long-run", action="store_true", default=None, help="exhaustive only")
     for option in ("--restarts", "--steps", "--seed"):
         c.add_argument(option, type=_int, help="local only")
     c.add_argument("--out")

@@ -24,23 +24,22 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
-from .spectral import count_diamonds_spectral, diamond_upper_bound
-from .tournament import (MAX_N, MIN_N, InputError, Tournament, _bits, _diamond_lanes, _index,
-                         decode, encode, pair_index, random_tournament)
+from .spectral import count_diamonds_spectral
+from .tournament import (MAX_N, MIN_N, Tournament, _bits, _diamond_lanes, _index, decode, encode,
+                         pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
-_EXHAUSTIVE_MAX_N = 8  # the largest n, 2^28 encodings, runs only with long_run=True
+_EXHAUSTIVE_MAX_N = 8  # the scan's one limit on n: its 2^28 encodings take seconds
 MAX_THREADS = 64  # the largest threads the exhaustive scan accepts; it runs on one thread
 # the annealing schedule T_k = _T0 * _COOLING^k; it decays to a subnormal
 # float that stays above 0, so every step divides by a positive temperature
 _T0, _COOLING = 2.0, 0.999
 
 
-class SearchResult(namedtuple("SearchResult", "n mode max_diamonds witness bound attained "
-                                               "explored params")):
-    """A search's answer: the witness Tournament with max_diamonds diamonds,
-    the Fraction bound, whether it is attained, the encodings or proposals
-    explored and the search parameters as a dict."""
+class SearchResult(namedtuple("SearchResult", "max_diamonds witness explored params")):
+    """What a search found: the witness Tournament with max_diamonds
+    diamonds, the encodings or proposals explored and the search parameters
+    as a dict.  n is witness.n, and the bound is diamond_upper_bound(n)."""
 
     __slots__ = ()
 
@@ -92,33 +91,24 @@ def _block_planes(n, h):
     return planes
 
 
-def _best_of(n, mode, fn, items, explored, params) -> SearchResult:
+def _best_of(n, fn, items, explored, params) -> SearchResult:
     """The SearchResult of the best (count, encoding) pair fn returns over
     items, reduced as fn returns them: most diamonds, ties to the least
-    encoding."""
+    encoding, decoded as an n-vertex witness."""
     count, enc = max(map(fn, items), key=lambda r: (r[0], -r[1]))
-    bound = diamond_upper_bound(n)
-    return SearchResult(n=n, mode=mode, max_diamonds=count, witness=decode(n, enc), bound=bound,
-                        attained=count == bound, explored=explored, params=params)
+    return SearchResult(count, decode(n, enc), explored, params)
 
 
-def _check_exhaustive_n(n, long_run) -> int:
-    n = _index(n, "n", MIN_N, _EXHAUSTIVE_MAX_N)
-    if n == _EXHAUSTIVE_MAX_N and not long_run:
-        raise InputError(f"n={n} requires long_run=True (2^{n * (n - 1) // 2} encodings)")
-    return n
-
-
-def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) -> SearchResult:
+def exhaustive_max_diamonds(n: int, threads: int = 1) -> SearchResult:
     """Exact maximum diamond count over all 2^C(n,2) arc encodings.
 
     The encoding space is cut into blocks of 2^_LOW_BITS encodings that
     share their high bits, and the per-block maxima are reduced to the most
     diamonds, ties to the least encoding.  threads is checked and reported,
-    not used.  Raises InputError unless MIN_N <= n <= 8 and
-    1 <= threads <= MAX_THREADS; n=8 is refused unless long_run=True.
+    not used.  Raises InputError, before any work, unless
+    MIN_N <= n <= _EXHAUSTIVE_MAX_N = 8 and 1 <= threads <= MAX_THREADS.
     """
-    n = _check_exhaustive_n(n, long_run)
+    n = _index(n, "n", MIN_N, _EXHAUSTIVE_MAX_N)
     threads = _index(threads, "threads", 1, MAX_THREADS)
     total = 1 << (n * (n - 1) // 2)
     low, ones = _scan_plan(n)[:2]
@@ -133,16 +123,16 @@ def exhaustive_max_diamonds(n: int, threads: int = 1, long_run: bool = False) ->
                 count, best = count | (1 << k), top
         return count, (h << low) | ((best & -best).bit_length() - 1)
 
-    return _best_of(n, "exhaustive", scan_block, range(total >> low), explored=total,
-                    params={"threads": threads})
+    return _best_of(n, scan_block, range(total >> low), explored=total, params={"threads": threads})
 
 
-def encodings_with_delta(n: int, delta: int, long_run: bool = False) -> tuple:
+def encodings_with_delta(n: int, delta: int) -> tuple:
     """All encodings whose tournament has exactly the given diamond count.
 
-    An ascending tuple of ints, read from _block_planes.
+    An ascending tuple of ints, read from _block_planes.  Raises InputError
+    unless MIN_N <= n <= _EXHAUSTIVE_MAX_N = 8 and delta is an integer.
     """
-    n = _check_exhaustive_n(n, long_run)
+    n = _index(n, "n", MIN_N, _EXHAUSTIVE_MAX_N)
     delta = _index(delta, "delta")
     low, ones = _scan_plan(n)[:2]
     hits = []
@@ -249,6 +239,6 @@ def local_search_max_diamonds(n: int, restarts: int = 4, steps: int = 2000,
             temp *= _COOLING
         return best, best_enc
 
-    return _best_of(n, "local", run_restart, range(restarts), explored=restarts * (steps + 1),
+    return _best_of(n, run_restart, range(restarts), explored=restarts * (steps + 1),
                     params={"restarts": restarts, "steps": steps, "t0": _T0, "cooling": _COOLING,
                             "seed": seed})

@@ -90,7 +90,7 @@ def test_criterion_2_odd_equality_cases():
 @criterion(3, "exhaustive optima at n=4,5,7 with extremal witnesses, thread-invariant")
 def test_criterion_3_exhaustive_optima():
     r4 = exhaustive_max_diamonds(4)
-    assert r4.max_diamonds == 1 and r4.attained
+    assert r4.max_diamonds == 1 == diamond_upper_bound(4)
 
     r5 = exhaustive_max_diamonds(5)
     assert r5.max_diamonds == 2
@@ -98,7 +98,7 @@ def test_criterion_3_exhaustive_optima():
         assert count_diamonds_naive(decode(5, e)) in (0, 2)
 
     r7 = exhaustive_max_diamonds(7)
-    assert r7.max_diamonds == 14 and r7.attained
+    assert r7.max_diamonds == 14 == diamond_upper_bound(7)
     assert r7.explored == 1 << 21
     for e in encodings_with_delta(7, 14):
         t = decode(7, e)

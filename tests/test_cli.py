@@ -281,9 +281,15 @@ class TestSearchCommand:
         w = load_trn(out)
         assert count_diamonds_naive(w) == report["results"]["max_diamonds"]
 
-    def test_n8_needs_long_run(self, capsys):
-        code, _ = run(capsys, "search", "--mode", "exhaustive", "--n", "8")
-        assert code == INPUT_ERROR
+    @pytest.mark.parametrize("n, attained", [(5, False), (7, True)])
+    def test_count_of_the_witness_reports_the_same_bound(self, tmp_path, capsys, n, attained):
+        # search and count compare a count with the bound in one place
+        out = tmp_path / "w.trn"
+        _, found = run(capsys, "search", "--mode", "exhaustive", "--n", str(n), "--out", str(out))
+        _, counted = run(capsys, "count", "--in", str(out))
+        assert found["results"]["attained"] is attained
+        assert [found["results"][k] for k in ("bound", "attained")] == \
+            [counted["results"][k] for k in ("bound", "attained")]
 
 
 class TestSearchArguments:
@@ -344,7 +350,6 @@ class TestSearchModes:
         ("exhaustive", ("--restarts", "2")),
         ("exhaustive", ("--steps", "10")),
         ("exhaustive", ("--seed", "1")),
-        ("local", ("--long-run",)),
         ("local", ("--threads", "1")),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_foreign_option_exit_2(self, monkeypatch, capsys, mode, option):
@@ -404,7 +409,9 @@ class TestUsage:
         ("construct", "x" * 5000, "--q", "7"),
         ("count", "--in", "t.trn", "--method", "x" * 5000),
         ("x" * 5000,),
-    ], ids=["unrecognized", "mode", "construct-kind", "method", "command"])
+        # checked before the file is read
+        ("verify", "--in", "t.trn", "--checks", "x" * 5000),
+    ], ids=["unrecognized", "mode", "construct-kind", "method", "command", "checks"])
     def test_echoed_argument_is_clipped(self, capsys, argv):
         # argparse echoes an argument whole; the error quotes at most 40 characters of it
         assert main(list(argv)) == INPUT_ERROR
@@ -579,8 +586,8 @@ class TestNonUtf8Input:
 
 class TestThreadLimit:
     @pytest.mark.parametrize("argv", [
-        ("--mode", "exhaustive", "--n", "8", "--long-run", "--threads", "65"),
-        ("--mode", "exhaustive", "--n", "8", "--long-run", "--threads", "100000"),
+        ("--mode", "exhaustive", "--n", "8", "--threads", "65"),
+        ("--mode", "exhaustive", "--n", "8", "--threads", "100000"),
         ("--mode", "exhaustive", "--n", "7", "--threads", "0"),
     ])
     def test_above_max_threads_exit_2(self, monkeypatch, capsys, argv):
@@ -752,8 +759,9 @@ class TestErrorText:
         (("extend", "--in", "{trn}"), "matrix is not odd-extremal; extension does not apply"),
         (("search", "--mode", "local", "--n", "2"), "n=2 out of range [3, 512]"),
         (("search", "--mode", "exhaustive", "--n", "9"), "n=9 out of range [3, 8]"),
-        (("search", "--mode", "exhaustive", "--n", "8"),
-         "n=8 requires long_run=True (2^28 encodings)"),
+        # n = 8 runs like any other n: the parser refuses --long-run
+        (("search", "--mode", "exhaustive", "--n", "8", "--long-run"),
+         "unrecognized arguments: --long-run"),
         (("count", "--in", "{missing}"),
          "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
         (("verify", "--in", "{hyp}", "--checks", "conference"),
@@ -1006,7 +1014,7 @@ _PATHS = {*_NAMES, "out.trn"}
 
 
 # the options that each search mode reads; any other is a usage error
-_SEARCH_READS = {"exhaustive": {"--threads", "--long-run"},
+_SEARCH_READS = {"exhaustive": {"--threads"},
                  "local": {"--restarts", "--steps", "--seed"}}
 
 # each st.one_of below draws valid values or any values, so that commands
@@ -1040,15 +1048,13 @@ def _argvs(draw):
         n = st.one_of(st.integers(4, 7), st.integers(2, 7))
         argv += opt("mode", mode) + opt("n", draw(n))
         values = {"--threads": st.one_of(st.integers(1, 2), st.integers(-1, 2)),
-                  "--long-run": st.none(),
                   "--restarts": st.one_of(st.integers(1, 3), st.integers(-1, 3)),
                   "--steps": st.integers(-1, 200), "--seed": st.integers(-5, 5)}
         for flag, value in values.items():
             # any option for either mode: one the mode reads half the time,
             # one it does not read a quarter of the time
             if draw(st.integers(0, 3)) < (2 if flag in _SEARCH_READS[mode] else 1):
-                v = draw(value)
-                argv += [flag] if v is None else opt(flag[2:], v)
+                argv += opt(flag[2:], draw(value))
     else:
         tournament_checks = st.lists(st.sampled_from(["conference", "extremal-charpoly"]),
                                      min_size=1, max_size=2)

@@ -54,7 +54,7 @@ class TestExhaustive:
     def test_n4(self):
         res = exhaustive_max_diamonds(4)
         assert res.max_diamonds == 1
-        assert res.attained
+        assert res.max_diamonds == diamond_upper_bound(4)
         assert res.explored == 64
         assert count_diamonds_naive(res.witness) == 1
 
@@ -66,7 +66,7 @@ class TestExhaustive:
     def test_n5(self):
         res = exhaustive_max_diamonds(5)
         assert res.max_diamonds == 2
-        assert not res.attained  # bound is 5/2
+        assert res.max_diamonds != diamond_upper_bound(5)  # bound is 5/2
         assert res.explored == 1024
 
     def test_n6_meets_the_ff4_bound(self):
@@ -79,13 +79,13 @@ class TestExhaustive:
     def test_n7(self):
         res = exhaustive_max_diamonds(7)
         assert res.max_diamonds == 14
-        assert res.attained
+        assert res.max_diamonds == diamond_upper_bound(7)
         assert res.explored == 1 << 21
 
-    def test_n8_long_run(self):
+    def test_n8(self):
         # the paper's exact bound at n = 8, from the full 2^28 scan (about 4 s)
-        res = exhaustive_max_diamonds(8, long_run=True)
-        assert (res.max_diamonds, res.attained) == (28, True)
+        res = exhaustive_max_diamonds(8)
+        assert res.max_diamonds == 28 == diamond_upper_bound(8)
         assert res.explored == 1 << 28
         assert encode(res.witness) == 600626
 
@@ -108,7 +108,7 @@ class TestExhaustive:
     def test_attained_witnesses_are_extremal(self):
         for n in (4, 7):
             res = exhaustive_max_diamonds(n)
-            assert res.attained
+            assert res.max_diamonds == diamond_upper_bound(n)
             assert matches_extremal_charpoly(res.witness) != NOT_EXTREMAL
 
     def test_range_checks(self):
@@ -116,8 +116,6 @@ class TestExhaustive:
             exhaustive_max_diamonds(2)
         with pytest.raises(ValueError):
             exhaustive_max_diamonds(9)
-        with pytest.raises(ValueError):
-            exhaustive_max_diamonds(8)  # needs long_run=True
 
 
 class TestFiveVertexLaw:
@@ -143,7 +141,7 @@ class TestLocalSearch:
     def test_finds_optimum_n8(self):
         res = local_search_max_diamonds(8, restarts=6, steps=4000, seed=0)
         assert res.max_diamonds == 28
-        assert res.attained
+        assert res.max_diamonds == diamond_upper_bound(8)
 
     def test_zero_steps_returns_seed_delta(self):
         res = local_search_max_diamonds(10, restarts=1, steps=0, seed=3)
@@ -352,7 +350,7 @@ class TestThreadLimit:
             raise AssertionError("search work started")
         monkeypatch.setattr("diamondkit.search._block_planes", no_work)
         with pytest.raises(ValueError, match="threads"):
-            exhaustive_max_diamonds(8, threads=threads, long_run=True)
+            exhaustive_max_diamonds(8, threads=threads)
 
     def test_max_threads_accepted(self):
         wide, one = exhaustive_max_diamonds(6, threads=MAX_THREADS), exhaustive_max_diamonds(6)
