@@ -32,6 +32,7 @@ from diamondkit.spectral import count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
     count_diamonds,
+    encode,
     format_trn,
     load_trn,
     parse_trn,
@@ -280,6 +281,16 @@ class TestSearchCommand:
         assert code == OK
         w = load_trn(out)
         assert count_diamonds_naive(w) == report["results"]["max_diamonds"]
+
+    def test_n8_needs_no_flag(self, capsys):
+        # the full 2^28 scan runs like any other n and attains the bound
+        code, report = run(capsys, "search", "--mode", "exhaustive", "--n", "8",
+                           "--threads", "2")
+        assert code == OK
+        results = report["results"]
+        assert results["max_diamonds"] == 28 and results["attained"] is True
+        assert results["explored"] == 1 << 28
+        assert encode(parse_trn(results["witness_trn"])) == 600626
 
     @pytest.mark.parametrize("n, attained", [(5, False), (7, True)])
     def test_count_of_the_witness_reports_the_same_bound(self, tmp_path, capsys, n, attained):
