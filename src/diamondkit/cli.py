@@ -46,11 +46,9 @@ def _bound(h, ff4):
 
 
 def _load(read, path):
-    """read(path), with the path named in any error it raises."""
+    """read(path), with the path put before an InputError (an OSError names it)."""
     try:
         return read(path)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -60,14 +58,6 @@ class _Parser(argparse.ArgumentParser):
     other input error; add_subparsers makes every subparser one too."""
 
     def error(self, message):
-        # argparse echoes an argument whole.  A message too long for a
-        # 200-byte line, or with a line break, has each word clipped to 40
-        # characters (tournament._quote, inside its quotes), and is clipped
-        # whole if still too long; a shorter one, such as _int's, is kept
-        if len(message) > 190 or not message.isprintable():
-            message = " ".join(w if len(w) <= 40 and w.isprintable()
-                               else tournament._quote(w.strip("'")) for w in message.split(" "))
-            message = message if len(message) <= 190 else tournament._quote(message)
         raise InputError(message)
 
 
@@ -96,7 +86,7 @@ def cmd_construct(args):
         "q": args.q,
         "n": t.n,
         "diamonds": delta,
-        "bound": _rat(spectral.diamond_upper_bound(t.n)),
+        **_diamond_bound(t.n, delta),
         "skew_conference": spectral.is_skew_conference(t),
         "out": args.out,
     }
@@ -173,7 +163,7 @@ def cmd_verify(args):
     verifiers = {_VERIFIERS[c] for c in checks}
     if len(verifiers) != 1:
         raise InputError("--checks takes tournament checks (conference, extremal-charpoly) or "
-                       f"hypergraph checks (ff4, design), one kind only, got {checks}")
+                         "hypergraph checks (ff4, design), one kind only")
     results, failed = verifiers.pop()(args.input, checks)
     return {"in": args.input, "checks": checks}, results, "violated" if failed else "ok"
 
@@ -198,11 +188,12 @@ def cmd_delete(args):
     sub = constructions.delete_vertices(t, drop)
     if args.out:
         tournament.save_trn(sub, args.out)
+    diamonds = spectral.count_diamonds_spectral(sub)
     results = {
         "n": sub.n,
         "dropped": drop,
-        "diamonds": spectral.count_diamonds_spectral(sub),
-        "bound": _rat(spectral.diamond_upper_bound(sub.n)),
+        "diamonds": diamonds,
+        **_diamond_bound(sub.n, diamonds),
         "out": args.out,
     }
     return {"in": args.input, "vertices": drop}, results, "ok"
@@ -318,7 +309,15 @@ def main(argv=None) -> int:
         # only --help and --version exit: usage errors raise InputError
         return OK
     except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one printable line: a text over 400 characters or with a line break
+        # has each word clipped to 40 (tournament._quote, inside its quotes),
+        # then is clipped whole if still too long; a shorter one is kept
+        message = str(exc)
+        if len(message) > 400 or not message.isprintable():
+            message = " ".join(w if len(w) <= 40 and w.isprintable()
+                               else tournament._quote(w.strip("'")) for w in message.split(" "))
+            message = message if len(message) <= 400 else tournament._quote(message)
+        print(f"error: {message}", file=sys.stderr)
         return INPUT_ERROR
     return VIOLATED if status == "violated" else OK
 

@@ -242,9 +242,16 @@ def _quote(text: str) -> str:
 
 
 def _quote_int(x: int) -> str:
-    """x in decimal, or _quote of its digits when they are more than 40."""
-    text = str(x)
-    return text if len(text) <= 40 else _quote(text)
+    """x in decimal, or _quote of its digits when they are more than 40.  A
+    long x is not converted whole (str() refuses more digits than
+    sys.get_int_max_str_digits): its length comes from its bit length."""
+    sign, a = "-" * (x < 0), abs(x)
+    if a < 10 ** (40 - len(sign)):
+        return str(x)
+    d = (a.bit_length() - 1) * 30102999 // 10 ** 8  # 0.30102999 < log10(2), so d <= log10(a)
+    while 10 ** d <= a:
+        d += 1
+    return f"{sign + str(a // 10 ** (d - 40 + len(sign)))!r}... ({len(sign) + d} characters)"
 
 
 def parse_int(token: str) -> int:

@@ -65,6 +65,9 @@ class TestConstruct:
         assert report["results"]["n"] == 8
         assert report["results"]["diamonds"] == 28
         assert report["results"]["skew_conference"] is True
+        # the one comparison with diamond_upper_bound, as count and search report it
+        assert report["results"]["bound"] == {"num": 28, "den": 1, "decimal": 28.0}
+        assert report["results"]["attained"] is True
         assert load_trn(out) == star_paley(7)
 
     def test_paley_3(self, tmp_path, capsys):
@@ -208,6 +211,7 @@ class TestPipelines:
         assert code == OK
         assert report["results"]["n"] == 3 and report["results"]["diamonds"] == 0
         assert report["results"]["bound"] == {"num": 0, "den": 1, "decimal": 0.0}
+        assert report["results"]["attained"] is True
 
     def test_baber_refuses_above_the_edge_limit(self, tmp_path, capsys):
         # T*(151) has 5,451,100 diamonds, above hypergraph.MAX_EDGES
@@ -228,6 +232,7 @@ class TestPipelines:
         assert code == OK
         assert report["results"]["n"] == 7
         assert report["results"]["diamonds"] == 14
+        assert report["results"]["attained"] is True
 
     def test_extend_command(self, tmp_path, capsys):
         trn = tmp_path / "p7.trn"
@@ -406,13 +411,23 @@ class TestUsage:
         # short words is clipped as a whole
         ("count", "--in", "t.trn", "a\nb"),
         ("search", "--n", "4", "--mode", "a " * 2500),
+        # main bounds every exit-2 text, not only argparse's: many short
+        # unknown names, a mixed list, an OSError naming a long path, and
+        # a file error whose path has a line break ({tmp}/a\nb.trn has a bad row)
+        ("verify", "--in", "t.trn", "--checks", ",".join(f"b{i}" for i in range(1000))),
+        ("verify", "--in", "t.trn", "--checks", "ff4" + ",conference" * 500),
+        ("count", "--in", "x" * 5000),
+        ("construct", "paley", "--q", "7", "--out", "{tmp}/missing/" + "x" * 5000),
+        ("count", "--in", "{tmp}/missing/a\nb"),
+        ("count", "--in", "{tmp}/a\nb.trn"),
     ])
-    def test_usage_error_is_one_line(self, capsys, argv):
-        assert main(list(argv)) == INPUT_ERROR
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv):
+        (tmp_path / "a\nb.trn").write_text("3\n01x\n001\n100\n")
+        assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == INPUT_ERROR
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
-        assert len(captured.err.encode()) < 200
+        assert lines[0].isprintable() and len(captured.err.encode()) < 200
 
     @pytest.mark.parametrize("argv", [
         ("search", "--mode", "local", "--n", "8", "--t0", "x" * 5000),
@@ -773,8 +788,8 @@ class TestErrorText:
         # n = 8 runs like any other n: the parser refuses --long-run
         (("search", "--mode", "exhaustive", "--n", "8", "--long-run"),
          "unrecognized arguments: --long-run"),
-        (("count", "--in", "{missing}"),
-         "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        # an OSError names the file once, through repr
+        (("count", "--in", "{missing}"), "[Errno 2] No such file or directory: '{missing}'"),
         (("verify", "--in", "{hyp}", "--checks", "conference"),
          "{hyp}: bad vertex count '32 9920' (line 1)"),
         (("verify", "--in", "{trn}", "--checks", "ff4"),
@@ -1015,13 +1030,19 @@ def _fuzz_files():
         "short.trn": b"4\n0110\n",
         "range.hyp": b"5 1\n0 1 2 5\n",
         "empty.trn": b"",
+        # a file error names the path, line break and all
+        "line\nbreak.trn": b"3\n01x\n001\n100\n",
     }
 
 
-_NAMES = sorted(_fuzz_files()) + ["mutant.trn", "mutant.hyp", "mutant.txt", "missing.trn"]
+# a file name too long for the file system: an OSError names it whole
+_LONG_NAME = "x" * 5000
+_NAMES = sorted(_fuzz_files()) + ["mutant.trn", "mutant.hyp", "mutant.txt", "missing.trn",
+                                  _LONG_NAME]
 _TRN_NAMES = ["p7.trn", "s7.trn", "r6.trn", "trn-as.hyp", "s7.txt"]
 _HYP_NAMES = ["s7.hyp", "broken.hyp", "hyp-as.trn", "h7.txt"]
-_PATHS = {*_NAMES, "out.trn"}
+_OUT_NAMES = ["out.trn", "line\nbreak-out.trn", _LONG_NAME]
+_PATHS = {*_NAMES, *_OUT_NAMES}
 
 
 # the options that each search mode reads; any other is a usage error
@@ -1072,7 +1093,9 @@ def _argvs(draw):
         hypergraph_checks = st.lists(st.sampled_from(["ff4", "design"]), min_size=1, max_size=2)
         any_checks = st.lists(st.sampled_from(["conference", "extremal-charpoly", "ff4",
                                                "design", "bogus", " "]), max_size=3)
-        checks = draw(tournament_checks | hypergraph_checks | any_checks)
+        # many short unknown names, or a mixed list: each refusal is one short line
+        floods = st.sampled_from([[f"b{i}" for i in range(1000)], ["ff4"] + ["conference"] * 500])
+        checks = draw(tournament_checks | hypergraph_checks | any_checks | floods)
         hyp_input = cmd == "verify" and bool(checks) and set(checks) <= {"ff4", "design"}
         names = _HYP_NAMES if hyp_input else _TRN_NAMES
         argv += opt("in", draw(st.one_of(st.sampled_from(names), st.sampled_from(_NAMES))))
@@ -1086,7 +1109,7 @@ def _argvs(draw):
                                  st.lists(junk, max_size=4))
             argv += opt("vertices", ",".join(draw(vertices)))
     if cmd in ("construct", "baber", "delete", "search") and draw(st.booleans()):
-        argv += opt("out", "out.trn")
+        argv += opt("out", draw(st.sampled_from(_OUT_NAMES)))
     return argv
 
 
@@ -1129,7 +1152,7 @@ class TestExitContract:
         if code == INPUT_ERROR:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].isprintable()
         else:
             assert err.getvalue() == ""
             assert (code == VIOLATED) == (json.loads(out.getvalue())["status"] == "violated")

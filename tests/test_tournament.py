@@ -468,15 +468,23 @@ class TestSizesThroughIndex:
         (lambda: random_tournament(10, None), "seed None is not an integer"),
         (lambda: is_3_design(baber(star_paley(7)), 2.0), "lam 2.0 is not an integer"),
         (lambda: is_3_design(Hypergraph4(8, []), -1), "lam must be at least 0, got -1"),
+        # above str()'s digit limit (sys.get_int_max_str_digits) too
+        (lambda: random_tournament(10 ** 5000, 0),
+         f"n={'1' + '0' * 39!r}... (5001 characters) out of range [3, 512]"),
+        (lambda: decode(5, 10 ** 5000),
+         f"encoding {'1' + '0' * 39!r}... (5001 characters) out of range for n=5"),
+        (lambda: local_search_max_diamonds(8, steps=-10 ** 5000),
+         f"steps must be at least 0, got {'-1' + '0' * 38!r}... (5002 characters)"),
     ], ids=["decode", "random_tournament", "local_search-n", "local_search-restarts",
             "local_search-steps", "exhaustive-n", "exhaustive-threads",
             "hypergraph-n", "edge_count_bound", "diamond_upper_bound", "gf_build",
             "clipped", "random_tournament-seed-None", "is_3_design-lam-float",
-            "is_3_design-lam-negative"])
+            "is_3_design-lam-negative", "random_tournament-n-huge", "decode-encoding-huge",
+            "local_search-steps-huge"])
     def test_out_of_range_text(self, call, text):
         with pytest.raises(InputError) as exc:
             call()
-        assert str(exc.value) == text
+        assert str(exc.value) == text and len(text) < 200
 
     @pytest.mark.parametrize("n", [-5, 0, 1, 2, 513, 2000])
     def test_decode_refuses_orders_outside_3_to_512(self, n):
