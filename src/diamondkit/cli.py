@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -310,12 +311,14 @@ def main(argv=None) -> int:
         return OK
     except (InputError, OSError) as exc:
         # one printable line: a text over 400 characters or with a line break
-        # has each word clipped to 40 (tournament._quote, inside its quotes),
-        # then is clipped whole if still too long; a shorter one is kept
+        # has each word, between spaces or ": ", clipped to 40 inside the
+        # quotes of tournament._quote, then is clipped whole if still too long
         message = str(exc)
         if len(message) > 400 or not message.isprintable():
-            message = " ".join(w if len(w) <= 40 and w.isprintable()
-                               else tournament._quote(w.strip("'")) for w in message.split(" "))
+            words = re.split("(:? )", message)  # words at even places
+            words[::2] = [w if len(w) <= 40 and w.isprintable() else tournament._quote(w.strip("'"))
+                          for w in words[::2]]
+            message = "".join(words)
             message = message if len(message) <= 400 else tournament._quote(message)
         print(f"error: {message}", file=sys.stderr)
         return INPUT_ERROR

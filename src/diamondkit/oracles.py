@@ -1,14 +1,14 @@
 """Test oracles: slow, independent references for the production answers.
 
 count_diamonds_naive (the C(n,4) scan), diamond_delta_on_flip,
-char_poly (Faddeev-LeVerrier), sum_principal_minors (Bareiss),
-verify_ff4_naive (the C(n,5) scan), triple_profile and _deltas recompute
-what tournament, spectral, hypergraph and search answer, in O(n^4) or
-O(n^5) work; from_arcs and reverse build test tournaments, and the rest
-are the paper's design and sum-of-squares formulas.  They read S from
-seidel, an arc i -> j as (t.rows[i] >> j) & 1, or the pair bits of an
-encoding; none reuses a production table.  No production module imports
-this one, and it does not import search.
+char_poly (Faddeev-LeVerrier), sigma_from_traces (numpy traces of S^2 and
+S^4), sum_principal_minors (Bareiss), verify_ff4_naive (the C(n,5) scan),
+triple_profile and _deltas recompute what tournament, spectral, hypergraph
+and search answer, in O(n^3) to O(n^5) work; from_arcs and reverse build
+test tournaments, and the rest are the paper's design and sum-of-squares
+formulas.  They read S from seidel, an arc i -> j as (t.rows[i] >> j) & 1,
+or the pair bits of an encoding; none reuses a production table.  No
+production module imports this one, and it does not import search.
 """
 
 from __future__ import annotations
@@ -87,6 +87,26 @@ def count_diamonds_naive(t: Tournament) -> int:
                 deg += a[c[:, i], c[:, j]]
         score += deg * deg
     return int(np.count_nonzero(score == _DIAMOND_SQ))
+
+
+def sigma_from_traces(t: Tournament):
+    """(sigma_2, sigma_4) of det(xI - S) from tr(S^2) and tr(S^4) via
+    Newton's identities.
+
+    Odd power sums of a skew-symmetric matrix vanish, which collapses the
+    identities to sigma_2 = -tr(S^2)/2 and
+    sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4.  S^2 is the int64 product of
+    seidel's S with itself (entries at most n in magnitude, so exact), and
+    tr(S^4) is the sum of its squared entries, as S^2 is symmetric.
+    """
+    s = np.array(seidel(t), dtype=np.int64)
+    s2 = s @ s
+    t2, t4 = int(np.trace(s2)), int((s2 * s2).sum())
+    sigma2, r2 = divmod(-t2, 2)
+    sigma4, r4 = divmod(t2 * t2 // 2 - t4, 4)
+    if r2 or r4:
+        raise ArithmeticError("trace formulas produced non-integers")
+    return sigma2, sigma4
 
 
 class ArcFlip(namedtuple("ArcFlip", "i j")):

@@ -150,9 +150,10 @@ def encodings_with_delta(n: int, delta: int) -> tuple:
 class _SquareState:
     """Annealing state: the Seidel matrix S and Q = S @ S, both int64.
 
-    The diamond count is (sigma_4 - C(n,4)) / 8 with
-    sigma_4 = ((tr Q)^2 / 2 - ||Q||_F^2) / 4, and tr Q = -n(n-1) is fixed, so
-    reversing an arc changes the count by -d||Q||_F^2 / 32.  Reversing
+    The diamond count is (n C(n,3) - sum g^2) / 16 over the entries g of Q
+    above its fixed diagonal 1 - n (count_diamonds_spectral), which is
+    const - ||Q||_F^2 / 32, so reversing an arc changes it by
+    -d||Q||_F^2 / 32.  Reversing
     i -> j (S[i, j] = +1) adds -2 S[j] to row i of the symmetric Q and
     2 S[i] to row j, except at Q[i, i], Q[j, j] and Q[i, j], which keep
     their values, and the same to columns i and j.  Summing the squares of

@@ -1,11 +1,11 @@
 """Exact spectral identities of the Seidel matrix S = A - A^T of a tournament.
 
-Everything here is integer-exact and takes a Tournament.  The checks use
-matrix identities: sigma_2/sigma_4 from traces of S^2 and S^4, the
-skew-conference test from S^2 and the odd-extremal test as S^2 + nI = uu^T.
-All of them read S^2 above its diagonal, cached on the tournament
-(Tournament.square_upper, Python ints from row popcounts), and its diagonal
-1 - n from n, so each is O(n^2) once S^2 is built.
+Everything here is integer-exact, takes a Tournament and reads the entries
+g of S^2 above its diagonal, cached on it (Tournament.square_upper, Python
+ints from row popcounts), and the diagonal 1 - n from n: O(n^2) once S^2 is
+built.  The diamond count and its bound are one identity,
+D = (n C(n,3) - sum g^2) / 16, and the extremal tests read S^2 = -(n-1) I
+and S^2 + nI = uu^T.
 """
 
 from __future__ import annotations
@@ -22,32 +22,21 @@ ODD_EXTREMAL = "odd-extremal"
 NOT_EXTREMAL = "no"
 
 
-def sigma_from_traces(t: Tournament):
-    """(sigma_2, sigma_4) from tr(S^2) and tr(S^4) via Newton's identities.
+def count_diamonds_spectral(t: Tournament) -> int:
+    """Diamond count D = (n C(n,3) - sum g^2) / 16 over the entries g of
+    square_upper.
 
-    Odd power sums of a skew-symmetric matrix vanish, which collapses the
-    identities to sigma_2 = -tr(S^2)/2 and
-    sigma_4 = (tr(S^2)^2/2 - tr(S^4))/4, in Python ints.  S^2 is symmetric
-    with diagonal 1 - n, so tr(S^4), the sum of its squared entries, is
-    n(n-1)^2 plus twice the sum of squares g^2 above the diagonal.
+    D = (sigma_4 - C(n,4)) / 8 for the characteristic polynomial of S, whose
+    odd power sums vanish, so Newton's identities give
+    sigma_4 = (tr(S^2)^2 / 2 - tr(S^4)) / 4 with tr(S^2) = -n(n-1) and
+    tr(S^4) = ||S^2||_F^2 = n(n-1)^2 + 2 sum g^2; the constants collect to
+    n^2 (n-1)(n-2) / 96 = n C(n,3) / 16.
     """
     n, g = t.n, t.square_upper
-    t2 = -n * (n - 1)
-    t4 = n * (n - 1) ** 2 + 2 * sum(map(mul, g, g))
-    sigma2, r2 = divmod(-t2, 2)
-    sigma4, r4 = divmod(t2 * t2 // 2 - t4, 4)
-    if r2 or r4:
-        raise ArithmeticError("trace formulas produced non-integers")
-    return sigma2, sigma4
-
-
-def count_diamonds_spectral(t: Tournament) -> int:
-    """Diamond count as (sigma_4 - C(n,4)) / 8 from the trace fast path."""
-    _, sigma4 = sigma_from_traces(t)
-    q, r = divmod(sigma4 - comb(t.n, 4), 8)
+    d, r = divmod(n * comb(n, 3) - sum(map(mul, g, g)), 16)
     if r:
-        raise ArithmeticError(f"sigma_4 - C(n,4) = {sigma4 - comb(t.n, 4)} not divisible by 8")
-    return q
+        raise ArithmeticError(f"n C(n,3) - sum g^2 is {r} mod 16, not 0")
+    return d
 
 
 def is_skew_conference(t: Tournament) -> bool:
@@ -101,9 +90,14 @@ def matches_extremal_charpoly(t: Tournament) -> str:
 
 
 def diamond_upper_bound(n: int) -> Fraction:
-    """Maximum possible diamond count by parity, as an exact rational, for
-    any n >= 0: 0 below 4 vertices, where there is no 4-set, and 1 at n = 4."""
+    """Upper bound on the diamond count of a tournament on n vertices, as an
+    exact rational, for any n >= 0: (n C(n,3) - [n odd] C(n,2)) / 16.
+
+    Each g = (S^2)_ij = 2 popcount(r_i ^ r_j) - n has n's parity, so
+    |g| >= n mod 2 and sum g^2 >= [n odd] C(n,2) over the C(n,2) pairs, with
+    equality iff every |g| is n mod 2; count_diamonds_spectral's identity
+    turns that into this bound, attained exactly then.  It is 0 below 4
+    vertices, where there is no 4-set, and 1 at n = 4.
+    """
     n = _index(n, "n", 0)
-    if n % 2 == 0:
-        return Fraction(n * n * (n - 1) * (n - 2), 96)
-    return Fraction(n * (n - 1) * (n - 3) * (n + 1), 96)
+    return Fraction(n * comb(n, 3) - (n % 2) * comb(n, 2), 16)

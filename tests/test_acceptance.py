@@ -25,6 +25,7 @@ from diamondkit.oracles import (
     is_min_sum_squares_witness,
     min_sum_squares,
     seidel,
+    sigma_from_traces,
     sum_principal_minors,
     triple_profile,
 )
@@ -37,7 +38,6 @@ from diamondkit.spectral import (
     diamond_upper_bound,
     is_skew_conference,
     matches_extremal_charpoly,
-    sigma_from_traces,
 )
 from diamondkit.tournament import decode, random_tournament
 
@@ -142,6 +142,10 @@ def test_criterion_6_sigma_invariants():
         assert Fraction(sigma4) <= bound
         tight = Fraction(sigma4) == bound
         assert tight == (matches_extremal_charpoly(t) != NOT_EXTREMAL)
+        # the bound's equality case: every entry of S^2 off its diagonal has
+        # |g| = n mod 2, the least its parity allows
+        flat = all(abs(g) == t.n % 2 for g in t.square_upper)
+        assert (count_diamonds_spectral(t) == diamond_upper_bound(t.n)) == tight == flat
         if expect_extremal:
             assert tight
 

@@ -429,6 +429,16 @@ class TestUsage:
         assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
         assert lines[0].isprintable() and len(captured.err.encode()) < 200
 
+    def test_quoted_path_keeps_its_colon_outside(self, tmp_path, monkeypatch, capsys):
+        # a path with a line break is quoted, and _load's colon after it
+        # stays outside the quotes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a\nb.trn").write_text("3\n01x\n001\n100\n")
+        assert main(["count", "--in", "a\nb.trn"]) == INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'a\\nb.trn': bad character 'x' (line 2, column 3)\n"
+
     @pytest.mark.parametrize("argv", [
         ("search", "--mode", "local", "--n", "8", "--t0", "x" * 5000),
         ("search", "--mode", "x" * 5000, "--n", "4"),

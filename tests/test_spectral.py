@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -15,6 +16,7 @@ from diamondkit.oracles import (
     from_arcs,
     reverse,
     seidel,
+    sigma_from_traces,
     sum_principal_minors,
 )
 from diamondkit.search import encodings_with_delta
@@ -27,12 +29,12 @@ from diamondkit.spectral import (
     is_skew_conference,
     kernel_sign_vector,
     matches_extremal_charpoly,
-    sigma_from_traces,
 )
 from diamondkit.tournament import (
     InputError,
     count_diamonds,
     decode,
+    pair_index,
     random_tournament,
 )
 
@@ -199,11 +201,65 @@ class TestSpectralCount:
         t = random_tournament(n, seed=n)
         assert count_diamonds(t) == count_diamonds_spectral(t)
 
+    @staticmethod
+    def _against_traces(t):
+        # the oracle's (sigma_4 - C(n,4)) / 8, from numpy traces of its own S
+        _, sigma4 = sigma_from_traces(t)
+        assert count_diamonds_spectral(t) == count_diamonds(t) == \
+            Fraction(sigma4 - comb(t.n, 4), 8)
+
+    @given(st.integers(3, 64), st.integers(0, 2**30))
+    @settings(max_examples=60, deadline=None)
+    def test_trace_oracle(self, n, seed):
+        self._against_traces(random_tournament(n, seed))
+
+    def test_trace_oracle_512(self):
+        self._against_traces(random_tournament(512, 0))
+
     def test_star_paley_499_closed_form(self):
         t = star_paley(499)
         n = t.n
         expected = n * n * (n - 1) * (n - 2) // 96
         assert count_diamonds_spectral(t) == count_diamonds(t) == expected
+
+
+def _every_tournament(n):
+    return (decode(n, e) for e in range(1 << comb(n, 2)))
+
+
+class TestSquareParity:
+    """What the entries g of square_upper are mod 2 and mod 4: the bound's
+    equality case and the triangle lemma, read only through square_upper
+    and pair_index."""
+
+    @staticmethod
+    def _triangle_residues(t):
+        n, g = t.n, t.square_upper
+        return {(g[pair_index(n, i, j)] + g[pair_index(n, i, k)] + g[pair_index(n, j, k)]) % 4
+                for i, j, k in combinations(range(n), 3)}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_triangle_lemma_exhaustive(self, n):
+        # g_ij + g_ik + g_jk = n (mod 4) for every three vertices
+        for t in _every_tournament(n):
+            assert self._triangle_residues(t) == {n % 4}
+
+    @given(st.integers(3, 40), st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_triangle_lemma(self, n, seed):
+        assert self._triangle_residues(random_tournament(n, seed)) == {n % 4}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_bound_attained_iff_flat(self, n):
+        # the count reaches the bound iff every |g| is n mod 2, its least value
+        attained = 0
+        for t in _every_tournament(n):
+            flat = all(abs(g) == n % 2 for g in t.square_upper)
+            assert (count_diamonds_spectral(t) == diamond_upper_bound(n)) == flat
+            attained += flat
+        # n = 3: all 8, with no 4-set; n = 4: the 16 diamonds; n = 5, 6: a
+        # bound of 5/2 and 15/2 is not reached
+        assert attained == {3: 8, 4: 16, 5: 0, 6: 0}[n]
 
 
 class TestSquare:
@@ -235,8 +291,8 @@ class TestSquare:
 
 
 class TestReadersAgainstFullSquare:
-    """is_skew_conference, kernel_sign_vector and sigma_from_traces, which
-    take the diagonal of S^2 from n, against the full numpy S^2 of the
+    """is_skew_conference, kernel_sign_vector and count_diamonds_spectral,
+    which take the diagonal of S^2 from n, against the full numpy S^2 of the
     oracle's S."""
 
     def _agree(self, t):
@@ -250,8 +306,9 @@ class TestReadersAgainstFullSquare:
                         and np.array_equal(a2 + n * np.eye(n, dtype=np.int64), np.outer(u, u)))
         got = kernel_sign_vector(t)
         assert got == (u.tolist() if rank_one else None)
+        # D = (sigma_4 - C(n,4)) / 8, sigma_4 by Newton's identities on the traces
         t2, t4 = int(np.trace(a2)), int((a2 * a2).sum())
-        assert sigma_from_traces(t) == (-t2 // 2, (t2 * t2 // 2 - t4) // 4)
+        assert count_diamonds_spectral(t) == ((t2 * t2 // 2 - t4) // 4 - comb(n, 4)) // 8
         return got
 
     @given(st.integers(3, 40), st.integers(0, 2**30))
@@ -365,6 +422,13 @@ class TestBounds:
         assert 8 * diamond_upper_bound(n) + comb(n, 4) == expected
         t = paley_tournament(n) if n % 4 == 3 else star_paley(n - 1)
         assert sigma_from_traces(t)[1] == expected
+
+    def test_parity_formulas(self):
+        # one expression at every n: n^2 (n-1)(n-2) / 96 for even n and
+        # n (n-1)(n-3)(n+1) / 96 for odd n
+        for n in range(601):
+            parity = n * n * (n - 1) * (n - 2) if n % 2 == 0 else n * (n - 1) * (n - 3) * (n + 1)
+            assert diamond_upper_bound(n) == Fraction(parity, 96)
 
     def test_rejects_small_n(self):
         # every n >= 0 has a bound; below 4 vertices it is 0
