@@ -311,8 +311,8 @@ def main(argv=None) -> int:
         return OK
     except (InputError, OSError) as exc:
         # one printable line: a text over 400 characters or with a line break
-        # has each word, between spaces or ": ", clipped to 40 inside the
-        # quotes of tournament._quote, then is clipped whole if still too long
+        # has each word, between spaces or ": ", over 40 characters cut to its
+        # two ends by tournament._quote, then is clipped whole if still too long
         message = str(exc)
         if len(message) > 400 or not message.isprintable():
             words = re.split("(:? )", message)  # words at even places

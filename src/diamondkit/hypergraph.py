@@ -17,7 +17,7 @@ from operator import index
 
 from .spectral import diamond_upper_bound
 from .tournament import (MAX_N, InputError, Tournament, _Record, _bits, _diamond_lanes, _index,
-                         _quote, _quote_int, _read_utf8, _refuse_trailing, count_diamonds,
+                         _lines, _quote, _quote_int, _read_utf8, _refuse_trailing, count_diamonds,
                          parse_int)
 
 PROVEN = "proven"
@@ -181,22 +181,22 @@ def is_3_design(h: Hypergraph4, lam: int) -> bool:
 def edge_count_bound(n: int):
     """(bound, status) for the maximum FF4 edge count in residue class n mod 4.
 
-    The n = 0 and n = 3 bounds are proven: they are the diamond bounds, the
-    edge counts of Baber hypergraphs of extremal tournaments.  Every n >= 0
-    is taken, and up to n = 6 each formula is the exact maximum, found by
-    enumerating every 4-graph (0 up to n = 3, then 1, 2 and 6), so it is
-    proven there too.  n = 1 and n = 2 from n = 9 on are conjectural and
-    must never be asserted, only reported.  The n = 1 formula is false: at
-    n = 17 an FF4 hypergraph has 702 edges against 700 (see REFUTED).
+    The bound is diamond_upper_bound(n) - gap / 16, gap = (0, (n-1)(n-3),
+    n(n-2), 0)[n % 4], for every n >= 0: in D = (n C(n,3) - sum g^2) / 16
+    (count_diamonds_spectral) each gap is the sum g^2, beyond the diamond
+    bound's, of the construction attaining it: a source over an extremal
+    tournament has 3 C(n-1,2), the two-block S^2 n(n-2).  Gap 0 (n = 0, 3
+    mod 4) is proven: those bounds are the diamond bounds, the edge counts of
+    Baber hypergraphs of extremal tournaments.  Up to n = 6 each bound is the
+    exact maximum, found by enumerating every 4-graph, so proven too.  n = 1,
+    2 mod 4 from n = 9 on are conjectural: reported, never asserted.  The
+    n = 1 formula is false: at n = 17 an FF4 hypergraph has 702 edges against
+    700 (see REFUTED).
     """
     n = _index(n, "n", 0)
-    r = n % 4
-    if r in (0, 3):
-        return diamond_upper_bound(n), PROVEN
-    status = PROVEN if n <= 6 else CONJECTURAL
-    if r == 2:
-        return Fraction(n * (n - 3) * (n + 2) * (n - 2), 96), status
-    return Fraction((n - 1) * (n - 2) * (n - 3) * (n + 3), 96), status
+    gap = (0, (n - 1) * (n - 3), n * (n - 2), 0)[n % 4]
+    status = PROVEN if n % 4 in (0, 3) or n <= 6 else CONJECTURAL
+    return diamond_upper_bound(n) - Fraction(gap, 16), status
 
 
 def parse_hyp(text: str) -> Hypergraph4:
@@ -212,7 +212,7 @@ def parse_hyp(text: str) -> Hypergraph4:
     which Hypergraph4 checks, keeps and places in one pass (its error's at);
     each InputError carries the 1-based line.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     if not lines:
         raise InputError("empty input", line=1)
     head = lines[0].split()

@@ -153,13 +153,13 @@ class _SquareState:
     The diamond count is (n C(n,3) - sum g^2) / 16 over the entries g of Q
     above its fixed diagonal 1 - n (count_diamonds_spectral), which is
     const - ||Q||_F^2 / 32, so reversing an arc changes it by
-    -d||Q||_F^2 / 32.  Reversing
-    i -> j (S[i, j] = +1) adds -2 S[j] to row i of the symmetric Q and
-    2 S[i] to row j, except at Q[i, i], Q[j, j] and Q[i, j], which keep
-    their values, and the same to columns i and j.  Summing the squares of
-    those rows and columns before and after gives a change of
-    -(Q[j].S[i] - Q[i].S[j] + 4n - 6) / 4, where Q[i].S[j] = -(S^3)[i, j] =
-    -Q[j].S[i] as S and S^3 are skew: one dot product per proposal, an O(n)
+    -d||Q||_F^2 / 32.  Reversing the arc between i and j, of sign
+    s = S[i, j] in either orientation, adds -2s S[j] to row i of the
+    symmetric Q and 2s S[i] to row j, except at Q[i, i], Q[j, j] and
+    Q[i, j], which keep their values, and the same to columns i and j.
+    Summing the squares of those rows and columns before and after gives a
+    change of -(s Q[j].S[i] + 2n - 3) / 2, as Q[i].S[j] = -(S^3)[i, j] =
+    -Q[j].S[i] with S and S^3 skew: one dot product per proposal, an O(n)
     update per accepted flip.  Q's entries have magnitude at most n - 1, so
     int64 is exact.  Q is 1 - n on the diagonal and t's cached square_upper
     on both sides of it, and S = A - A^T comes from one unpackbits of the rows.
@@ -178,23 +178,20 @@ class _SquareState:
         a = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.int64)
         self.s = a - a.T
 
-    def dominates(self, i, j) -> bool:
-        return self.s.item(i, j) > 0
-
     def delta(self, i, j) -> int:
-        """Diamond count change if the arc i -> j is reversed (i dominates j)."""
-        return -(int(self.q[j] @ self.s[i]) + 2 * self.n - 3) // 2
+        """Diamond count change if the arc between i != j is reversed."""
+        return -(self.s.item(i, j) * int(self.q[j] @ self.s[i]) + 2 * self.n - 3) // 2
 
     def flip(self, i, j):
-        """Reverse the arc i -> j (i dominates j)."""
+        """Reverse the arc between i != j."""
         s, q = self.s, self.q
-        q[i] -= 2 * s[j]
-        q[j] += 2 * s[i]
+        sign = 2 * s.item(i, j)
+        q[i] -= sign * s[j]
+        q[j] += sign * s[i]
         q[i, i] = q[j, j] = 1 - self.n
         q[:, i] = q[i]
         q[:, j] = q[j]
-        s[i, j] = -1
-        s[j, i] = 1
+        s[i, j], s[j, i] = s[j, i], s[i, j]
 
 
 def local_search_max_diamonds(n: int, restarts: int = 4, steps: int = 2000,
@@ -226,8 +223,6 @@ def local_search_max_diamonds(n: int, restarts: int = 4, steps: int = 2000,
             j = rng.randrange(n - 1)
             if j >= i:
                 j += 1
-            if not state.dominates(i, j):
-                i, j = j, i
             delta = state.delta(i, j)
             if delta >= 0 or rng.random() < math.exp(delta / temp):
                 state.flip(i, j)

@@ -174,8 +174,9 @@ def count_diamonds(t: Tournament) -> int:
     A diamond is a 3-cycle inside N+(v) or inside N-(v) for exactly one apex
     v, and a sub-tournament on m vertices with scores s_w has
     C(m,3) - sum_w C(s_w,2) 3-cycles (Kendall-Babington Smith).  Each score
-    is one popcount, so this is O(n^2) popcounts of n-bit rows and
-    allocates no arrays.
+    is one popcount, of row w inside the side of v that holds w (v itself
+    gets N-(v), which row v does not meet: score 0), so this is O(n^2)
+    popcounts of n-bit rows and allocates no arrays.
     """
     full = (1 << t.n) - 1
     total = 0
@@ -184,12 +185,7 @@ def count_diamonds(t: Tournament) -> int:
         m = out.bit_count()
         total += comb(m, 3) + comb(t.n - 1 - m, 3)
         for w, row in enumerate(t.rows):
-            if (out >> w) & 1:
-                s = (row & out).bit_count()
-            elif (inn >> w) & 1:
-                s = (row & inn).bit_count()
-            else:
-                continue
+            s = (row & (out if (out >> w) & 1 else inn)).bit_count()
             total -= s * (s - 1) // 2
     return total
 
@@ -237,14 +233,15 @@ def random_tournament(n: int, seed: int) -> Tournament:
 
 
 def _quote(text: str) -> str:
-    """repr of at most the first 40 characters of text, marked when clipped."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+    """repr of text, or of its first and last 20 characters and its length past 40."""
+    return repr(text) if len(text) <= 40 else \
+        f"{text[:20]!r}...{text[-20:]!r} ({len(text)} characters)"
 
 
 def _quote_int(x: int) -> str:
-    """x in decimal, or _quote of its digits when they are more than 40.  A
-    long x is not converted whole (str() refuses more digits than
-    sys.get_int_max_str_digits): its length comes from its bit length."""
+    """x in decimal, or its first 40 characters, quoted and marked with its
+    length, when it has more.  A long x is not converted whole (str() refuses
+    more digits than sys.get_int_max_str_digits): its length comes from its bit length."""
     sign, a = "-" * (x < 0), abs(x)
     if a < 10 ** (40 - len(sign)):
         return str(x)
@@ -268,9 +265,16 @@ def parse_int(token: str) -> int:
         raise InputError(f"number too long: {len(digits)} digits") from None
 
 
+def _lines(text):
+    r"""text's lines as _read_utf8 counts them: each ends at \n, less a \r
+    before it (str.splitlines also ends one at \r, \x0c and seven more)."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    return lines if lines[-1] else lines[:-1]
+
+
 def parse_trn(text: str) -> Tournament:
     """Parse the .trn format: line n, then n rows of {0,1} characters, then blank lines."""
-    lines = text.splitlines()
+    lines = _lines(text)
     if not lines:
         raise InputError("empty input", line=1)
     try:

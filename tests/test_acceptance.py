@@ -39,7 +39,7 @@ from diamondkit.spectral import (
     is_skew_conference,
     matches_extremal_charpoly,
 )
-from diamondkit.tournament import decode, random_tournament
+from diamondkit.tournament import Tournament, count_diamonds, decode, random_tournament
 
 PALEY_ORDERS = (3, 7, 11, 19, 23, 27, 31)
 # frozen from n^2 (n-1) (n-2) / 96 with n = q+1, confirmed by the naive count
@@ -224,6 +224,27 @@ def test_criterion_10_min_sum_squares_oracle():
             for parts in all_parts((), s, 0):
                 optimal = sum(x * x for x in parts) == minimum
                 assert optimal == is_min_sum_squares_witness(parts, s, p)
+
+
+# the n = 10 witness of 70 diamonds, the n = 2 (mod 4) formula, from the
+# switching scan of ROADMAP's findings
+WITNESS_10 = (1022, 124, 840, 720, 676, 396, 304, 70, 154, 482)
+
+
+@criterion(11, "FF4 gaps attained: source + T*(q) has sum g^2 = 3 C(n-1,2), W10 has n(n-2)")
+def test_criterion_11_ff4_gaps_attained():
+    # edge_count_bound is (n C(n,3) - sum g^2) / 16 at the sum g^2 of the
+    # construction attaining it; n = q + 2 = 1 (mod 4): a source over T*(q)
+    for q in PALEY_ORDERS:
+        n = q + 2
+        t = Tournament([(1 << n) - 2, *(r << 1 for r in star_paley(q).rows)])
+        assert n % 4 == 1 and t.n == n
+        assert count_diamonds(t) == edge_count_bound(n)[0]
+        assert sum(g * g for g in t.square_upper) == 3 * comb(n - 1, 2)
+    w = Tournament(WITNESS_10)
+    assert count_diamonds(w) == 70 == edge_count_bound(10)[0]
+    assert set(w.square_upper) <= {-2, 0, 2}
+    assert sum(g * g for g in w.square_upper) == 80 == 10 * 8
 
 
 if __name__ == "__main__":

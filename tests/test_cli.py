@@ -439,6 +439,19 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == "error: 'a\\nb.trn': bad character 'x' (line 2, column 3)\n"
 
+    def test_long_path_keeps_its_file_name(self, tmp_path, monkeypatch, capsys):
+        # a path over 40 characters with a line break is clipped to its
+        # first and last 20 characters: the file name stays on the line
+        monkeypatch.chdir(tmp_path)
+        path = "some/deeper/directory/for/the/line/break/case/a\nb.trn"
+        (tmp_path / path).parent.mkdir(parents=True)
+        (tmp_path / path).write_text("3\n01x\n001\n100\n")
+        assert main(["count", "--in", path]) == INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 'some/deeper/director'...'e/break/case/a\\nb.trn' "
+                                "(53 characters): bad character 'x' (line 2, column 3)\n")
+
     @pytest.mark.parametrize("argv", [
         ("search", "--mode", "local", "--n", "8", "--t0", "x" * 5000),
         ("search", "--mode", "x" * 5000, "--n", "4"),
@@ -449,13 +462,13 @@ class TestUsage:
         ("verify", "--in", "t.trn", "--checks", "x" * 5000),
     ], ids=["unrecognized", "mode", "construct-kind", "method", "command", "checks"])
     def test_echoed_argument_is_clipped(self, capsys, argv):
-        # argparse echoes an argument whole; the error quotes at most 40 characters of it
+        # argparse echoes an argument whole; the error quotes its first and last 20 characters
         assert main(list(argv)) == INPUT_ERROR
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
         assert len(captured.err.encode()) < 200
-        assert f"{'x' * 40!r}... (5000 characters)" in captured.err
+        assert f"{'x' * 20!r}...{'x' * 20!r} (5000 characters)" in captured.err
 
     @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("search", "--help")])
     def test_help_and_version_exit_0(self, capsys, argv):
@@ -620,6 +633,32 @@ class TestNonUtf8Input:
         assert err == f"error: {path}: byte 0xc3 is not UTF-8 text (line 3)\n"
 
 
+class TestLineRule:
+    """A line of a .trn or .hyp file ends at \\n, less a \\r before it, as the
+    UTF-8 check counts lines: a form feed, a vertical tab or a lone \\r ends none."""
+
+    @pytest.mark.parametrize("data, err", [
+        (b"3\x0c010\x0b001\x1c100", "bad vertex count '3\\x0c010\\x0b001\\x1c100' (line 1)"),
+        (b"3\x0c01x\n001\n100\n", "bad vertex count '3\\x0c01x' (line 1)"),
+        (b"3\r010\r001\r100\r", "bad vertex count '3\\r010\\r001\\r100\\r' (line 1)"),
+    ], ids=["form-feed-only", "form-feed-in-the-header", "lone-cr"])
+    def test_trn_exit_2(self, tmp_path, capsys, data, err):
+        path = tmp_path / "t.trn"
+        path.write_bytes(data)
+        assert main(["count", "--in", str(path)]) == INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: {err}\n"
+
+    def test_crlf_reads_as_lf(self, tmp_path, capsys):
+        reports = []
+        for end in (b"\n", b"\r\n"):
+            path = tmp_path / f"t{len(end)}.trn"
+            path.write_bytes(format_trn(paley_tournament(7)).encode().replace(b"\n", end))
+            assert main(["count", "--in", str(path)]) == OK
+            reports.append(json.loads(capsys.readouterr().out)["results"])
+        assert reports[0] == reports[1]
+
+
 class TestThreadLimit:
     @pytest.mark.parametrize("argv", [
         ("--mode", "exhaustive", "--n", "8", "--threads", "65"),
@@ -681,9 +720,10 @@ class TestConstructPrimePower:
         def never(q):
             raise AssertionError("construction started")
         monkeypatch.setattr(constructions, "paley_tournament", never)
-        # the echo of a refused value is clipped to its first 40 characters
+        # the echo of a refused value is clipped to its first and last 20 characters
         text = f"{p}^{k}"
-        echo = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        echo = repr(text) if len(text) <= 40 else \
+            f"{text[:20]!r}...{text[-20:]!r} ({len(text)} characters)"
         for argv, err in [(["--p", p, "--k", k], "the following arguments are required: --q"),
                           ([f"--q={text}"], f"argument --q: invalid int value: {echo}")]:
             assert main(["construct", "paley", *argv]) == INPUT_ERROR
@@ -820,9 +860,9 @@ class TestErrorText:
         (("construct", "paley", "--q", "9" * 4000),
          f"q={'9' * 40!r}... (4000 characters) out of range [2, 512]"),
         (("search", "--n", "9" * 5000),
-         f"argument --n: invalid int value: {'9' * 40!r}... (5000 characters)"),
+         f"argument --n: invalid int value: {'9' * 20!r}...{'9' * 20!r} (5000 characters)"),
         (("search", "--n", "8", "--restarts", "9" * 5000),
-         f"argument --restarts: invalid int value: {'9' * 40!r}... (5000 characters)"),
+         f"argument --restarts: invalid int value: {'9' * 20!r}...{'9' * 20!r} (5000 characters)"),
         (("search", "--mode", "local", "--n", "9" * 4000),
          f"n={'9' * 40!r}... (4000 characters) out of range [3, 512]"),
         # the annealing schedule is fixed: --t0 is no option

@@ -689,17 +689,45 @@ class TestHypFormatErrors:
         ("6 1\n+0 1 2 3\n", "bad index in '+0 1 2 3' (line 2)"),
         ("6 1\n0 1 2 \u0663\n", "bad index in '0 1 2 \u0663' (line 2)"),
         ("6 2\n0 1 2 3\n0 1 2 \uff15\n", "bad index in '0 1 2 \uff15' (line 3)"),
-        # more digits than int() converts: the error quotes the first 40
-        # characters of the line
-        (f"{'9' * 5000} 1\n0 1 2 3\n", f"bad header '{'9' * 40}'... (5002 characters) (line 1)"),
+        # more digits than int() converts: the error quotes the first and
+        # the last 20 characters of the line
+        (f"{'9' * 5000} 1\n0 1 2 3\n",
+         f"bad header '{'9' * 20}'...'{'9' * 18} 1' (5002 characters) (line 1)"),
         (f"6 1\n0 1 2 {'9' * 5000}\n",
-         f"bad index in '0 1 2 {'9' * 34}'... (5006 characters) (line 2)"),
+         f"bad index in '0 1 2 {'9' * 14}'...'{'9' * 20}' (5006 characters) (line 2)"),
     ])
     def test_numbers_are_ascii_digits(self, text, err):
         with pytest.raises(InputError) as info:
             parse_hyp(text)
         assert str(info.value) == err
         assert len(err) < 100
+
+    @pytest.mark.parametrize("text, err", [
+        # a line ends at "\n": a form feed or a lone "\r" ends none
+        ("5 1\x0c0 1 2 3\n", r"header must be 'n m', got '5 1\x0c0 1 2 3' (line 1)"),
+        ("5 1\r0 1 2 3\r", r"header must be 'n m', got '5 1\r0 1 2 3\r' (line 1)"),
+        ("5 2\n0 1 2 3\x1e0 1 2 4\n", "expected 2 edge lines, got 1 (line 2)"),
+    ], ids=["form-feed", "lone-cr", "record-separator"])
+    def test_a_line_ends_at_newline_only(self, text, err):
+        with pytest.raises(InputError) as info:
+            parse_hyp(text)
+        assert str(info.value) == err
+
+    def test_a_vertical_tab_separates_indices(self):
+        # inside a line "\x0b" is whitespace between tokens
+        assert parse_hyp("5 1\n0 1 2\x0b3\n") == Hypergraph4(5, [(0, 1, 2, 3)])
+
+    @pytest.mark.parametrize("text", [
+        "5 1\n0 1 2 3\n", "5 1\n0 1 2 5\n", "5 2\n0 1 2 3\n", "5 1\n0 1 2 3\n0 1 2 4\n",
+        "5 1\n0 1 x 3\n", "5 1\n0 1 2 3\n\n \n",
+    ])
+    def test_crlf_reads_as_lf(self, text):
+        def outcome(text):
+            try:
+                return parse_hyp(text)
+            except InputError as exc:
+                return str(exc), exc.line
+        assert outcome(text.replace("\n", "\r\n")) == outcome(text)
 
     @pytest.mark.parametrize("tail", ["", "+\n", "_\n", "\u00e9\n", "\u00a0\n"])
     def test_both_index_readers_agree(self, tail):
@@ -736,8 +764,11 @@ def _parse_hyp_reference(text):
     """parse_hyp as a per-line scan: (n, edges), or the (message, line) of
     its InputError.  The header and the line count, then the tokens of every
     edge line, then the edges' order and range, line by line, then the text
-    after them.  The lines here are short, so no quote is clipped."""
-    lines = text.splitlines()
+    after them.  A line ends at "\n" only, less a "\r" before it.  The
+    lines here are short, so no quote is clipped."""
+    lines = re.split(r"\r?\n", text)
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         return "empty input", 1
     head = lines[0].split()
@@ -784,7 +815,7 @@ class TestHypErrorPlacement:
         if data.draw(st.booleans(), label="character"):
             # replace, insert or delete one character
             i = data.draw(st.integers(0, len(text) - 1), label="at")
-            c = data.draw(st.sampled_from(["", *"0123456789 -+_x\t\n"]), label="by")
+            c = data.draw(st.sampled_from(["", *"0123456789 -+_x\t\n\r\x0c"]), label="by")
             keep = data.draw(st.booleans(), label="insert")
             text = text[:i] + c + text[i if keep else i + 1:]
         else:

@@ -231,13 +231,15 @@ class TestAnnealingOracle:
     @given(st.integers(3, 24), st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
     def test_delta_on_every_arc(self, n, seed):
+        # every ordered pair: delta(i, j) and delta(j, i) score the one arc
+        # between i and j, in its current orientation
         t = random_tournament(n, seed)
         state = _SquareState(t)
         for i in range(n):
             for j in range(n):
-                if i != j and (t.rows[i] >> j) & 1:
-                    assert state.dominates(i, j)
-                    assert state.delta(i, j) == diamond_delta_on_flip(t, ArcFlip(i, j))
+                if i != j:
+                    arc = ArcFlip(i, j) if (t.rows[i] >> j) & 1 else ArcFlip(j, i)
+                    assert state.delta(i, j) == diamond_delta_on_flip(t, arc)
 
     def test_state_after_flips_n128(self):
         n = 128
@@ -246,13 +248,15 @@ class TestAnnealingOracle:
         state = _SquareState(t)
         rng = random.Random(5)
         total = 0
+        orientations = set()
         for _ in range(500):
+            # i -> j or j -> i: the state takes the pair in either order
             i, j = rng.sample(range(n), 2)
-            if not state.dominates(i, j):
-                i, j = j, i
+            orientations.add(state.s.item(i, j))
             total += state.delta(i, j)
             state.flip(i, j)
-            t = flip_arc(t, i, j)
+            t = flip_arc(t, i, j) if (t.rows[i] >> j) & 1 else flip_arc(t, j, i)
+        assert orientations == {1, -1}
         s = np.array(seidel(t))
         assert np.array_equal(state.s, s)
         assert np.array_equal(state.q, s @ s)

@@ -620,8 +620,11 @@ class TestFiveVertexLaw:
 
 def _parse_trn_reference(text):
     """parse_trn with the per-character row loop it had before int(row, 2),
-    and a header of ASCII digits with an optional leading minus."""
-    lines = text.splitlines()
+    a header of ASCII digits with an optional leading minus, and a line that
+    ends at "\n" only, less a "\r" before it."""
+    lines = re.split(r"\r?\n", text)
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise InputError("empty input", line=1)
     if not re.fullmatch("-?[0-9]+", lines[0].strip()):
@@ -699,12 +702,40 @@ class TestTrnFormat:
     @pytest.mark.parametrize("head", ["+3", "0_3", "\u0663", "3.0", "-", "", "9" * 5000])
     def test_header_takes_ascii_digits_only(self, head):
         # int() takes the first three as 3, and refuses more than 4300 digits;
-        # the error quotes at most 40 characters of the header
-        quoted = repr(head) if len(head) <= 40 else f"{head[:40]!r}... ({len(head)} characters)"
+        # the error quotes at most 40 characters of the header, its two ends
+        quoted = repr(head) if len(head) <= 40 else \
+            f"{head[:20]!r}...{head[-20:]!r} ({len(head)} characters)"
         with pytest.raises(InputError, match=f"^bad vertex count {re.escape(quoted)} "
                                              r"\(line 1\)$") as info:
             parse_trn(f"{head}\n010\n001\n100\n")
         assert len(str(info.value)) < 100
+
+    @pytest.mark.parametrize("text, err", [
+        # a line ends at "\n": the other breaks of str.splitlines end none
+        ("3\x0c010\x0b001\x1c100", r"bad vertex count '3\x0c010\x0b001\x1c100' (line 1)"),
+        ("3\x0c01x\n001\n100\n", r"bad vertex count '3\x0c01x' (line 1)"),
+        ("3\n010\x85001\n001\n100\n", "row 0 has length 7, expected 3 (line 2)"),
+        ("3\n010\n001\n100\u2028011\n", "row 2 has length 7, expected 3 (line 4)"),
+        # and a lone "\r" ends none either
+        ("3\r010\r001\r100\r", r"bad vertex count '3\r010\r001\r100\r' (line 1)"),
+    ], ids=["form-feed-only", "form-feed-in-the-header", "next-line", "line-separator",
+            "lone-cr"])
+    def test_a_line_ends_at_newline_only(self, text, err):
+        with pytest.raises(InputError) as info:
+            parse_trn(text)
+        assert str(info.value) == err
+
+    def test_a_stripped_form_feed_before_newline(self):
+        # "\x0c" is whitespace inside a line, not an empty line after it
+        assert parse_trn("3\x0c\n010\n001\n100\n") == three_cycle()
+
+    @pytest.mark.parametrize("text", [
+        "3\n010\n001\n100\n", "3\n01x\n001\n100\n", "3\n011\n001\n100\n",
+        "3\n010\n001\n", "x\n", "3\n010\n001\n100\n011\n", "3\n010\n001\n100\n \n\n",
+    ])
+    def test_crlf_reads_as_lf(self, text):
+        # the same tournament, or the same error text at the same line and column
+        assert _outcome(parse_trn, text.replace("\n", "\r\n")) == _outcome(parse_trn, text)
 
     def test_header_around_the_limits(self):
         assert parse_trn(" 3 \n010\n001\n100\n").n == 3
