@@ -5,7 +5,7 @@ matrix is skew-conference."""
 from __future__ import annotations
 
 from . import gf
-from .spectral import kernel_sign_vector
+from .spectral import ODD_EXTREMAL, matches_extremal_charpoly
 from .tournament import MIN_N, InputError, Tournament, _index, _quote_int
 
 
@@ -71,17 +71,18 @@ def extend_to_conference(t: Tournament) -> Tournament:
     """Border an odd-extremal tournament with the +-1 kernel vector of its S.
 
     Returns the order n+1 tournament with Seidel matrix B = [[S, u], [-u^T, 0]]:
-    the new vertex n loses to i exactly when u_i = +1.  u is the vector with
-    S^2 + nI = u u^T and u_0 = +1, which spectral.kernel_sign_vector checks
-    entry by entry on the S^2 cached on t.  B is skew-conference: as S is
+    the new vertex n loses to i exactly when u_i = +1.  The odd-extremal
+    verdict (spectral.matches_extremal_charpoly) proves S^2 + nI = u u^T
+    with u +-1 and u_0 = +1, so u is row 0 of S^2 + nI, read off the pairs
+    (0, j) that lead the S^2 cached on t.  B is skew-conference: as S is
     skew, ||Su||^2 = -u^T S^2 u = n^2 - n^2 = 0, so Su = 0, and then
     B^2 = [[S^2 - uu^T, Su], [(Su)^T, -n]] = -nI.  The extend command
     reports that check on the result.
     """
     n = t.n
-    u = kernel_sign_vector(t) if n % 4 == 3 else None
-    if u is None:
+    if matches_extremal_charpoly(t) != ODD_EXTREMAL:
         raise InputError("matrix is not odd-extremal; extension does not apply")
+    u = [1, *t.square_upper[:n - 1]]
     rows = [r | (1 << n) if x == 1 else r for r, x in zip(t.rows, u)]
     rows.append(sum(1 << i for i, x in enumerate(u) if x == -1))
     return Tournament(rows)

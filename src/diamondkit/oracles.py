@@ -7,8 +7,9 @@ triple_profile and _deltas recompute what tournament, spectral, hypergraph
 and search answer, in O(n^3) to O(n^5) work; from_arcs and reverse build
 test tournaments, and the rest are the paper's design and sum-of-squares
 formulas.  They read S from seidel, an arc i -> j as (t.rows[i] >> j) & 1,
-or the pair bits of an encoding; none reuses a production table.  No
-production module imports this one, and it does not import search.
+or the pair bits of an encoding; none reuses a production table but
+encodings_with_delta, which reads the scan it tests, search._block_planes.
+No production module imports this one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph4, is_3_design, verify_ff4
-from .tournament import InputError, Tournament
+from .search import _EXHAUSTIVE_MAX_N, _block_planes, _scan_plan
+from .tournament import MIN_N, InputError, Tournament, _bits, _index
 
 _MINOR_ORACLE_MAX_N = 14
 
@@ -157,6 +159,28 @@ def _deltas(n, encodings):
             squares = squares + deg * deg
         total += squares == _DIAMOND_SQ
     return total
+
+
+def encodings_with_delta(n: int, delta: int) -> tuple:
+    """All encodings whose tournament has exactly the given diamond count.
+
+    An ascending tuple of ints, read from search._block_planes.  Raises
+    InputError unless MIN_N <= n <= _EXHAUSTIVE_MAX_N = 8 and delta is an
+    integer.
+    """
+    n = _index(n, "n", MIN_N, _EXHAUSTIVE_MAX_N)
+    delta = _index(delta, "delta")
+    low, ones = _scan_plan(n)[:2]
+    hits = []
+    for h in range((1 << (n * (n - 1) // 2)) >> low):
+        planes = _block_planes(n, h)
+        if delta >> len(planes):  # negative, or above every count of the block
+            continue
+        lanes = ones
+        for k, p in enumerate(planes):
+            lanes &= p if (delta >> k) & 1 else ones ^ p
+        hits.extend((h << low) | x for x in _bits(lanes))
+    return tuple(hits)
 
 
 class CharPoly(namedtuple("CharPoly", "n sigma")):

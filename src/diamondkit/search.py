@@ -7,8 +7,8 @@ the maximum.  The exhaustive scan runs over blocks of encodings that share
 their high bits, bit-sliced: a block is one Python int per pair bit, with
 one bit (lane) per encoding, the diamond test of a 4-subset is
 tournament._diamond_lanes of its six pair bits, and a ripple-carry adder
-sums the tests into the bit planes of the counts, which encodings_with_delta
-and exhaustive_max_diamonds read.  The block maxima reduce, as they are
+sums the tests into the bit planes of the counts, which
+exhaustive_max_diamonds reads.  The block maxima reduce, as they are
 computed, to the most diamonds, ties to the least encoding.  Annealing keeps
 S and S^2 of the current tournament, scores each arc flip in O(n) and cools
 on one fixed schedule, T_k = 2 * 0.999^k after k proposals.  Both
@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .spectral import count_diamonds_spectral
-from .tournament import (MAX_N, MIN_N, Tournament, _bits, _diamond_lanes, _index, decode, encode,
+from .tournament import (MAX_N, MIN_N, Tournament, _diamond_lanes, _index, decode, encode,
                          pair_index, random_tournament)
 
 _LOW_BITS = 15  # an exhaustive block holds the 2^15 encodings sharing their high bits
@@ -124,27 +124,6 @@ def exhaustive_max_diamonds(n: int, threads: int = 1) -> SearchResult:
         return count, (h << low) | ((best & -best).bit_length() - 1)
 
     return _best_of(n, scan_block, range(total >> low), explored=total, params={"threads": threads})
-
-
-def encodings_with_delta(n: int, delta: int) -> tuple:
-    """All encodings whose tournament has exactly the given diamond count.
-
-    An ascending tuple of ints, read from _block_planes.  Raises InputError
-    unless MIN_N <= n <= _EXHAUSTIVE_MAX_N = 8 and delta is an integer.
-    """
-    n = _index(n, "n", MIN_N, _EXHAUSTIVE_MAX_N)
-    delta = _index(delta, "delta")
-    low, ones = _scan_plan(n)[:2]
-    hits = []
-    for h in range((1 << (n * (n - 1) // 2)) >> low):
-        planes = _block_planes(n, h)
-        if delta >> len(planes):  # negative, or above every count of the block
-            continue
-        lanes = ones
-        for k, p in enumerate(planes):
-            lanes &= p if (delta >> k) & 1 else ones ^ p
-        hits.extend((h << low) | x for x in _bits(lanes))
-    return tuple(hits)
 
 
 class _SquareState:

@@ -4,14 +4,13 @@ Everything here is integer-exact, takes a Tournament and reads the entries
 g of S^2 above its diagonal, cached on it (Tournament.square_upper, Python
 ints from row popcounts), and the diagonal 1 - n from n: O(n^2) once S^2 is
 built.  The diamond count and its bound are one identity,
-D = (n C(n,3) - sum g^2) / 16, and the extremal tests read S^2 = -(n-1) I
-and S^2 + nI = uu^T.
+D = (n C(n,3) - sum g^2) / 16, and the extremal verdict is the bound's
+equality case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import comb
 from operator import mul
 
@@ -44,49 +43,29 @@ def is_skew_conference(t: Tournament) -> bool:
     return not any(t.square_upper)
 
 
-def kernel_sign_vector(t: Tournament):
-    """The +-1 vector u with S^2 + nI = u u^T and u_0 = 1, as a list, or
-    None when there is none.
-
-    Such a u exists iff S^3 = -nS: S is real skew-symmetric, hence normal,
-    and tr S^2 = -n(n-1), so S^3 = -nS iff S^2 has the eigenvalue -n with
-    multiplicity n-1 and 0 once, iff S^2 + nI is n times the projector onto
-    ker S.  Its diagonal is 1, so that is u u^T with u +-1 valued, and
-    S u = 0.  Row 0 of S^2 + nI, the pairs (0, j) that lead square_upper,
-    is u, and then each entry is u_i u_j.  O(n^2) on the cached S^2.
-    """
-    n, g = t.n, t.square_upper
-    u = [1, *g[:n - 1]]
-    if any(x != 1 and x != -1 for x in u):
-        return None
-    neg = [-x for x in u]
-    # row i of u u^T right of the diagonal is u_i u[i+1:]
-    upper = chain.from_iterable((u if ui == 1 else neg)[i + 1:] for i, ui in enumerate(u))
-    return u if g == tuple(upper) else None
-
-
 def matches_extremal_charpoly(t: Tournament) -> str:
-    """Classify the Seidel matrix S of t as extremal or not by exact matrix
-    identities.
+    """Classify the Seidel matrix S of t as extremal or not: the equality
+    case of diamond_upper_bound.
 
     Returns "even-extremal" (n = 0 mod 4, P = (x^2+(n-1))^(n/2)),
     "odd-extremal" (n = 3 mod 4, P = x (x^2+n)^((n-1)/2)) or "no".
 
-    S is real skew-symmetric, hence normal, so a polynomial identity
-    f(S) = 0 holds iff f vanishes on every eigenvalue.  For n = 0 mod 4, P
-    is the extremal form iff S^2 = -(n-1) I, which is is_skew_conference.
-    For n = 3 mod 4, S^3 = -n S
-    iff every eigenvalue lies in {0, +-i sqrt(n)}; a tournament has
-    tr S^2 = -n(n-1), so exactly n-1 eigenvalues are nonzero and 0 is simple,
-    which makes P = x (x^2+n)^((n-1)/2).  S^3 = -nS is decided as
-    S^2 + nI = u u^T (see kernel_sign_vector).  O(n^2) on the cached S^2.
+    S is real skew-symmetric, hence normal, so f(S) = 0 iff f vanishes on
+    every eigenvalue.  D meets the bound iff sum g^2 is least, iff every |g|
+    is n mod 2.  At n = 0 mod 4 that is S^2 = -(n-1) I, the extremal P.  At
+    n = 3 mod 4 every g is +-1, and the triangle lemma
+    g_ij + g_ik + g_jk = n (mod 4) makes g_0i g_0j g_ij = 1, so
+    S^2 + nI = u u^T with u = (1, g_01, ..., g_0,n-1); then
+    ||Su||^2 = -u^T S^2 u = 0 and S^3 = -nS, whose eigenvalues lie in
+    {0, +-i sqrt(n)}, n - 1 of them nonzero as tr S^2 = -n(n-1): the
+    extremal P.  Conversely that P makes S^2 + nI n times the projector
+    onto the simple kernel of S, of diagonal 1, so u u^T with u +-1.
+    O(n^2) on the cached S^2.
     """
     n = t.n
-    if n % 4 == 0:
-        return EVEN_EXTREMAL if is_skew_conference(t) else NOT_EXTREMAL
-    if n % 4 != 3:
-        return NOT_EXTREMAL
-    return ODD_EXTREMAL if kernel_sign_vector(t) is not None else NOT_EXTREMAL
+    if n % 4 in (0, 3) and count_diamonds_spectral(t) == diamond_upper_bound(n):
+        return EVEN_EXTREMAL if n % 4 == 0 else ODD_EXTREMAL
+    return NOT_EXTREMAL
 
 
 def diamond_upper_bound(n: int) -> Fraction:

@@ -22,6 +22,7 @@ from diamondkit.oracles import (
     char_poly,
     count_diamonds_naive,
     delete_vertices_count,
+    encodings_with_delta,
     is_min_sum_squares_witness,
     min_sum_squares,
     seidel,
@@ -29,7 +30,7 @@ from diamondkit.oracles import (
     sum_principal_minors,
     triple_profile,
 )
-from diamondkit.search import encodings_with_delta, exhaustive_max_diamonds
+from diamondkit.search import exhaustive_max_diamonds
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,

@@ -27,8 +27,8 @@ from diamondkit.hypergraph import (
     save_hyp,
     verify_ff4,
 )
-from diamondkit.oracles import count_diamonds_naive, seidel
-from diamondkit.spectral import count_diamonds_spectral
+from diamondkit.oracles import count_diamonds_naive, flip_arc, seidel
+from diamondkit.spectral import ODD_EXTREMAL, count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
     count_diamonds,
@@ -593,19 +593,17 @@ class TestExtendCertificate:
     the bordering: a wrong kernel vector is a violated report (exit 1)."""
 
     def test_wrong_kernel_vector_is_violated(self, tmp_path, capsys, monkeypatch):
-        real = constructions.kernel_sign_vector
-
-        def flipped(t):
-            u = real(t)
-            u[1] = -u[1]
-            return u
-        monkeypatch.setattr(constructions, "kernel_sign_vector", flipped)
+        # T(7) with the arc 1 -> 3 reversed is not odd-extremal, but row 0 of
+        # its S^2 + 7I is +-1: a verdict that lets it pass borders it with
+        # that row, which is not in the kernel of S
+        monkeypatch.setattr(constructions, "matches_extremal_charpoly",
+                            lambda t: ODD_EXTREMAL)
         trn = tmp_path / "p7.trn"
-        save_trn(paley_tournament(7), trn)
+        save_trn(flip_arc(paley_tournament(7), 1, 3), trn)
         code, report = run(capsys, "extend", "--in", str(trn))
         assert code == VIOLATED and report["status"] == "violated"
         assert report["results"] == {"n": 8, "skew_conference": False,
-                                     "kernel_column": [1, -1, 1, 1, 1, 1, 1]}
+                                     "kernel_column": [1, -1, 1, -1, 1, 1, 1]}
 
 
 class TestNonUtf8Input:

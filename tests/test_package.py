@@ -34,8 +34,10 @@ ORACLES = {"ArcFlip", "CharPoly", "char_poly", "delete_vertices_count", "design_
            "sum_principal_minors", "triple_profile", "verify_ff4_naive"}
 # deleted: production decides diamonds by tournament._diamond_lanes alone,
 # Tournament(rows) checks every tournament it makes, `verify --checks design`
-# is the one design verdict and sigma_4's bound is 8 * diamonds + C(n,4)
-DELETED = {"is_diamond", "is_ff4_design", "sigma4_upper_bound", "validate"}
+# is the one design verdict, sigma_4's bound is 8 * diamonds + C(n,4) and
+# the extremal verdict is the bound's equality case
+DELETED = {"is_diamond", "is_ff4_design", "kernel_sign_vector", "sigma4_upper_bound",
+           "validate"}
 
 
 class TestLazyExports:

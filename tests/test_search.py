@@ -13,6 +13,7 @@ from diamondkit.oracles import (
     _deltas,
     count_diamonds_naive,
     diamond_delta_on_flip,
+    encodings_with_delta,
     flip_arc,
     from_arcs,
     seidel,
@@ -24,7 +25,6 @@ from diamondkit.search import (
     _block_planes,
     _scan_plan,
     _SquareState,
-    encodings_with_delta,
     exhaustive_max_diamonds,
     local_search_max_diamonds,
 )

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
+from diamondkit.constructions import (
+    delete_vertices,
+    extend_to_conference,
+    paley_tournament,
+    star_paley,
+)
 from diamondkit.oracles import (
     bareiss_det,
     char_poly,
     count_diamonds_naive,
+    encodings_with_delta,
     flip_arc,
     from_arcs,
     reverse,
@@ -19,7 +25,6 @@ from diamondkit.oracles import (
     sigma_from_traces,
     sum_principal_minors,
 )
-from diamondkit.search import encodings_with_delta
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     NOT_EXTREMAL,
@@ -27,7 +32,6 @@ from diamondkit.spectral import (
     count_diamonds_spectral,
     diamond_upper_bound,
     is_skew_conference,
-    kernel_sign_vector,
     matches_extremal_charpoly,
 )
 from diamondkit.tournament import (
@@ -290,26 +294,35 @@ class TestSquare:
         assert t.square_upper == _upper_of(_exact_matmul(a, a), t.n)
 
 
+def _full_square_verdicts(a2):
+    """The extremal verdicts from a stack of full numpy S^2 of the oracle's
+    S, at any n: "even-extremal" iff S^2 = -(n-1) I, "odd-extremal" iff
+    S^2 + nI = u u^T with u its row 0, a +-1 vector."""
+    n = a2.shape[-1]
+    eye = np.eye(n, dtype=np.int64)
+    even = (a2 == (1 - n) * eye).all(axis=(-2, -1))
+    u = a2[..., 0, :] + n * eye[0]
+    odd = ((np.abs(u) == 1).all(axis=-1)
+           & (a2 + n * eye == u[..., :, None] * u[..., None, :]).all(axis=(-2, -1)))
+    return np.where(even, EVEN_EXTREMAL, np.where(odd, ODD_EXTREMAL, NOT_EXTREMAL)).tolist()
+
+
 class TestReadersAgainstFullSquare:
-    """is_skew_conference, kernel_sign_vector and count_diamonds_spectral,
-    which take the diagonal of S^2 from n, against the full numpy S^2 of the
-    oracle's S."""
+    """is_skew_conference, matches_extremal_charpoly and
+    count_diamonds_spectral, which take the diagonal of S^2 from n, against
+    the full numpy S^2 of the oracle's S."""
 
     def _agree(self, t):
         n = t.n
         s = np.array(seidel(t), dtype=np.int64)
         a2 = s @ s
         assert is_skew_conference(t) == np.array_equal(a2, (1 - n) * np.eye(n, dtype=np.int64))
-        # S^2 + nI = u u^T with u its row 0, when that is a +-1 vector
-        u = a2[0] + n * (np.arange(n) == 0)
-        rank_one = bool(np.isin(u, (-1, 1)).all()
-                        and np.array_equal(a2 + n * np.eye(n, dtype=np.int64), np.outer(u, u)))
-        got = kernel_sign_vector(t)
-        assert got == (u.tolist() if rank_one else None)
+        verdict = matches_extremal_charpoly(t)
+        assert verdict == _full_square_verdicts(a2)
         # D = (sigma_4 - C(n,4)) / 8, sigma_4 by Newton's identities on the traces
         t2, t4 = int(np.trace(a2)), int((a2 * a2).sum())
         assert count_diamonds_spectral(t) == ((t2 * t2 // 2 - t4) // 4 - comb(n, 4)) // 8
-        return got
+        return verdict
 
     @given(st.integers(3, 40), st.integers(0, 2**30))
     @settings(max_examples=60, deadline=None)
@@ -318,14 +331,23 @@ class TestReadersAgainstFullSquare:
 
     @pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31, 43, 47])
     def test_paley_and_star_paley(self, q):
-        assert self._agree(paley_tournament(q)) is not None
-        assert self._agree(star_paley(q)) is None
+        assert self._agree(paley_tournament(q)) == ODD_EXTREMAL
+        assert self._agree(star_paley(q)) == EVEN_EXTREMAL
         assert is_skew_conference(star_paley(q))
 
     def test_one_arc_reversed_in_paley_43(self):
         t = paley_tournament(43)
         j = (t.rows[0] & -t.rows[0]).bit_length() - 1
-        assert self._agree(flip_arc(t, 0, j)) is None
+        assert self._agree(flip_arc(t, 0, j)) == NOT_EXTREMAL
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_exhaustive(self, n):
+        # the triangle lemma's use, and the residue gate, on every small tournament
+        ts = list(_every_tournament(n))
+        s = np.array([seidel(t) for t in ts], dtype=np.int64)
+        verdicts = [matches_extremal_charpoly(t) for t in ts]
+        assert verdicts == _full_square_verdicts(s @ s)
+        assert [is_skew_conference(t) for t in ts] == [v == EVEN_EXTREMAL for v in verdicts]
 
 
 def _s3_identity(t):
@@ -335,15 +357,18 @@ def _s3_identity(t):
 
 
 class TestKernelSignVector:
-    """S^2 + nI = u u^T (kernel_sign_vector) against the S^3 = -nS identity."""
+    """At n = 3 mod 4, the odd-extremal verdict against the S^3 = -nS
+    identity, and the border column that extend_to_conference reads off
+    row 0 of S^2 + nI: +-1, 1 first, in the kernel of S."""
 
     def _agree(self, t):
-        u = kernel_sign_vector(t)
-        assert (u is not None) == _s3_identity(t)
-        if u is not None:
+        odd = matches_extremal_charpoly(t) == ODD_EXTREMAL
+        assert odd == _s3_identity(t)
+        if odd:
+            u = [row[-1] for row in seidel(extend_to_conference(t))[:-1]]
             assert u[0] == 1 and set(u) <= {-1, 1}
             assert not (np.array(seidel(t)) @ np.array(u)).any()
-        return u is not None
+        return odd
 
     @pytest.mark.parametrize("q", [7, 11, 19, 23, 27, 31, 43, 243])
     def test_paley(self, q):

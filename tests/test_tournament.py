@@ -36,6 +36,7 @@ from diamondkit.oracles import (
     bareiss_det,
     count_diamonds_naive,
     diamond_delta_on_flip,
+    encodings_with_delta,
     flip_arc,
     from_arcs,
     reverse,
@@ -43,7 +44,6 @@ from diamondkit.oracles import (
 )
 from diamondkit.search import (
     _SquareState,
-    encodings_with_delta,
     exhaustive_max_diamonds,
     local_search_max_diamonds,
 )
