@@ -88,7 +88,7 @@ def cmd_construct(args):
         "n": t.n,
         "diamonds": delta,
         **_diamond_bound(t.n, delta),
-        "skew_conference": spectral.is_skew_conference(t),
+        "skew_conference": spectral.matches_extremal_charpoly(t) == spectral.EVEN_EXTREMAL,
         "out": args.out,
     }
     return {"kind": args.kind, "q": args.q}, results, "ok"
@@ -110,15 +110,14 @@ def cmd_count(args):
 
 
 def _verify_tournament(path, checks):
-    t = _load(tournament.load_trn, path)
+    # one verdict answers both checks: S^2 = -(n-1) I is its even-extremal case
+    verdict = spectral.matches_extremal_charpoly(_load(tournament.load_trn, path))
     results = {}
     failed = False
     if "conference" in checks:
-        ok = spectral.is_skew_conference(t)
-        results["conference"] = ok
-        failed |= not ok
+        results["conference"] = verdict == spectral.EVEN_EXTREMAL
+        failed |= not results["conference"]
     if "extremal-charpoly" in checks:
-        verdict = spectral.matches_extremal_charpoly(t)
         results["extremal_charpoly"] = verdict
         failed |= verdict == spectral.NOT_EXTREMAL
     return results, failed
@@ -207,8 +206,8 @@ def cmd_extend(args):
     ext = constructions.extend_to_conference(t)
     results = {
         "n": ext.n,
-        # the one check of the bordering (see extend_to_conference)
-        "skew_conference": spectral.is_skew_conference(ext),
+        # the one check of the bordering (see extend_to_conference): B^2 = -nI
+        "skew_conference": spectral.matches_extremal_charpoly(ext) == spectral.EVEN_EXTREMAL,
         # column n of the bordered S: +1 where vertex i dominates the new vertex n
         "kernel_column": [1 if (r >> t.n) & 1 else -1 for r in ext.rows[:-1]],
     }

@@ -27,7 +27,7 @@ CONJECTURAL = "conjectural"
 REFUTED = "refuted"
 # the most edges baber builds or parse_hyp reads: the Baber hypergraph of
 # every tournament on at most 142 vertices fits (diamond_upper_bound(142) is
-# 4,146,222.5), while an extremal one at n = 512 would hold 711,639,040
+# 4,144,980), while an extremal one at n = 512 would hold 711,639,040
 MAX_EDGES = 2**22
 
 
@@ -181,20 +181,19 @@ def is_3_design(h: Hypergraph4, lam: int) -> bool:
 def edge_count_bound(n: int):
     """(bound, status) for the maximum FF4 edge count in residue class n mod 4.
 
-    The bound is diamond_upper_bound(n) - gap / 16, gap = (0, (n-1)(n-3),
-    n(n-2), 0)[n % 4], for every n >= 0: in D = (n C(n,3) - sum g^2) / 16
-    (count_diamonds_spectral) each gap is the sum g^2, beyond the diamond
-    bound's, of the construction attaining it: a source over an extremal
-    tournament has 3 C(n-1,2), the two-block S^2 n(n-2).  Gap 0 (n = 0, 3
-    mod 4) is proven: those bounds are the diamond bounds, the edge counts of
-    Baber hypergraphs of extremal tournaments.  Up to n = 6 each bound is the
-    exact maximum, found by enumerating every 4-graph, so proven too.  n = 1,
-    2 mod 4 from n = 9 on are conjectural: reported, never asserted.  The
-    n = 1 formula is false: at n = 17 an FF4 hypergraph has 702 edges against
-    700 (see REFUTED).
+    The bound is diamond_upper_bound(n) - gap / 16, gap = (0, (n-1)(n-3), 0,
+    0)[n % 4], for every n >= 0: in D = (n C(n,3) - sum g^2) / 16
+    (count_diamonds_spectral) the gap is the sum g^2, beyond the diamond
+    bound's, of a source over an extremal tournament, 3 C(n-1,2).  Gap 0
+    bounds are diamond bounds, met by Baber hypergraphs of the bound's
+    equality cases; at n = 0, 3 mod 4 they are proven.  Up to n = 6 each
+    bound is the exact maximum, found by enumerating every 4-graph, so proven
+    too.  n = 1, 2 mod 4 from n = 9 on are conjectural, as FF4 hypergraphs
+    are more than Baber's: reported, never asserted.  The n = 1 formula is
+    false: at n = 17 an FF4 hypergraph has 702 edges against 700 (REFUTED).
     """
     n = _index(n, "n", 0)
-    gap = (0, (n - 1) * (n - 3), n * (n - 2), 0)[n % 4]
+    gap = (0, (n - 1) * (n - 3), 0, 0)[n % 4]
     status = PROVEN if n % 4 in (0, 3) or n <= 6 else CONJECTURAL
     return diamond_upper_bound(n) - Fraction(gap, 16), status
 

@@ -1,15 +1,15 @@
 """Test oracles: slow, independent references for the production answers.
 
 count_diamonds_naive (the C(n,4) scan), diamond_delta_on_flip,
-char_poly (Faddeev-LeVerrier), sigma_from_traces (numpy traces of S^2 and
-S^4), sum_principal_minors (Bareiss), verify_ff4_naive (the C(n,5) scan),
-triple_profile and _deltas recompute what tournament, spectral, hypergraph
-and search answer, in O(n^3) to O(n^5) work; from_arcs and reverse build
-test tournaments, and the rest are the paper's design and sum-of-squares
-formulas.  They read S from seidel, an arc i -> j as (t.rows[i] >> j) & 1,
-or the pair bits of an encoding; none reuses a production table but
-encodings_with_delta, which reads the scan it tests, search._block_planes.
-No production module imports this one.
+char_poly (Faddeev-LeVerrier), sigma_from_traces and is_skew_conference
+(numpy S^2), sum_principal_minors (Bareiss), verify_ff4_naive (the C(n,5)
+scan), triple_profile and _deltas recompute what tournament, spectral,
+hypergraph and search answer, in O(n^3) to O(n^5) work; from_arcs and
+reverse build test tournaments, and the rest are the paper's design and
+sum-of-squares formulas.  They read S from seidel, an arc i -> j as
+(t.rows[i] >> j) & 1, or the pair bits of an encoding; none reuses a
+production table but encodings_with_delta, which reads the scan it tests,
+search._block_planes.  No production module imports this one.
 """
 
 from __future__ import annotations
@@ -64,6 +64,12 @@ def seidel(t: Tournament) -> list:
     """S = A - A^T as n int lists: +1 where i dominates j, -1 where j
     dominates i, 0 on the diagonal; O(n^2) single-bit reads of the rows."""
     return [[(r >> j & 1) - (t.rows[j] >> i & 1) for j in range(t.n)] for i, r in enumerate(t.rows)]
+
+
+def is_skew_conference(t: Tournament) -> bool:
+    """S^2 = -(n-1) I, by the int64 product of seidel's S with itself."""
+    s = np.array(seidel(t), dtype=np.int64)
+    return np.array_equal(s @ s, (1 - t.n) * np.eye(t.n, dtype=np.int64))
 
 
 @lru_cache(maxsize=64)

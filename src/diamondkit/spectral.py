@@ -38,11 +38,6 @@ def count_diamonds_spectral(t: Tournament) -> int:
     return d
 
 
-def is_skew_conference(t: Tournament) -> bool:
-    """True iff S^2 = -(n-1) I exactly: its diagonal is always 1 - n."""
-    return not any(t.square_upper)
-
-
 def matches_extremal_charpoly(t: Tournament) -> str:
     """Classify the Seidel matrix S of t as extremal or not: the equality
     case of diamond_upper_bound.
@@ -51,9 +46,10 @@ def matches_extremal_charpoly(t: Tournament) -> str:
     "odd-extremal" (n = 3 mod 4, P = x (x^2+n)^((n-1)/2)) or "no".
 
     S is real skew-symmetric, hence normal, so f(S) = 0 iff f vanishes on
-    every eigenvalue.  D meets the bound iff sum g^2 is least, iff every |g|
-    is n mod 2.  At n = 0 mod 4 that is S^2 = -(n-1) I, the extremal P.  At
-    n = 3 mod 4 every g is +-1, and the triangle lemma
+    every eigenvalue.  D meets the bound iff sum g^2 is F(n), its least.  At
+    n = 0 mod 4 that is every g = 0, S^2 = -(n-1) I, the extremal P; as every
+    g = 0 makes n = 0 mod 4 by the triangle lemma, even-extremal is the one
+    skew-conference test too.  At n = 3 mod 4 every g is +-1, and the lemma
     g_ij + g_ik + g_jk = n (mod 4) makes g_0i g_0j g_ij = 1, so
     S^2 + nI = u u^T with u = (1, g_01, ..., g_0,n-1); then
     ||Su||^2 = -u^T S^2 u = 0 and S^3 = -nS, whose eigenvalues lie in
@@ -70,13 +66,18 @@ def matches_extremal_charpoly(t: Tournament) -> str:
 
 def diamond_upper_bound(n: int) -> Fraction:
     """Upper bound on the diamond count of a tournament on n vertices, as an
-    exact rational, for any n >= 0: (n C(n,3) - [n odd] C(n,2)) / 16.
+    exact rational, for any n >= 0: (n C(n,3) - F(n)) / 16, where
+    F(n) = (0, C(n,2), n(n-2), C(n,2))[n % 4] is the least sum g^2, so
+    count_diamonds_spectral's identity attains it exactly when sum g^2 = F(n).
 
-    Each g = (S^2)_ij = 2 popcount(r_i ^ r_j) - n has n's parity, so
-    |g| >= n mod 2 and sum g^2 >= [n odd] C(n,2) over the C(n,2) pairs, with
-    equality iff every |g| is n mod 2; count_diamonds_spectral's identity
-    turns that into this bound, attained exactly then.  It is 0 below 4
-    vertices, where there is no 4-set, and 1 at n = 4.
+    Each g = (S^2)_ij = 2 popcount(r_i ^ r_j) - n has n's parity, so at odd
+    n sum g^2 >= C(n,2), with equality iff every |g| is 1.  At n = 2 mod 4
+    the triangle lemma g_ij + g_ik + g_jk = n (mod 4) puts 0 or 2 pairs with
+    g = 0 (mod 4) in each triangle, so they are those across one cut
+    (A, V - A), |g| >= 2 inside its sides, and sum g^2 >= 4 (C(a,2) +
+    C(n-a,2)) >= n(n-2) for a = |A|, with equality iff a = n/2, every g
+    inside is +-2 and every g across is 0: the two-block S^2 of Ehlich and
+    Wojtas (1964).  The bound is 0 below 4 vertices and 1 at n = 4.
     """
     n = _index(n, "n", 0)
-    return Fraction(n * comb(n, 3) - (n % 2) * comb(n, 2), 16)
+    return Fraction(n * comb(n, 3) - (0, comb(n, 2), n * (n - 2), comb(n, 2))[n % 4], 16)

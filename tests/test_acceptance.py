@@ -24,6 +24,7 @@ from diamondkit.oracles import (
     delete_vertices_count,
     encodings_with_delta,
     is_min_sum_squares_witness,
+    is_skew_conference,
     min_sum_squares,
     seidel,
     sigma_from_traces,
@@ -37,7 +38,6 @@ from diamondkit.spectral import (
     ODD_EXTREMAL,
     count_diamonds_spectral,
     diamond_upper_bound,
-    is_skew_conference,
     matches_extremal_charpoly,
 )
 from diamondkit.tournament import Tournament, count_diamonds, decode, random_tournament
@@ -243,7 +243,8 @@ def test_criterion_11_ff4_gaps_attained():
         assert count_diamonds(t) == edge_count_bound(n)[0]
         assert sum(g * g for g in t.square_upper) == 3 * comb(n - 1, 2)
     w = Tournament(WITNESS_10)
-    assert count_diamonds(w) == 70 == edge_count_bound(10)[0]
+    # and meets the n = 2 (mod 4) diamond bound: a two-block S^2, |g| = 2 or 0
+    assert count_diamonds(w) == 70 == edge_count_bound(10)[0] == diamond_upper_bound(10)
     assert set(w.square_upper) <= {-2, 0, 2}
     assert sum(g * g for g in w.square_upper) == 80 == 10 * 8
 

@@ -10,11 +10,10 @@ from diamondkit.constructions import (
     star_paley,
 )
 from diamondkit.hypergraph import baber, is_3_design, verify_ff4
-from diamondkit.oracles import count_diamonds_naive, from_arcs, seidel
+from diamondkit.oracles import count_diamonds_naive, from_arcs, is_skew_conference, seidel
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     count_diamonds_spectral,
-    is_skew_conference,
     matches_extremal_charpoly,
 )
 from diamondkit.tournament import (

@@ -29,9 +29,10 @@ EXPORTS = {
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 # the test oracles among them, which now live in diamondkit.oracles alone
+# (is_skew_conference among them: production reads the even-extremal verdict)
 ORACLES = {"ArcFlip", "CharPoly", "char_poly", "delete_vertices_count", "design_block_counts",
-           "diamond_delta_on_flip", "min_sum_squares", "sigma_from_traces",
-           "sum_principal_minors", "triple_profile", "verify_ff4_naive"}
+           "diamond_delta_on_flip", "is_skew_conference", "min_sum_squares",
+           "sigma_from_traces", "sum_principal_minors", "triple_profile", "verify_ff4_naive"}
 # deleted: production decides diamonds by tournament._diamond_lanes alone,
 # Tournament(rows) checks every tournament it makes, `verify --checks design`
 # is the one design verdict, sigma_4's bound is 8 * diamonds + C(n,4) and

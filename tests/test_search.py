@@ -16,6 +16,7 @@ from diamondkit.oracles import (
     encodings_with_delta,
     flip_arc,
     from_arcs,
+    is_skew_conference,
     seidel,
 )
 from diamondkit.search import (
@@ -60,7 +61,6 @@ class TestExhaustive:
 
     def test_n4_every_witness_is_conference(self):
         for e in encodings_with_delta(4, 1):
-            from diamondkit.spectral import is_skew_conference
             assert is_skew_conference(decode(4, e))
 
     def test_n5(self):
@@ -71,10 +71,11 @@ class TestExhaustive:
 
     def test_n6_meets_the_ff4_bound(self):
         # a Baber hypergraph is FF4, and up to n = 6 the FF4 bound is the
-        # exact maximum, below the diamond bound 15/2
+        # exact maximum; at n = 2 (mod 4) it is the diamond bound, which a
+        # two-block S^2 meets
         res = exhaustive_max_diamonds(6)
         assert edge_count_bound(6) == (6, "proven")
-        assert res.max_diamonds == 6 < diamond_upper_bound(6)
+        assert res.max_diamonds == 6 == diamond_upper_bound(6)
 
     def test_n7(self):
         res = exhaustive_max_diamonds(7)

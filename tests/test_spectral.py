@@ -20,6 +20,7 @@ from diamondkit.oracles import (
     encodings_with_delta,
     flip_arc,
     from_arcs,
+    is_skew_conference,
     reverse,
     seidel,
     sigma_from_traces,
@@ -31,7 +32,6 @@ from diamondkit.spectral import (
     ODD_EXTREMAL,
     count_diamonds_spectral,
     diamond_upper_bound,
-    is_skew_conference,
     matches_extremal_charpoly,
 )
 from diamondkit.tournament import (
@@ -231,10 +231,22 @@ def _every_tournament(n):
     return (decode(n, e) for e in range(1 << comb(n, 2)))
 
 
+def _two_block(a2):
+    """Whether each full S^2 in the stack a2 is two-block: two sides of n/2,
+    |g| = 2 inside a side and g = 0 across, the side of vertex 0 being 0 and
+    the j with a nonzero g_0j."""
+    n = a2.shape[-1]
+    side = a2[..., 0, :] != 0
+    side[..., 0] = True
+    want = np.where(side[..., :, None] == side[..., None, :], 2, 0)
+    off = ~np.eye(n, dtype=bool)
+    return (side.sum(axis=-1) == n // 2) & (np.abs(a2) == want)[..., off].all(axis=-1)
+
+
 class TestSquareParity:
     """What the entries g of square_upper are mod 2 and mod 4: the bound's
-    equality case and the triangle lemma, read only through square_upper
-    and pair_index."""
+    equality case and the triangle lemma, read through square_upper and
+    pair_index, and the two-block S^2 through the oracle's numpy S^2."""
 
     @staticmethod
     def _triangle_residues(t):
@@ -255,15 +267,48 @@ class TestSquareParity:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_bound_attained_iff_flat(self, n):
-        # the count reaches the bound iff every |g| is n mod 2, its least value
-        attained = 0
-        for t in _every_tournament(n):
-            flat = all(abs(g) == n % 2 for g in t.square_upper)
-            assert (count_diamonds_spectral(t) == diamond_upper_bound(n)) == flat
-            attained += flat
-        # n = 3: all 8, with no 4-set; n = 4: the 16 diamonds; n = 5, 6: a
-        # bound of 5/2 and 15/2 is not reached
-        assert attained == {3: 8, 4: 16, 5: 0, 6: 0}[n]
+        # the count reaches the bound iff sum g^2 is F(n), its least: every
+        # |g| is n mod 2, or at n = 2 (mod 4) the two-block S^2, read off the
+        # numpy S^2 of the oracle's S
+        ts = list(_every_tournament(n))
+        attained = [count_diamonds_spectral(t) == diamond_upper_bound(n) for t in ts]
+        if n % 4 == 2:
+            s = np.array([seidel(t) for t in ts], dtype=np.int64)
+            flat = _two_block(s @ s).tolist()
+        else:
+            flat = [all(abs(g) == n % 2 for g in t.square_upper) for t in ts]
+        assert attained == flat
+        # n = 3: all 8, with no 4-set; n = 4: the 16 diamonds; n = 5: a bound
+        # of 5/2 is not reached; n = 6: the bound 6, one in 6.4
+        assert sum(attained) == {3: 8, 4: 16, 5: 0, 6: 5120}[n]
+
+    @pytest.mark.parametrize("q", [7, 11, 19, 23, 27, 31])
+    def test_odd_extremal_minus_a_vertex_is_two_block(self, q):
+        # with S^2 + qI = u u^T and Su = 0, deleting v leaves
+        # g_ij + s_iv s_jv: +-2 where u_i s_iv = u_j s_jv, else 0, and the
+        # two classes have (q-1)/2 vertices each, as sum_i u_i s_iv = 0
+        t = paley_tournament(q)
+        for v in range(q):
+            sub = delete_vertices(t, [v])
+            s = np.array(seidel(sub), dtype=np.int64)
+            assert _two_block(s @ s)
+            assert count_diamonds_spectral(sub) == diamond_upper_bound(q - 1)
+
+    @given(st.integers(1, 10), st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_n2_mod_4_bound(self, k, seed):
+        # at n = 2 (mod 4) no tournament exceeds n (n-3)(n+2)(n-2) / 96: the
+        # pairs with g = 0 (mod 4) are those across the cut of vertex 0
+        n = 4 * k + 2
+        t = random_tournament(n, seed)
+        g = t.square_upper
+        far = [v > 0 and g[pair_index(n, 0, v)] % 4 == 0 for v in range(n)]
+        for i, j in combinations(range(n), 2):
+            assert (g[pair_index(n, i, j)] % 4 == 0) == (far[i] != far[j])
+        a = sum(far)
+        assert sum(x * x for x in g) >= 4 * (comb(a, 2) + comb(n - a, 2)) >= n * (n - 2)
+        assert count_diamonds(t) <= diamond_upper_bound(n) == Fraction(
+            n * (n - 3) * (n + 2) * (n - 2), 96)
 
 
 class TestSquare:
@@ -308,16 +353,17 @@ def _full_square_verdicts(a2):
 
 
 class TestReadersAgainstFullSquare:
-    """is_skew_conference, matches_extremal_charpoly and
-    count_diamonds_spectral, which take the diagonal of S^2 from n, against
-    the full numpy S^2 of the oracle's S."""
+    """matches_extremal_charpoly, whose even-extremal case is the
+    conference check, and count_diamonds_spectral, which take the diagonal
+    of S^2 from n, against the full numpy S^2 of the oracle's S."""
 
     def _agree(self, t):
         n = t.n
         s = np.array(seidel(t), dtype=np.int64)
         a2 = s @ s
-        assert is_skew_conference(t) == np.array_equal(a2, (1 - n) * np.eye(n, dtype=np.int64))
         verdict = matches_extremal_charpoly(t)
+        # the conference check reads the verdict
+        assert (verdict == EVEN_EXTREMAL) == np.array_equal(a2, (1 - n) * np.eye(n, dtype=np.int64))
         assert verdict == _full_square_verdicts(a2)
         # D = (sigma_4 - C(n,4)) / 8, sigma_4 by Newton's identities on the traces
         t2, t4 = int(np.trace(a2)), int((a2 * a2).sum())
@@ -449,11 +495,16 @@ class TestBounds:
         assert sigma_from_traces(t)[1] == expected
 
     def test_parity_formulas(self):
-        # one expression at every n: n^2 (n-1)(n-2) / 96 for even n and
-        # n (n-1)(n-3)(n+1) / 96 for odd n
+        # one table at every n: n^2 (n-1)(n-2) / 96 at n = 0 (mod 4),
+        # n (n-1)(n-3)(n+1) / 96 at odd n and n (n-3)(n+2)(n-2) / 96 at n = 2
         for n in range(601):
-            parity = n * n * (n - 1) * (n - 2) if n % 2 == 0 else n * (n - 1) * (n - 3) * (n + 1)
-            assert diamond_upper_bound(n) == Fraction(parity, 96)
+            if n % 2:
+                formula = n * (n - 1) * (n - 3) * (n + 1)
+            elif n % 4:
+                formula = n * (n - 3) * (n + 2) * (n - 2)
+            else:
+                formula = n * n * (n - 1) * (n - 2)
+            assert diamond_upper_bound(n) == Fraction(formula, 96)
 
     def test_rejects_small_n(self):
         # every n >= 0 has a bound; below 4 vertices it is 0
