@@ -140,7 +140,8 @@ def _verify_hypergraph(path, checks):
             results["ff4_counterexample"] = {"five_set": list(bad[0]), "count": bad[1]}
             failed = True
     if "design" in checks:
-        ok = bad is None and hypergraph.is_3_design(h, h.n // 4)
+        # every triple in n/4 edges is the bound's equality case (edge_count_bound)
+        ok = bad is None and h.m == bound
         results["design"] = ok
         results["design_lambda"] = h.n // 4 if ok else None
         failed |= not ok

@@ -1,9 +1,11 @@
 """FF4-hypergraphs: Baber's diamond hypergraph, the 0-or-2 five-vertex law,
-3-design verification, per-residue edge bounds and the .hyp format.
+per-residue edge bounds and the .hyp format.
 
 An FF4-hypergraph is a 4-uniform hypergraph in which every 5 vertices span
 0 or exactly 2 hyperedges; an FF4-design additionally has every triple in
-exactly n/4 hyperedges.  Hypergraph4(n, edges) checks every hypergraph.
+exactly n/4 hyperedges, which for an FF4 hypergraph is the equality case of
+edge_count_bound at n = 0 mod 4.  Hypergraph4(n, edges) checks every
+hypergraph.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
-from math import comb
 from operator import index
 
 from .spectral import diamond_upper_bound
@@ -71,32 +71,6 @@ class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def links(self) -> dict:
-        """Link bitset of every triple that lies in an edge.
-
-        Maps the triple {a,b,c}, keyed by its bitmask 2^a + 2^b + 2^c, to
-        the bitmask of the vertices v with {a,b,c,v} an edge; its popcount
-        is the number of edges through the triple.  Built on first use in
-        O(m) big-int operations and cached on the instance (the fields,
-        equality and hash do not change).
-        """
-        links = {}
-        get = links.get
-        bit = [1 << v for v in range(self.n)]
-        for a, b, c, d in self.edges:
-            ba, bb, bc, bd = bit[a], bit[b], bit[c], bit[d]
-            mask = ba | bb | bc | bd
-            t = mask ^ ba
-            links[t] = get(t, 0) | ba
-            t = mask ^ bb
-            links[t] = get(t, 0) | bb
-            t = mask ^ bc
-            links[t] = get(t, 0) | bc
-            t = mask ^ bd
-            links[t] = get(t, 0) | bd
-        return links
-
 
 def baber(t: Tournament) -> Hypergraph4:
     """Hypergraph whose hyperedges are exactly the diamond 4-sets of t.
@@ -131,10 +105,13 @@ def baber(t: Tournament) -> Hypergraph4:
 def verify_ff4(h: Hypergraph4):
     """None if every 5-subset spans 0 or 2 edges, else (least bad 5-set, count).
 
-    Edge-centric: a 5-set e + {v} through an edge e spans
-    1 + #{x in e : v in L[e - x]} edges, L being h.links.  Each L[e - x]
-    also holds x itself, so the law holds iff for every edge the four links
-    are pairwise disjoint and cover all n vertices: one OR and four
+    Edge-centric, on links built in one pass over the edges: the link L[T]
+    of a triple T, keyed by its bitmask, is the bitmask of the vertices v
+    with T + {v} an edge, and its popcount d_T is the number of edges
+    through T.  A 5-set e + {v} through an edge e spans
+    1 + #{x in e : v in L[e - x]} edges.  Each L[e - x] also holds x itself,
+    so the law holds iff for every edge the four links are pairwise disjoint
+    and cover all n vertices, so that sum_{T in e} d_T = n: one OR and four
     popcounts per edge, O(m) big-int operations in all.
 
     Every bad 5-set contains an edge, and that edge fails the test.  Through
@@ -143,10 +120,23 @@ def verify_ff4(h: Hypergraph4):
     bad 5-set.  Below 5 vertices the law holds vacuously, and so does the
     test: at n = 4 the one possible edge has four disjoint one-vertex links.
     """
-    n, links = h.n, h.links
+    n = h.n
+    bit = [1 << v for v in range(n)]
+    links = {}
+    get = links.get
+    for a, b, c, d in h.edges:
+        ba, bb, bc, bd = bit[a], bit[b], bit[c], bit[d]
+        mask = ba | bb | bc | bd
+        t = mask ^ ba
+        links[t] = get(t, 0) | ba
+        t = mask ^ bb
+        links[t] = get(t, 0) | bb
+        t = mask ^ bc
+        links[t] = get(t, 0) | bc
+        t = mask ^ bd
+        links[t] = get(t, 0) | bd
     full = (1 << n) - 1
     best = None
-    bit = [1 << v for v in range(n)]
     for a, b, c, d in h.edges:
         ba, bb, bc, bd = bit[a], bit[b], bit[c], bit[d]
         mask = ba | bb | bc | bd
@@ -167,35 +157,32 @@ def verify_ff4(h: Hypergraph4):
     return best
 
 
-def is_3_design(h: Hypergraph4, lam: int) -> bool:
-    """True iff every 3-subset of vertices lies in exactly lam edges.
-
-    Read off the link popcounts: with lam >= 1 every one of the C(n,3)
-    triples must have a link, with lam = 0 none may.  lam is an int >= 0.
-    """
-    lam, links = _index(lam, "lam", 0), h.links
-    return len(links) == (comb(h.n, 3) if lam else 0) and \
-        all(x.bit_count() == lam for x in links.values())
-
-
 def edge_count_bound(n: int):
     """(bound, status) for the maximum FF4 edge count in residue class n mod 4.
 
-    The bound is diamond_upper_bound(n) - gap / 16, gap = (0, (n-1)(n-3), 0,
-    0)[n % 4], for every n >= 0: in D = (n C(n,3) - sum g^2) / 16
-    (count_diamonds_spectral) the gap is the sum g^2, beyond the diamond
-    bound's, of a source over an extremal tournament, 3 C(n-1,2).  Gap 0
-    bounds are diamond bounds, met by Baber hypergraphs of the bound's
-    equality cases; at n = 0, 3 mod 4 they are proven.  Up to n = 6 each
-    bound is the exact maximum, found by enumerating every 4-graph, so proven
-    too.  n = 1, 2 mod 4 from n = 9 on are conjectural, as FF4 hypergraphs
-    are more than Baber's: reported, never asserted.  The n = 1 formula is
-    false: at n = 17 an FF4 hypergraph has 702 edges against 700 (REFUTED).
+    The bound is diamond_upper_bound(n) for every n >= 0 but n = 1 mod 4,
+    where it is (n C(n,3) - 3 C(n-1,2)) / 16 = (n-1)(n-2)(n-3)(n+3) / 96,
+    the Baber hypergraph of a source over an extremal tournament.  It is
+    proven at n = 0, 3 mod 4 and up to n = 6, where enumerating every
+    4-graph finds it exact; n = 1, 2 mod 4 from n = 9 on are conjectural,
+    as FF4 hypergraphs are more than Baber's: reported, never asserted.  The
+    n = 1 formula is false: at n = 17 an FF4 hypergraph has 702 edges
+    against 700 (REFUTED).
+
+    The proof at n = 0 mod 4, with its equality case: let d_T be the number
+    of edges through the triple T.  verify_ff4's per-edge test gives
+    sum_{T in e} d_T = n for every edge e; summed over the edges, that is
+    sum_T d_T^2 = n m, while sum_T d_T = 4m.  Cauchy-Schwarz over the C(n,3)
+    triples gives 16 m^2 <= C(n,3) n m, so m <= n C(n,3) / 16, the bound,
+    with equality iff every d_T = n/4.  So an FF4 hypergraph is a
+    3-(n,4,n/4) design iff m equals the bound, the design verdict.  At
+    n = 3 mod 4 Baber of an odd-extremal tournament meets it and is no design.
     """
     n = _index(n, "n", 0)
-    gap = (0, (n - 1) * (n - 3), 0, 0)[n % 4]
     status = PROVEN if n % 4 in (0, 3) or n <= 6 else CONJECTURAL
-    return diamond_upper_bound(n) - Fraction(gap, 16), status
+    if n % 4 == 1:
+        return Fraction((n - 1) * (n - 2) * (n - 3) * (n + 3), 96), status
+    return diamond_upper_bound(n), status
 
 
 def parse_hyp(text: str) -> Hypergraph4:

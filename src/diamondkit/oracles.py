@@ -3,9 +3,9 @@
 count_diamonds_naive (the C(n,4) scan), diamond_delta_on_flip,
 char_poly (Faddeev-LeVerrier), sigma_from_traces and is_skew_conference
 (numpy S^2), sum_principal_minors (Bareiss), verify_ff4_naive (the C(n,5)
-scan), triple_profile and _deltas recompute what tournament, spectral,
-hypergraph and search answer, in O(n^3) to O(n^5) work; from_arcs and
-reverse build test tournaments, and the rest are the paper's design and
+scan), triple_profile, is_3_design and _deltas recompute what tournament,
+spectral, hypergraph and search answer, in O(n^3) to O(n^5) work; from_arcs
+and reverse build test tournaments, and the rest are the paper's design and
 sum-of-squares formulas.  They read S from seidel, an arc i -> j as
 (t.rows[i] >> j) & 1, or the pair bits of an encoding; none reuses a
 production table but encodings_with_delta, which reads the scan it tests,
@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph4, is_3_design, verify_ff4
+from .hypergraph import Hypergraph4, verify_ff4
 from .search import _EXHAUSTIVE_MAX_N, _block_planes, _scan_plan
 from .tournament import MIN_N, InputError, Tournament, _bits, _index
 
@@ -301,6 +301,13 @@ def triple_profile(h: Hypergraph4) -> dict:
         for t in combinations(e, 3):
             counts[t] += 1
     return counts
+
+
+def is_3_design(h: Hypergraph4, lam: int) -> bool:
+    """True iff every 3-subset of vertices lies in exactly lam edges, by
+    triple_profile; lam is an int >= 0."""
+    lam = _index(lam, "lam", 0)
+    return all(c == lam for c in triple_profile(h).values())
 
 
 def design_block_counts(n: int, k: int, t: int, lam: int, s: int) -> Fraction:

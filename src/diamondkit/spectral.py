@@ -67,17 +67,27 @@ def matches_extremal_charpoly(t: Tournament) -> str:
 def diamond_upper_bound(n: int) -> Fraction:
     """Upper bound on the diamond count of a tournament on n vertices, as an
     exact rational, for any n >= 0: (n C(n,3) - F(n)) / 16, where
-    F(n) = (0, C(n,2), n(n-2), C(n,2))[n % 4] is the least sum g^2, so
-    count_diamonds_spectral's identity attains it exactly when sum g^2 = F(n).
+    F(n) = (0, C(n,2) + 8 k, n(n-2), C(n,2))[n % 4], k = ceil(max(n-2, 0)^2
+    / 32), bounds sum g^2 below (the least sum at n != 1 mod 4 and n = 5, not
+    at n = 9), so D meets it iff sum g^2 = F(n) (count_diamonds_spectral).
 
     Each g = (S^2)_ij = 2 popcount(r_i ^ r_j) - n has n's parity, so at odd
-    n sum g^2 >= C(n,2), with equality iff every |g| is 1.  At n = 2 mod 4
-    the triangle lemma g_ij + g_ik + g_jk = n (mod 4) puts 0 or 2 pairs with
-    g = 0 (mod 4) in each triangle, so they are those across one cut
-    (A, V - A), |g| >= 2 inside its sides, and sum g^2 >= 4 (C(a,2) +
-    C(n-a,2)) >= n(n-2) for a = |A|, with equality iff a = n/2, every g
-    inside is +-2 and every g across is 0: the two-block S^2 of Ehlich and
-    Wojtas (1964).  The bound is 0 below 4 vertices and 1 at n = 4.
+    n sum g^2 >= C(n,2), with equality iff every |g| is 1.  The triangle
+    lemma g_ij + g_ik + g_jk = n (mod 4) puts 0 or 2 pairs with
+    g = 2 - n (mod 4) in each triangle, so they are those across one cut
+    (A, V - A), a = |A|.  At n = 2 mod 4, |g| >= 2 inside its sides and
+    sum g^2 >= 4 (C(a,2) + C(n-a,2)) >= n(n-2), with equality iff a = n/2,
+    every g inside is +-2 and every g across is 0: the two-block S^2 of
+    Ehlich and Wojtas (1964).  At n = 1 mod 4, n >= 5, switching A (S -> DSD,
+    which keeps D and sum g^2) makes every g = 3 (mod 4), so
+    S^2 = -(n-2) I - J + 4X for a symmetric integer X of zero diagonal, and
+    sum g^2 - C(n,2) = 8 sum_{i<j} (2x^2 - x) >= 8 sum_{i<j} x^2.  S is skew
+    of odd order, so Sw = 0 for some w != 0, and w^T S^2 w = 0 gives
+    4 w^T X w = (n-2) |w|^2 + (sum w)^2: lambda_max(X) >= (n-2)/4, and
+    2 sum_{i<j} x^2 = ||X||_F^2 >= lambda_max^2 >= (n-2)^2 / 16, an integer
+    sum at least k.  The bound is 0 below 4 vertices and 1 at n = 4.
     """
     n = _index(n, "n", 0)
-    return Fraction(n * comb(n, 3) - (0, comb(n, 2), n * (n - 2), comb(n, 2))[n % 4], 16)
+    k = -(-max(n - 2, 0) ** 2 // 32)
+    return Fraction(n * comb(n, 3)
+                    - (0, comb(n, 2) + 8 * k, n * (n - 2), comb(n, 2))[n % 4], 16)

@@ -17,12 +17,13 @@ from diamondkit.constructions import (
     paley_tournament,
     star_paley,
 )
-from diamondkit.hypergraph import baber, edge_count_bound, is_3_design, verify_ff4
+from diamondkit.hypergraph import baber, edge_count_bound, verify_ff4
 from diamondkit.oracles import (
     char_poly,
     count_diamonds_naive,
     delete_vertices_count,
     encodings_with_delta,
+    is_3_design,
     is_min_sum_squares_witness,
     is_skew_conference,
     min_sum_squares,

@@ -264,8 +264,8 @@ class TestSearchCommand:
         code, report = run(capsys, "search", "--mode", "exhaustive", "--n", "5")
         assert code == OK
         assert report["results"]["max_diamonds"] == 2
-        assert report["results"]["bound"] == {"num": 5, "den": 2, "decimal": 2.5}
-        assert report["results"]["attained"] is False
+        assert report["results"]["bound"] == {"num": 2, "den": 1, "decimal": 2.0}
+        assert report["results"]["attained"] is True
 
     def test_exhaustive_n3(self, capsys):
         # the least order: 8 encodings, none with a 4-set, so the bound 0 is
@@ -297,7 +297,7 @@ class TestSearchCommand:
         assert results["explored"] == 1 << 28
         assert encode(parse_trn(results["witness_trn"])) == 600626
 
-    @pytest.mark.parametrize("n, attained", [(5, False), (7, True)])
+    @pytest.mark.parametrize("n, attained", [(5, True), (7, True)])
     def test_count_of_the_witness_reports_the_same_bound(self, tmp_path, capsys, n, attained):
         # search and count compare a count with the bound in one place
         out = tmp_path / "w.trn"

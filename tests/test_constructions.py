@@ -9,8 +9,14 @@ from diamondkit.constructions import (
     paley_tournament,
     star_paley,
 )
-from diamondkit.hypergraph import baber, is_3_design, verify_ff4
-from diamondkit.oracles import count_diamonds_naive, from_arcs, is_skew_conference, seidel
+from diamondkit.hypergraph import baber, verify_ff4
+from diamondkit.oracles import (
+    count_diamonds_naive,
+    from_arcs,
+    is_3_design,
+    is_skew_conference,
+    seidel,
+)
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     count_diamonds_spectral,

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondkit import hypergraph as hypergraph_module
-from diamondkit.constructions import star_paley
+from diamondkit.constructions import paley_tournament, star_paley
 from diamondkit.hypergraph import (
     CONJECTURAL,
     MAX_EDGES,
@@ -21,7 +22,6 @@ from diamondkit.hypergraph import (
     baber,
     edge_count_bound,
     format_hyp,
-    is_3_design,
     parse_hyp,
     verify_ff4,
 )
@@ -32,6 +32,7 @@ from diamondkit.oracles import (
     delete_vertices_count,
     design_block_counts,
     from_arcs,
+    is_3_design,
     is_min_sum_squares_witness,
     min_sum_squares,
     triple_profile,
@@ -120,9 +121,9 @@ class TestTripleProfile:
 
 
 def _ff4_design(h):
-    """The verdict of `verify --checks design`, n divisible by 4: FF4, and
-    every triple in exactly n/4 edges."""
-    return verify_ff4(h) is None and is_3_design(h, h.n // 4)
+    """The verdict of `verify --checks design`, n divisible by 4: FF4, with
+    as many edges as the bound, its equality case (edge_count_bound)."""
+    return verify_ff4(h) is None and h.m == edge_count_bound(h.n)[0]
 
 
 class TestDesign:
@@ -518,7 +519,7 @@ class TestLinkFF4Oracle:
         (int("9" * 4000), f"{'9' * 40!r}... (4000 characters)"),
     ], ids=["-4", str(MAX_N + 1), "4000-digits"])
     def test_constructor_rejects_bad_n(self, n, shown):
-        # a negative n would reach math.comb in is_3_design,
+        # a negative n would reach 1 << n in verify_ff4, a ValueError,
         # and a long n is clipped to 40 digits
         with pytest.raises(InputError) as exc:
             Hypergraph4(n, [])
@@ -566,31 +567,15 @@ class TestRecord:
     def test_pickle_round_trip_is_checked(self, monkeypatch, protocol):
         h = baber(star_paley(7))
         data = pickle.dumps(h, protocol)
-        assert h.links and "links" in vars(h)
-        assert pickle.dumps(h, protocol) == data  # the cached links are not pickled
         calls = _count_checks(monkeypatch)
         u = pickle.loads(data)
         assert u == h and hash(u) == hash(h) and type(u) is Hypergraph4
-        assert "links" not in vars(u)
         assert len(calls) == 1
 
-
-class TestLinks:
-    @given(st.integers(4, 10), st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_popcounts_are_triple_profile(self, n, seed):
-        h = _random_hypergraph(n, seed, 0.3)
-        profile = triple_profile(h)
-        links = h.links
-        assert len(links) == sum(1 for c in profile.values() if c)
-        for (a, b, c), count in profile.items():
-            mask = (1 << a) | (1 << b) | (1 << c)
-            assert links.get(mask, 0).bit_count() == count
-
-    def test_cached_and_invisible_to_equality(self):
+    def test_verify_ff4_caches_nothing(self):
+        # the links are verify_ff4's own: a hypergraph is its checked edges
         h = baber(star_paley(7))
-        assert h.links is h.links
-        assert h == Hypergraph4(8, h.edges) and hash(h) == hash(Hypergraph4(8, h.edges))
+        assert verify_ff4(h) is None and vars(h) == {}
 
 
 def _design_by_definition(h):
@@ -599,7 +584,8 @@ def _design_by_definition(h):
 
 
 class TestDesignOracle:
-    """The design verdict (link popcounts) against the triple_profile definition."""
+    """The design verdict (FF4 and m at the bound) against the triple_profile
+    definition, and the identity that makes them one."""
 
     @given(st.sampled_from([3, 7, 11]), st.integers(0, 10**6), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
@@ -614,11 +600,34 @@ class TestDesignOracle:
         assert _ff4_design(h) == _design_by_definition(h)
 
     def test_empty_and_complete(self):
+        # at n = 0 the empty hypergraph is the design: no triple, bound 0
+        assert _ff4_design(Hypergraph4(0, [])) == _design_by_definition(Hypergraph4(0, [])) is True
         for n in (4, 8):
             empty = Hypergraph4(n, [])
             complete = Hypergraph4(n, combinations(range(n), 4))
             assert _ff4_design(empty) == _design_by_definition(empty) is False
             assert _ff4_design(complete) == _design_by_definition(complete)
+
+    @given(st.integers(3, 12), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_ff4_sum_of_squares_is_n_m(self, n, seed):
+        # each edge's four links are disjoint and cover the n vertices, so
+        # sum_T d_T^2 = n m; with sum_T d_T = 4 m, Cauchy-Schwarz bounds m
+        # by n C(n,3) / 16 at every n, the bound at n = 0 mod 4
+        h = baber(random_tournament(n, seed))
+        d = triple_profile(h).values()
+        assert sum(x * x for x in d) == n * h.m and sum(d) == 4 * h.m
+        assert 16 * h.m ** 2 <= comb(n, 3) * n * h.m
+        if n % 4 == 0:
+            assert edge_count_bound(n)[0] == Fraction(n * comb(n, 3), 16)
+
+    @pytest.mark.parametrize("q", [7, 11, 19])
+    def test_odd_extremal_meets_the_bound_and_is_no_design(self, q):
+        # why `verify --checks design` refuses n = 3 mod 4: Baber of T(q) is
+        # FF4 with m at its bound, yet its triples lie in unequal numbers of edges
+        h = baber(paley_tournament(q))
+        assert verify_ff4(h) is None and h.m == edge_count_bound(q)[0]
+        assert len(set(triple_profile(h).values())) > 1
 
     def test_3_design_lambda_zero(self):
         assert is_3_design(Hypergraph4(8, []), 0)

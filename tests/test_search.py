@@ -65,8 +65,8 @@ class TestExhaustive:
 
     def test_n5(self):
         res = exhaustive_max_diamonds(5)
-        assert res.max_diamonds == 2
-        assert res.max_diamonds != diamond_upper_bound(5)  # bound is 5/2
+        # the n = 1 (mod 4) bound (n C(n,3) - C(n,2) - 8 ceil((n-2)^2 / 32)) / 16
+        assert res.max_diamonds == 2 == diamond_upper_bound(5)
         assert res.explored == 1024
 
     def test_n6_meets_the_ff4_bound(self):

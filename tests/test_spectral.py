@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 import pytest
@@ -268,19 +268,22 @@ class TestSquareParity:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_bound_attained_iff_flat(self, n):
         # the count reaches the bound iff sum g^2 is F(n), its least: every
-        # |g| is n mod 2, or at n = 2 (mod 4) the two-block S^2, read off the
-        # numpy S^2 of the oracle's S
+        # |g| is n mod 2, at n = 5 one |g| = 3 and nine |g| = 1 (F = 10 + 8),
+        # or at n = 2 (mod 4) the two-block S^2, read off the numpy S^2 of
+        # the oracle's S
         ts = list(_every_tournament(n))
         attained = [count_diamonds_spectral(t) == diamond_upper_bound(n) for t in ts]
         if n % 4 == 2:
             s = np.array([seidel(t) for t in ts], dtype=np.int64)
             flat = _two_block(s @ s).tolist()
+        elif n == 5:
+            flat = [sorted(map(abs, t.square_upper)) == [1] * 9 + [3] for t in ts]
         else:
             flat = [all(abs(g) == n % 2 for g in t.square_upper) for t in ts]
         assert attained == flat
-        # n = 3: all 8, with no 4-set; n = 4: the 16 diamonds; n = 5: a bound
-        # of 5/2 is not reached; n = 6: the bound 6, one in 6.4
-        assert sum(attained) == {3: 8, 4: 16, 5: 0, 6: 5120}[n]
+        # n = 3: all 8, with no 4-set; n = 4: the 16 diamonds; n = 5: the
+        # bound 2, five in eight; n = 6: the bound 6, one in 6.4
+        assert sum(attained) == {3: 8, 4: 16, 5: 640, 6: 5120}[n]
 
     @pytest.mark.parametrize("q", [7, 11, 19, 23, 27, 31])
     def test_odd_extremal_minus_a_vertex_is_two_block(self, q):
@@ -309,6 +312,29 @@ class TestSquareParity:
         assert sum(x * x for x in g) >= 4 * (comb(a, 2) + comb(n - a, 2)) >= n * (n - 2)
         assert count_diamonds(t) <= diamond_upper_bound(n) == Fraction(
             n * (n - 3) * (n + 2) * (n - 2), 96)
+
+    @given(st.integers(1, 10), st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_n1_mod_4_bound(self, k, seed):
+        # at n = 1 (mod 4), switching the cut of vertex 0 (the g = 1 mod 4
+        # pairs) makes every g = 4x - 1; the excess sum g^2 - C(n,2) is
+        # 8 sum (2x^2 - x) >= 8 sum x^2, and a kernel vector of S makes
+        # sum x^2 >= (n-2)^2 / 32
+        n = 4 * k + 1
+        t = random_tournament(n, seed)
+        g = t.square_upper
+        far = [v > 0 and g[pair_index(n, 0, v)] % 4 == 1 for v in range(n)]
+        x = []
+        for i, j in combinations(range(n), 2):
+            switched = -g[pair_index(n, i, j)] if far[i] != far[j] else g[pair_index(n, i, j)]
+            assert switched % 4 == 3
+            x.append((switched + 1) // 4)
+        excess = sum(v * v for v in g) - comb(n, 2)
+        assert excess == 8 * sum(2 * v * v - v for v in x)
+        least = ceil(Fraction((n - 2) ** 2, 32))
+        assert sum(v * v for v in x) >= least
+        assert excess >= 8 * least
+        assert count_diamonds(t) <= diamond_upper_bound(n)
 
 
 class TestSquare:
@@ -475,7 +501,7 @@ class TestExtremalClassification:
 class TestBounds:
     @pytest.mark.parametrize("n,expected", [
         (4, Fraction(1)),
-        (5, Fraction(5, 2)),
+        (5, Fraction(2)),
         (7, Fraction(14)),
         (8, Fraction(28)),
         (12, Fraction(165)),
@@ -496,9 +522,12 @@ class TestBounds:
 
     def test_parity_formulas(self):
         # one table at every n: n^2 (n-1)(n-2) / 96 at n = 0 (mod 4),
-        # n (n-1)(n-3)(n+1) / 96 at odd n and n (n-3)(n+2)(n-2) / 96 at n = 2
+        # n (n-1)(n-3)(n+1) / 96 at n = 3, that less ceil((n-2)^2 / 32) / 2
+        # at n = 1 from n = 5 on, and n (n-3)(n+2)(n-2) / 96 at n = 2
         for n in range(601):
-            if n % 2:
+            if n % 4 == 1 and n >= 5:
+                formula = n * (n - 1) * (n - 3) * (n + 1) - 48 * ceil(Fraction((n - 2) ** 2, 32))
+            elif n % 2:
                 formula = n * (n - 1) * (n - 3) * (n + 1)
             elif n % 4:
                 formula = n * (n - 3) * (n + 2) * (n - 2)
@@ -512,10 +541,24 @@ class TestBounds:
         with pytest.raises(ValueError):
             diamond_upper_bound(-1)
 
-    def test_n5_bound_not_attained(self):
-        # bound 5/2 is non-integral; exhaustive max at n=5 is 2
-        best = max(count_diamonds_naive(decode(5, e)) for e in range(1 << 10))
-        assert best == 2 < diamond_upper_bound(5)
+    def test_n5_bound_is_the_maximum(self):
+        # the exhaustive maximum at n = 5 is 2, the bound, so attained (the
+        # count equals the bound) holds exactly for the tournaments with 2 diamonds
+        ts = [decode(5, e) for e in range(1 << 10)]
+        naive = [count_diamonds_naive(t) for t in ts]
+        assert max(naive) == 2 == diamond_upper_bound(5)
+        assert [count_diamonds_spectral(t) == diamond_upper_bound(5) for t in ts] == \
+            [d == 2 for d in naive]
+
+    @pytest.mark.parametrize("n", [5, 9, 13, 17, 21, 25])
+    def test_n1_mod_4_values(self, n):
+        # ceil((n-2)^2 / 32) / 2 below the parity bound (n C(n,3) - C(n,2)) / 16,
+        # and at or above the most diamonds search has found: 42 at n = 9
+        # (the maximum), 1714 at n = 21 and 3544 at n = 25
+        bound = diamond_upper_bound(n)
+        assert bound == {5: 2, 9: 44, 13: Fraction(451, 2), 17: 710, 21: Fraction(3453, 2),
+                         25: Fraction(7133, 2)}[n]
+        assert bound >= {5: 2, 9: 42, 13: 220, 17: 702, 21: 1714, 25: 3544}[n]
 
 
 class TestMaclaurinConsequence:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
 from diamondkit import gf
 from diamondkit.gf import gf_build
-from diamondkit.hypergraph import Hypergraph4, baber, edge_count_bound, is_3_design, verify_ff4
+from diamondkit.hypergraph import Hypergraph4, baber, edge_count_bound, verify_ff4
 from diamondkit.spectral import count_diamonds_spectral, diamond_upper_bound
 from diamondkit import tournament
 from diamondkit.tournament import (
@@ -39,6 +39,7 @@ from diamondkit.oracles import (
     encodings_with_delta,
     flip_arc,
     from_arcs,
+    is_3_design,
     reverse,
     seidel,
 )
