@@ -5,7 +5,7 @@ matrix is skew-conference."""
 from __future__ import annotations
 
 from . import gf
-from .spectral import ODD_EXTREMAL, matches_extremal_charpoly
+from .spectral import ODD_EXTREMAL, lemma_cut, matches_extremal_charpoly
 from .tournament import MIN_N, InputError, Tournament, _index, _quote_int
 
 
@@ -71,18 +71,16 @@ def extend_to_conference(t: Tournament) -> Tournament:
     """Border an odd-extremal tournament with the +-1 kernel vector of its S.
 
     Returns the order n+1 tournament with Seidel matrix B = [[S, u], [-u^T, 0]]:
-    the new vertex n loses to i exactly when u_i = +1.  The odd-extremal
-    verdict (spectral.matches_extremal_charpoly) proves S^2 + nI = u u^T
-    with u +-1 and u_0 = +1, so u is row 0 of S^2 + nI, read off the pairs
-    (0, j) that lead the S^2 cached on t.  B is skew-conference: as S is
-    skew, ||Su||^2 = -u^T S^2 u = n^2 - n^2 = 0, so Su = 0, and then
-    B^2 = [[S^2 - uu^T, Su], [(Su)^T, -n]] = -nI.  The extend command
-    reports that check on the result.
+    the new vertex n beats exactly the vertices of spectral.lemma_cut(t).  The
+    odd-extremal verdict (spectral.matches_extremal_charpoly) proves
+    S^2 + nI = u u^T with u +-1 and u_0 = +1, so u = -1 exactly on that cut.
+    B is skew-conference: as S is skew, ||Su||^2 = -u^T S^2 u = n^2 - n^2 = 0,
+    so Su = 0, and then B^2 = [[S^2 - uu^T, Su], [(Su)^T, -n]] = -nI.  The
+    extend command reports that check on the result.
     """
     n = t.n
     if matches_extremal_charpoly(t) != ODD_EXTREMAL:
         raise InputError("matrix is not odd-extremal; extension does not apply")
-    u = [1, *t.square_upper[:n - 1]]
-    rows = [r | (1 << n) if x == 1 else r for r, x in zip(t.rows, u)]
-    rows.append(sum(1 << i for i, x in enumerate(u) if x == -1))
-    return Tournament(rows)
+    cut = lemma_cut(t)
+    rows = [r if (cut >> i) & 1 else r | (1 << n) for i, r in enumerate(t.rows)]
+    return Tournament((*rows, cut))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 from operator import index
 
 from .spectral import diamond_upper_bound
@@ -38,13 +39,13 @@ class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
     set.  The constructor is the one check, one pass that keeps a tuple of
     four Python ints as that object and reads any other edge through
     operator.index; its InputError at the first bad edge, edges[k], has at=k.
-    More than MAX_EDGES edges are refused after the pass, with at=MAX_EDGES."""
+    More than MAX_EDGES edges are refused at edge MAX_EDGES + 1, with at=MAX_EDGES."""
 
     def __new__(cls, n, edges):
         n = _index(n, "n", 0, MAX_N)
         checked = []
         last = ()
-        for e in edges:
+        for e in islice(edges, MAX_EDGES + 1):
             if type(e) is not tuple or len(e) != 4 or \
                     not type(e[0]) is type(e[1]) is type(e[2]) is type(e[3]) is int:
                 try:
@@ -64,7 +65,8 @@ class Hypergraph4(_Record, namedtuple("Hypergraph4", "n edges")):
             checked.append(e)
             last = e
         if len(checked) > MAX_EDGES:
-            raise InputError(f"{len(checked)} edges, above the limit of {MAX_EDGES}", at=MAX_EDGES)
+            raise InputError(f"{MAX_EDGES + 1} edges or more, above the limit of {MAX_EDGES}",
+                             at=MAX_EDGES)
         return super().__new__(cls, n, tuple(checked))
 
     @property

@@ -64,6 +64,18 @@ def matches_extremal_charpoly(t: Tournament) -> str:
     return NOT_EXTREMAL
 
 
+def lemma_cut(t: Tournament) -> int:
+    """The far side of vertex 0 in the triangle lemma's cut, as a bitmask:
+    the j >= 1 with g_0j = 2 - n (mod 4), read off square_upper in O(n).
+
+    The lemma g_ij + g_ik + g_jk = n (mod 4), with every g of n's parity,
+    puts 0 or 2 pairs with g = 2 - n (mod 4) in each triangle: they are
+    those across one cut.  At an odd-extremal t the cut is {j : u_j = -1}
+    for the kernel vector u = (1, g_01, ..., g_0,n-1) of S.
+    """
+    return sum(1 << j for j, g in enumerate(t.square_upper[:t.n - 1], 1) if (g + t.n) % 4 == 2)
+
+
 def diamond_upper_bound(n: int) -> Fraction:
     """Upper bound on the diamond count of a tournament on n vertices, as an
     exact rational, for any n >= 0: (n C(n,3) - F(n)) / 16, where

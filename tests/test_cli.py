@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondkit import constructions, hypergraph, tournament
+from diamondkit import cli, constructions, hypergraph, tournament
 from diamondkit.cli import INPUT_ERROR, OK, VIOLATED, main
 from diamondkit.constructions import paley_tournament, star_paley
 from diamondkit.hypergraph import (
@@ -68,6 +68,9 @@ class TestConstruct:
         # the one comparison with diamond_upper_bound, as count and search report it
         assert report["results"]["bound"] == {"num": 28, "den": 1, "decimal": 28.0}
         assert report["results"]["attained"] is True
+        assert report["results"]["out"] == str(out)
+        assert set(report["results"]) == {"kind", "q", "n", "diamonds", "bound", "attained",
+                                          "skew_conference", "out"}
         assert load_trn(out) == star_paley(7)
 
     def test_paley_3(self, tmp_path, capsys):
@@ -98,6 +101,29 @@ class TestCount:
         assert report["results"]["naive"] == report["results"]["spectral"] == 28
         assert report["results"]["attained"] is True
         assert report["results"]["bound"] == {"num": 28, "den": 1, "decimal": 28.0}
+
+    @pytest.mark.parametrize("method", ["naive", "spectral"])
+    @pytest.mark.parametrize("t", [star_paley(7), parse_trn(transitive_trn(5)),
+                                   random_tournament(64, 0)], ids=["tstar7", "transitive5", "r64"])
+    def test_one_method_reports_the_bound_of_both(self, tmp_path, capsys, t, method):
+        path = tmp_path / "t.trn"
+        save_trn(t, path)
+        _, both = run(capsys, "count", "--in", str(path))
+        code, report = run(capsys, "count", "--in", str(path), "--method", method)
+        assert code == OK and report["status"] == "ok"
+        assert report["results"] == {"n": t.n, "method": method, method: both["results"][method],
+                                     "bound": both["results"]["bound"],
+                                     "attained": both["results"]["attained"]}
+
+    def test_disagreeing_counts_are_violated(self, tmp_path, capsys, monkeypatch):
+        # the bound is held to the first count that ran, naive
+        monkeypatch.setitem(cli._COUNTS, "naive", lambda t: 27)
+        path = tmp_path / "t.trn"
+        save_trn(star_paley(7), path)
+        code, report = run(capsys, "count", "--in", str(path), "--method", "both")
+        assert code == VIOLATED and report["status"] == "violated"
+        assert (report["results"]["naive"], report["results"]["spectral"]) == (27, 28)
+        assert report["results"]["attained"] is False
 
     def test_transitive_not_attained(self, tmp_path, capsys):
         path = tmp_path / "t.trn"
@@ -233,6 +259,8 @@ class TestPipelines:
         assert report["results"]["n"] == 7
         assert report["results"]["diamonds"] == 14
         assert report["results"]["attained"] is True
+        assert report["results"]["dropped"] == [7] and report["results"]["out"] == str(out)
+        assert set(report["results"]) == {"n", "dropped", "diamonds", "bound", "attained", "out"}
 
     def test_extend_command(self, tmp_path, capsys):
         trn = tmp_path / "p7.trn"

@@ -364,16 +364,31 @@ class TestEdgeLimit:
                                    "above the limit of 4194304")
 
     def test_constructor_refuses_more_than_the_limit(self, monkeypatch):
-        # read at call time and checked once, after the pass, so a one-shot
-        # iterator is refused as a list is
+        # read at call time and checked within the pass, at edge 101, so a
+        # one-shot iterator is refused as a list is
         monkeypatch.setattr(hypergraph_module, "MAX_EDGES", 100)
         quads = list(combinations(range(12), 4))
         for edges in (quads, iter(quads)):
             with pytest.raises(InputError) as info:
                 Hypergraph4(12, edges)
-            assert str(info.value) == "495 edges, above the limit of 100"
+            assert str(info.value) == "101 edges or more, above the limit of 100"
             assert info.value.at == 100
         assert Hypergraph4(12, iter(quads[:100])).m == 100
+
+    def test_constructor_reads_one_edge_past_the_limit(self, monkeypatch):
+        # the refusal holds no more than the limit: of the 495 edges of a
+        # generator it reads 101
+        monkeypatch.setattr(hypergraph_module, "MAX_EDGES", 100)
+        read = []
+
+        def edges():
+            for e in combinations(range(12), 4):
+                read.append(e)
+                yield e
+
+        with pytest.raises(InputError) as info:
+            Hypergraph4(12, edges())
+        assert info.value.at == 100 and len(read) == 101
 
     def test_parse_refuses_m_above_the_limit(self):
         with pytest.raises(InputError) as info:

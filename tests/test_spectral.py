@@ -32,10 +32,12 @@ from diamondkit.spectral import (
     ODD_EXTREMAL,
     count_diamonds_spectral,
     diamond_upper_bound,
+    lemma_cut,
     matches_extremal_charpoly,
 )
 from diamondkit.tournament import (
     InputError,
+    Tournament,
     count_diamonds,
     decode,
     pair_index,
@@ -335,6 +337,54 @@ class TestSquareParity:
         assert sum(v * v for v in x) >= least
         assert excess >= 8 * least
         assert count_diamonds(t) <= diamond_upper_bound(n)
+
+
+class TestLemmaCut:
+    """lemma_cut against the g of every pair mod 4, the normal form that
+    switching it gives at odd n, and its sides at the bound's equality cases."""
+
+    @staticmethod
+    def _across(t):
+        # every pair across the cut has g = 2 - n (mod 4), and no pair inside
+        n, g, cut = t.n, t.square_upper, lemma_cut(t)
+        assert cut & 1 == 0 and cut >> n == 0
+        for i, j in combinations(range(n), 2):
+            assert ((g[pair_index(n, i, j)] + n) % 4 == 2) == ((cut >> i) & 1 != (cut >> j) & 1)
+        return cut
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_exhaustive(self, n):
+        for t in _every_tournament(n):
+            self._across(t)
+
+    @given(st.integers(3, 40), st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_random(self, n, seed):
+        self._across(random_tournament(n, seed))
+
+    @given(st.integers(1, 19), st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_switching_the_cut_at_odd_n(self, k, seed):
+        # reversing every arc across the cut (S -> DSD) negates the g across
+        # it: every g becomes -n (mod 4), and the switched cut is empty
+        n = 2 * k + 1
+        t = random_tournament(n, seed)
+        cut = self._across(t)
+        near = ((1 << n) - 1) ^ cut
+        switched = Tournament([r ^ (near if (cut >> i) & 1 else cut) for i, r in enumerate(t.rows)])
+        assert all((g + n) % 4 == 0 for g in switched.square_upper)
+        assert lemma_cut(switched) == 0
+
+    def test_n6_maxima_have_sides_of_three(self):
+        # the two-block S^2: a = n/2 at every one of the 5,120 maxima
+        sides = [lemma_cut(t).bit_count() for t in _every_tournament(6)
+                 if count_diamonds_spectral(t) == diamond_upper_bound(6)]
+        assert len(sides) == 5120 and set(sides) == {3}
+
+    @pytest.mark.parametrize("q", [3, 7, 11, 43, 499])
+    def test_star_paley_cut_is_empty(self, q):
+        # every g = 0 at n = 0 (mod 4): no pair has g = 2 (mod 4)
+        assert lemma_cut(star_paley(q)) == 0
 
 
 class TestSquare:
