@@ -5,8 +5,7 @@ matrices and FF4-hypergraphs/designs.
 `__version__`: each name is imported from the module that defines it
 (`from diamondkit.hypergraph import baber`), so a command pays only for
 the modules it runs.  The searches are in diamondkit.search, whose
-annealer alone imports numpy; the test oracles (char_poly and the
-rest) are in diamondkit.oracles, which no production module imports.
+annealer alone imports numpy.
 """
 
 __version__ = "0.1.0"

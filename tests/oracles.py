@@ -9,12 +9,12 @@ and reverse build test tournaments, and the rest are the paper's design and
 sum-of-squares formulas.  They read S from seidel, an arc i -> j as
 (t.rows[i] >> j) & 1, or the pair bits of an encoding; none reuses a
 production table but encodings_with_delta, which reads the scan it tests,
-search._block_planes.  No production module imports this one.
+search._block_planes.  This module sits beside the tests, outside the
+package, so no command can load it.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -22,9 +22,9 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph4, verify_ff4
-from .search import _EXHAUSTIVE_MAX_N, _block_planes, _scan_plan
-from .tournament import MIN_N, InputError, Tournament, _bits, _index
+from diamondkit.hypergraph import Hypergraph4, verify_ff4
+from diamondkit.search import _EXHAUSTIVE_MAX_N, _block_planes, _scan_plan
+from diamondkit.tournament import MIN_N, InputError, Tournament, _bits, _index
 
 _MINOR_ORACLE_MAX_N = 14
 
@@ -117,12 +117,6 @@ def sigma_from_traces(t: Tournament):
     return sigma2, sigma4
 
 
-class ArcFlip(namedtuple("ArcFlip", "i j")):
-    """The arc i -> j to reverse; argument of diamond_delta_on_flip."""
-
-    __slots__ = ()
-
-
 def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
     """Reverse the arc i -> j (precondition: i dominates j); copies all n rows."""
     if not (t.rows[i] >> j) & 1:
@@ -133,13 +127,12 @@ def flip_arc(t: Tournament, i: int, j: int) -> Tournament:
     return Tournament(rows)
 
 
-def diamond_delta_on_flip(t: Tournament, flip: ArcFlip) -> int:
-    """Change in diamond count if arc (i,j) is reversed.
+def diamond_delta_on_flip(t: Tournament, i: int, j: int) -> int:
+    """Change in diamond count if the arc i -> j is reversed.
 
     Only the C(n-2,2) 4-sets containing both endpoints can change; they are
     scanned in Python; flip_arc refuses an arc that is not present.
     """
-    i, j = flip.i, flip.j
     flipped = flip_arc(t, i, j)
     others = [v for v in range(t.n) if v != i and v != j]
     delta = 0
@@ -189,22 +182,10 @@ def encodings_with_delta(n: int, delta: int) -> tuple:
     return tuple(hits)
 
 
-class CharPoly(namedtuple("CharPoly", "n sigma")):
-    """det(xI - S) = x^n + sigma[0]*x^(n-1) + ... + sigma[n-1]."""
-
-    __slots__ = ()
-
-    def coefficient(self, k: int) -> int:
-        """sigma_k, with sigma_0 = 1."""
-        return 1 if k == 0 else self.sigma[k - 1]
-
-    def coefficients(self) -> list:
-        """[1, sigma_1, ..., sigma_n], highest degree first."""
-        return [1, *self.sigma]
-
-
-def char_poly(t: Tournament) -> CharPoly:
-    """Exact characteristic polynomial via the Faddeev-LeVerrier recurrence.
+def char_poly(t: Tournament) -> tuple:
+    """The coefficients (1, sigma_1, ..., sigma_n) of
+    det(xI - S) = x^n + sigma_1*x^(n-1) + ... + sigma_n, highest degree
+    first, by the Faddeev-LeVerrier recurrence.
 
     Each division by the step index is exact over the integers; a failed
     exact division would indicate an arithmetic bug and raises.  O(n^4) on
@@ -213,9 +194,8 @@ def char_poly(t: Tournament) -> CharPoly:
     n = t.n
     a = seidel(t)
     m = [row[:] for row in a]  # M_1 = S
-    sigma = []
     c = -sum(m[i][i] for i in range(n))
-    sigma.append(c)
+    sigma = [1, c]
     for k in range(2, n + 1):
         for i in range(n):
             m[i][i] += c
@@ -225,7 +205,7 @@ def char_poly(t: Tournament) -> CharPoly:
             raise ArithmeticError(f"inexact division at step {k}")
         c = -tr // k
         sigma.append(c)
-    return CharPoly(n, tuple(sigma))
+    return tuple(sigma)
 
 
 def _mat_mul(a, b):

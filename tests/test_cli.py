@@ -27,7 +27,6 @@ from diamondkit.hypergraph import (
     save_hyp,
     verify_ff4,
 )
-from diamondkit.oracles import count_diamonds_naive, flip_arc, seidel
 from diamondkit.spectral import ODD_EXTREMAL, count_diamonds_spectral
 from diamondkit.tournament import (
     Tournament,
@@ -39,6 +38,8 @@ from diamondkit.tournament import (
     random_tournament,
     save_trn,
 )
+
+from oracles import count_diamonds_naive, flip_arc, seidel
 
 
 def run(capsys, *argv):

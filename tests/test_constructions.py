@@ -10,13 +10,6 @@ from diamondkit.constructions import (
     star_paley,
 )
 from diamondkit.hypergraph import baber, verify_ff4
-from diamondkit.oracles import (
-    count_diamonds_naive,
-    from_arcs,
-    is_3_design,
-    is_skew_conference,
-    seidel,
-)
 from diamondkit.spectral import (
     EVEN_EXTREMAL,
     count_diamonds_spectral,
@@ -28,6 +21,14 @@ from diamondkit.tournament import (
     count_diamonds,
     format_trn,
     random_tournament,
+)
+
+from oracles import (
+    count_diamonds_naive,
+    from_arcs,
+    is_3_design,
+    is_skew_conference,
+    seidel,
 )
 
 

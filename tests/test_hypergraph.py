@@ -25,7 +25,16 @@ from diamondkit.hypergraph import (
     parse_hyp,
     verify_ff4,
 )
-from diamondkit.oracles import (
+from diamondkit.spectral import diamond_upper_bound
+from diamondkit.tournament import (
+    MAX_N,
+    InputError,
+    count_diamonds,
+    decode,
+    random_tournament,
+)
+
+from oracles import (
     _DIAMOND_SQ,
     _subset_degree_squares,
     count_diamonds_naive,
@@ -37,14 +46,6 @@ from diamondkit.oracles import (
     min_sum_squares,
     triple_profile,
     verify_ff4_naive,
-)
-from diamondkit.spectral import diamond_upper_bound
-from diamondkit.tournament import (
-    MAX_N,
-    InputError,
-    count_diamonds,
-    decode,
-    random_tournament,
 )
 
 

@@ -1,5 +1,6 @@
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -8,9 +9,10 @@ import pytest
 import diamondkit
 from diamondkit.gf import gf_build
 from diamondkit.hypergraph import Hypergraph4, baber
-from diamondkit.oracles import ArcFlip, CharPoly, char_poly
 from diamondkit.search import SearchResult
 from diamondkit.tournament import Tournament, random_tournament
+
+import oracles
 
 # the names `diamondkit` exported when its __init__ imported every module,
 # by the module that held them then; the package root exports none of them
@@ -28,18 +30,21 @@ EXPORTS = {
                    "triple_profile", "verify_ff4", "verify_ff4_naive"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
-# the test oracles among them, which now live in diamondkit.oracles alone
-# (is_skew_conference and is_3_design among them: production reads the
-# even-extremal verdict and the FF4 bound's equality case)
-ORACLES = {"ArcFlip", "CharPoly", "char_poly", "delete_vertices_count", "design_block_counts",
-           "diamond_delta_on_flip", "is_3_design", "is_skew_conference", "min_sum_squares",
-           "sigma_from_traces", "sum_principal_minors", "triple_profile", "verify_ff4_naive"}
+# the test oracles among them, which live beside the tests in oracles.py,
+# outside the package (is_skew_conference and is_3_design among them:
+# production reads the even-extremal verdict and the FF4 bound's equality case)
+ORACLES = {"char_poly", "delete_vertices_count", "design_block_counts", "diamond_delta_on_flip",
+           "is_3_design", "is_skew_conference", "min_sum_squares", "sigma_from_traces",
+           "sum_principal_minors", "triple_profile", "verify_ff4_naive"}
 # deleted: production decides diamonds by tournament._diamond_lanes alone,
 # Tournament(rows) checks every tournament it makes, `verify --checks design`
-# is the one design verdict, sigma_4's bound is 8 * diamonds + C(n,4) and
-# the extremal verdict is the bound's equality case
-DELETED = {"is_diamond", "is_ff4_design", "kernel_sign_vector", "sigma4_upper_bound",
-           "validate"}
+# is the one design verdict, sigma_4's bound is 8 * diamonds + C(n,4), the
+# extremal verdict is the bound's equality case, and the oracles take an arc
+# as i, j and give char_poly's coefficients as a tuple
+DELETED = {"ArcFlip", "CharPoly", "is_diamond", "is_ff4_design", "kernel_sign_vector",
+           "sigma4_upper_bound", "validate"}
+# the production modules: all that the package holds
+MODULES = ["cli", "constructions", "gf", "hypergraph", "search", "spectral", "tournament"]
 
 
 class TestLazyExports:
@@ -52,20 +57,23 @@ class TestLazyExports:
 
     @pytest.mark.parametrize("module,name", NAMES)
     def test_from_import(self, module, name):
-        if name in DELETED:  # importable from nowhere
-            for home in (module, "oracles"):
-                assert not hasattr(importlib.import_module(f"diamondkit.{home}"), name)
-            with pytest.raises(ImportError):
-                exec(f"from diamondkit import {name}", {})
-            return
-        home = "oracles" if name in ORACLES else module
-        obj = getattr(importlib.import_module(f"diamondkit.{home}"), name)
-        assert obj.__module__ == f"diamondkit.{home}"
         with pytest.raises(ImportError):
             exec(f"from diamondkit import {name}", {})
         assert name not in dir(diamondkit)
-        if home != module:  # moved, and not re-exported where it was
-            assert not hasattr(importlib.import_module(f"diamondkit.{module}"), name)
+        if name not in ORACLES | DELETED:
+            obj = getattr(importlib.import_module(f"diamondkit.{module}"), name)
+            assert obj.__module__ == f"diamondkit.{module}"
+            return
+        # in no diamondkit module; an oracle is defined in the tests' oracles
+        for home in MODULES:
+            assert not hasattr(importlib.import_module(f"diamondkit.{home}"), name)
+        if name in ORACLES:
+            assert getattr(oracles, name).__module__ == "oracles"
+        else:
+            assert not hasattr(oracles, name)
+
+    def test_package_holds_the_production_modules(self):
+        assert sorted(m.name for m in pkgutil.iter_modules(diamondkit.__path__)) == MODULES
 
     def test_star_import(self):
         # a fresh interpreter: an imported submodule becomes an attribute of
@@ -80,12 +88,12 @@ class TestLazyExports:
 
     def test_tournament_is_its_rows(self):
         # the arc readers are gone, and the builders only tests call are oracles
-        from diamondkit import oracles, tournament
+        from diamondkit import tournament
         for name in ("dom", "out_degree", "_vertex"):
             assert not hasattr(Tournament, name)
         for name in ("from_arcs", "reverse"):
             assert not hasattr(tournament, name)
-            assert getattr(oracles, name).__module__ == "diamondkit.oracles"
+            assert getattr(oracles, name).__module__ == "oracles"
 
     def test_hypergraph_has_one_constructor(self):
         # Hypergraph4(n, edges) checks every hypergraph: the second,
@@ -104,8 +112,6 @@ def _records():
     t = random_tournament(5, 0)
     return [
         (t, "n"),
-        (ArcFlip(0, 1), "i"),
-        (char_poly(t), "sigma"),
         (gf_build(9), "modulus"),
         (baber(t), "edges"),
         (SearchResult(0, t, 0, {}), "witness"),
@@ -136,8 +142,6 @@ class TestRecords:
     def test_fields_and_repr(self):
         assert Tournament._fields == ("rows",)
         assert repr(Tournament((2, 4, 1))) == "Tournament(rows=(2, 4, 1))"
-        assert repr(ArcFlip(0, 1)) == "ArcFlip(i=0, j=1)"
-        assert CharPoly._fields == ("n", "sigma")
         assert Hypergraph4._fields == ("n", "edges")
         assert SearchResult._fields == ("max_diamonds", "witness", "explored", "params")
         assert gf_build(9)._fields == ("p", "k", "q", "modulus")

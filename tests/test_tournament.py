@@ -29,9 +29,14 @@ from diamondkit.tournament import (
     random_tournament,
     InputError,
 )
-from diamondkit.oracles import (
+from diamondkit.search import (
+    _SquareState,
+    exhaustive_max_diamonds,
+    local_search_max_diamonds,
+)
+
+from oracles import (
     _DIAMOND_SQ,
-    ArcFlip,
     _subset_degree_squares,
     bareiss_det,
     count_diamonds_naive,
@@ -42,11 +47,6 @@ from diamondkit.oracles import (
     is_3_design,
     reverse,
     seidel,
-)
-from diamondkit.search import (
-    _SquareState,
-    exhaustive_max_diamonds,
-    local_search_max_diamonds,
 )
 
 
@@ -512,29 +512,29 @@ class TestFlipDelta:
         # the bottom arc of a transitive 4-tournament creates a 3-cycle under
         # the top vertex
         t = transitive(4)
-        d = diamond_delta_on_flip(t, ArcFlip(1, 3))
+        d = diamond_delta_on_flip(t, 1, 3)
         assert d == 1
         assert count_diamonds_naive(flip_arc(t, 1, 3)) == 1
 
     def test_flip_and_flip_back(self):
         t = random_tournament(9, seed=3)
-        d1 = diamond_delta_on_flip(t, ArcFlip(*first_arc(t)))
+        d1 = diamond_delta_on_flip(t, *first_arc(t))
         i, j = first_arc(t)
         t2 = flip_arc(t, i, j)
-        d2 = diamond_delta_on_flip(t2, ArcFlip(j, i))
+        d2 = diamond_delta_on_flip(t2, j, i)
         assert d1 + d2 == 0
 
     def test_missing_arc_rejected(self):
         t = three_cycle()
         with pytest.raises(ValueError):
-            diamond_delta_on_flip(t, ArcFlip(1, 0))
+            diamond_delta_on_flip(t, 1, 0)
 
     def test_full_recount_oracle(self):
         t = random_tournament(10, seed=11)
         for i in range(10):
             for j in range(10):
                 if _arc(t, i, j):
-                    d = diamond_delta_on_flip(t, ArcFlip(i, j))
+                    d = diamond_delta_on_flip(t, i, j)
                     assert d == count_diamonds_naive(flip_arc(t, i, j)) - count_diamonds_naive(t)
 
     def test_long_flip_sequence_consistency(self):
@@ -551,7 +551,7 @@ class TestFlipDelta:
                 j += 1
             if not _arc(t, i, j):
                 i, j = j, i
-            delta_total += diamond_delta_on_flip(t, ArcFlip(i, j))
+            delta_total += diamond_delta_on_flip(t, i, j)
             t = flip_arc(t, i, j)
         assert count_diamonds_naive(t) == base + delta_total
 
