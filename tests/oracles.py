@@ -4,13 +4,14 @@ count_diamonds_naive (the C(n,4) scan), diamond_delta_on_flip,
 char_poly (Faddeev-LeVerrier), sigma_from_traces and is_skew_conference
 (numpy S^2), sum_principal_minors (Bareiss), verify_ff4_naive (the C(n,5)
 scan), triple_profile, is_3_design and _deltas recompute what tournament,
-spectral, hypergraph and search answer, in O(n^3) to O(n^5) work; from_arcs
-and reverse build test tournaments, and the rest are the paper's design and
-sum-of-squares formulas.  They read S from seidel, an arc i -> j as
-(t.rows[i] >> j) & 1, or the pair bits of an encoding; none reuses a
-production table but encodings_with_delta, which reads the scan it tests,
-search._block_planes.  This module sits beside the tests, outside the
-package, so no command can load it.
+spectral, hypergraph and search answer, in O(n^3) to O(n^5) work; from_arcs,
+reverse, three_cycle, transitive, diamond4 and switch (Seidel switching) build
+test tournaments, and the rest are the paper's design and sum-of-squares
+formulas.  They read S from seidel, an arc i -> j as (t.rows[i] >> j) & 1,
+or the pair bits of an encoding; none reuses a production table but
+encodings_with_delta, which reads the scan it tests, search._block_planes.
+This module sits beside the tests, outside the package, so no command can
+load it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,28 @@ def from_arcs(n, arcs) -> Tournament:
 def reverse(t: Tournament) -> Tournament:
     full = (1 << t.n) - 1
     return Tournament([(full ^ r) & ~(1 << i) for i, r in enumerate(t.rows)])
+
+
+def three_cycle() -> Tournament:
+    return from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def transitive(n) -> Tournament:
+    return from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def diamond4() -> Tournament:
+    # a dominates the 3-cycle b -> c -> d -> b
+    return from_arcs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])
+
+
+def switch(t: Tournament, x) -> Tournament:
+    """Seidel switching by the vertex set x (S -> DSD, D = -1 on x and 1
+    elsewhere): every arc between x and the other vertices is reversed."""
+    inside = sum(1 << v for v in x)
+    outside = ((1 << t.n) - 1) ^ inside
+    return Tournament([r ^ (outside if (inside >> i) & 1 else inside)
+                       for i, r in enumerate(t.rows)])
 
 
 def seidel(t: Tournament) -> list:

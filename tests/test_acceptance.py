@@ -11,16 +11,10 @@ from math import comb
 
 import pytest
 
-from diamondkit.constructions import (
-    delete_vertices,
-    extend_to_conference,
-    paley_tournament,
-    star_paley,
-)
+from diamondkit.constructions import extend_to_conference, paley_tournament, star_paley
 from diamondkit.hypergraph import baber, edge_count_bound, verify_ff4
 from diamondkit.search import exhaustive_max_diamonds
 from diamondkit.spectral import (
-    EVEN_EXTREMAL,
     NOT_EXTREMAL,
     ODD_EXTREMAL,
     count_diamonds_spectral,

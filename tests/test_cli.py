@@ -39,7 +39,7 @@ from diamondkit.tournament import (
     save_trn,
 )
 
-from oracles import count_diamonds_naive, flip_arc, seidel
+from oracles import count_diamonds_naive, flip_arc, seidel, transitive
 
 
 def run(capsys, *argv):
@@ -47,13 +47,6 @@ def run(capsys, *argv):
     out = capsys.readouterr().out
     report = json.loads(out) if out.strip().startswith("{") else None
     return code, report
-
-
-def transitive_trn(n):
-    lines = [str(n)]
-    for i in range(n):
-        lines.append("".join("1" if i < j else "0" for j in range(n)))
-    return "\n".join(lines) + "\n"
 
 
 class TestConstruct:
@@ -104,7 +97,7 @@ class TestCount:
         assert report["results"]["bound"] == {"num": 28, "den": 1, "decimal": 28.0}
 
     @pytest.mark.parametrize("method", ["naive", "spectral"])
-    @pytest.mark.parametrize("t", [star_paley(7), parse_trn(transitive_trn(5)),
+    @pytest.mark.parametrize("t", [star_paley(7), transitive(5),
                                    random_tournament(64, 0)], ids=["tstar7", "transitive5", "r64"])
     def test_one_method_reports_the_bound_of_both(self, tmp_path, capsys, t, method):
         path = tmp_path / "t.trn"
@@ -128,7 +121,7 @@ class TestCount:
 
     def test_transitive_not_attained(self, tmp_path, capsys):
         path = tmp_path / "t.trn"
-        path.write_text(transitive_trn(10))
+        path.write_text(format_trn(transitive(10)))
         code, report = run(capsys, "count", "--in", str(path))
         assert code == OK
         assert report["results"]["naive"] == 0
@@ -225,7 +218,7 @@ class TestPipelines:
         # below 5 vertices the bound is the exact maximum: 0 edges at n = 3,
         # 1 at n = 4
         path = tmp_path / "t.trn"
-        path.write_text(transitive_trn(n))
+        path.write_text(format_trn(transitive(n)))
         code, report = run(capsys, "baber", "--in", str(path))
         assert code == OK
         bound = {"num": n - 3, "den": 1, "decimal": n - 3.0, "status": PROVEN}
@@ -274,7 +267,7 @@ class TestPipelines:
 
     def test_extend_rejects_non_extremal(self, tmp_path, capsys):
         trn = tmp_path / "t.trn"
-        trn.write_text(transitive_trn(7))
+        trn.write_text(format_trn(transitive(7)))
         code, _ = run(capsys, "extend", "--in", str(trn))
         assert code == INPUT_ERROR
 

@@ -40,17 +40,13 @@ from oracles import (
     count_diamonds_naive,
     delete_vertices_count,
     design_block_counts,
-    from_arcs,
     is_3_design,
     is_min_sum_squares_witness,
     min_sum_squares,
+    transitive,
     triple_profile,
     verify_ff4_naive,
 )
-
-
-def transitive(n):
-    return from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestBaber:

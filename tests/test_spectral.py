@@ -24,7 +24,6 @@ from diamondkit.spectral import (
 )
 from diamondkit.tournament import (
     InputError,
-    Tournament,
     count_diamonds,
     decode,
     pair_index,
@@ -35,6 +34,7 @@ from oracles import (
     bareiss_det,
     char_poly,
     count_diamonds_naive,
+    diamond4,
     encodings_with_delta,
     flip_arc,
     from_arcs,
@@ -43,6 +43,9 @@ from oracles import (
     seidel,
     sigma_from_traces,
     sum_principal_minors,
+    switch,
+    three_cycle,
+    transitive,
 )
 
 
@@ -65,18 +68,6 @@ def _upper_of(a2, n):
     assert np.array_equal(a2, a2.T)
     assert (np.diagonal(a2) == 1 - n).all()
     return tuple(a2[np.triu_indices(n, 1)].tolist())
-
-
-def three_cycle():
-    return from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-
-
-def transitive(n):
-    return from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def diamond4():
-    return from_arcs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])
 
 
 def test_seidel_from_three_cycle():
@@ -304,11 +295,11 @@ class TestSquareParity:
     @settings(max_examples=40, deadline=None)
     def test_n2_mod_4_bound(self, k, seed):
         # at n = 2 (mod 4) no tournament exceeds n (n-3)(n+2)(n-2) / 96: the
-        # pairs with g = 0 (mod 4) are those across the cut of vertex 0
+        # pairs with g = 0 (mod 4) are those across lemma_cut
         n = 4 * k + 2
         t = random_tournament(n, seed)
-        g = t.square_upper
-        far = [v > 0 and g[pair_index(n, 0, v)] % 4 == 0 for v in range(n)]
+        g, cut = t.square_upper, lemma_cut(t)
+        far = [(cut >> v) & 1 for v in range(n)]
         for i, j in combinations(range(n), 2):
             assert (g[pair_index(n, i, j)] % 4 == 0) == (far[i] != far[j])
         a = sum(far)
@@ -319,14 +310,14 @@ class TestSquareParity:
     @given(st.integers(1, 10), st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
     def test_n1_mod_4_bound(self, k, seed):
-        # at n = 1 (mod 4), switching the cut of vertex 0 (the g = 1 mod 4
-        # pairs) makes every g = 4x - 1; the excess sum g^2 - C(n,2) is
+        # at n = 1 (mod 4), switching lemma_cut (the g = 1 mod 4 pairs)
+        # makes every g = 4x - 1; the excess sum g^2 - C(n,2) is
         # 8 sum (2x^2 - x) >= 8 sum x^2, and a kernel vector of S makes
         # sum x^2 >= (n-2)^2 / 32
         n = 4 * k + 1
         t = random_tournament(n, seed)
-        g = t.square_upper
-        far = [v > 0 and g[pair_index(n, 0, v)] % 4 == 1 for v in range(n)]
+        g, cut = t.square_upper, lemma_cut(t)
+        far = [(cut >> v) & 1 for v in range(n)]
         x = []
         for i, j in combinations(range(n), 2):
             switched = -g[pair_index(n, i, j)] if far[i] != far[j] else g[pair_index(n, i, j)]
@@ -371,8 +362,7 @@ class TestLemmaCut:
         n = 2 * k + 1
         t = random_tournament(n, seed)
         cut = self._across(t)
-        near = ((1 << n) - 1) ^ cut
-        switched = Tournament([r ^ (near if (cut >> i) & 1 else cut) for i, r in enumerate(t.rows)])
+        switched = switch(t, [v for v in range(n) if (cut >> v) & 1])
         assert all((g + n) % 4 == 0 for g in switched.square_upper)
         assert lemma_cut(switched) == 0
 

@@ -40,6 +40,7 @@ from oracles import (
     _subset_degree_squares,
     bareiss_det,
     count_diamonds_naive,
+    diamond4,
     diamond_delta_on_flip,
     encodings_with_delta,
     flip_arc,
@@ -47,6 +48,9 @@ from oracles import (
     is_3_design,
     reverse,
     seidel,
+    switch,
+    three_cycle,
+    transitive,
 )
 
 
@@ -80,19 +84,6 @@ def _validate_reference(rows):
             if not ij and not ji:
                 return (i, j, "missing orientation")
     return None
-
-
-def three_cycle():
-    return from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-
-
-def transitive(n):
-    return from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def diamond4():
-    # a dominates the 3-cycle b -> c -> d -> b
-    return from_arcs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])
 
 
 class TestValidate:
@@ -317,15 +308,6 @@ class TestNeighbourhoodCount:
         assert count_diamonds(diamond4()) == 1
 
 
-def _switch(t, x):
-    """Seidel switching by the vertex set x (S -> DSD, D = -1 on x and 1
-    elsewhere): every arc between x and the other vertices is reversed."""
-    inside = sum(1 << v for v in x)
-    outside = ((1 << t.n) - 1) ^ inside
-    return Tournament([r ^ (outside if (inside >> i) & 1 else inside)
-                       for i, r in enumerate(t.rows)])
-
-
 class TestSwitching:
     """Switching only changes the sign of each 4-set's Pfaffian
     s12 s34 - s13 s24 + s14 s23, and |Pf| = 3 exactly on diamonds."""
@@ -333,7 +315,7 @@ class TestSwitching:
     @given(tournaments(min_n=5, max_n=30), st.data())
     @settings(max_examples=60, deadline=None)
     def test_counts_and_baber_are_invariant(self, t, data):
-        u = _switch(t, data.draw(st.sets(st.integers(0, t.n - 1))))
+        u = switch(t, data.draw(st.sets(st.integers(0, t.n - 1))))
         assert count_diamonds(u) == count_diamonds(t)
         assert count_diamonds_spectral(u) == count_diamonds_spectral(t)
         assert baber(u).edges == baber(t).edges
@@ -343,7 +325,7 @@ class TestSwitching:
     def test_source_decomposition(self, t):
         # switching the in-neighbours of 0 makes 0 a source; a 4-set through
         # the source is a diamond iff its other three vertices are a 3-cycle
-        s = _switch(t, [v for v in range(1, t.n) if _arc(t, v, 0)])
+        s = switch(t, [v for v in range(1, t.n) if _arc(t, v, 0)])
         assert s.rows[0].bit_count() == t.n - 1
         u = delete_vertices(s, [0])
         c3 = comb(u.n, 3) - sum(comb(row.bit_count(), 2) for row in u.rows)
