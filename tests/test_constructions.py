@@ -1,9 +1,15 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 from diamondkit.constructions import (
+    _digits,
+    _factor_prime_power,
+    _modulus,
+    _mul_mod,
+    _translates,
     delete_vertices,
     extend_to_conference,
     paley_tournament,
@@ -275,15 +281,11 @@ PALEY_SHA256 = {
 
 class TestPaleyGolden:
     def test_every_order_is_frozen(self):
-        from diamondkit.gf import factor_prime_power
-
-        def prime_power(q):
-            try:
-                factor_prime_power(q)
-            except ValueError:
-                return False
-            return True
-        assert sorted(PALEY_SHA256) == [q for q in range(3, MAX_N) if q % 4 == 3 and prime_power(q)]
+        # the prime powers below 512 from primes found here by trial division,
+        # not by the code under test
+        primes = [p for p in range(2, MAX_N) if all(p % d for d in range(2, p))]
+        powers = {p ** k for p in primes for k in range(1, 10) if p ** k < MAX_N}
+        assert sorted(PALEY_SHA256) == sorted(q for q in powers if q % 4 == 3)
 
     @pytest.mark.parametrize("q", sorted(PALEY_SHA256))
     def test_trn_bytes(self, q):
@@ -297,13 +299,126 @@ class TestOrderLimit:
         (star_paley, 513), (star_paley, 523), (star_paley, 65519),
     ])
     def test_rejected_before_any_work(self, monkeypatch, build, q):
-        # gf_build reads q and refuses it before it factors q
+        # _paley_rows reads q and refuses it before it factors q
         def never(*args):
-            raise AssertionError("field built")
-        monkeypatch.setattr("diamondkit.gf.factor_prime_power", never)
+            raise AssertionError("q factored")
+        monkeypatch.setattr("diamondkit.constructions._factor_prime_power", never)
         with pytest.raises(ValueError, match=r"out of range \[2, 512\]$"):
             build(q)
 
     def test_largest_orders_accepted(self):
         assert paley_tournament(503).n == 503
         assert star_paley(503).n == 504
+
+
+def _encoded(digits, p):
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
+def _add(p, k, a, b):
+    return _encoded([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+
+
+def _sub(p, k, a, b):
+    """a - b by base-p digit subtraction."""
+    return _encoded([(x - y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+
+
+def _mul(p, k, a, b):
+    return _mul_mod(_digits(a, p, k), _digits(b, p, k), _modulus(p, k), p)
+
+
+def _squares(p, k):
+    return {_mul(p, k, x, x) for x in range(1, p ** k)}
+
+
+class TestField:
+    """GF(p^k) through the private helpers of constructions: _modulus(p, k)
+    reaches every field, also those whose order Paley refuses."""
+
+    def test_prime_field_gf3(self):
+        assert _modulus(3, 1) == [0, 1]  # x
+        assert _squares(3, 1) == {1}
+
+    def test_gf27_tables(self):
+        assert len(_squares(3, 3)) == 13
+        # modulus x^3 + 2x + 1 is the first irreducible in high-degree-first order
+        assert _modulus(3, 3) == [1, 2, 0, 1]
+        # no roots in GF(3) => irreducible for a cubic
+        for x in range(3):
+            assert (x**3 + 2 * x + 1) % 3 != 0
+
+    def test_gf4_valid_even_if_not_paley_usable(self):
+        assert _modulus(2, 2) == [1, 1, 1]  # x^2 + x + 1
+        # squaring is a bijection in characteristic 2
+        assert _squares(2, 2) == {1, 2, 3}
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(InputError, match="^6 is not a prime power$"):
+            _factor_prime_power(6)
+        with pytest.raises(InputError, match=r"^q=1 out of range \[2, 512\]$"):
+            paley_tournament(1)
+
+    def test_determinism(self):
+        assert _modulus(7, 2) == _modulus(7, 2)
+        assert _squares(7, 2) == _squares(7, 2)
+
+    def test_field_axioms_spot_check(self):
+        for a in range(9):
+            assert _sub(3, 2, a, a) == 0
+            assert _sub(3, 2, a, 0) == a
+            assert _mul(3, 2, a, 1) == a
+            for b in range(9):
+                assert _add(3, 2, _sub(3, 2, a, b), b) == a  # (a - b) + b = a
+                assert _mul(3, 2, a, b) == _mul(3, 2, b, a)
+        # distributivity on a sample
+        for a in (2, 5, 7):
+            for b in (1, 4, 8):
+                for c in (3, 6):
+                    assert _mul(3, 2, a, _add(3, 2, b, c)) == \
+                        _add(3, 2, _mul(3, 2, a, b), _mul(3, 2, a, c))
+        # every nonzero element has an inverse, so the modulus is irreducible
+        for a in range(1, 9):
+            assert any(_mul(3, 2, a, b) == 1 for b in range(1, 9))
+
+    @pytest.mark.parametrize("p,k", [(2, 3), (3, 1), (3, 5), (5, 2), (7, 3), (23, 1)])
+    def test_differences_match_digit_subtraction(self, p, k):
+        # bit j of translate i is set iff the difference j - i, by base-p digit
+        # subtraction, lies in the translated set
+        q = p ** k
+        rng = random.Random(p * 100 + k)
+        for elements in (_squares(p, k), {0}, {e for e in range(q) if rng.random() < 0.5}):
+            rows = _translates(sum(1 << e for e in elements), p, q)
+            assert len(rows) == q
+            ref = [sum(1 << j for j in range(q) if _sub(p, k, j, i) in elements)
+                   for i in range(q)]
+            assert list(rows) == ref
+
+    def test_squares_split_for_q_3_mod_4(self):
+        # a reducible modulus of odd p gives fewer than (q - 1)/2 distinct
+        # nonzero squares, or 0 among them; 243 and 343 are the benchmark's
+        for p, k in ((7, 1), (11, 1), (3, 3), (3, 5), (7, 3)):
+            sq = _squares(p, k)
+            assert len(sq) == (p ** k - 1) // 2 and 0 not in sq
+            # q = 3 mod 4: exactly one of x, -x is a square for every nonzero x
+            for x in range(1, p ** k):
+                assert (x in sq) != (_sub(p, k, 0, x) in sq)
+
+    def test_factor_prime_power(self):
+        assert _factor_prime_power(27) == (3, 3)
+        assert _factor_prime_power(31) == (31, 1)
+        assert _factor_prime_power(49) == (7, 2)
+        assert _factor_prime_power(512) == (2, 9)
+        with pytest.raises(InputError):
+            _factor_prime_power(12)
+
+    @pytest.mark.parametrize("build", [paley_tournament, star_paley])
+    @pytest.mark.parametrize("q", [4, 9, 13, 512])
+    def test_refused_before_a_modulus_is_searched(self, monkeypatch, build, q):
+        # a q that is not 3 mod 4 is refused right after it is factored
+        def never(*args):
+            raise AssertionError("modulus searched")
+        monkeypatch.setattr("diamondkit.constructions._modulus", never)
+        with pytest.raises(InputError, match=rf"^q={q} is not 3 mod 4; the square relation "
+                                             "would not be a tournament$"):
+            build(q)

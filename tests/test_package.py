@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import diamondkit
-from diamondkit.gf import gf_build
 from diamondkit.hypergraph import Hypergraph4, baber
 from diamondkit.search import SearchResult
 from diamondkit.tournament import Tournament, random_tournament
@@ -39,12 +38,13 @@ ORACLES = {"char_poly", "delete_vertices_count", "design_block_counts", "diamond
 # deleted: production decides diamonds by tournament._diamond_lanes alone,
 # Tournament(rows) checks every tournament it makes, `verify --checks design`
 # is the one design verdict, sigma_4's bound is 8 * diamonds + C(n,4), the
-# extremal verdict is the bound's equality case, and the oracles take an arc
-# as i, j and give char_poly's coefficients as a tuple
-DELETED = {"ArcFlip", "CharPoly", "is_diamond", "is_ff4_design", "kernel_sign_vector",
-           "sigma4_upper_bound", "validate"}
+# extremal verdict is the bound's equality case, the oracles take an arc
+# as i, j and give char_poly's coefficients as a tuple, and GF(q) is private
+# to constructions, which labels the Paley vertices with it
+DELETED = {"ArcFlip", "CharPoly", "FieldTable", "gf_build", "is_diamond", "is_ff4_design",
+           "kernel_sign_vector", "sigma4_upper_bound", "validate"}
 # the production modules: all that the package holds
-MODULES = ["cli", "constructions", "gf", "hypergraph", "search", "spectral", "tournament"]
+MODULES = ["cli", "constructions", "hypergraph", "search", "spectral", "tournament"]
 
 
 class TestLazyExports:
@@ -74,6 +74,11 @@ class TestLazyExports:
 
     def test_package_holds_the_production_modules(self):
         assert sorted(m.name for m in pkgutil.iter_modules(diamondkit.__path__)) == MODULES
+
+    def test_field_is_private_to_constructions(self):
+        for home in MODULES:
+            assert not hasattr(importlib.import_module(f"diamondkit.{home}"),
+                               "factor_prime_power")
 
     def test_star_import(self):
         # a fresh interpreter: an imported submodule becomes an attribute of
@@ -112,7 +117,6 @@ def _records():
     t = random_tournament(5, 0)
     return [
         (t, "n"),
-        (gf_build(9), "modulus"),
         (baber(t), "edges"),
         (SearchResult(0, t, 0, {}), "witness"),
     ]
@@ -144,4 +148,3 @@ class TestRecords:
         assert repr(Tournament((2, 4, 1))) == "Tournament(rows=(2, 4, 1))"
         assert Hypergraph4._fields == ("n", "edges")
         assert SearchResult._fields == ("max_diamonds", "witness", "explored", "params")
-        assert gf_build(9)._fields == ("p", "k", "q", "modulus")

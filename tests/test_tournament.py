@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamondkit import constructions
 from diamondkit.constructions import delete_vertices, paley_tournament, star_paley
-from diamondkit import gf
-from diamondkit.gf import gf_build
 from diamondkit.hypergraph import Hypergraph4, baber, edge_count_bound, verify_ff4
 from diamondkit.spectral import count_diamonds_spectral, diamond_upper_bound
 from diamondkit import tournament
@@ -392,6 +391,7 @@ class TestSizesThroughIndex:
         (lambda n: decode(n, 5), 70),
         # an int64 e once overflowed the range check against 2^C(70,2)
         (lambda e: decode(70, e), 3),
+        # a numpy q once kept numpy squares, whose bitmask wrapped at 64 bits
         (paley_tournament, 103),
         (star_paley, 103),
         (lambda n: local_search_max_diamonds(n, restarts=1, steps=5), 70),
@@ -408,15 +408,13 @@ class TestSizesThroughIndex:
         # an int64 n once overflowed the bounds' products with only a RuntimeWarning
         (diamond_upper_bound, 100000),
         (edge_count_bound, 100001),
-        # a numpy q once kept numpy squares, whose bitmask wrapped at 64 bits
-        (lambda q: gf_build(q).translates(sum(1 << x for x in gf_build(q).squares())), 67),
         (lambda lam: is_3_design(baber(star_paley(7)), lam), 2),
     ], ids=["random_tournament", "random_tournament-seed", "decode", "decode-encoding",
             "paley_tournament", "star_paley", "local_search-n",
             "local_search-restarts", "local_search-steps",
             "exhaustive-n", "exhaustive-threads", "encodings_with_delta-n",
             "encodings_with_delta-delta", "hypergraph-verify_ff4", "hypergraph-n",
-            "diamond_upper_bound", "edge_count_bound", "gf_build", "is_3_design-lam"])
+            "diamond_upper_bound", "edge_count_bound", "is_3_design-lam"])
     def test_numpy_sizes_agree_and_floats_are_refused(self, call, size):
         assert call(np.int64(size)) == call(size)
         with pytest.raises(InputError, match="is not an integer"):
@@ -443,7 +441,7 @@ class TestSizesThroughIndex:
         (lambda: edge_count_bound(-1), "n must be at least 0, got -1"),
         (lambda: diamond_upper_bound(-1), "n must be at least 0, got -1"),
         # trial division of this prime would take seconds
-        (lambda: gf_build(100000000000031), "q=100000000000031 out of range [2, 512]"),
+        (lambda: paley_tournament(100000000000031), "q=100000000000031 out of range [2, 512]"),
         (lambda: local_search_max_diamonds(8, steps=-10 ** 50),
          f"steps must be at least 0, got {'-1' + '0' * 38!r}... (52 characters)"),
         # random.Random(None) would draw from the OS: the same seed would not
@@ -460,7 +458,7 @@ class TestSizesThroughIndex:
          f"steps must be at least 0, got {'-1' + '0' * 38!r}... (5002 characters)"),
     ], ids=["decode", "random_tournament", "local_search-n", "local_search-restarts",
             "local_search-steps", "exhaustive-n", "exhaustive-threads",
-            "hypergraph-n", "edge_count_bound", "diamond_upper_bound", "gf_build",
+            "hypergraph-n", "edge_count_bound", "diamond_upper_bound", "paley_tournament",
             "clipped", "random_tournament-seed-None", "is_3_design-lam-float",
             "is_3_design-lam-negative", "random_tournament-n-huge", "decode-encoding-huge",
             "local_search-steps-huge"])
@@ -480,11 +478,11 @@ class TestSizesThroughIndex:
         def no_work(*args):
             raise AssertionError("work started")
         monkeypatch.setattr(random, "Random", no_work)
-        monkeypatch.setattr(gf, "factor_prime_power", no_work)
+        monkeypatch.setattr(constructions, "_factor_prime_power", no_work)
         with pytest.raises(InputError, match=r"^n=1000000 out of range \[3, 512\]$"):
             random_tournament(10 ** 6, 0)
         with pytest.raises(InputError, match=r"^q=100000000000031 out of range \[2, 512\]$"):
-            gf_build(100000000000031)
+            paley_tournament(100000000000031)
 
 
 class TestFlipDelta:
